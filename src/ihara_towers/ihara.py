@@ -27,22 +27,16 @@ from .polyring import (
     IntPoly,
     LaurentPoly,
     divide_exact,
-    geometric_quotient,
-    int_matrix_det,
     is_self_reciprocal,
     ord_at,
     poly_matrix_det,
+    pseudo_rem,
     resultant,
     vanishes_at_root_of_unity,
 )
 from .voltage_cover import VoltagedGraph, derived_graph, monodromy_index
 
 MAX_BITS_ENV = "IHARA_TOWERS_MAX_BITS"
-
-# Below this n the Sylvester determinant is the computation of record;
-# above it the companion-matrix path takes over (the two are differentially
-# tested against each other).
-_SYLVESTER_N_LIMIT = 40
 
 
 def _check_bits(value: int) -> int:
@@ -149,85 +143,37 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def _companion_rows(f: IntPoly):
-    """Companion matrix of the monic integer rescaling of f.
+def _monic_rescaling(f: IntPoly) -> IntPoly:
+    """The monic integer rescaling f~ = a**(d-1) * f(t/a) of f.
 
-    With a = lead(f) and d = deg(f), the polynomial a**(d-1) * f(t/a) is
-    monic over Z and its roots are a times the roots of f; the returned
-    matrix is its companion.
+    Here a = lead(f) and d = deg(f); the roots of f~ are a times the roots
+    of f, so reducing modulo f~ needs no fractions.
     """
     d = f.degree
     a = f.lead
-    scaled = [f.coeffs[i] * a ** (d - 1 - i) for i in range(d)]
-    rows = [[0] * d for _ in range(d)]
-    for j in range(d - 1):
-        rows[j + 1][j] = 1
-    for i in range(d):
-        rows[i][d - 1] = -scaled[i]
-    return rows
+    return IntPoly([f.coeffs[i] * a ** (d - 1 - i) for i in range(d)] + [1])
 
 
-def _mat_mul(x, y):
-    d = len(x)
-    out = []
-    for i in range(d):
-        xi = x[i]
-        row = []
-        for j in range(d):
-            s = 0
-            for k in range(d):
-                v = xi[k]
-                if v:
-                    s += v * y[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+def _delta_from_residue(monic: IntPoly, residue: IntPoly, a_pow_n: int) -> int:
+    """D_n from residue = t**n mod f~ and a_pow_n = a**n.
 
-
-def _step_companion(m, scaled):
-    """m @ companion, using the shift structure: one column of real work."""
-    d = len(m)
-    out = []
-    for row in m:
-        last = 0
-        for k in range(d):
-            v = row[k]
-            if v:
-                last -= v * scaled[k]
-        out.append(row[1:] + [last])
-    return out
-
-
-def _delta_from_power(power_rows, a_pow_n: int, a: int, d: int, n: int) -> int:
-    m = [row[:] for row in power_rows]
-    for i in range(d):
-        m[i][i] -= a_pow_n
-    det = int_matrix_det(m)
-    denom = a ** ((d - 1) * n)
-    q, r = divmod(det, denom)
-    assert r == 0, "companion determinant must be divisible by the scaling power"
+    Res(f~, t**n - a**n) = a**(n*d) * prod(alpha**n - 1) over the roots alpha
+    of f, which is a**(n*(d-1)) * D_n; t**n may be replaced by its residue.
+    """
+    g = residue - a_pow_n
+    if g.is_zero():
+        return 0
+    q, r = divmod(resultant(monic, g), a_pow_n ** (monic.degree - 1))
+    if r:
+        raise VerificationMismatch("rescaled resultant is not divisible by the scaling power")
     return q
-
-
-def _pierce_lehmer_companion(f: IntPoly, n: int) -> int:
-    d = f.degree
-    a = f.lead
-    scaled = [f.coeffs[i] * a ** (d - 1 - i) for i in range(d)]
-    base = _companion_rows(f)
-    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    bits = bin(n)[2:]
-    for bit in bits:
-        power = _mat_mul(power, power)
-        if bit == "1":
-            power = _step_companion(power, scaled)
-    return _delta_from_power(power, a ** n, a, d, n)
 
 
 def pierce_lehmer(f: IntPoly, n: int) -> int:
     """Res(f, t**n - 1), exactly.
 
-    Small n goes through the Sylvester determinant; large n uses integer
-    companion-matrix powers (an exact fast path, cross-checked in tests).
+    t**n mod f~ comes from square-and-multiply over the monic rescaling f~
+    of f; one subresultant resultant then gives the value.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -236,14 +182,18 @@ def pierce_lehmer(f: IntPoly, n: int) -> int:
     d = f.degree
     if d == 0:
         return _check_bits(f.coeffs[0] ** n)
-    if n <= _SYLVESTER_N_LIMIT:
-        cyc = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-        return _check_bits(resultant(f, cyc))
-    return _check_bits(_pierce_lehmer_companion(f, n))
+    monic = _monic_rescaling(f)
+    power = IntPoly((1,))
+    for bit in bin(n)[2:]:
+        power = pseudo_rem(power * power, monic)
+        if bit == "1":
+            power = pseudo_rem(power.shift(1), monic)
+    return _check_bits(_delta_from_residue(monic, power, f.lead ** n))
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
-    """[Res(f, t - 1), ..., Res(f, t**n_max - 1)] by iterated companion powers."""
+    """[Res(f, t - 1), ..., Res(f, t**n_max - 1)], advancing t**n mod f~ one
+    shift per layer (see pierce_lehmer)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if n_max < 1:
@@ -253,14 +203,14 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
         c = f.coeffs[0]
         return [_check_bits(c ** n) for n in range(1, n_max + 1)]
     a = f.lead
-    scaled = [f.coeffs[i] * a ** (d - 1 - i) for i in range(d)]
-    power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    monic = _monic_rescaling(f)
+    power = IntPoly((1,))
     a_pow = 1
     out = []
-    for n in range(1, n_max + 1):
-        power = _step_companion(power, scaled)
+    for _ in range(n_max):
+        power = pseudo_rem(power.shift(1), monic)
         a_pow *= a
-        out.append(_check_bits(_delta_from_power(power, a_pow, a, d, n)))
+        out.append(_check_bits(_delta_from_residue(monic, power, a_pow)))
     return out
 
 
@@ -273,7 +223,8 @@ def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     sign = -1 if (ta.b * (n - 1)) % 2 else 1
     value = sign * ta.kappa_base * n ** (ta.e - 1) * delta_n
     q, r = divmod(value, ta.delta1)
-    assert r == 0, "Pierce-Lehmer quotient must be an integer"
+    if r:
+        raise VerificationMismatch(f"layer {n}: Pierce-Lehmer quotient is not an integer")
     return _check_bits(q)
 
 
@@ -295,12 +246,11 @@ def resultant_row(ta: TowerAnalysis, n: int) -> int:
     (-1)**(b*(n-1)) * kappa(X) * value."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n <= _SYLVESTER_N_LIMIT:
-        return _check_bits(resultant(ta.i_poly, geometric_quotient(n)))
     # Identical by the factorization I = (t-1)**e * J and multiplicativity.
     value = n ** ta.e * pierce_lehmer(ta.j_poly, n)
     q, r = divmod(value, ta.delta1)
-    assert r == 0
+    if r:
+        raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
     return _check_bits(q)
 
 

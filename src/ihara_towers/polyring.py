@@ -7,7 +7,7 @@ Bareiss elimination, and no floating point appears anywhere.
 The dense representation keeps coeffs[i] as the coefficient of t**i.
 That is a deliberate trade-off: the polynomials handled here have small
 degree (a few hundred at most), and density keeps Bareiss elimination
-and Sylvester resultants simple.
+and the pseudo-remainder sequences of gcds and resultants simple.
 """
 
 from __future__ import annotations
@@ -340,23 +340,25 @@ def geometric_quotient(n: int) -> IntPoly:
 
 
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Pseudo-remainder of f by g: rem(lead(g)**(deg f - deg g + 1) * f, g)."""
+    """Pseudo-remainder of f by g: rem(lead(g)**(deg f - deg g + 1) * f, g).
+
+    f itself when deg f < deg g.  For monic g this is the exact remainder.
+    """
     if g.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
     r = list(f.coeffs)
     d = g.degree
     gl = g.lead
-    while len(r) - 1 >= d and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < d:
-            break
-        c = r[-1]
-        k = len(r) - 1 - d
-        r = [gl * x for x in r]
-        for i, gc in enumerate(g.coeffs):
-            r[k + i] -= c * gc
-        r.pop()
+    gc = g.coeffs[:d]
+    # One step per quotient coefficient, even when a leading coefficient
+    # cancels, so that lead(g) enters exactly deg f - deg g + 1 times.
+    for k in range(len(r) - 1 - d, -1, -1):
+        c = r.pop()
+        if gl != 1:
+            r = [gl * x for x in r]
+        if c:
+            for i, x in enumerate(gc):
+                r[k + i] -= c * x
     return IntPoly(r)
 
 
@@ -487,7 +489,10 @@ def poly_matrix_det(rows) -> LaurentPoly:
 
 
 def sylvester_matrix(p: IntPoly, q: IntPoly):
-    """Sylvester matrix of p and q (descending coefficients, p-rows first)."""
+    """Sylvester matrix of p and q (descending coefficients, p-rows first).
+
+    Its int_matrix_det is the independent oracle that tests hold resultant to.
+    """
     m, n = p.degree, q.degree
     size = m + n
     rows = []
@@ -501,10 +506,13 @@ def sylvester_matrix(p: IntPoly, q: IntPoly):
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Res(p, q) as the determinant of the Sylvester matrix.
+    """Res(p, q) by the subresultant pseudo-remainder sequence.
 
     The sign convention is the classical one: Res(p, q) equals
-    lead(p)**deg(q) times the product of q over the roots of p.
+    lead(p)**deg(q) times the product of q over the roots of p, which is
+    the determinant of sylvester_matrix(p, q) (the test oracle).  The
+    sequence is Collins' subresultant PRS in the form of Cohen,
+    Algorithm 3.3.7; every division in it is exact.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -513,7 +521,29 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
         return p.coeffs[0] ** n
     if n == 0:
         return q.coeffs[0] ** m
-    return int_matrix_det(sylvester_matrix(p, q))
+    cp, cq = p.content(), q.content()
+    a = IntPoly([c // cp for c in p.coeffs])
+    b = IntPoly([c // cq for c in q.coeffs])
+    sign = 1
+    if m < n:
+        a, b = b, a
+        if m % 2 and n % 2:
+            sign = -sign
+    g = h = 1
+    while True:
+        da, db = a.degree, b.degree
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = pseudo_rem(a, b)
+        if r.is_zero():
+            return 0
+        den = g * h ** delta
+        a, b = b, IntPoly([c // den for c in r.coeffs])
+        g = a.lead
+        h = g ** delta // h ** (delta - 1) if delta else h
+        if b.degree == 0:
+            return sign * cp ** n * cq ** m * b.lead ** a.degree // h ** (a.degree - 1)
 
 
 # ---------------------------------------------------------------------------

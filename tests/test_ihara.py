@@ -2,8 +2,9 @@ import random
 
 from corpus import bouquet, dumbbell, fib, random_connected_voltaged_graph, random_int_poly, random_tower
 
-from ihara_towers.errors import HypothesisViolation
+from ihara_towers.errors import HypothesisViolation, VerificationMismatch
 from ihara_towers.ihara import (
+    _kappa_from_delta,
     analyze,
     ihara_polynomial,
     kappa_sequence,
@@ -17,8 +18,9 @@ from ihara_towers.polyring import (
     IntPoly,
     LaurentPoly,
     geometric_quotient,
+    int_matrix_det,
     is_self_reciprocal,
-    resultant,
+    sylvester_matrix,
 )
 from ihara_towers.voltage_cover import voltaged_graph
 
@@ -100,22 +102,21 @@ def test_pierce_lehmer_simple_values():
 
 
 def test_pierce_lehmer_fast_path_matches_sylvester():
+    ns = (1, 2, 3, 7, 12, 25, 33, 40, 41, 64)
     rng = random.Random(19)
+    fs = [IntPoly((-2, 1, 1)), IntPoly((1, 0, 1))]  # (t-1)(t+2) and t**2+1: D_n = 0
     for _ in range(60):
         f = random_int_poly(rng, max_degree=5)
-        if f.degree < 1:
-            continue
-        for n in (1, 2, 3, 7, 12, 25, 33):
+        if f.degree >= 1:
+            fs.append(f)
+    for f in fs:
+        values = pierce_lehmer_range(f, max(ns))
+        for n in ns:
             cyc = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-            reference = resultant(f, cyc)
-            from ihara_towers.ihara import _pierce_lehmer_companion
-
-            assert _pierce_lehmer_companion(f, n) == reference
-    # range path against single-shot values across the dispatch threshold
-    f = IntPoly((3, 0, -2, 1))
-    values = pierce_lehmer_range(f, 60)
-    for n in (1, 5, 39, 40, 41, 55, 60):
-        assert pierce_lehmer(f, n) == values[n - 1]
+            reference = int_matrix_det(sylvester_matrix(f, cyc))
+            assert pierce_lehmer(f, n) == values[n - 1] == reference
+    assert pierce_lehmer(IntPoly((1, 0, 1)), 12) == 0
+    assert pierce_lehmer(IntPoly((1, 0, 1)), 6) == 4
 
 
 def test_pierce_lehmer_divisibility():
@@ -139,6 +140,14 @@ def test_kappa_via_formula_table():
     assert tuple(kappa_sequence(ta, 10)) == KAPPA_35
 
 
+def test_kappa_from_delta_rejects_non_integral_quotient():
+    try:
+        _kappa_from_delta(analyze(bouquet(3, 5)), 2, 69)
+        assert False
+    except VerificationMismatch:
+        pass
+
+
 def test_kappa_fibonacci_shape():
     ta = analyze(bouquet(1, 2))
     assert kappa_via_formula(ta, 7) == 7 * 13 ** 2
@@ -157,7 +166,7 @@ def test_resultant_row_identity_and_dispatch():
     for vg in (bouquet(3, 5), dumbbell(1, 2)):
         ta = analyze(vg)
         for n in list(range(1, 25)) + [40, 41, 50]:
-            direct = resultant(ta.i_poly, geometric_quotient(n)) if n <= 45 else None
+            direct = int_matrix_det(sylvester_matrix(ta.i_poly, geometric_quotient(n))) if n <= 45 else None
             value = resultant_row(ta, n)
             q, r = divmod(n ** ta.e * pierce_lehmer(ta.j_poly, n), ta.delta1)
             assert r == 0 and value == q

@@ -13,8 +13,10 @@ from ihara_towers.polyring import (
     ord_at,
     poly_gcd,
     poly_matrix_det,
+    pseudo_rem,
     resultant,
     squarefree_part,
+    sylvester_matrix,
 )
 
 T_MINUS_1 = IntPoly((-1, 1))
@@ -58,11 +60,26 @@ def test_resultant_antisymmetry_and_multiplicativity():
             continue
         sign = -1 if (p.degree * q.degree) % 2 else 1
         assert resultant(p, q) == sign * resultant(q, p)
+        assert resultant(p, q) == int_matrix_det(sylvester_matrix(p, q))
     for _ in range(500):
         p = random_int_poly(rng, max_degree=4)
         q = random_int_poly(rng, max_degree=4)
         r = random_int_poly(rng, max_degree=4)
         assert resultant(p * r, q) == resultant(p, q) * resultant(r, q)
+        assert resultant(p * r, q * r) == int_matrix_det(sylvester_matrix(p * r, q * r))
+    # degree 0, equal degrees, odd/odd with deg p < deg q, negative leads,
+    # and a shared factor (zero resultant), each against the Sylvester oracle
+    shared = IntPoly((1, 1))
+    for p, q in (
+        (IntPoly((-5,)), IntPoly((1, -2, 3))),
+        (IntPoly((1, 2, -3)), IntPoly((-4, 0, 5))),
+        (IntPoly((2, -1)), IntPoly((1, 0, 3, -2))),
+        (IntPoly((3, 1, 0, -2)), IntPoly((1, -5, 0, 0, 0, -7))),
+        (shared * IntPoly((2, -3)), shared * IntPoly((1, 0, -4))),
+    ):
+        for x, y in ((p, q), (q, p)):
+            assert resultant(x, y) == int_matrix_det(sylvester_matrix(x, y))
+    assert resultant(shared * IntPoly((2, -3)), shared * IntPoly((1, 0, -4))) == 0
 
 
 def test_resultant_against_evaluation():
@@ -176,6 +193,13 @@ def test_is_self_reciprocal():
 
 
 # -- gcd utilities -----------------------------------------------------------
+
+
+def test_pseudo_rem_scales_by_full_power():
+    # two steps of pseudo-division even though the t**1 coefficient is zero
+    assert pseudo_rem(IntPoly((1, 0, 1)), IntPoly((0, 2))) == IntPoly((4,))
+    assert pseudo_rem(IntPoly((1, 0, 0, 1)), IntPoly((1, 3))) == IntPoly((26,))
+    assert pseudo_rem(IntPoly((5, 1)), IntPoly((1, 0, 2))) == IntPoly((5, 1))
 
 
 def test_poly_gcd_and_squarefree():
