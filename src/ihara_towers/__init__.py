@@ -9,10 +9,8 @@ from .errors import (
     VerificationMismatch,
 )
 from .graph_core import (
-    IntMatrix,
     SerreGraph,
     build_graph,
-    degree_and_adjacency,
     euler_characteristic,
     is_connected,
     spanning_tree_count,

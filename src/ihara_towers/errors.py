@@ -14,7 +14,8 @@ class HypothesisViolation(TowerError):
 
 
 class VerificationMismatch(TowerError):
-    """An independent oracle disagreed with a formula-path value."""
+    """An independent oracle disagreed with a formula-path value, or a
+    mathematical invariant that every valid input satisfies failed."""
 
 
 class PrecisionExhausted(TowerError):

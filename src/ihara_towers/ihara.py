@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 from .errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from .graph_core import (
@@ -99,6 +100,13 @@ def _reject_roots_of_unity(j: IntPoly) -> None:
         raise HypothesisViolation("J vanishes at a root of unity")
 
 
+def _invariant(holds: bool, message: str) -> None:
+    """Raise VerificationMismatch when an invariant that every valid tower
+    satisfies fails (unlike assert, this survives python -O)."""
+    if not holds:
+        raise VerificationMismatch(message)
+
+
 def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     """Compute the full decomposition (b, e, J, D_1) of a tower.
 
@@ -119,21 +127,21 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     ihara = ihara_polynomial(vg)
     if ihara.is_zero():
         raise HypothesisViolation("Ihara polynomial vanishes identically")
-    assert is_self_reciprocal(ihara)
+    _invariant(is_self_reciprocal(ihara), "the Ihara polynomial is not self-reciprocal")
     b = -ihara.low
-    assert b >= 0
+    _invariant(b >= 0, "the lowest power of t in the Ihara polynomial is positive")
     i_poly = ihara.body
-    assert i_poly.coeffs[0] != 0
+    _invariant(i_poly.coeffs[0] != 0, "the Ihara polynomial body vanishes at t = 0")
     e = ord_at(i_poly, 1)
-    assert e >= 1, "the Ihara polynomial must vanish at t = 1"
+    _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
     linear = IntPoly((-1, 1))
     j_poly = i_poly
     for _ in range(e):
         j_poly = divide_exact(j_poly, linear)
-    assert j_poly(1) != 0 and j_poly.coeffs[0] != 0
+    _invariant(j_poly(1) != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
     _reject_roots_of_unity(j_poly)
     delta1 = resultant(j_poly, linear)
-    assert delta1 != 0
+    _invariant(delta1 != 0, "D_1 = Res(J, t - 1) vanishes")
     kappa = spanning_tree_count(g)
     return TowerAnalysis(vg, ihara, b, e, i_poly, j_poly, delta1, kappa, chi)
 
@@ -266,39 +274,36 @@ class TowerVerification:
         return self.first_mismatch is None
 
 
-def verify_tower(vg: VoltagedGraph, n_max: int, mode: str = "matrix-tree") -> TowerVerification:
+def _layer_count(payload) -> int:
+    vg, n, mode = payload
+    layer = derived_graph(vg, n)
+    if mode == "matrix-tree":
+        return spanning_tree_count(layer)
+    return spanning_tree_count_bruteforce(layer)
+
+
+def verify_tower(
+    vg: VoltagedGraph, n_max: int, mode: str = "matrix-tree", jobs: int = 1
+) -> TowerVerification:
     """Check the formula path against an independent tree count for n <= n_max.
 
     mode "matrix-tree" uses the reduced-Laplacian determinant of each derived
     graph; "bruteforce-small" uses subset enumeration (and therefore requires
-    tiny layers).  The first disagreement is reported, not raised.
+    tiny layers).  With jobs > 1 a pool of that many forked worker
+    processes counts the layers.  The first disagreement is reported, not
+    raised.
     """
     if mode not in ("matrix-tree", "bruteforce-small"):
         raise ValueError(f"unknown verification mode {mode!r}")
     ta = analyze(vg)
-    deltas = pierce_lehmer_range(ta.j_poly, n_max)
-    kappas = []
-    first_mismatch = None
-    for n in range(1, n_max + 1):
-        predicted = _kappa_from_delta(ta, n, deltas[n - 1])
-        layer = derived_graph(vg, n)
-        if mode == "matrix-tree":
-            actual = spanning_tree_count(layer)
-        else:
-            actual = spanning_tree_count_bruteforce(layer)
-        kappas.append(predicted)
-        if predicted != actual and first_mismatch is None:
-            first_mismatch = (n, predicted, actual)
-            break
-    return TowerVerification(n_max, mode, tuple(kappas), first_mismatch)
-
-
-def require_verified(vg: VoltagedGraph, n_max: int, mode: str = "matrix-tree") -> TowerVerification:
-    """verify_tower, but a mismatch raises VerificationMismatch."""
-    report = verify_tower(vg, n_max, mode)
-    if not report.ok:
-        n, predicted, actual = report.first_mismatch
-        raise VerificationMismatch(
-            f"layer {n}: formula gives {predicted}, oracle gives {actual}"
-        )
-    return report
+    kappas = kappa_sequence(ta, n_max)
+    payloads = [(vg, n, mode) for n in range(1, n_max + 1)]
+    if jobs > 1:
+        with get_context("fork").Pool(jobs) as pool:
+            counts = pool.map(_layer_count, payloads)
+    else:
+        counts = map(_layer_count, payloads)
+    for n, (predicted, actual) in enumerate(zip(kappas, counts), start=1):
+        if predicted != actual:
+            return TowerVerification(n_max, mode, tuple(kappas[:n]), (n, predicted, actual))
+    return TowerVerification(n_max, mode, tuple(kappas), None)

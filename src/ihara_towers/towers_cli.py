@@ -5,8 +5,10 @@ Graph files are JSON documents
     {"vertices": ["v0", ...],
      "edges": [{"from": "v0", "to": "v1", "voltage": 3}, ...]}
 
-with one entry per edge pair (the stored orientation).  Exact integers are
-serialized as decimal strings so reports re-parse losslessly.
+with one entry per edge pair (the stored orientation).  Vertex names must be
+strings and voltages JSON integers; other values are rejected, not coerced.
+Exact integers are serialized as decimal strings so reports re-parse
+losslessly.
 
 Exit codes are a stable contract for scripting: 0 success, 2 hypothesis
 violation (vanishing Euler characteristic or disconnected tower), 3
@@ -21,7 +23,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from multiprocessing import get_context
 
 from .errors import (
     HypothesisViolation,
@@ -30,13 +31,13 @@ from .errors import (
     TowerError,
     VerificationMismatch,
 )
-from .graph_core import spanning_tree_count, spanning_tree_count_bruteforce
 from .ihara import (
     analyze,
     kappa_sequence,
     kappa_via_formula,
     pierce_lehmer_range,
     resultant_row,
+    verify_tower,
 )
 from .mahler import (
     archimedean_asymptotic,
@@ -46,7 +47,7 @@ from .mahler import (
     mahler_padic,
 )
 from .padic_engine import padic_report
-from .voltage_cover import VoltagedGraph, derived_graph, monodromy_index, voltaged_graph
+from .voltage_cover import VoltagedGraph, monodromy_index, voltaged_graph
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -73,16 +74,29 @@ def graph_to_json(vg: VoltagedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> VoltagedGraph:
-    names = list(doc["vertices"])
+    """Parse a graph document; a value of the wrong type is rejected, never
+    coerced (a voltage 1.7, true or "3" raises ValueError)."""
+    if not isinstance(doc, dict):
+        raise ValueError("a graph document must be a JSON object")
+    names, edges = doc["vertices"], doc["edges"]
+    if not (isinstance(names, list) and isinstance(edges, list)):
+        raise ValueError('"vertices" and "edges" must be lists')
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"vertex name {name!r} is not a string")
     if len(set(names)) != len(names):
         raise ValueError("vertex names must be unique")
     index = {name: i for i, name in enumerate(names)}
     triples = []
-    for edge in doc["edges"]:
-        u, v = edge["from"], edge["to"]
-        if u not in index or v not in index:
+    for edge in edges:
+        if not isinstance(edge, dict):
+            raise ValueError(f"edge {edge!r} is not an object")
+        u, v, a = edge["from"], edge["to"], edge["voltage"]
+        if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
             raise ValueError(f"edge endpoint {u!r} or {v!r} is not a vertex")
-        triples.append((index[u], index[v], int(edge["voltage"])))
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise ValueError(f"voltage {a!r} is not an integer")
+        triples.append((index[u], index[v], a))
     return voltaged_graph(len(names), triples, labels=tuple(names))
 
 
@@ -221,45 +235,23 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _layer_count(payload):
-    vg, n, mode = payload
-    layer = derived_graph(vg, n)
-    if mode == "bruteforce-small":
-        return n, spanning_tree_count_bruteforce(layer)
-    return n, spanning_tree_count(layer)
-
-
 def cmd_verify(args) -> int:
-    vg = load_graph(args.graph)
-    ta = analyze(vg)
-    kappas = kappa_sequence(ta, args.n_max)
-    payloads = [(vg, n, args.mode) for n in range(1, args.n_max + 1)]
-    if args.jobs > 1:
-        with get_context("fork").Pool(args.jobs) as pool:
-            counted = dict(pool.map(_layer_count, payloads))
-    else:
-        counted = dict(map(_layer_count, payloads))
-    mismatches = [
-        {
-            "n": n,
-            "formula": _s(kappas[n - 1]),
-            "oracle": _s(counted[n]),
-        }
-        for n in range(1, args.n_max + 1)
-        if kappas[n - 1] != counted[n]
-    ]
+    report = verify_tower(load_graph(args.graph), args.n_max, args.mode, jobs=args.jobs)
+    mismatch = None
+    if report.first_mismatch:
+        n, formula, oracle = report.first_mismatch
+        mismatch = {"n": n, "formula": _s(formula), "oracle": _s(oracle)}
     doc = {
         "n_max": args.n_max,
         "mode": args.mode,
-        "ok": not mismatches,
-        "first_mismatch": mismatches[0] if mismatches else None,
+        "ok": report.ok,
+        "first_mismatch": mismatch,
     }
     _write_output(json.dumps(doc, indent=2), args.output)
-    if mismatches:
-        first = mismatches[0]
+    if mismatch:
         print(
-            f"mismatch at n={first['n']}: formula {first['formula']} "
-            f"!= oracle {first['oracle']}",
+            f"mismatch at n={mismatch['n']}: formula {mismatch['formula']} "
+            f"!= oracle {mismatch['oracle']}",
             file=sys.stderr,
         )
         return EXIT_MISMATCH

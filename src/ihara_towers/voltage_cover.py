@@ -7,6 +7,7 @@ holds by construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -38,11 +39,18 @@ class VoltagedGraph:
             raise ValueError("voltages must be keyed exactly by the base edge pairs")
 
 
+def _voltage(a) -> int:
+    """An integer voltage; floats, strings and bools raise TypeError."""
+    if isinstance(a, bool):
+        raise TypeError(f"voltage {a!r} is a bool, not an integer")
+    return operator.index(a)
+
+
 def voltaged_graph(vertex_count: int, edges_with_voltages, labels=None) -> VoltagedGraph:
     """Convenience constructor from (u, v, voltage) triples."""
     edges = [(u, v) for u, v, _ in edges_with_voltages]
     g = build_graph(vertex_count, edges, labels=labels)
-    values = {i: int(a) for i, (_, _, a) in enumerate(edges_with_voltages)}
+    values = {i: _voltage(a) for i, (_, _, a) in enumerate(edges_with_voltages)}
     return VoltagedGraph(g, VoltageAssignment(values))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 from ihara_towers import analyze, monodromy_index, voltaged_graph
@@ -66,6 +67,44 @@ def random_connected_voltaged_graph(rng: random.Random, max_vertices=4, max_pair
     while len(edges) < pairs:
         edges.append((rng.randrange(v), rng.randrange(v), rng.randint(-6, 6)))
     return voltaged_graph(v, edges)
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Square integer matrix with row/column labels in vertex order."""
+
+    rows: tuple
+    labels: tuple
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.labels != other.labels:
+            raise ValueError("label mismatch")
+        rows = tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
+        )
+        return IntMatrix(rows, self.labels)
+
+    def row_sums(self):
+        return tuple(sum(r) for r in self.rows)
+
+
+def degree_and_adjacency(g):
+    """Return (D, A): diagonal valency matrix and directed-edge adjacency counts.
+
+    A loop at v adds 2 to both the valency and the diagonal entry of A, so
+    loops cancel in the Laplacian D - A.
+    """
+    n = g.vertex_count
+    deg = [0] * n
+    adj = [[0] * n for _ in range(n)]
+    for e in g.edge_pairs:
+        deg[e.origin] += 1
+        deg[e.terminus] += 1
+        adj[e.origin][e.terminus] += 1
+        adj[e.terminus][e.origin] += 1
+    d_rows = tuple(tuple(deg[i] if i == j else 0 for j in range(n)) for i in range(n))
+    a_rows = tuple(tuple(row) for row in adj)
+    return IntMatrix(d_rows, g.vertices), IntMatrix(a_rows, g.vertices)
 
 
 def fib(n: int) -> int:

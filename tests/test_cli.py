@@ -71,6 +71,29 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert code == 2 and "Euler characteristic" in err
 
 
+def test_graph_file_rejects_coerced_values(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    for voltage in (1.7, True, "3"):
+        path.write_text(json.dumps({
+            "vertices": ["v0"],
+            "edges": [{"from": "v0", "to": "v0", "voltage": 2},
+                      {"from": "v0", "to": "v0", "voltage": voltage}],
+        }))
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 1 and out == "" and "voltage" in err, voltage
+    path.write_text(json.dumps({
+        "vertices": [0],
+        "edges": [{"from": 0, "to": 0, "voltage": 1}, {"from": 0, "to": 0, "voltage": 2}],
+    }))
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert code == 1 and out == "" and "vertex name" in err
+    loops = [{"from": "v", "to": "v", "voltage": 1}, {"from": "v", "to": "v", "voltage": 2}]
+    for doc in ([], {"vertices": "v", "edges": loops}, {"vertices": ["v"], "edges": [["v"]]}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error: "), doc
+
+
 def test_table_csv_and_json(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(["generate", "bouquet", "3", "5", "--output", str(path)], capsys)
@@ -104,10 +127,10 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     # corrupt the formula path so the oracle disagrees
     path = tmp_path / "g.json"
     run(["generate", "fibonacci", "--output", str(path)], capsys)
-    import ihara_towers.towers_cli as cli
+    import ihara_towers.ihara as ihara
 
-    real = cli.kappa_sequence
-    monkeypatch.setattr(cli, "kappa_sequence", lambda ta, n: [v + (i == 3) for i, v in enumerate(real(ta, n))])
+    real = ihara.kappa_sequence
+    monkeypatch.setattr(ihara, "kappa_sequence", lambda ta, n: [v + (i == 3) for i, v in enumerate(real(ta, n))])
     code, out, err = run(["verify", str(path), "--n-max", "6"], capsys)
     assert code == 3
     assert json.loads(out)["first_mismatch"]["n"] == 4

@@ -1,21 +1,67 @@
 import random
+from itertools import combinations
 
-from corpus import named_towers, random_connected_voltaged_graph
+from corpus import degree_and_adjacency, named_towers, random_connected_voltaged_graph, random_tower
 
+from ihara_towers.errors import VerificationMismatch
 from ihara_towers.graph_core import (
+    _banded_det,
     build_graph,
-    degree_and_adjacency,
     euler_characteristic,
     is_connected,
     spanning_tree_count,
     spanning_tree_count_bruteforce,
 )
+from ihara_towers.polyring import int_matrix_det
+from ihara_towers.voltage_cover import derived_graph
 
 B2 = build_graph(1, [(0, 0), (0, 0)])
 DUMBBELL = build_graph(2, [(0, 0), (0, 1), (1, 1)])
 C3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])
 THETA = build_graph(2, [(0, 1), (0, 1), (0, 1)])
 K4 = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+K33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+PETERSEN = build_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+def dense_matrix_tree(g):
+    """Dense reduced-Laplacian determinant by general Bareiss (reference)."""
+    d, a = degree_and_adjacency(g)
+    return int_matrix_det([row[1:] for row in (d - a).rows[1:]])
+
+
+def combinations_count(g):
+    """Spanning trees as acyclic (|V| - 1)-subsets of edge pairs (reference)."""
+    n = g.vertex_count
+    count = 0
+    for subset in combinations(g.edge_pairs, n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for e in subset:
+            ru, rv = find(e.origin), find(e.terminus)
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            count += 1
+    return count
+
+
+def random_multigraph(rng, max_vertices=6, max_pairs=10):
+    """Uniform random endpoints: loops, parallel edges and disconnected graphs."""
+    n = rng.randint(1, max_vertices)
+    pairs = rng.randint(0, max_pairs)
+    return build_graph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(pairs)])
 
 
 def test_build_graph_examples():
@@ -114,30 +160,79 @@ def test_matrix_tree_equals_bruteforce_on_corpus():
 
 
 def test_symmetric_elimination_matches_general_bareiss():
-    from ihara_towers.graph_core import _symmetric_psd_det
-    from ihara_towers.polyring import int_matrix_det
-
+    # banded elimination in Cuthill-McKee order against dense general Bareiss
     rng = random.Random(77)
-    for _ in range(80):
-        g = random_connected_voltaged_graph(rng, max_vertices=5, max_pairs=9).base
-        n = g.vertex_count
-        lap = [[0] * n for _ in range(n)]
-        for e in g.edge_pairs:
-            lap[e.origin][e.origin] += 1
-            lap[e.terminus][e.terminus] += 1
-            lap[e.origin][e.terminus] -= 1
-            lap[e.terminus][e.origin] -= 1
-        reduced = [row[1:] for row in lap[1:]]
-        assert _symmetric_psd_det(reduced) == int_matrix_det(reduced)
+    graphs = [random_multigraph(rng) for _ in range(300)]
+    graphs += [random_multigraph(rng, max_vertices=2, max_pairs=5) for _ in range(40)]
+    assert any(not is_connected(g) for g in graphs)
+    assert any(g.vertex_count == 1 for g in graphs)
+    for g in graphs:
+        assert spanning_tree_count(g) == dense_matrix_tree(g)
+
+
+def test_banded_count_matches_dense_on_layers():
+    # derived layers of 4-vertex, 6-pair bases with voltages in [-6, 6]
+    rng = random.Random(78)
+    checked = 0
+    while checked < 3:
+        vg = random_tower(rng)
+        if vg.base.vertex_count != 4 or len(vg.base.edge_pairs) != 6:
+            continue
+        for n in (2, 11, 29, 50):
+            layer = derived_graph(vg, n)
+            assert spanning_tree_count(layer) == dense_matrix_tree(layer), n
+        checked += 1
+
+
+def test_banded_elimination_rejects_non_positive_pivot():
+    # the unreduced Laplacian of the path 0 - 1 - 2 is singular
+    try:
+        _banded_det([[1, -1], [2, -1], [1, 0]], 1)
+        assert False
+    except VerificationMismatch:
+        pass
+
+
+def test_bruteforce_matches_combinations_reference():
+    rng = random.Random(79)
+    for _ in range(300):
+        g = random_multigraph(rng, max_vertices=7, max_pairs=12)
+        assert spanning_tree_count_bruteforce(g) == combinations_count(g)
+
+
+def test_known_counts():
+    for g, count in ((K4, 16), (K33, 81), (PETERSEN, 2000)):
+        assert spanning_tree_count(g) == count
+        assert spanning_tree_count_bruteforce(g) == count
+
+
+def _relabeled(g, rng):
+    """g with vertices permuted, labels shuffled, edge pairs reordered and
+    each pair's stored orientation flipped at random."""
+    n = g.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[e.origin], perm[e.terminus]) for e in g.edge_pairs]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    labels = list(g.vertices)
+    rng.shuffle(labels)
+    return build_graph(n, edges, labels=labels)
 
 
 def test_tree_count_invariant_under_relabeling():
     rng = random.Random(12)
     for _ in range(30):
         g = random_connected_voltaged_graph(rng).base
-        n = g.vertex_count
-        perm = list(range(n))
-        rng.shuffle(perm)
-        edges = [(perm[e.origin], perm[e.terminus]) for e in g.edge_pairs]
-        relabeled = build_graph(n, edges)
+        relabeled = _relabeled(g, rng)
         assert spanning_tree_count(g) == spanning_tree_count(relabeled)
+        if len(g.edge_pairs) <= 12:
+            assert spanning_tree_count_bruteforce(g) == spanning_tree_count_bruteforce(relabeled)
+    for _ in range(10):
+        vg = random_tower(rng)
+        pairs = len(vg.base.edge_pairs)
+        small, large = derived_graph(vg, max(1, 16 // pairs)), derived_graph(vg, 24)
+        assert spanning_tree_count_bruteforce(small) == spanning_tree_count_bruteforce(
+            _relabeled(small, rng)
+        )
+        assert spanning_tree_count(large) == spanning_tree_count(_relabeled(large, rng))

@@ -182,6 +182,18 @@ def test_verify_tower_named_examples():
     assert verify_tower(dumbbell(1, 2), 10).ok  # generalized Petersen family
 
 
+def test_analyze_invariant_raises_package_error(monkeypatch):
+    # a broken invariant raises VerificationMismatch, which python -O keeps
+    import ihara_towers.ihara as ihara
+
+    monkeypatch.setattr(ihara, "is_self_reciprocal", lambda p: False)
+    try:
+        analyze(bouquet(3, 5))
+        assert False
+    except VerificationMismatch as exc:
+        assert "self-reciprocal" in str(exc)
+
+
 def test_verify_tower_bruteforce_mode():
     assert verify_tower(bouquet(3, 5), 6, mode="bruteforce-small").ok
 

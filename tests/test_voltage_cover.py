@@ -1,12 +1,11 @@
 import random
 from math import gcd
 
-from corpus import bouquet, dumbbell, random_connected_voltaged_graph
+from corpus import bouquet, degree_and_adjacency, dumbbell, random_connected_voltaged_graph
 
 from ihara_towers.errors import HypothesisViolation
 from ihara_towers.graph_core import (
     build_graph,
-    degree_and_adjacency,
     euler_characteristic,
     is_connected,
     spanning_tree_count,
@@ -142,3 +141,13 @@ def test_derived_graph_rejects_bad_layer():
         assert False
     except ValueError:
         pass
+
+
+def test_voltaged_graph_rejects_non_integer_voltages():
+    assert voltaged_graph(1, [(0, 0, 3)]).voltages[0] == 3
+    for voltage in (1.7, True, "3"):
+        try:
+            voltaged_graph(1, [(0, 0, voltage)])
+            assert False
+        except TypeError:
+            pass
