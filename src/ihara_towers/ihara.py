@@ -289,17 +289,19 @@ def verify_tower(
 
     mode "matrix-tree" uses the reduced-Laplacian determinant of each derived
     graph; "bruteforce-small" uses subset enumeration (and therefore requires
-    tiny layers).  With jobs > 1 a pool of that many forked worker
-    processes counts the layers.  The first disagreement is reported, not
-    raised.
+    tiny layers).  With jobs > 1 a pool of forked worker processes counts
+    the layers; it has at most jobs, n_max and os.cpu_count() workers, and
+    the layers are counted in this process when that bound is 1.  The first
+    disagreement is reported, not raised.
     """
     if mode not in ("matrix-tree", "bruteforce-small"):
         raise ValueError(f"unknown verification mode {mode!r}")
     ta = analyze(vg)
     kappas = kappa_sequence(ta, n_max)
     payloads = [(vg, n, mode) for n in range(1, n_max + 1)]
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
+    workers = min(jobs, n_max, os.cpu_count() or 1)
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             counts = pool.map(_layer_count, payloads)
     else:
         counts = map(_layer_count, payloads)

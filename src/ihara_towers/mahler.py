@@ -3,7 +3,7 @@
 The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
 quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
-by Sturm counts over the rationals, never by float proximity.
+by Sturm counts over the integers, never by float proximity.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from sympy import isprime
 
-from .errors import TowerError
+from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis
 from .padic_engine import newton_polygon, valuation
-from .polyring import IntPoly, divide_exact, poly_gcd, squarefree_part
+from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +179,9 @@ def _pair_substitution(h: IntPoly) -> IntPoly:
     p_k = x*p_{k-1} - p_{k-2}.
     """
     d = h.degree
-    assert d % 2 == 0
+    if d % 2 or h.coeffs != tuple(reversed(h.coeffs)):
+        raise VerificationMismatch("the substitution x = t + 1/t needs an even palindrome")
     m = d // 2
-    assert h.coeffs == tuple(reversed(h.coeffs)), "substitution needs a palindrome"
     q = IntPoly((h.coeffs[m],))
     pk_prev = IntPoly((2,))
     pk = IntPoly((0, 1))
@@ -194,53 +193,30 @@ def _pair_substitution(h: IntPoly) -> IntPoly:
 
 
 def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
-    """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0."""
-    chain = [[Fraction(c) for c in q.coeffs], [Fraction(c) for c in q.derivative().coeffs]]
-    while chain[-1] and len(chain[-1]) > 1:
-        rem = _frac_rem(chain[-2], chain[-1])
-        if not rem:
+    """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0.
+
+    The chain is built from primitive pseudo-remainders, signed so that each
+    member is a positive multiple of the classical Sturm chain's member:
+    prem(f, g) = lead(g)**(deg f - deg g + 1) * rem(f, g), whose scalar is
+    negative exactly when lead(g) < 0 and deg f - deg g is even.
+    """
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
+        f, g = chain[-2], chain[-1]
+        rem = pseudo_rem(f, g).primitive_part()
+        if rem.is_zero():
             break
-        chain.append([-c for c in rem])
-    if chain[-1] and len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
+        if g.lead < 0 and (f.degree - g.degree) % 2 == 0:
+            rem = -rem
+        chain.append(-rem)
 
-    def signs_at(x):
-        out = []
-        for poly in chain:
-            acc = Fraction(0)
-            for c in reversed(poly):
-                acc = acc * x + c
-            if acc:
-                out.append(1 if acc > 0 else -1)
-        return out
+    def variations(x):
+        signs = [v > 0 for v in (poly(x) for poly in chain) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    def variations(ss):
-        return sum(1 for u, v in zip(ss, ss[1:]) if u != v)
-
-    qa = q(Fraction(a))
-    qb = q(Fraction(b))
-    if qa == 0 or qb == 0:
+    if q(a) == 0 or q(b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
-    return variations(signs_at(Fraction(a))) - variations(signs_at(Fraction(b)))
-
-
-def _frac_rem(f, g):
-    """Remainder of f by g over the rationals (coefficient lists)."""
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] / g[-1]
-        k = len(r) - 1 - dg
-        for i, gc in enumerate(g):
-            r[k + i] -= c * gc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return variations(a) - variations(b)
 
 
 def count_unit_circle_roots(f: IntPoly) -> int:
@@ -272,7 +248,8 @@ def count_unit_circle_roots(f: IntPoly) -> int:
     g = poly_gcd(work, _reversed_poly(work))
     while g.degree > 0:
         sf = squarefree_part(g)
-        assert sf.coeffs == tuple(reversed(sf.coeffs)), "unit-root gcd must be palindromic"
+        if sf.coeffs != tuple(reversed(sf.coeffs)):
+            raise VerificationMismatch("the unit-root gcd is not palindromic")
         count += 2 * _sturm_count_open(_pair_substitution(sf), -2, 2)
         g = poly_gcd(g, g.derivative())
     return count

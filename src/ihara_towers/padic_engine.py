@@ -18,14 +18,14 @@ it is differentially checked against the oracle wherever it applies.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from sympy import factorint, isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcdex, gf_pow_mod
 
-from .errors import OrderUnavailable, PrecisionExhausted
+from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
 from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
 
@@ -58,220 +58,34 @@ def content_valuation(f: IntPoly, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F_p[t]  (dense lists, coeffs[i] multiplies t**i, in [0, p))
+# Arithmetic in F_p[t], by sympy's galoistools
 # ---------------------------------------------------------------------------
+# galoistools lists start at the leading coefficient, IntPoly coeffs at t**0.
 
 
-def _gf_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _to_gf(f: IntPoly, p: int) -> list:
+    """f mod p as a galoistools list with entries in [0, p)."""
+    return gf_from_int_poly(f.coeffs[::-1], p)
 
 
-def _gf_from_int_poly(f: IntPoly, p: int):
-    return _gf_trim([c % p for c in f.coeffs])
+def _t_power_is_one(n: int, g: list, p: int) -> bool:
+    """Whether t**n = 1 in F_p[t]/(g)."""
+    return gf_pow_mod([1, 0], n, g, p, ZZ) == [1]
 
 
-def _gf_to_int_poly(f) -> IntPoly:
-    return IntPoly(f)
-
-
-def _gf_add(f, g, p):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return _gf_trim(out)
-
-
-def _gf_sub(f, g, p):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _gf_trim(out)
-
-
-def _gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        if ci:
-            for j, cj in enumerate(g):
-                out[i + j] = (out[i + j] + ci * cj) % p
-    return _gf_trim(out)
-
-
-def _gf_mul_ground(f, a, p):
-    a %= p
-    if a == 0:
-        return []
-    return _gf_trim([c * a % p for c in f])
-
-
-def _gf_monic(f, p):
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return _gf_mul_ground(f, inv, p)
-
-
-def _gf_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("division by zero in F_p[t]")
-    r = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(r) - dg)
-    while len(r) - 1 >= dg and any(r):
-        _gf_trim(r)
-        if len(r) - 1 < dg:
-            break
-        c = r[-1] * inv % p
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i, gc in enumerate(g):
-            r[k + i] = (r[k + i] - c * gc) % p
-        r.pop()
-    return _gf_trim(q), _gf_trim(r)
-
-
-def _gf_rem(f, g, p):
-    return _gf_divmod(f, g, p)[1]
-
-
-def _gf_quo(f, g, p):
-    q, r = _gf_divmod(f, g, p)
-    assert not r, "inexact division in F_p[t]"
-    return q
-
-
-def _gf_gcd(f, g, p):
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    return _gf_monic(a, p)
-
-
-def _gf_pow_mod(f, e, g, p):
-    result = [1]
-    base = _gf_rem(f, g, p)
-    while e:
-        if e & 1:
-            result = _gf_rem(_gf_mul(result, base, p), g, p)
-        e >>= 1
-        if e:
-            base = _gf_rem(_gf_mul(base, base, p), g, p)
-    return result
-
-
-def _gf_deriv(f, p):
-    return _gf_trim([(i * c) % p for i, c in enumerate(f)][1:])
-
-
-def _gf_pth_root(f, p):
-    """Inverse of the Frobenius on F_p[t] applied to f(t) = h(t**p)."""
-    return _gf_trim([f[i] for i in range(0, len(f), p)])
-
-
-# ---------------------------------------------------------------------------
-# Factorization over F_p (squarefree / distinct-degree / Cantor-Zassenhaus)
-# ---------------------------------------------------------------------------
-
-
-def _gf_squarefree_decomposition(f, p):
-    """[(g_i, m_i)] with f = prod g_i**m_i up to a unit, g_i squarefree."""
-    result = []
-    e = 1
-    f = _gf_monic(f, p)
-    while len(f) - 1 > 0:
-        df = _gf_deriv(f, p)
-        if not df:
-            f = _gf_pth_root(f, p)
-            e *= p
-            continue
-        g = _gf_gcd(f, df, p)
-        w = _gf_quo(f, g, p)
-        i = 1
-        while len(w) - 1 > 0:
-            y = _gf_gcd(w, g, p)
-            z = _gf_quo(w, y, p)
-            if len(z) - 1 > 0:
-                result.append((z, i * e))
-            w = y
-            g = _gf_quo(g, y, p)
-            i += 1
-        if len(g) - 1 > 0:
-            f = _gf_pth_root(g, p)
-            e *= p
-        else:
-            break
-    return result
-
-
-def _gf_distinct_degree(f, p):
-    """[(product of irreducibles of degree k, k)] for squarefree monic f."""
-    result = []
-    h = [0, 1]
-    k = 1
-    f = list(f)
-    while len(f) - 1 >= 2 * k:
-        h = _gf_pow_mod(h, p, f, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), f, p)
-        if len(g) - 1 > 0:
-            result.append((g, k))
-            f = _gf_quo(f, g, p)
-            h = _gf_rem(h, f, p)
-        k += 1
-    if len(f) - 1 > 0:
-        result.append((f, len(f) - 1))
-    return result
-
-
-def _gf_equal_degree_split(f, k, p, rng):
-    """Split a monic squarefree product of degree-k irreducibles."""
-    d = len(f) - 1
-    if d == k:
-        return [f]
-    while True:
-        r = [rng.randrange(p) for _ in range(d)]
-        _gf_trim(r)
-        if len(r) - 1 < 1:
-            continue
-        if p == 2:
-            t = list(r)
-            acc = list(r)
-            for _ in range(k - 1):
-                t = _gf_rem(_gf_mul(t, t, p), f, p)
-                acc = _gf_add(acc, t, p)
-            g = _gf_gcd(acc, f, p)
-        else:
-            s = _gf_pow_mod(r, (p ** k - 1) // 2, f, p)
-            g = _gf_gcd(_gf_sub(s, [1], p), f, p)
-        if 0 < len(g) - 1 < d:
-            left = _gf_equal_degree_split(g, k, p, rng)
-            right = _gf_equal_degree_split(_gf_quo(f, g, p), k, p, rng)
-            return left + right
-
-
-def factor_mod_p(f: IntPoly, p: int, seed: int = 0):
+def factor_mod_p(f: IntPoly, p: int):
     """Complete factorization of f mod p into monic irreducibles.
 
-    Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] in a
-    deterministic order; the randomized equal-degree splitting is seeded.
+    Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] sorted by
+    degree, then coefficients.
     """
-    fp = _gf_from_int_poly(f, p)
+    fp = _to_gf(f, p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
-    rng = random.Random(seed)
-    factors = []
-    for sqf, mult in _gf_squarefree_decomposition(fp, p):
-        for prod, k in _gf_distinct_degree(sqf, p):
-            for irr in _gf_equal_degree_split(prod, k, p, rng):
-                factors.append((_gf_to_int_poly(irr), mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return factors
+    _, factors = gf_factor(fp, p, ZZ)
+    out = [(IntPoly(g[::-1]), mult) for g, mult in factors]
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +127,14 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
     Divides p**deg(g) - 1, whose factorization is attempted with a bounded
     effort; OrderUnavailable is raised if the bound is exceeded.
     """
-    gp = _gf_from_int_poly(g, p)
-    if not gp or gp[0] == 0:
+    gp = _to_gf(g, p)
+    if not gp or gp[-1] == 0:
         raise ValueError("t must be a unit modulo g")
     f = len(gp) - 1
-    m = p ** f - 1
-    order = m
+    order = p ** f - 1
     for q in _factor_p_power_minus_one(p, f):
         while order % q == 0:
-            if _gf_pow_mod([0, 1], order // q, gp, p) == [1]:
+            if _t_power_is_one(order // q, gp, p):
                 order //= q
             else:
                 break
@@ -404,34 +217,31 @@ class UnitRootStructure:
             return n % factor.order == 0
         key = ("pow", factor.poly.coeffs, n)
         if key not in self._memo:
-            gp = _gf_from_int_poly(factor.poly, self.prime)
-            self._memo[key] = _gf_pow_mod([0, 1], n, gp, self.prime) == [1]
+            self._memo[key] = _t_power_is_one(n, _to_gf(factor.poly, self.prime), self.prime)
         return self._memo[key]
 
 
-def unit_root_structure(j: IntPoly, p: int, seed: int = 0) -> UnitRootStructure:
+def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     """Extract the slope-zero (unit root) part of j at p and factor its reduction.
 
     The reduction of j / p**mu mod p equals t**s times the unit part's
     reduction; the stripped degree must match the Newton polygon's
-    slope-zero length, which is asserted.
+    slope-zero length (VerificationMismatch otherwise).
     """
     if j.is_zero():
         raise ValueError("zero polynomial")
     mu = content_valuation(j, p)
-    j1 = IntPoly([c // p ** mu for c in j.coeffs])
-    red = _gf_from_int_poly(j1, p)
+    red = [c // p ** mu % p for c in j.coeffs]
     s = 0
     while red[s] == 0:
         s += 1
-    stripped = red[s:]
-    expected = newton_polygon(j, p).slope_zero_length
-    assert len(stripped) - 1 == expected, "unit part degree disagrees with the Newton polygon"
-    lifted = _gf_to_int_poly(stripped)
-    if len(stripped) - 1 == 0:
+    lifted = IntPoly(red[s:])
+    if lifted.degree != newton_polygon(j, p).slope_zero_length:
+        raise VerificationMismatch("unit part degree disagrees with the Newton polygon")
+    if lifted.degree == 0:
         return UnitRootStructure(p, lifted, (), False)
     factors = []
-    for g, mult in factor_mod_p(lifted, p, seed=seed):
+    for g, mult in factor_mod_p(lifted, p):
         try:
             order = multiplicative_order(g, p)
         except OrderUnavailable:
@@ -460,7 +270,8 @@ class _Zq:
         self.q = p ** K
         self.f = modulus.degree
         self.modulus = tuple(c % self.q for c in modulus.coeffs)
-        assert modulus.lead == 1
+        if modulus.lead != 1:
+            raise VerificationMismatch("the extension modulus is not monic")
 
     def element(self, coords) -> tuple:
         coords = [c % self.q for c in coords]
@@ -506,24 +317,20 @@ class _Zq:
 
     def inv(self, a):
         """Inverse of a unit, by lifting the residue inverse p-adically."""
-        p, f = self.p, self.f
-        g = [self.modulus[i] % p for i in range(f)] + [1]
-        ap = _gf_trim([c % p for c in a])
-        # extended Euclid in F_p[t]
-        r0, r1 = list(g), list(ap)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _gf_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        assert len(r0) == 1, "attempted to invert a non-unit"
-        z = self.element(_gf_mul_ground(s0, pow(r0[0], p - 2, p), p))
+        p = self.p
+        # extended Euclid in F_p[t]: s * a + _ * modulus = gcd, which is 1 for a unit
+        s, _, g = gf_gcdex(gf_from_int_poly(a[::-1], p),
+                           gf_from_int_poly(self.modulus[::-1], p), p, ZZ)
+        if g != [1]:
+            raise VerificationMismatch("attempted to invert a non-unit")
+        z = self.element(s[::-1])
         two = self.element([2])
         # Newton lifting doubles the precision each round
         rounds = max(1, (self.K - 1).bit_length() + 1)
         for _ in range(rounds):
             z = self.mul(z, self.sub(two, self.mul(a, z)))
-        assert self.mul(a, z) == self.element([1])
+        if self.mul(a, z) != self.element([1]):
+            raise VerificationMismatch("Newton lifting of an inverse failed")
         return z
 
     def valuation(self, a) -> int:
@@ -570,7 +377,8 @@ def _root_constants_at(structure: UnitRootStructure, factor: UnitFactor, K: int,
             break
         deriv = ring.eval_int_poly(j1.derivative(), beta)
         beta = ring.sub(beta, ring.mul(value, ring.inv(deriv)))
-    assert all(c == 0 for c in ring.eval_int_poly(j1, beta)), "root lifting failed"
+    if any(ring.eval_int_poly(j1, beta)):
+        raise VerificationMismatch("root lifting failed")
     # Teichmueller representative: the fixed point of z -> z**(p**f)
     xi = beta
     for _ in range(K + 2):
@@ -583,7 +391,8 @@ def _root_constants_at(structure: UnitRootStructure, factor: UnitFactor, K: int,
     v1 = ring.valuation(ring.sub(beta, xi))
     if v1 >= K:
         raise _NeedMorePrecision
-    assert v1 >= 1
+    if v1 < 1:
+        raise VerificationMismatch("a root is not congruent to its Teichmueller representative")
     s = 0
     while p ** s * (p - 1) * v1 <= 1:
         s += 1
@@ -599,7 +408,8 @@ def _root_constants_at(structure: UnitRootStructure, factor: UnitFactor, K: int,
 
 def _monic_lift(g: IntPoly, p: int) -> IntPoly:
     coeffs = [c % p for c in g.coeffs]
-    assert coeffs[-1] == 1, "residue factors are monic"
+    if coeffs[-1] != 1:
+        raise VerificationMismatch("a residue factor is not monic")
     return IntPoly(coeffs)
 
 
@@ -671,26 +481,27 @@ def ord_delta_exact(j: IntPoly, p: int, n: int) -> int:
     return valuation(delta, p)
 
 
-def nu_from_oracle(j: IntPoly, p: int, n: int, mu: int, lambda_poly: int) -> Fraction:
+def nu_from_oracle(j: IntPoly, p: int, n: int, mu: int, lambda_poly: int) -> int:
     """nu_{p,n}(j) from the exact valuation of the Pierce-Lehmer value."""
-    return Fraction(ord_delta_exact(j, p, n) - mu * n - lambda_poly * valuation(n, p))
+    return ord_delta_exact(j, p, n) - mu * n - lambda_poly * valuation(n, p)
 
 
 def nu_structural(structure: UnitRootStructure, j: IntPoly, n: int,
                   precision: int = DEFAULT_PRECISION):
-    """nu_{p,n}(j) from Teichmueller distances; None when the unit part is ramified."""
+    """nu_{p,n}(j) from Teichmueller distances (an int); None when the unit
+    part is ramified."""
     data = _structural_data(structure, j, precision)
     if data is None:
         return None
     p = structure.prime
     m = valuation(n, p) if n % p == 0 else 0
-    total = Fraction(0)
+    total = 0
     for f in structure.factors:
         if not structure.order_divides(f, n):
             continue
         rc = data[f]
         r = min(m, rc.s)
-        total += f.degree * Fraction(rc.w[r] - r)
+        total += f.degree * (rc.w[r] - r)
     return total
 
 
@@ -702,7 +513,7 @@ def nu_structural(structure: UnitRootStructure, j: IntPoly, n: int,
 @dataclass(frozen=True)
 class PerLayer:
     lam: int
-    nu: Fraction
+    nu: int
     ord: int
     source: str  # "structural" or "oracle"
 
@@ -718,17 +529,16 @@ class PadicReport:
 
 
 def padic_report(ta: TowerAnalysis, p: int, n_max: int,
-                 precision: int = DEFAULT_PRECISION, seed: int = 0,
-                 kappas=None) -> PadicReport:
+                 precision: int = DEFAULT_PRECISION, kappas=None) -> PadicReport:
     """Full decomposition of ord_p(kappa(X_n)) for n = 1..n_max.
 
     Every row is checked against the exact valuation of the tree count; a
-    failure is a bug, not a data condition, hence the assertion.
+    failure is a bug, not a data condition, hence VerificationMismatch.
     """
     j = ta.j_poly
     mu = content_valuation(j, p)
     c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)
-    structure = unit_root_structure(j, p, seed=seed)
+    structure = unit_root_structure(j, p)
     data = _structural_data(structure, j, precision)
     R = max((rc.s for rc in data.values()), default=0) if data is not None else None
     if kappas is None:
@@ -745,12 +555,11 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int,
             nu = nu_structural(structure, j, n, precision)
             source = "structural"
         else:
-            nu = Fraction(ord_delta - mu * n - lam_poly * ordn)
+            nu = ord_delta - mu * n - lam_poly * ordn
             source = "oracle"
-        total = Fraction(mu * n) + Fraction(lam * ordn) + nu + c
-        assert total == ord_kappa, (
-            f"decomposition failed at n={n}: {total} != {ord_kappa}"
-        )
+        total = mu * n + lam * ordn + nu + c
+        if total != ord_kappa:
+            raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
         per_n[n] = PerLayer(lam, nu, ord_kappa, source)
     return PadicReport(p, mu, c, structure, R, per_n)
 
@@ -764,8 +573,7 @@ def _is_one_root_factor(f: UnitFactor, p: int) -> bool:
     return f.degree == 1 and f.poly(1) % p == 0
 
 
-def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION,
-                       seed: int = 0):
+def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION):
     """(mu, lambda, nu, k0) with ord_p(D_{p**k}) = mu*p**k + lambda*k + nu for k >= k0.
 
     lambda counts unit roots congruent to 1 mod the maximal ideal.  nu and the
@@ -773,7 +581,7 @@ def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION,
     otherwise from an exact fit on the p-power subsequence.
     """
     mu = content_valuation(j, p)
-    structure = unit_root_structure(j, p, seed=seed)
+    structure = unit_root_structure(j, p)
     lam = sum(
         f.multiplicity * f.degree
         for f in structure.factors
@@ -809,12 +617,12 @@ def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION,
 
 
 def washington_invariants(j: IntPoly, p: int, ell: int,
-                          precision: int = DEFAULT_PRECISION, seed: int = 0):
+                          precision: int = DEFAULT_PRECISION):
     """(mu, nu, k0) with ord_p(D_{ell**k}) = mu*ell**k + nu for k >= k0, p != ell."""
     if p == ell:
         raise ValueError("the two primes must be distinct")
     mu = content_valuation(j, p)
-    structure = unit_root_structure(j, p, seed=seed)
+    structure = unit_root_structure(j, p)
     orders = []
     for f in structure.factors:
         if f.order is None:
@@ -837,7 +645,7 @@ def washington_invariants(j: IntPoly, p: int, ell: int,
     if nu is None:
         nu = checks[0]
     if any(v != nu for v in checks):
-        raise AssertionError("Washington law failed its exact verification")
+        raise VerificationMismatch("Washington law failed its exact verification")
     return mu, nu, k0
 
 
@@ -848,19 +656,18 @@ class SequenceClass:
     orders: tuple  # subset of the distinct residue orders, sorted
     r: int  # capped ord_p(n); r == R means ord_p(n) >= R
     lam: int
-    nu: Fraction
+    nu: int
 
 
 def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200,
-                     precision: int = DEFAULT_PRECISION, seed: int = 0,
-                     kappas=None):
+                     precision: int = DEFAULT_PRECISION, kappas=None):
     """Partition n <= n_max into divisibility classes with constant (lambda, nu).
 
     The reported nu absorbs c_p, so within each class
     ord_p(kappa(X_n)) = mu*n + lam*ord_p(n) + nu holds exactly; this is
     checked on every n <= n_max.
     """
-    report = padic_report(ta, p, n_max, precision=precision, seed=seed, kappas=kappas)
+    report = padic_report(ta, p, n_max, precision=precision, kappas=kappas)
     structure = report.structure
     if any(f.order is None for f in structure.factors):
         raise OrderUnavailable("sequence classes need every residue order")
@@ -876,7 +683,7 @@ def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200,
             ordn = valuation(n, p) if n % p == 0 else 0
             r = min(ordn, R)
             row = report.per_n[n]
-            nu_class = Fraction(row.ord - report.mu * n - row.lam * ordn)
+            nu_class = row.ord - report.mu * n - row.lam * ordn
             key = (subset, r)
             if key not in classes:
                 classes[key] = (row.lam, nu_class)
@@ -884,14 +691,15 @@ def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200,
                 consistent = False
                 break
         if consistent:
-            if report.R is not None:
-                # the structural saturation bound must explain the data
-                assert R <= report.R
+            if report.R is not None and R > report.R:
+                raise VerificationMismatch(
+                    "the structural saturation bound does not explain the data"
+                )
             return [
                 SequenceClass(subset, r, lam, nu)
                 for (subset, r), (lam, nu) in sorted(classes.items())
             ]
-    raise AssertionError("no saturation exponent explains the data")
+    raise VerificationMismatch("no saturation exponent explains the data")
 
 
 def _smooth_over(n: int, primes) -> bool:
@@ -906,12 +714,12 @@ class FriedmanLaw:
     prime: int
     mu: int
     lam: int  # 0 for the outside prime
-    nu: Fraction
+    nu: int
     min_exponents: tuple  # per-generator exponent thresholds
 
 
 def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
-                  precision: int = DEFAULT_PRECISION, seed: int = 0):
+                  precision: int = DEFAULT_PRECISION):
     """Affine valuation laws on the semigroup generated by the given primes.
 
     For n = prod ell_i**k_i with every k_i past its threshold,
@@ -927,7 +735,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
 
     def law_for(observer: int, with_lambda: bool) -> FriedmanLaw:
         mu = content_valuation(j, observer)
-        structure = unit_root_structure(j, observer, seed=seed)
+        structure = unit_root_structure(j, observer)
         chosen = []
         for f in structure.factors:
             if f.order is None:
@@ -944,13 +752,13 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
             thresholds.append(t)
         data = _structural_data(structure, j, precision)
         if data is not None:
-            nu = Fraction(0)
+            nu = 0
             for f in chosen:
                 rc = data[f]
                 if with_lambda:
-                    nu += f.degree * Fraction(rc.w[rc.s] - rc.s)
+                    nu += f.degree * (rc.w[rc.s] - rc.s)
                 else:
-                    nu += f.degree * Fraction(rc.w[0])
+                    nu += f.degree * rc.w[0]
             if with_lambda:
                 sat = max((data[f].s for f in chosen), default=0)
                 idx = primes.index(observer)
@@ -964,7 +772,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
             if any(k < t for k, t in zip(exps, thresholds)):
                 continue
             k_obs = exps[primes.index(observer)] if with_lambda else 0
-            value = Fraction(ord_delta_exact(j, observer, n) - mu * n - lam * k_obs)
+            value = ord_delta_exact(j, observer, n) - mu * n - lam * k_obs
             if nu is None:
                 nu = value
             assert value == nu, f"Friedman law failed at n={n} for prime {observer}"

@@ -1,8 +1,9 @@
 """Exact big-integer polynomials and Laurent polynomials.
 
-Everything in this module is exact: coefficients are Python ints (or
-Fractions in a few internal routines), determinants use fraction-free
-Bareiss elimination, and no floating point appears anywhere.
+Everything in this module is exact: coefficients are Python ints, every
+division is an exact integer division (long division by an exact divisor
+or a pseudo-remainder), determinants use fraction-free Bareiss
+elimination, and no floating point appears anywhere.
 
 The dense representation keeps coeffs[i] as the coefficient of t**i.
 That is a deliberate trade-off: the polynomials handled here have small
@@ -12,7 +13,6 @@ and the pseudo-remainder sequences of gcds and resultants simple.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -137,17 +137,6 @@ class IntPoly:
         return IntPoly([c // g for c in self.coeffs])
 
 
-def poly_from_pairs(pairs) -> IntPoly:
-    """Build an IntPoly from (exponent, coefficient) pairs."""
-    if not pairs:
-        return IntPoly()
-    top = max(e for e, _ in pairs)
-    out = [0] * (top + 1)
-    for e, c in pairs:
-        out[e] += c
-    return IntPoly(out)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -269,37 +258,32 @@ def is_self_reciprocal(f) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def divmod_frac(f: IntPoly, g: IntPoly):
-    """Long division over the rationals; returns (quotient, remainder) as coeff lists."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in f.coeffs]
-    q = [Fraction(0)] * max(0, len(r) - g.degree)
-    glead = Fraction(g.lead)
-    while len(r) - 1 >= g.degree and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < g.degree:
-            break
-        k = len(r) - 1 - g.degree
-        c = r[-1] / glead
-        q[k] = c
-        for i, gc in enumerate(g.coeffs):
-            r[k + i] -= c * gc
-        r.pop()
-    return q, r
-
-
 def divide_exact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Quotient f/g when g divides f over the integers; raises otherwise."""
+    """Quotient f/g when g divides f over the integers; ValueError otherwise.
+
+    Integer long division: each quotient coefficient must divide exactly by
+    lead(g), and the final remainder must vanish.
+    """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return IntPoly()
-    q, r = divmod_frac(f, g)
-    if any(r) or any(c.denominator != 1 for c in q):
+    d = g.degree
+    r = list(f.coeffs)
+    gl = g.lead
+    gc = g.coeffs[:d]
+    q = [0] * (len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r.pop(), gl)
+        if rem:
+            raise ValueError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for i, x in enumerate(gc):
+                r[k + i] -= c * x
+    if any(r):
         raise ValueError("inexact polynomial division")
-    return IntPoly([int(c) for c in q])
+    return IntPoly(q)
 
 
 def ord_at(f, point: int) -> int:
@@ -378,18 +362,8 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     """f divided by gcd(f, f'), made primitive with positive lead."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    g = poly_gcd(f, f.derivative())
-    if g.degree <= 0:
-        h = f.primitive_part()
-        return h if h.lead > 0 else -h
-    # The quotient f/g may be rational before clearing denominators.
-    q, r = divmod_frac(f, g)
-    if any(r):
-        raise AssertionError("gcd does not divide its polynomial")
-    den = 1
-    for c in q:
-        den = den * c.denominator // gcd(den, c.denominator)
-    h = IntPoly([int(c * den) for c in q]).primitive_part()
+    # The gcd is primitive, so the quotient is integral by Gauss's lemma.
+    h = divide_exact(f, poly_gcd(f, f.derivative())).primitive_part()
     return h if h.lead > 0 else -h
 
 
@@ -589,7 +563,7 @@ def vanishes_at_root_of_unity(f: IntPoly) -> bool:
     for k in range(1, 2 * d * d + 2):
         if euler_phi(k) > d:
             continue
-        _, rem = divmod_frac(f, cyclotomic_polynomial(k))
-        if not any(rem):
+        # cyclotomic polynomials are monic, so the pseudo-remainder is exact
+        if pseudo_rem(f, cyclotomic_polynomial(k)).is_zero():
             return True
     return False

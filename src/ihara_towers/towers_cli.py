@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .errors import (
     HypothesisViolation,
@@ -140,15 +139,8 @@ def generate_family(family: str, params) -> VoltagedGraph:
 # ---------------------------------------------------------------------------
 
 
-def _s(value) -> str:
-    """Exact decimal string for an int or Fraction."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
-
-
 def _laurent_doc(lp) -> dict:
-    return {"low": lp.low, "coeffs": [_s(c) for c in lp.body.coeffs]}
+    return {"low": lp.low, "coeffs": [str(c) for c in lp.body.coeffs]}
 
 
 def _write_output(text: str, path) -> None:
@@ -195,13 +187,13 @@ def cmd_analyze(args) -> int:
     arch = mahler_archimedean(ta.j_poly, seed=args.seed)
     doc = {
         "chi": ta.chi,
-        "kappa": _s(ta.kappa_base),
+        "kappa": str(ta.kappa_base),
         "monodromy_index": monodromy_index(vg),
         "ihara": _laurent_doc(ta.ihara),
         "b": ta.b,
         "e": ta.e,
-        "j_poly": [_s(c) for c in ta.j_poly.coeffs],
-        "delta1": _s(ta.delta1),
+        "j_poly": [str(c) for c in ta.j_poly.coeffs],
+        "delta1": str(ta.delta1),
         "padic_measure_exponents": {
             str(p): mahler_padic(ta.j_poly, p).exponent for p in args.primes
         },
@@ -222,9 +214,9 @@ def cmd_table(args) -> int:
         rows.append(
             {
                 "n": n,
-                "kappa": _s(kappas[n - 1]),
-                "resultant": _s(resultant_row(ta, n)),
-                "delta": _s(deltas[n - 1]),
+                "kappa": str(kappas[n - 1]),
+                "resultant": str(resultant_row(ta, n)),
+                "delta": str(deltas[n - 1]),
             }
         )
     if _format_for(args) == "csv":
@@ -240,7 +232,7 @@ def cmd_verify(args) -> int:
     mismatch = None
     if report.first_mismatch:
         n, formula, oracle = report.first_mismatch
-        mismatch = {"n": n, "formula": _s(formula), "oracle": _s(oracle)}
+        mismatch = {"n": n, "formula": str(formula), "oracle": str(oracle)}
     doc = {
         "n_max": args.n_max,
         "mode": args.mode,
@@ -261,20 +253,18 @@ def cmd_verify(args) -> int:
 def cmd_padic(args) -> int:
     vg = load_graph(args.graph)
     ta = analyze(vg)
-    report = padic_report(
-        ta, args.prime, args.n_max, precision=args.precision, seed=args.seed
-    )
+    report = padic_report(ta, args.prime, args.n_max, precision=args.precision)
     rows = []
     for n in range(1, args.n_max + 1):
         row = report.per_n[n]
         rows.append(
             {
                 "n": n,
-                "ord": _s(row.ord),
-                "mu_term": _s(report.mu * n),
-                "lambda": _s(row.lam),
-                "nu": _s(row.nu),
-                "c": _s(report.c),
+                "ord": str(row.ord),
+                "mu_term": str(report.mu * n),
+                "lambda": str(row.lam),
+                "nu": str(row.nu),
+                "c": str(report.c),
                 "source": row.source,
             }
         )
@@ -283,8 +273,8 @@ def cmd_padic(args) -> int:
     else:
         doc = {
             "prime": report.prime,
-            "mu": _s(report.mu),
-            "c": _s(report.c),
+            "mu": str(report.mu),
+            "c": str(report.c),
             "R": report.R,
             "ramified": report.structure.ramified,
             "rows": rows,
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     pad.add_argument("--prime", type=int, required=True)
     pad.add_argument("--n-max", type=int, default=100)
     pad.add_argument("--precision", type=int, default=32)
-    pad.add_argument("--seed", type=int, default=0)
     pad.add_argument("--format", choices=["json", "csv"])
     pad.add_argument("--output")
     pad.set_defaults(func=cmd_padic)

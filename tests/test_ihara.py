@@ -194,6 +194,45 @@ def test_analyze_invariant_raises_package_error(monkeypatch):
         assert "self-reciprocal" in str(exc)
 
 
+class _RecordingContext:
+    """Stands in for a fork context: records pool sizes, forks nothing."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return list(map(func, items))
+
+
+def test_verify_tower_caps_the_pool(monkeypatch):
+    import ihara_towers.ihara as ihara
+
+    context = _RecordingContext()
+    monkeypatch.setattr(ihara, "get_context", lambda method: context)
+    monkeypatch.setattr(ihara.os, "cpu_count", lambda: 64)
+    assert verify_tower(bouquet(1, 2), 2, jobs=6).ok
+    assert context.sizes == [2]  # no more workers than layers
+    assert verify_tower(bouquet(1, 2), 1, jobs=6).ok
+    monkeypatch.setattr(ihara.os, "cpu_count", lambda: 1)
+    assert verify_tower(bouquet(1, 2), 8, jobs=6).ok
+    monkeypatch.setattr(ihara.os, "cpu_count", lambda: None)
+    assert verify_tower(bouquet(1, 2), 8, jobs=6).ok
+    assert context.sizes == [2]  # one layer or one CPU: counted in-process
+    monkeypatch.setattr(ihara.os, "cpu_count", lambda: 3)
+    assert verify_tower(bouquet(1, 2), 8, jobs=6).ok
+    assert context.sizes == [2, 3]
+
+
 def test_verify_tower_bruteforce_mode():
     assert verify_tower(bouquet(3, 5), 6, mode="bruteforce-small").ok
 

@@ -114,6 +114,57 @@ def test_count_unit_circle_roots_against_numeric():
         done += 1
 
 
+def test_count_unit_circle_roots_ignores_sign():
+    from ihara_towers.polyring import cyclotomic_polynomial
+
+    rng = random.Random(59)
+    for _ in range(150):
+        cyc = IntPoly((1,))
+        for _ in range(rng.randint(1, 3)):
+            cyc = cyc * cyclotomic_polynomial(rng.choice((1, 2, 3, 4, 5, 6, 8, 12)))
+        g = random_int_poly(rng, max_degree=4)
+        if g.lead > 0:
+            g = -g
+        f = cyc * g
+        count = count_unit_circle_roots(f)
+        assert count == count_unit_circle_roots(-f)
+        assert count == cyc.degree + count_unit_circle_roots(g)
+
+
+def test_sturm_count_matches_sympy():
+    # Sparse coefficients make remainders skip degrees, where the sign of a
+    # pseudo-remainder depends on the parity of the degree drop.
+    from sympy import Poly, symbols
+
+    from ihara_towers.mahler import _sturm_count_open
+
+    x = symbols("x")
+    rng = random.Random(71)
+    checked = 0
+    while checked < 300:
+        d = rng.randint(1, 8)
+        q = IntPoly([rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(d + 1)])
+        a = rng.randint(-3, 1)
+        b = a + rng.randint(1, 4)
+        if q.degree < 1 or q(a) == 0 or q(b) == 0:
+            continue
+        expected = Poly(list(reversed(q.coeffs)), x).count_roots(a, b)
+        assert _sturm_count_open(q, a, b) == expected, (q, a, b)
+        checked += 1
+
+
+def test_unit_circle_invariant_raises_package_error(monkeypatch):
+    import ihara_towers.mahler as mahler
+    from ihara_towers.errors import VerificationMismatch
+
+    monkeypatch.setattr(mahler, "squarefree_part", lambda f: IntPoly((1, 2)))
+    try:
+        count_unit_circle_roots(IntPoly((1, 0, 1)))
+        assert False
+    except VerificationMismatch as exc:
+        assert "palindromic" in str(exc)
+
+
 def test_archimedean_asymptotic_records():
     ta = analyze(bouquet(1, 2))
     law = archimedean_asymptotic(ta)

@@ -1,10 +1,13 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from corpus import bouquet, fib, ord_p, random_int_poly
 
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.padic_engine import (
+    NewtonPolygon,
     factor_mod_p,
     friedman_laws,
     iwasawa_invariants,
@@ -63,8 +66,8 @@ def test_factor_mod_p_reconstructs_and_is_deterministic():
         p = rng.choice((2, 3, 5, 7, 13))
         if all(c % p == 0 for c in f.coeffs):
             continue
-        factors = factor_mod_p(f, p, seed=3)
-        assert factors == factor_mod_p(f, p, seed=3)
+        factors = factor_mod_p(f, p)
+        assert factors == factor_mod_p(f, p)
         product = IntPoly((1,))
         for g, mult in factors:
             assert g.lead == 1
@@ -78,26 +81,69 @@ def test_factor_mod_p_reconstructs_and_is_deterministic():
         assert recon == orig
 
 
-def test_factor_mod_p_matches_sympy():
-    from sympy import GF, Poly, symbols
+def _fp_divides(g, f, p):
+    """(quotient, True) when the monic g divides f in F_p[t], else (None, False).
 
-    t = symbols("t")
+    Both are ascending coefficient lists with entries in [0, p)."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(g) - 1]
+        for i, x in enumerate(g):
+            r[k + i] = (r[k + i] - c * x) % p
+    if any(r[: len(g) - 1]):
+        return None, False
+    return q, True
+
+
+def _factor_by_trial_division(f, p):
+    """Monic irreducible factors of f mod p, for deg f <= 6.
+
+    Trial division by every monic polynomial of degree 1, 2, 3 in turn: a
+    divisor met at degree d has no factor of lower degree, so it is
+    irreducible, and a cofactor of degree <= 6 left without a factor of
+    degree <= 3 is irreducible too."""
+    fp = [c % p for c in f.coeffs]
+    while fp[-1] == 0:
+        fp.pop()
+    inv = pow(fp[-1], p - 2, p)
+    fp = [c * inv % p for c in fp]
+    factors = Counter()
+    for d in (1, 2, 3):
+        for tail in itertools.product(range(p), repeat=d):
+            g = list(tail) + [1]
+            while len(fp) - 1 >= d:
+                q, divides = _fp_divides(g, fp, p)
+                if not divides:
+                    break
+                fp = q
+                factors[tuple(g)] += 1
+    if len(fp) > 1:
+        factors[tuple(fp)] += 1
+    return sorted(
+        ((IntPoly(g), m) for g, m in factors.items()),
+        key=lambda fm: (fm[0].degree, fm[0].coeffs),
+    )
+
+
+def test_factor_mod_p_matches_trial_division():
     rng = random.Random(67)
-    for _ in range(60):
-        f = random_int_poly(rng, max_degree=7)
-        p = rng.choice((2, 3, 5, 11))
-        if all(c % p == 0 for c in f.coeffs):
+    checked = repeated = 0
+    while checked < 300:
+        p = rng.choice((2, 3, 5))
+        if rng.random() < 0.4:
+            # square factors exercise the squarefree decomposition
+            g = random_int_poly(rng, max_degree=2)
+            f = g * g * random_int_poly(rng, max_degree=2)
+        else:
+            f = random_int_poly(rng, max_degree=6)
+        if f.degree > 6 or all(c % p == 0 for c in f.coeffs):
             continue
-        ours = {
-            (g.coeffs, mult) for g, mult in factor_mod_p(f, p, seed=1)
-        }
-        expr = sum(int(c) * t ** i for i, c in enumerate(f.coeffs))
-        _, sympy_factors = Poly(expr, t, domain=GF(p)).factor_list()
-        theirs = set()
-        for poly, mult in sympy_factors:
-            coeffs = tuple(int(c) % p for c in reversed(poly.all_coeffs()))
-            theirs.add((coeffs, mult))
-        assert ours == theirs
+        expected = _factor_by_trial_division(f, p)
+        assert factor_mod_p(f, p) == expected, (f, p)
+        checked += 1
+        repeated += any(m > 1 for _, m in expected)
+    assert repeated > 30
 
 
 # -- multiplicative orders -----------------------------------------------------
@@ -386,3 +432,18 @@ def test_structural_path_rejects_roots_of_unity():
         assert False
     except ValueError:
         pass
+
+
+def test_unit_root_invariant_raises_package_error(monkeypatch):
+    # a broken invariant raises VerificationMismatch, which python -O keeps
+    import ihara_towers.padic_engine as padic_engine
+    from ihara_towers.errors import VerificationMismatch
+
+    monkeypatch.setattr(
+        padic_engine, "newton_polygon", lambda f, p: NewtonPolygon(p, (), ((Fraction(0), 1),))
+    )
+    try:
+        unit_root_structure(J_FIB, 2)
+        assert False
+    except VerificationMismatch as exc:
+        assert "Newton polygon" in str(exc)
