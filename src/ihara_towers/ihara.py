@@ -29,7 +29,6 @@ from .polyring import (
     LaurentPoly,
     divide_exact,
     is_self_reciprocal,
-    ord_at,
     poly_matrix_det,
     pseudo_rem,
     resultant,
@@ -132,12 +131,13 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     _invariant(b >= 0, "the lowest power of t in the Ihara polynomial is positive")
     i_poly = ihara.body
     _invariant(i_poly.coeffs[0] != 0, "the Ihara polynomial body vanishes at t = 0")
-    e = ord_at(i_poly, 1)
-    _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
     linear = IntPoly((-1, 1))
     j_poly = i_poly
-    for _ in range(e):
+    e = 0
+    while j_poly(1) == 0:
         j_poly = divide_exact(j_poly, linear)
+        e += 1
+    _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
     _invariant(j_poly(1) != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
     _reject_roots_of_unity(j_poly)
     delta1 = resultant(j_poly, linear)
@@ -249,17 +249,20 @@ def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
     return [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, n_max + 1)]
 
 
+def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
+    # Identical by the factorization I = (t-1)**e * J and multiplicativity.
+    q, r = divmod(n ** ta.e * delta_n, ta.delta1)
+    if r:
+        raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
+    return _check_bits(q)
+
+
 def resultant_row(ta: TowerAnalysis, n: int) -> int:
     """Res(I, 1 + t + ... + t**(n-1)); satisfies n * kappa(X_n) ==
     (-1)**(b*(n-1)) * kappa(X) * value."""
     if n < 1:
         raise ValueError("n must be positive")
-    # Identical by the factorization I = (t-1)**e * J and multiplicativity.
-    value = n ** ta.e * pierce_lehmer(ta.j_poly, n)
-    q, r = divmod(value, ta.delta1)
-    if r:
-        raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
-    return _check_bits(q)
+    return _resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
 
 
 @dataclass(frozen=True)

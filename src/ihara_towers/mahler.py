@@ -17,7 +17,7 @@ from sympy import isprime
 
 from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis
-from .padic_engine import newton_polygon, valuation
+from .padic_engine import content_valuation, newton_polygon, valuation
 from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem, squarefree_part
 
 
@@ -48,13 +48,28 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
         raise ValueError("zero polynomial")
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    v = min(valuation(c, p) for c in f.coeffs if c)
-    return PadicMeasure(p, v)
+    return PadicMeasure(p, content_valuation(f, p))
 
 
 # ---------------------------------------------------------------------------
 # Archimedean measure via simultaneous root iteration
 # ---------------------------------------------------------------------------
+
+
+def _strip_trivial_roots(f: IntPoly):
+    """(g, m): f with its power of t and its roots at +-1 divided out, and m
+    the number of roots at +-1 removed, with multiplicity."""
+    k = 0
+    while f.coeffs[k] == 0:
+        k += 1
+    work = IntPoly(f.coeffs[k:])
+    count = 0
+    for root in (1, -1):
+        linear = IntPoly((-root, 1))
+        while work.degree > 0 and work(root) == 0:
+            work = divide_exact(work, linear)
+            count += 1
+    return work, count
 
 
 def _aberth_roots(coeffs, tol: float, rng: random.Random, max_restarts: int = 10):
@@ -143,16 +158,7 @@ def mahler_archimedean(f: IntPoly, tol: float = 1e-12, seed: int = 0) -> ArchMea
     if f.is_zero():
         raise ValueError("zero polynomial")
     certified = count_unit_circle_roots(f) == 0
-    work = IntPoly(f.coeffs)
-    k = 0
-    while work.coeffs[k] == 0:
-        k += 1
-    if k:
-        work = IntPoly(work.coeffs[k:])
-    for root in (1, -1):
-        linear = IntPoly((-root, 1))
-        while work.degree > 0 and work(root) == 0:
-            work = divide_exact(work, linear)
+    work, _ = _strip_trivial_roots(f)
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
         roots = _aberth_roots([float(c) for c in work.coeffs], tol, random.Random(seed))
@@ -231,18 +237,7 @@ def count_unit_circle_roots(f: IntPoly) -> int:
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    work = IntPoly(f.coeffs)
-    k = 0
-    while work.coeffs[k] == 0:
-        k += 1
-    if k:
-        work = IntPoly(work.coeffs[k:])
-    count = 0
-    for root in (1, -1):
-        linear = IntPoly((-root, 1))
-        while work.degree > 0 and work(root) == 0:
-            work = divide_exact(work, linear)
-            count += 1
+    work, count = _strip_trivial_roots(f)
     if work.degree <= 0:
         return count
     g = poly_gcd(work, _reversed_poly(work))

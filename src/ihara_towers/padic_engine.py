@@ -8,17 +8,24 @@ with mu_p the content valuation of J, lambda_{p,n} counting p-adic unit
 roots of J whose residue order divides n (shifted by e - 1 at tower level),
 c_p = ord_p(kappa(X)) - ord_p(D_1), and nu_{p,n} a finite-image correction.
 
+All data of J at p lives in one UnitRootStructure, built by
+unit_root_structure(j, p): mu, the residue factors of the unit part with
+their orders, and each factor's Teichmueller constants.
+
 nu has two computation paths by design.  The oracle path inverts the
 identity using the exact integer valuation of the Pierce-Lehmer value and is
-always available.  The structural path computes each root's distance to its
-Teichmueller representative inside an unramified extension at finite
-precision; it exists only when the unit part of J is squarefree mod p, and
-it is differentially checked against the oracle wherever it applies.
+always available.  The structural path reads each root's distance to its
+Teichmueller representative from the structure's constants; they exist only
+when the unit part of J is squarefree mod p, and they are differentially
+checked against the oracle wherever they apply.  The constants are computed
+in an unramified extension at a working precision that starts at
+DEFAULT_PRECISION p-adic digits and doubles until every distance is exact;
+past MAX_PRECISION, PrecisionExhausted is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import factorint, isprime
@@ -198,10 +205,11 @@ class UnitFactor:
 @dataclass(frozen=True)
 class UnitRootStructure:
     prime: int
+    mu: int  # content valuation of j at p
     unit_poly: IntPoly  # reduction mod p of j / p**mu with the t-power stripped
     factors: tuple
     ramified: bool
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    constants: dict  # factor -> _RootConstants; None when ramified
 
     @property
     def unit_root_count(self) -> int:
@@ -215,31 +223,32 @@ class UnitRootStructure:
         """
         if factor.order is not None:
             return n % factor.order == 0
-        key = ("pow", factor.poly.coeffs, n)
-        if key not in self._memo:
-            self._memo[key] = _t_power_is_one(n, _to_gf(factor.poly, self.prime), self.prime)
-        return self._memo[key]
+        return _t_power_is_one(n, _to_gf(factor.poly, self.prime), self.prime)
 
 
 def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
-    """Extract the slope-zero (unit root) part of j at p and factor its reduction.
+    """Extract the slope-zero (unit root) part of j at p, factor its
+    reduction, and compute each factor's Teichmueller constants.
 
     The reduction of j / p**mu mod p equals t**s times the unit part's
     reduction; the stripped degree must match the Newton polygon's
-    slope-zero length (VerificationMismatch otherwise).
+    slope-zero length (VerificationMismatch otherwise).  The constants are
+    None when the unit part is ramified.  A root of unity among the roots
+    would make some root-to-Teichmueller distance infinite, so when there
+    are unit roots to measure that input is rejected (ValueError); a
+    distance still ambiguous at MAX_PRECISION raises PrecisionExhausted.
     """
     if j.is_zero():
         raise ValueError("zero polynomial")
     mu = content_valuation(j, p)
-    red = [c // p ** mu % p for c in j.coeffs]
+    j1 = IntPoly([c // p ** mu for c in j.coeffs])
+    red = [c % p for c in j1.coeffs]
     s = 0
     while red[s] == 0:
         s += 1
     lifted = IntPoly(red[s:])
     if lifted.degree != newton_polygon(j, p).slope_zero_length:
         raise VerificationMismatch("unit part degree disagrees with the Newton polygon")
-    if lifted.degree == 0:
-        return UnitRootStructure(p, lifted, (), False)
     factors = []
     for g, mult in factor_mod_p(lifted, p):
         try:
@@ -248,7 +257,21 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
             order = None
         factors.append(UnitFactor(g, mult, g.degree, order))
     ramified = any(f.multiplicity > 1 for f in factors)
-    return UnitRootStructure(p, lifted, tuple(factors), ramified)
+    constants = None
+    if not ramified:
+        if factors and vanishes_at_root_of_unity(j):
+            raise ValueError("polynomial vanishes at a root of unity")
+        K = DEFAULT_PRECISION
+        while constants is None:
+            try:
+                constants = {f: _root_constants_at(p, f, K, j1) for f in factors}
+            except _NeedMorePrecision:
+                K *= 2
+                if K > MAX_PRECISION:
+                    raise PrecisionExhausted(
+                        f"p-adic precision exceeded {MAX_PRECISION} digits"
+                    )
+    return UnitRootStructure(p, mu, lifted, tuple(factors), ramified, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +387,7 @@ class _RootConstants:
     w: tuple  # w[r] = ord_p(beta**(p**r) - xi**(p**r)) for r = 0..s
 
 
-def _root_constants_at(structure: UnitRootStructure, factor: UnitFactor, K: int,
-                       j1: IntPoly) -> _RootConstants:
-    p = structure.prime
+def _root_constants_at(p: int, factor: UnitFactor, K: int, j1: IntPoly) -> _RootConstants:
     ring = _Zq(p, K, _monic_lift(factor.poly, p))
     beta = ring.element([0, 1]) if ring.f > 1 else ring.element([(-factor.poly.coeffs[0])])
     # Newton iteration from the residue root; the derivative is a unit
@@ -413,45 +434,6 @@ def _monic_lift(g: IntPoly, p: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _structural_data(structure: UnitRootStructure, j: IntPoly,
-                     precision: int) -> dict:
-    """Mapping factor -> _RootConstants, raising precision on ambiguity.
-
-    Unavailable (returns None) when the unit part is ramified.  A root of
-    unity among the roots would make some root-to-Teichmueller distance
-    infinite, so that degenerate input is rejected up front.
-    """
-    if structure.ramified:
-        return None
-    if not structure.factors:
-        return {}
-    key = ("structural", precision)
-    if key in structure._memo:
-        return structure._memo[key]
-    if "unity_checked" not in structure._memo:
-        if vanishes_at_root_of_unity(j):
-            raise ValueError("polynomial vanishes at a root of unity")
-        structure._memo["unity_checked"] = True
-    p = structure.prime
-    mu = content_valuation(j, p)
-    j1 = IntPoly([c // p ** mu for c in j.coeffs])
-    K = precision
-    while True:
-        try:
-            data = {
-                f: _root_constants_at(structure, f, K, j1) for f in structure.factors
-            }
-            break
-        except _NeedMorePrecision:
-            K *= 2
-            if K > MAX_PRECISION:
-                raise PrecisionExhausted(
-                    f"p-adic precision exceeded {MAX_PRECISION} digits"
-                )
-    structure._memo[key] = data
-    return data
-
-
 # ---------------------------------------------------------------------------
 # The lambda / nu decomposition
 # ---------------------------------------------------------------------------
@@ -486,11 +468,10 @@ def nu_from_oracle(j: IntPoly, p: int, n: int, mu: int, lambda_poly: int) -> int
     return ord_delta_exact(j, p, n) - mu * n - lambda_poly * valuation(n, p)
 
 
-def nu_structural(structure: UnitRootStructure, j: IntPoly, n: int,
-                  precision: int = DEFAULT_PRECISION):
-    """nu_{p,n}(j) from Teichmueller distances (an int); None when the unit
-    part is ramified."""
-    data = _structural_data(structure, j, precision)
+def nu_structural(structure: UnitRootStructure, n: int):
+    """nu_{p,n}(j) from Teichmueller distances (an int), for the j the
+    structure was built from; None when the unit part is ramified."""
+    data = structure.constants
     if data is None:
         return None
     p = structure.prime
@@ -528,19 +509,22 @@ class PadicReport:
     per_n: dict  # n -> PerLayer
 
 
-def padic_report(ta: TowerAnalysis, p: int, n_max: int,
-                 precision: int = DEFAULT_PRECISION, kappas=None) -> PadicReport:
+def _saturation(structure: UnitRootStructure):
+    """max s_p over the unit roots (0 without any); None when ramified."""
+    if structure.constants is None:
+        return None
+    return max((rc.s for rc in structure.constants.values()), default=0)
+
+
+def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicReport:
     """Full decomposition of ord_p(kappa(X_n)) for n = 1..n_max.
 
     Every row is checked against the exact valuation of the tree count; a
     failure is a bug, not a data condition, hence VerificationMismatch.
     """
-    j = ta.j_poly
-    mu = content_valuation(j, p)
+    structure = unit_root_structure(ta.j_poly, p)
+    mu = structure.mu
     c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)
-    structure = unit_root_structure(j, p)
-    data = _structural_data(structure, j, precision)
-    R = max((rc.s for rc in data.values()), default=0) if data is not None else None
     if kappas is None:
         kappas = kappa_sequence(ta, n_max)
     per_n = {}
@@ -551,8 +535,8 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int,
         ord_kappa = valuation(kappas[n - 1], p) if kappas[n - 1] % p == 0 else 0
         # The oracle value follows from the tree-count formula itself.
         ord_delta = ord_kappa - (ta.e - 1) * ordn - c
-        if data is not None:
-            nu = nu_structural(structure, j, n, precision)
+        if structure.constants is not None:
+            nu = nu_structural(structure, n)
             source = "structural"
         else:
             nu = ord_delta - mu * n - lam_poly * ordn
@@ -561,7 +545,7 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int,
         if total != ord_kappa:
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
         per_n[n] = PerLayer(lam, nu, ord_kappa, source)
-    return PadicReport(p, mu, c, structure, R, per_n)
+    return PadicReport(p, mu, c, structure, _saturation(structure), per_n)
 
 
 # ---------------------------------------------------------------------------
@@ -573,23 +557,23 @@ def _is_one_root_factor(f: UnitFactor, p: int) -> bool:
     return f.degree == 1 and f.poly(1) % p == 0
 
 
-def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION):
+def iwasawa_invariants(j: IntPoly, p: int):
     """(mu, lambda, nu, k0) with ord_p(D_{p**k}) = mu*p**k + lambda*k + nu for k >= k0.
 
     lambda counts unit roots congruent to 1 mod the maximal ideal.  nu and the
     threshold come from the structural path when the unit part is unramified,
     otherwise from an exact fit on the p-power subsequence.
     """
-    mu = content_valuation(j, p)
     structure = unit_root_structure(j, p)
+    mu = structure.mu
     lam = sum(
         f.multiplicity * f.degree
         for f in structure.factors
         if _is_one_root_factor(f, p)
     )
-    data = _structural_data(structure, j, precision)
+    data = structure.constants
     if data is not None:
-        k0 = max((rc.s for rc in data.values()), default=0)
+        k0 = _saturation(structure)
         nu = 0
         for f in structure.factors:
             if _is_one_root_factor(f, p):
@@ -616,20 +600,19 @@ def iwasawa_invariants(j: IntPoly, p: int, precision: int = DEFAULT_PRECISION):
     return mu, lam, nu, k0
 
 
-def washington_invariants(j: IntPoly, p: int, ell: int,
-                          precision: int = DEFAULT_PRECISION):
+def washington_invariants(j: IntPoly, p: int, ell: int):
     """(mu, nu, k0) with ord_p(D_{ell**k}) = mu*ell**k + nu for k >= k0, p != ell."""
     if p == ell:
         raise ValueError("the two primes must be distinct")
-    mu = content_valuation(j, p)
     structure = unit_root_structure(j, p)
+    mu = structure.mu
     orders = []
     for f in structure.factors:
         if f.order is None:
             raise OrderUnavailable("a residue order is unavailable")
         orders.append((f, f.order))
     k0 = max((valuation(N, ell) if N % ell == 0 else 0 for _, N in orders), default=0)
-    data = _structural_data(structure, j, precision)
+    data = structure.constants
     if data is not None:
         nu = 0
         for f, N in orders:
@@ -659,15 +642,14 @@ class SequenceClass:
     nu: int
 
 
-def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200,
-                     precision: int = DEFAULT_PRECISION, kappas=None):
+def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200, kappas=None):
     """Partition n <= n_max into divisibility classes with constant (lambda, nu).
 
     The reported nu absorbs c_p, so within each class
     ord_p(kappa(X_n)) = mu*n + lam*ord_p(n) + nu holds exactly; this is
     checked on every n <= n_max.
     """
-    report = padic_report(ta, p, n_max, precision=precision, kappas=kappas)
+    report = padic_report(ta, p, n_max, kappas=kappas)
     structure = report.structure
     if any(f.order is None for f in structure.factors):
         raise OrderUnavailable("sequence classes need every residue order")
@@ -718,8 +700,7 @@ class FriedmanLaw:
     min_exponents: tuple  # per-generator exponent thresholds
 
 
-def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
-                  precision: int = DEFAULT_PRECISION):
+def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
     """Affine valuation laws on the semigroup generated by the given primes.
 
     For n = prod ell_i**k_i with every k_i past its threshold,
@@ -734,8 +715,8 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
         raise ValueError("the outside prime must not be a generator")
 
     def law_for(observer: int, with_lambda: bool) -> FriedmanLaw:
-        mu = content_valuation(j, observer)
         structure = unit_root_structure(j, observer)
+        mu = structure.mu
         chosen = []
         for f in structure.factors:
             if f.order is None:
@@ -750,7 +731,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000,
                 default=0,
             )
             thresholds.append(t)
-        data = _structural_data(structure, j, precision)
+        data = structure.constants
         if data is not None:
             nu = 0
             for f in chosen:

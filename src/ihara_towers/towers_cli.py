@@ -31,11 +31,11 @@ from .errors import (
     VerificationMismatch,
 )
 from .ihara import (
+    _resultant_from_delta,
     analyze,
     kappa_sequence,
     kappa_via_formula,
     pierce_lehmer_range,
-    resultant_row,
     verify_tower,
 )
 from .mahler import (
@@ -109,29 +109,41 @@ def load_graph(path: str) -> VoltagedGraph:
 # ---------------------------------------------------------------------------
 
 
+def _bouquet(family: str, params) -> VoltagedGraph:
+    if not params:
+        raise ValueError("bouquet needs at least one loop voltage")
+    return voltaged_graph(1, [(0, 0, a) for a in params], labels=("v0",))
+
+
+def _dumbbell(family: str, params) -> VoltagedGraph:
+    if len(params) != 2:
+        raise ValueError(f"{family} needs exactly two loop voltages")
+    k, l = params
+    return voltaged_graph(2, [(0, 0, k), (0, 1, 0), (1, 1, l)], labels=("v0", "v1"))
+
+
+def _petersen(family: str, params) -> VoltagedGraph:
+    if len(params) != 1:
+        raise ValueError("petersen needs one parameter")
+    return _dumbbell("dumbbell", [1, params[0]])
+
+
+def _fibonacci(family: str, params) -> VoltagedGraph:
+    if params:
+        raise ValueError("fibonacci takes no parameters")
+    return _bouquet("bouquet", [1, 2])
+
+
+# Family name -> builder(name, params); an alias names the builder it shares.
+_FAMILIES = {"bouquet": _bouquet, "circulant-base": _bouquet, "dumbbell": _dumbbell,
+             "petersen": _petersen, "igraph": _dumbbell, "fibonacci": _fibonacci}
+
+
 def generate_family(family: str, params) -> VoltagedGraph:
     params = [int(x) for x in params]
-    if family in ("bouquet", "circulant-base"):
-        if not params:
-            raise ValueError("bouquet needs at least one loop voltage")
-        names = ("v0",)
-        return voltaged_graph(1, [(0, 0, a) for a in params], labels=names)
-    if family == "fibonacci":
-        if params:
-            raise ValueError("fibonacci takes no parameters")
-        return voltaged_graph(1, [(0, 0, 1), (0, 0, 2)], labels=("v0",))
-    if family in ("dumbbell", "igraph"):
-        if len(params) != 2:
-            raise ValueError(f"{family} needs exactly two loop voltages")
-        k, l = params
-        return voltaged_graph(
-            2, [(0, 0, k), (0, 1, 0), (1, 1, l)], labels=("v0", "v1")
-        )
-    if family == "petersen":
-        if len(params) != 1:
-            raise ValueError("petersen needs one parameter")
-        return generate_family("dumbbell", [1, params[0]])
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILIES[family](family, params)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +227,7 @@ def cmd_table(args) -> int:
             {
                 "n": n,
                 "kappa": str(kappas[n - 1]),
-                "resultant": str(resultant_row(ta, n)),
+                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1])),
                 "delta": str(deltas[n - 1]),
             }
         )
@@ -253,7 +265,7 @@ def cmd_verify(args) -> int:
 def cmd_padic(args) -> int:
     vg = load_graph(args.graph)
     ta = analyze(vg)
-    report = padic_report(ta, args.prime, args.n_max, precision=args.precision)
+    report = padic_report(ta, args.prime, args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         row = report.per_n[n]
@@ -319,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a base graph for a named family")
-    gen.add_argument("family", choices=[
-        "bouquet", "circulant-base", "dumbbell", "petersen", "igraph", "fibonacci",
-    ])
+    gen.add_argument("family", choices=list(_FAMILIES))
     gen.add_argument("params", nargs="*", type=int)
     gen.add_argument("--output")
     gen.set_defaults(func=cmd_generate)
@@ -353,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     pad.add_argument("graph")
     pad.add_argument("--prime", type=int, required=True)
     pad.add_argument("--n-max", type=int, default=100)
-    pad.add_argument("--precision", type=int, default=32)
     pad.add_argument("--format", choices=["json", "csv"])
     pad.add_argument("--output")
     pad.set_defaults(func=cmd_padic)

@@ -151,7 +151,7 @@ def test_criterion_5_master_padic_identity():
                 ord_kappa = ord_delta_from_int(kappas[n - 1], p)
                 assert mu * n + lam * ordn + nu + c == ord_kappa, (name, p, n)
                 if not structure.ramified:
-                    assert nu_structural(structure, j, n) == nu, (name, p, n)
+                    assert nu_structural(structure, n) == nu, (name, p, n)
     _report(5, "mu/lambda/nu/c decomposition, 55 towers, p <= 7, n <= 200", started)
 
 

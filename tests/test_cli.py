@@ -2,12 +2,47 @@ import csv
 import io
 import json
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from ihara_towers.towers_cli import (
     generate_family,
     graph_from_json,
     graph_to_json,
     main,
 )
+from ihara_towers.voltage_cover import voltaged_graph
+
+# Deterministic runs; tmp_path and capsys are reused by every example.
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+VOLTAGES = st.integers(-5, 5)
+JSON_LEAVES = st.none() | st.booleans() | VOLTAGES | st.floats(allow_nan=False) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def voltaged_graphs(draw):
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index, VOLTAGES), max_size=6))
+    return voltaged_graph(n, edges, labels=tuple(names))
+
+
+NAMES = st.sampled_from(["v0", "v1", "v2"])
+EDGES = st.fixed_dictionaries(
+    {"from": NAMES | JSON_LEAVES, "to": NAMES | JSON_LEAVES, "voltage": VOLTAGES | JSON_LEAVES}
+)
+# valid graph files, valid-looking ones with wrong values, and any JSON
+GRAPH_DOCS = voltaged_graphs().map(graph_to_json) | st.fixed_dictionaries({
+    "vertices": st.lists(NAMES | JSON_LEAVES, max_size=3) | JSON_VALUES,
+    "edges": st.lists(EDGES | JSON_VALUES, max_size=4) | JSON_VALUES,
+}) | JSON_VALUES
 
 
 def run(args, capsys):
@@ -183,3 +218,20 @@ def test_usage_error_exit_code(capsys):
     except SystemExit as exc:
         code = exc.code
     assert code == 1
+
+
+@FUZZ
+@given(voltaged_graphs())
+def test_graph_json_round_trip(vg):
+    doc = json.loads(json.dumps(graph_to_json(vg)))
+    assert graph_from_json(doc) == vg
+
+
+@FUZZ
+@given(GRAPH_DOCS)
+def test_analyze_exit_codes_on_fuzzed_graph_files(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert code in (0, 1, 2, 3, 4), doc
+    assert (code == 0) == (out != "" and err == ""), doc

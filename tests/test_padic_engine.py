@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from corpus import bouquet, fib, ord_p, random_int_poly
 
+from ihara_towers.errors import PrecisionExhausted
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.padic_engine import (
     NewtonPolygon,
@@ -212,30 +213,39 @@ def test_lambda_for_n():
 def test_nu_structural_fibonacci_p2():
     s = unit_root_structure(J_FIB, 2)
     for n in (3, 9, 15, 21):
-        assert nu_structural(s, J_FIB, n) == 2
+        assert nu_structural(s, n) == 2
     for n in (6, 12, 24, 60):
-        assert nu_structural(s, J_FIB, n) == 4
+        assert nu_structural(s, n) == 4
 
 
 def test_nu_structural_fibonacci_p7():
     # rank of apparition of 7 is 8, and ord7(F_8) = 1
     s = unit_root_structure(J_FIB, 7)
     assert s.factors[0].order == 8
-    assert nu_structural(s, J_FIB, 8) == 2 * ord_p(fib(8), 7)
-    assert nu_structural(s, J_FIB, 5) == 0
+    assert nu_structural(s, 8) == 2 * ord_p(fib(8), 7)
+    assert nu_structural(s, 5) == 0
 
 
 def test_nu_structural_ramified_unavailable():
-    assert nu_structural(unit_root_structure(J_FIB, 5), J_FIB, 5) is None
+    assert nu_structural(unit_root_structure(J_FIB, 5), 5) is None
 
 
 def test_nu_structural_precision_escalation():
     # root 1 + 2**40 needs more than 32 dyadic digits to separate from 1
     f = IntPoly((-(1 + 2 ** 40), 1))
     s = unit_root_structure(f, 2)
-    assert nu_structural(s, f, 3) == 40
+    assert nu_structural(s, 3) == 40
     # LTE check: ord2((1 + 2**40)**n - 1) = 40 + ord2(n)
     assert ord_delta_exact(f, 2, 6) == 41
+
+
+def test_precision_cap_raises_precision_exhausted():
+    # root 1 + 2**600 stays congruent to 1 beyond the 512-digit cap
+    try:
+        unit_root_structure(IntPoly((-(1 + 2 ** 600), 1)), 2)
+        assert False
+    except PrecisionExhausted:
+        pass
 
 
 def test_nu_oracle_examples():
@@ -250,7 +260,7 @@ def test_nu_oracle_matches_structural_when_unramified():
             continue
         for n in range(1, 40):
             lam = lambda_for_n(s, n)
-            assert nu_from_oracle(J_FIB, p, n, 0, lam) == nu_structural(s, J_FIB, n)
+            assert nu_from_oracle(J_FIB, p, n, 0, lam) == nu_structural(s, n)
 
 
 # -- tower-level reports ------------------------------------------------------------
@@ -416,7 +426,7 @@ def test_structural_identity_random_battery():
         for n in list(range(1, 25)) + [48]:
             delta = pierce_lehmer(f, n)
             lam = lambda_for_n(s, n)
-            nu = nu_structural(s, f, n)
+            nu = nu_structural(s, n)
             ordn = valuation(n, p) if n % p == 0 else 0
             ordd = valuation(delta, p) if delta % p == 0 else 0
             assert mu * n + lam * ordn + nu == ordd, (f, p, n)
@@ -426,9 +436,8 @@ def test_structural_identity_random_battery():
 
 def test_structural_path_rejects_roots_of_unity():
     f = IntPoly((27, 15, 13, -15, -31, -2, -2, -5))  # f(1) == 0
-    s = unit_root_structure(f, 3)
     try:
-        nu_structural(s, f, 1)
+        unit_root_structure(f, 3)
         assert False
     except ValueError:
         pass
