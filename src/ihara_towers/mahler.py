@@ -3,7 +3,9 @@
 The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
 quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
-by Sturm counts over the integers, never by float proximity.
+by Sturm counts over the integers, never by float proximity.  The p-adic
+measure is the content valuation at a prime that padic_engine.is_prime
+checks, so nothing here imports sympy.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis
-from .padic_engine import content_valuation, newton_polygon, valuation
+from .padic_engine import content_valuation, is_prime, newton_polygon, valuation
 from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem, squarefree_part
 
 
@@ -46,7 +46,7 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
     """Largest p-adic absolute value of the coefficients, as an exact exponent."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return PadicMeasure(p, content_valuation(f, p))
 
@@ -310,7 +310,7 @@ def padic_asymptotic_no_unit_roots(ta: TowerAnalysis, p: int) -> PadicAsymptotic
     The gate is the Newton polygon of J at p: no slope-zero segment means no
     root of absolute value one, decided exactly.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     polygon = newton_polygon(ta.j_poly, p)
     applicable = polygon.slope_zero_length == 0

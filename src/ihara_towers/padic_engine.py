@@ -21,16 +21,17 @@ checked against the oracle wherever they apply.  The constants are computed
 in an unramified extension at a working precision that starts at
 DEFAULT_PRECISION p-adic digits and doubles until every distance is exact;
 past MAX_PRECISION, PrecisionExhausted is raised.
+
+sympy is imported only by the functions that factor over F_p or factor an
+integer, and by is_prime past its Miller-Rabin range, so the rest of the
+package starts without it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import factorint, isprime
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly, gf_gcdex, gf_pow_mod
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
@@ -72,11 +73,16 @@ def content_valuation(f: IntPoly, p: int) -> int:
 
 def _to_gf(f: IntPoly, p: int) -> list:
     """f mod p as a galoistools list with entries in [0, p)."""
+    from sympy.polys.galoistools import gf_from_int_poly
+
     return gf_from_int_poly(f.coeffs[::-1], p)
 
 
 def _t_power_is_one(n: int, g: list, p: int) -> bool:
     """Whether t**n = 1 in F_p[t]/(g)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
     return gf_pow_mod([1, 0], n, g, p, ZZ) == [1]
 
 
@@ -86,6 +92,9 @@ def factor_mod_p(f: IntPoly, p: int):
     Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] sorted by
     degree, then coefficients.
     """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
     fp = _to_gf(f, p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
@@ -96,17 +105,56 @@ def factor_mod_p(f: IntPoly, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Multiplicative orders in F_p[t]/(g)
+# Primes and multiplicative orders in F_p[t]/(g)
 # ---------------------------------------------------------------------------
+
+# Miller-Rabin to the 13 prime bases 2..41 has no strong pseudoprime below
+# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)); sympy decides above.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n) -> bool:
+    """Whether the integer n is prime; ValueError if n is not an integer."""
+    if isinstance(n, bool):
+        raise ValueError(f"{n} is not an integer")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{n} is not an integer") from None
+    if n >= _MR_EXACT_BELOW:
+        from sympy import isprime
+
+        return isprime(n)
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _factor_integer(m: int) -> dict:
     """Prime factorization with a hard effort bound; OrderUnavailable beyond it."""
+    from sympy import factorint
+
     out = {}
     partial = factorint(m, limit=_TRIAL_LIMIT)
     for q, e in partial.items():
         q = int(q)
-        if isprime(q):
+        if is_prime(q):
             out[q] = out.get(q, 0) + e
         elif q.bit_length() <= _FACTOR_BIT_LIMIT:
             for q2, e2 in factorint(q).items():
@@ -340,6 +388,9 @@ class _Zq:
 
     def inv(self, a):
         """Inverse of a unit, by lifting the residue inverse p-adically."""
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
+
         p = self.p
         # extended Euclid in F_p[t]: s * a + _ * modulus = gcd, which is 1 for a unit
         s, _, g = gf_gcdex(gf_from_int_poly(a[::-1], p),

@@ -14,7 +14,7 @@ and the pseudo-remainder sequences of gcds and resultants simple.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, log
 
 
 class IntPoly:
@@ -551,19 +551,35 @@ def euler_phi(k: int) -> int:
     return result
 
 
+# e**gamma, gamma the Euler-Mascheroni constant
+_E_GAMMA = 1.7810724179901979
+
+
+def _phi_lower_bound(k: int) -> float:
+    """A lower bound on phi(k) for k >= 3 that increases with k.
+
+    Rosser and Schoenfeld (1962, Theorem 15) prove k / phi(k) <
+    e**gamma log log k + 2.50637 / log log k for k >= 3 except k = 223092870,
+    where 2.51 suffices; 3 covers both.
+    """
+    y = log(log(k))
+    return k / (_E_GAMMA * y + 3 / y)
+
+
 def vanishes_at_root_of_unity(f: IntPoly) -> bool:
     """True iff some root of f is a root of unity, decided exactly.
 
-    A primitive k-th root can only be a root when phi(k) <= deg(f), and
-    phi(k) >= sqrt(k/2) bounds the search range.
+    A primitive k-th root can only be a root when phi(k) <= deg(f).  The
+    scan stops at the first k whose lower bound on phi(k) passes deg(f);
+    the margin of 1 absorbs rounding in the float bound.
     """
     d = f.degree
     if d <= 0:
         return False
-    for k in range(1, 2 * d * d + 2):
-        if euler_phi(k) > d:
-            continue
+    k = 1
+    while k < 3 or _phi_lower_bound(k) <= d + 1:
         # cyclotomic polynomials are monic, so the pseudo-remainder is exact
-        if pseudo_rem(f, cyclotomic_polynomial(k)).is_zero():
+        if euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero():
             return True
+        k += 1
     return False

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ihara_towers
 from ihara_towers.towers_cli import (
     generate_family,
     graph_from_json,
@@ -218,6 +223,33 @@ def test_usage_error_exit_code(capsys):
     except SystemExit as exc:
         code = exc.code
     assert code == 1
+
+
+# Runs the commands in one fresh interpreter and prints their exit codes and
+# whether sympy was imported after the first four and after padic.
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from ihara_towers.towers_cli import main
+path = sys.argv[1]
+commands = (["analyze", path, "--prime", "2", "--prime", "5"], ["table", path],
+            ["verify", path], ["asymptotics", path])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(args) for args in commands]
+    before = "sympy" in sys.modules
+    codes.append(main(["padic", path, "--prime", "3"]))
+print(json.dumps({"codes": codes, "before": before, "after": "sympy" in sys.modules}))
+"""
+
+
+def test_sympy_only_imported_for_padic(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    run(["generate", "bouquet", "3", "5", "--output", str(path)], capsys)
+    src = str(Path(ihara_towers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 5, "before": False, "after": True}
 
 
 @FUZZ

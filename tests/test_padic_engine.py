@@ -7,10 +7,12 @@ from corpus import bouquet, fib, ord_p, random_int_poly
 
 from ihara_towers.errors import PrecisionExhausted
 from ihara_towers.ihara import analyze, pierce_lehmer
+from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     NewtonPolygon,
     factor_mod_p,
     friedman_laws,
+    is_prime,
     iwasawa_invariants,
     lambda_for_n,
     multiplicative_order,
@@ -145,6 +147,39 @@ def test_factor_mod_p_matches_trial_division():
         checked += 1
         repeated += any(m > 1 for _, m in expected)
     assert repeated > 30
+
+
+# -- primes ----------------------------------------------------------------------
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    for n in range(-5, 200_000):
+        assert is_prime(n) == isprime(n), n
+    rng = random.Random(61)
+    for _ in range(20_000):
+        n = rng.getrandbits(rng.randint(2, 100)) | 1
+        assert is_prime(n) == isprime(n), n
+
+
+def test_is_prime_strong_pseudoprimes_and_mersenne_primes():
+    # strong pseudoprimes to the prime bases up to 7, 31 and 37 (psi_4,
+    # psi_11, psi_12), and psi_13 to all of 2..41, which sympy decides
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961981):
+        assert not is_prime(n), n
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+def test_prime_arguments_are_not_coerced():
+    for p in (2.0, 2.5, True, "3"):
+        for call in (lambda: is_prime(p), lambda: mahler_padic(IntPoly((1, 1)), p)):
+            try:
+                call()
+                assert False, p
+            except ValueError as exc:
+                assert str(exc) == f"{p} is not an integer"
 
 
 # -- multiplicative orders -----------------------------------------------------

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 from corpus import random_int_poly
 
 from ihara_towers.polyring import (
     IntPoly,
+    _phi_lower_bound,
     LaurentPoly,
     cyclotomic_polynomial,
     divide_exact,
+    euler_phi,
     geometric_quotient,
     int_matrix_det,
     is_self_reciprocal,
@@ -17,6 +20,7 @@ from ihara_towers.polyring import (
     resultant,
     squarefree_part,
     sylvester_matrix,
+    vanishes_at_root_of_unity,
 )
 
 T_MINUS_1 = IntPoly((-1, 1))
@@ -227,3 +231,41 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == IntPoly((1, 1))
     assert cyclotomic_polynomial(6) == IntPoly((1, -1, 1))
     assert cyclotomic_polynomial(12) == IntPoly((1, 0, -1, 0, 1))
+
+
+def test_vanishes_at_root_of_unity_matches_full_scan():
+    def full_scan(f):
+        # every k with phi(k) <= d lies below 2 d**2 + 2, as phi(k) >= sqrt(k / 2)
+        d = f.degree
+        return d > 0 and any(euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
+                             for k in range(1, 2 * d * d + 2))
+
+    small = [k for k in range(1, 3202) if euler_phi(k) <= 40]
+    # Phi_k alone for every k with phi(k) <= 40, the largest k of each degree included
+    cases = [cyclotomic_polynomial(k) for k in small]
+    rng = random.Random(66)
+    while len(cases) < len(small) + 300:
+        f = random_int_poly(rng, max_degree=12)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            phi = cyclotomic_polynomial(rng.choice(small))
+            if f.degree + phi.degree <= 40:
+                f = f * phi
+        cases.append(f)
+    outcomes = Counter()
+    for f in cases:
+        expected = full_scan(f)
+        assert vanishes_at_root_of_unity(f) == expected, f
+        outcomes[expected] += 1
+    assert min(outcomes[True], outcomes[False]) > 100, outcomes
+
+
+def test_phi_lower_bound_holds_and_increases():
+    n = 100_000
+    phi = list(range(n))
+    for q in range(2, n):
+        if phi[q] == q:  # q is prime
+            for m in range(q, n, q):
+                phi[m] -= phi[m] // q
+    bounds = [_phi_lower_bound(k) for k in range(3, n)]
+    assert all(phi[k] > b for k, b in zip(range(3, n), bounds))
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
