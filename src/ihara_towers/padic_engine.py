@@ -17,14 +17,18 @@ identity using the exact integer valuation of the Pierce-Lehmer value and is
 always available.  The structural path reads each root's distance to its
 Teichmueller representative from the structure's constants; they exist only
 when the unit part of J is squarefree mod p, and they are differentially
-checked against the oracle wherever they apply.  The constants are computed
-in an unramified extension at a working precision that starts at
-DEFAULT_PRECISION p-adic digits and doubles until every distance is exact;
-past MAX_PRECISION, PrecisionExhausted is raised.
+checked against the oracle wherever they apply.  The constants are
+valuations of powers of the lifted root, not of its distance to a
+fixed-point Teichmueller lift: with q = p**f the residue field size,
+ord(beta**(p**r) - omega(beta)**(p**r)) = ord(beta**((q - 1) * p**r) - 1).
+They are computed in an unramified extension at a working precision that
+starts at DEFAULT_PRECISION p-adic digits and doubles until every distance
+is exact; past MAX_PRECISION, PrecisionExhausted is raised.
 
-sympy is imported only by the functions that factor over F_p or factor an
-integer, and by is_prime past its Miller-Rabin range, so the rest of the
-package starts without it.
+Arithmetic in F_p[t]/(g) is the extension class at precision 1.  sympy is
+imported only for F_p factoring, integer factoring (residue orders) and by
+is_prime for primes of at least 3.3e24, so the rest of the package starts
+without it.
 """
 
 from __future__ import annotations
@@ -66,24 +70,27 @@ def content_valuation(f: IntPoly, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F_p[t], by sympy's galoistools
+# Arithmetic in F_p[t]
 # ---------------------------------------------------------------------------
-# galoistools lists start at the leading coefficient, IntPoly coeffs at t**0.
+# F_p[t]/(g) is _Zq(p, 1, g); sympy's galoistools only factors.  Its lists
+# start at the leading coefficient, IntPoly coeffs at t**0.
 
 
-def _to_gf(f: IntPoly, p: int) -> list:
-    """f mod p as a galoistools list with entries in [0, p)."""
-    from sympy.polys.galoistools import gf_from_int_poly
+def _residue_ring(g: IntPoly, p: int) -> "_Zq":
+    """F_p[t]/(g), with g made monic mod p; ValueError unless t is a unit."""
+    h = IntPoly([c % p for c in g.coeffs])
+    if h.is_zero() or h.coeffs[0] == 0:
+        raise ValueError("t must be a unit modulo g")
+    if h.degree < 1:
+        raise ValueError("g must have positive degree modulo p")
+    inv = pow(h.lead, -1, p)
+    return _Zq(p, 1, IntPoly([c * inv % p for c in h.coeffs]))
 
-    return gf_from_int_poly(f.coeffs[::-1], p)
 
-
-def _t_power_is_one(n: int, g: list, p: int) -> bool:
+def _t_power_is_one(n: int, g: IntPoly, p: int) -> bool:
     """Whether t**n = 1 in F_p[t]/(g)."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_pow_mod
-
-    return gf_pow_mod([1, 0], n, g, p, ZZ) == [1]
+    ring = _residue_ring(g, p)
+    return ring.pow(ring.generator(), n) == ring.element([1])
 
 
 def factor_mod_p(f: IntPoly, p: int):
@@ -93,9 +100,9 @@ def factor_mod_p(f: IntPoly, p: int):
     degree, then coefficients.
     """
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
-    fp = _to_gf(f, p)
+    fp = gf_from_int_poly(f.coeffs[::-1], p)
     if not fp:
         raise ValueError("polynomial vanishes mod p")
     _, factors = gf_factor(fp, p, ZZ)
@@ -179,20 +186,24 @@ def _factor_p_power_minus_one(p: int, f: int) -> dict:
 def multiplicative_order(g: IntPoly, p: int) -> int:
     """Order of the class of t in F_p[t]/(g), for irreducible g with g(0) != 0.
 
-    Divides p**deg(g) - 1, whose factorization is attempted with a bounded
-    effort; OrderUnavailable is raised if the bound is exceeded.
+    The order divides N = p**deg(g) - 1.  For each prime power ell**e
+    exactly dividing N, its ell-part is the least ell**k with
+    (t**(N / ell**e))**(ell**k) = 1 (Cohen, GTM 138, Algorithm 1.4.3).  N is
+    factored with a bounded effort; OrderUnavailable is raised past it.
     """
-    gp = _to_gf(g, p)
-    if not gp or gp[-1] == 0:
-        raise ValueError("t must be a unit modulo g")
-    f = len(gp) - 1
-    order = p ** f - 1
-    for q in _factor_p_power_minus_one(p, f):
-        while order % q == 0:
-            if _t_power_is_one(order // q, gp, p):
-                order //= q
-            else:
+    ring = _residue_ring(g, p)
+    t, one = ring.generator(), ring.element([1])
+    n = p ** ring.f - 1
+    order = 1
+    for ell, e in _factor_p_power_minus_one(p, ring.f).items():
+        y = ring.pow(t, n // ell ** e)
+        for _ in range(e):
+            if y == one:
                 break
+            y = ring.pow(y, ell)
+            order *= ell
+        if y != one:
+            raise ValueError("t**(p**deg(g) - 1) != 1, so g is not irreducible mod p")
     return order
 
 
@@ -271,21 +282,24 @@ class UnitRootStructure:
         """
         if factor.order is not None:
             return n % factor.order == 0
-        return _t_power_is_one(n, _to_gf(factor.poly, self.prime), self.prime)
+        return _t_power_is_one(n, factor.poly, self.prime)
 
 
 def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     """Extract the slope-zero (unit root) part of j at p, factor its
     reduction, and compute each factor's Teichmueller constants.
 
-    The reduction of j / p**mu mod p equals t**s times the unit part's
-    reduction; the stripped degree must match the Newton polygon's
-    slope-zero length (VerificationMismatch otherwise).  The constants are
-    None when the unit part is ramified.  A root of unity among the roots
-    would make some root-to-Teichmueller distance infinite, so when there
-    are unit roots to measure that input is rejected (ValueError); a
-    distance still ambiguous at MAX_PRECISION raises PrecisionExhausted.
+    p must be prime (ValueError otherwise).  The reduction of j / p**mu mod p
+    equals t**s times the unit part's reduction; the stripped degree must
+    match the Newton polygon's slope-zero length (VerificationMismatch
+    otherwise).  The constants are None when the unit part is ramified.  A
+    root of unity among the roots would make some root-to-Teichmueller
+    distance infinite, so when there are unit roots to measure that input
+    is rejected (ValueError); a distance still ambiguous at MAX_PRECISION
+    raises PrecisionExhausted.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if j.is_zero():
         raise ValueError("zero polynomial")
     mu = content_valuation(j, p)
@@ -332,7 +346,8 @@ class _Zq:
 
     Any monic lift generates the unramified extension of degree deg G, so
     elements have integer valuations computed coordinatewise.  Elements are
-    tuples of ints in [0, p**K).
+    tuples of ints in [0, p**K).  With K = 1 this is the residue field
+    F_p[t]/(G mod p).
     """
 
     def __init__(self, p: int, K: int, modulus: IntPoly):
@@ -375,6 +390,10 @@ class _Zq:
                     out[i - f + j] = (out[i - f + j] - c * mod[j]) % q
         return tuple(out[:f])
 
+    def generator(self):
+        """The class of x: -G(0) when G is linear, else the coordinates (0, 1)."""
+        return self.element([0, 1] if self.f > 1 else [-self.modulus[0]])
+
     def pow(self, a, e: int):
         result = self.element([1])
         base = a
@@ -387,24 +406,15 @@ class _Zq:
         return result
 
     def inv(self, a):
-        """Inverse of a unit, by lifting the residue inverse p-adically."""
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_from_int_poly, gf_gcdex
-
-        p = self.p
-        # extended Euclid in F_p[t]: s * a + _ * modulus = gcd, which is 1 for a unit
-        s, _, g = gf_gcdex(gf_from_int_poly(a[::-1], p),
-                           gf_from_int_poly(self.modulus[::-1], p), p, ZZ)
-        if g != [1]:
-            raise VerificationMismatch("attempted to invert a non-unit")
-        z = self.element(s[::-1])
+        """Inverse of a unit.  The residue field has p**f elements, so
+        a**(p**f - 2) inverts a mod p; each Newton step z -> z*(2 - a*z)
+        then doubles the p-adic precision."""
+        z = self.pow(a, self.p ** self.f - 2)
         two = self.element([2])
-        # Newton lifting doubles the precision each round
-        rounds = max(1, (self.K - 1).bit_length() + 1)
-        for _ in range(rounds):
+        for _ in range((self.K - 1).bit_length()):
             z = self.mul(z, self.sub(two, self.mul(a, z)))
         if self.mul(a, z) != self.element([1]):
-            raise VerificationMismatch("Newton lifting of an inverse failed")
+            raise VerificationMismatch("attempted to invert a non-unit")
         return z
 
     def valuation(self, a) -> int:
@@ -439,28 +449,29 @@ class _RootConstants:
 
 
 def _root_constants_at(p: int, factor: UnitFactor, K: int, j1: IntPoly) -> _RootConstants:
-    ring = _Zq(p, K, _monic_lift(factor.poly, p))
-    beta = ring.element([0, 1]) if ring.f > 1 else ring.element([(-factor.poly.coeffs[0])])
-    # Newton iteration from the residue root; the derivative is a unit
-    # because the unit part is squarefree mod p.
+    residue = _residue_ring(factor.poly, p)
+    ring = _Zq(p, K, IntPoly(residue.modulus))
+    dj1 = j1.derivative()
+    # Coupled Newton iteration from the residue root: z follows 1/J1'(beta),
+    # a unit because the unit part is squarefree mod p, so only its residue
+    # is inverted and each step doubles the precision of both.
+    beta = ring.generator()
+    z = ring.element(residue.inv(residue.eval_int_poly(dj1, residue.generator())))
+    two = ring.element([2])
     for _ in range(max(2, K.bit_length() + 2)):
         value = ring.eval_int_poly(j1, beta)
-        if all(c == 0 for c in value):
+        if not any(value):
             break
-        deriv = ring.eval_int_poly(j1.derivative(), beta)
-        beta = ring.sub(beta, ring.mul(value, ring.inv(deriv)))
-    if any(ring.eval_int_poly(j1, beta)):
-        raise VerificationMismatch("root lifting failed")
-    # Teichmueller representative: the fixed point of z -> z**(p**f)
-    xi = beta
-    for _ in range(K + 2):
-        nxt = ring.pow(xi, p ** ring.f)
-        if nxt == xi:
-            break
-        xi = nxt
+        beta = ring.sub(beta, ring.mul(value, z))
+        z = ring.mul(z, ring.sub(two, ring.mul(ring.eval_int_poly(dj1, beta), z)))
     else:
-        raise _NeedMorePrecision
-    v1 = ring.valuation(ring.sub(beta, xi))
+        raise VerificationMismatch("root lifting failed")
+    # beta = xi * u with xi**(q - 1) = 1, u = 1 mod p and q = p**f.  As q - 1
+    # is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) = ord(u**(p**r) - 1)
+    # = ord(beta**((q - 1) * p**r) - 1), so xi itself is never computed.
+    one = ring.element([1])
+    y = ring.pow(beta, p ** ring.f - 1)
+    v1 = ring.valuation(ring.sub(y, one))
     if v1 >= K:
         raise _NeedMorePrecision
     if v1 < 1:
@@ -469,20 +480,13 @@ def _root_constants_at(p: int, factor: UnitFactor, K: int, j1: IntPoly) -> _Root
     while p ** s * (p - 1) * v1 <= 1:
         s += 1
     w = [v1]
-    for r in range(1, s + 1):
-        diff = ring.sub(ring.pow(beta, p ** r), ring.pow(xi, p ** r))
-        vr = ring.valuation(diff)
+    for _ in range(s):
+        y = ring.pow(y, p)
+        vr = ring.valuation(ring.sub(y, one))
         if vr >= K:
             raise _NeedMorePrecision
         w.append(vr)
     return _RootConstants(s, tuple(w))
-
-
-def _monic_lift(g: IntPoly, p: int) -> IntPoly:
-    coeffs = [c % p for c in g.coeffs]
-    if coeffs[-1] != 1:
-        raise VerificationMismatch("a residue factor is not monic")
-    return IntPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,13 @@ def test_padic_command(tmp_path, capsys):
     assert doc["rows"][4]["ord"] == "3"  # kappa(X_5) = 5 * 25
 
 
+def test_padic_rejects_composite_prime(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
+    code, out, err = run(["padic", str(path), "--prime", "4", "--n-max", "5"], capsys)
+    assert (code, out, err) == (1, "", "error: 4 is not prime\n")
+
+
 def test_asymptotics_command(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(["generate", "fibonacci", "--output", str(path)], capsys)

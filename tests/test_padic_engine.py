@@ -10,6 +10,7 @@ from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     NewtonPolygon,
+    _Zq,
     factor_mod_p,
     friedman_laws,
     is_prime,
@@ -199,6 +200,36 @@ def test_multiplicative_order_rejects_zero_root():
         pass
 
 
+def _order_by_repeated_multiplication(g, p):
+    """Least k >= 1 with t**k = 1 in F_p[t]/(g), for monic g with g(0) != 0."""
+    one = [1] + [0] * (g.degree - 1)
+    x = one
+    k = 0
+    while True:
+        # x <- t * x mod g: shift up, then subtract the top coefficient times g
+        top = x[-1]
+        x = [(c - top * gc) % p for c, gc in zip([0] + x[:-1], g.coeffs)]
+        k += 1
+        if x == one:
+            return k
+
+
+def test_multiplicative_order_matches_brute_force():
+    rng = random.Random(73)
+    checked = Counter()
+    for _ in range(300):
+        f = random_int_poly(rng, max_degree=4, bound=20)
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        if all(c % p == 0 for c in f.coeffs):
+            continue
+        for g, _ in factor_mod_p(f, p):
+            if g.degree < 1 or g.coeffs[0] == 0:
+                continue
+            assert multiplicative_order(g, p) == _order_by_repeated_multiplication(g, p), (g, p)
+            checked[g.degree] += 1
+    assert sum(checked.values()) > 250 and checked[3] > 10 and checked[4] > 5
+
+
 # -- unit root structure ---------------------------------------------------------
 
 
@@ -281,6 +312,87 @@ def test_precision_cap_raises_precision_exhausted():
         assert False
     except PrecisionExhausted:
         pass
+
+
+def test_unit_root_structure_rejects_composite_prime():
+    # 0 and 1 last: without the check they never return
+    for p in (4, 9, 15, 0, 1):
+        try:
+            unit_root_structure(J_FIB, p)
+            assert False, p
+        except ValueError as exc:
+            assert str(exc) == f"{p} is not prime"
+
+
+def _fixed_point_constants(j1, g, p):
+    """(s, w) for the roots of j1 over the residue factor g, by the
+    Teichmueller lift itself: beta by plain Newton, xi as the fixed point of
+    z -> z**(p**deg g) started at beta, and w[r] = ord(beta**(p**r) - xi**(p**r)),
+    with the precision doubled until every w[r] is exact."""
+    K = 32
+    while True:
+        ring = _Zq(p, K, g)
+        beta = ring.element([0, 1] if g.degree > 1 else [-g.coeffs[0]])
+        for _ in range(K.bit_length() + 2):
+            step = ring.mul(ring.eval_int_poly(j1, beta),
+                            ring.inv(ring.eval_int_poly(j1.derivative(), beta)))
+            beta = ring.sub(beta, step)
+        assert not any(ring.eval_int_poly(j1, beta))
+        xi = beta
+        for _ in range(K + 1):
+            nxt = ring.pow(xi, p ** g.degree)
+            if nxt == xi:
+                break
+            xi = nxt
+        else:
+            assert False, "the Teichmueller fixed point was not reached"
+        w = [ring.valuation(ring.sub(beta, xi))]
+        s = 0
+        while p ** s * (p - 1) * w[0] <= 1:
+            s += 1
+        for r in range(1, s + 1):
+            w.append(ring.valuation(ring.sub(ring.pow(beta, p ** r), ring.pow(xi, p ** r))))
+        if max(w) < K:
+            return s, tuple(w)
+        K *= 2
+
+
+def test_root_constants_match_teichmueller_fixed_point():
+    from ihara_towers.padic_engine import content_valuation
+
+    rng = random.Random(79)
+    # zeta_3 * (1 + 2**40) at p = 2: a degree-2 residue factor whose
+    # distance 40 needs the precision doubled
+    c = 1 + 2 ** 40
+    cases = [(IntPoly((c * c, c, 1)), 2), (IntPoly((-(1 + 3 ** 35), 1)), 3)]
+    pairs = doubled = 0
+    degrees = Counter()
+    while pairs < 300:
+        if cases:
+            f, p = cases.pop()
+        else:
+            f = random_int_poly(rng, max_degree=5, bound=20)
+            p = rng.choice((2, 3, 5, 7, 11, 13))
+            if rng.random() < 0.15:
+                f = f * IntPoly((-(1 + p ** rng.randint(25, 45)), 1))
+        if f.degree < 1:
+            continue
+        try:
+            structure = unit_root_structure(f, p)
+        except ValueError:  # a root of unity
+            continue
+        if not structure.constants:
+            continue
+        mu = content_valuation(f, p)
+        j1 = IntPoly([x // p ** mu for x in f.coeffs])
+        for factor, rc in structure.constants.items():
+            s, w = _fixed_point_constants(j1, factor.poly, p)
+            assert (rc.s, rc.w) == (s, w), (f, p, factor.poly)
+            degrees[factor.degree] += 1
+            doubled += max(w) >= 32
+        pairs += 1
+    assert doubled >= 2
+    assert sum(n for d, n in degrees.items() if d >= 2) > 100
 
 
 def test_nu_oracle_examples():
