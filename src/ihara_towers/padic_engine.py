@@ -25,17 +25,19 @@ They are computed in an unramified extension at a working precision that
 starts at DEFAULT_PRECISION p-adic digits and doubles until every distance
 is exact; past MAX_PRECISION, PrecisionExhausted is raised.
 
-Arithmetic in F_p[t]/(g) is the extension class at precision 1.  sympy is
-imported only for F_p factoring, integer factoring (residue orders) and by
-is_prime for primes of at least 3.3e24, so the rest of the package starts
-without it.
+Arithmetic in F_p[t]/(g) is the extension class at precision 1.  F_p
+factoring and integer factoring (residue orders) are local; sympy is imported
+only by is_prime, for integers of at least psi_13 = 3.3e24.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd, isqrt, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
@@ -44,16 +46,19 @@ from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
 DEFAULT_PRECISION = 32
 MAX_PRECISION = 512
 
-# Bit sizes above which integer factoring is not attempted; orders degrade
+# The effort of integer factoring (residue orders).  Past it, orders degrade
 # to "unavailable" and divisibility queries fall back to direct powering.
-_FACTOR_BIT_LIMIT = 64
-_TRIAL_LIMIT = 100_000
+_TRIAL_LIMIT = 10_000
+_PM1_BOUND = 2000
+_RHO_STEPS = 1 << 20
 
 
 def valuation(n: int, p: int) -> int:
-    """ord_p(n) for a nonzero integer n."""
+    """ord_p(n) for a nonzero integer n and p >= 2."""
     if n == 0:
         raise ValueError("valuation of zero is infinite")
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -70,10 +75,10 @@ def content_valuation(f: IntPoly, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in F_p[t]
+# Arithmetic and factoring in F_p[t]
 # ---------------------------------------------------------------------------
-# F_p[t]/(g) is _Zq(p, 1, g); sympy's galoistools only factors.  Its lists
-# start at the leading coefficient, IntPoly coeffs at t**0.
+# A polynomial over F_p is a list of ints in [0, p), t**0 first as in
+# IntPoly.coeffs, with no trailing zeros; it is powered in _Zq(p, 1, g).
 
 
 def _residue_ring(g: IntPoly, p: int) -> "_Zq":
@@ -93,20 +98,101 @@ def _t_power_is_one(n: int, g: IntPoly, p: int) -> bool:
     return ring.pow(ring.generator(), n) == ring.element([1])
 
 
+def _gf_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _gf_divmod(f, g, p):
+    """(quotient, remainder) of f by a nonzero g over F_p."""
+    r, q, inv = list(f), [], pow(g[-1], -1, p)
+    for k in range(len(f) - len(g), -1, -1):
+        q.append(r[k + len(g) - 1] * inv % p)
+        for i, x in enumerate(g):
+            r[k + i] = (r[k + i] - q[-1] * x) % p
+    return _gf_trim(q[::-1]), _gf_trim(r[: len(g) - 1])
+
+
+def _gf_gcd(f, g, p):
+    """The monic gcd over F_p of f and g, not both zero."""
+    while g:
+        f, g = g, _gf_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gf_squarefree(f, p):
+    """[(g, m)] with the monic f = prod g**m, the g squarefree and coprime."""
+    out, e = [], 1
+    while len(f) > 1:
+        df = _gf_trim([i * c % p for i, c in enumerate(f)][1:])
+        g = _gf_gcd(f, df, p) if df else f
+        w, i = _gf_divmod(f, g, p)[0], 1
+        while len(w) > 1:
+            y = _gf_gcd(w, g, p)
+            if len(y) < len(w):
+                out.append((_gf_divmod(w, y, p)[0], i * e))
+            w, g, i = y, _gf_divmod(g, y, p)[0], i + 1
+        # the factors of multiplicity divisible by p are left: g(t) = h(t)**p
+        f, e = g[::p], e * p
+    return out
+
+
+def _gf_irreducible_factors(f, p, rng):
+    """The irreducible factors of a monic squarefree f: gcd(f, t**(p**k) - t)
+    collects those of degree k (distinct-degree factoring), then splits them."""
+    out, k = [], 1
+    ring = _Zq(p, 1, IntPoly(f))
+    t = h = ring.generator()
+    while len(f) - 1 >= 2 * k:
+        h = ring.pow(h, p)
+        g = _gf_gcd(f, _gf_trim(list(ring.sub(h, t))), p)
+        if len(g) > 1:
+            out += _gf_split(g, k, p, rng)
+            f = _gf_divmod(f, g, p)[0]
+        k += 1
+    return out + [f] if len(f) > 1 else out
+
+
+def _gf_split(f, k, p, rng):
+    """The irreducible factors of a monic squarefree f whose factors all have
+    degree k, split by Cantor-Zassenhaus (Math. Comp. 36 (1981))."""
+    if len(f) - 1 == k:
+        return [f]
+    ring = _Zq(p, 1, IntPoly(f))
+    while True:
+        r = ring.element([rng.randrange(p) for _ in range(ring.f)])
+        if p == 2:
+            # the trace r + r**2 + ... + r**(2**(k - 1)) is 0 or 1 mod each factor
+            s = y = r
+            for _ in range(k - 1):
+                y = ring.mul(y, y)
+                s = ring.add(s, y)
+        else:
+            s = ring.sub(ring.pow(r, (p ** k - 1) // 2), ring.element([1]))
+        g = _gf_gcd(f, _gf_trim(list(s)), p)
+        if 1 < len(g) < len(f):
+            return _gf_split(g, k, p, rng) + _gf_split(_gf_divmod(f, g, p)[0], k, p, rng)
+
+
 def factor_mod_p(f: IntPoly, p: int):
     """Complete factorization of f mod p into monic irreducibles.
 
     Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] sorted by
-    degree, then coefficients.
+    degree, then coefficients.  p must be prime (ValueError otherwise); sympy
+    is loaded only to decide that for p >= psi_13 = 3.3e24.  The random
+    splits are seeded, so the result is deterministic.
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
-
-    fp = gf_from_int_poly(f.coeffs[::-1], p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    fp = _gf_trim([c % p for c in f.coeffs])
     if not fp:
         raise ValueError("polynomial vanishes mod p")
-    _, factors = gf_factor(fp, p, ZZ)
-    out = [(IntPoly(g[::-1]), mult) for g, mult in factors]
+    inv = pow(fp[-1], -1, p)
+    out, rng = [], random.Random(0)
+    for g, mult in _gf_squarefree([c * inv % p for c in fp], p):
+        out.extend((IntPoly(u), mult) for u in _gf_irreducible_factors(g, p, rng))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
@@ -153,21 +239,60 @@ def is_prime(n) -> bool:
     return True
 
 
-def _factor_integer(m: int) -> dict:
-    """Prime factorization with a hard effort bound; OrderUnavailable beyond it."""
-    from sympy import factorint
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n by Brent's rho (BIT 20 (1980)) on
+    x*x + c, c = 1, 2, ...; OrderUnavailable rather than pass _RHO_STEPS steps."""
+    taken = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            taken += 2 * r
+            if taken > _RHO_STEPS:
+                raise OrderUnavailable(f"cannot factor {n} within the effort bound")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g > 1:
+                    break
+            r *= 2
+        if g == n:  # that batch closed the cycle mod every factor: replay it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g < n:
+            return g
 
+
+def _factor_integer(m: int) -> dict:
+    """Prime factorization of m >= 1 with a fixed effort, OrderUnavailable past
+    it: trial division below _TRIAL_LIMIT, then a composite non-square cofactor
+    is split by Pollard p - 1 (exponent lcm(1, ..., _PM1_BOUND)) or else rho."""
     out = {}
-    partial = factorint(m, limit=_TRIAL_LIMIT)
-    for q, e in partial.items():
-        q = int(q)
-        if is_prime(q):
-            out[q] = out.get(q, 0) + e
-        elif q.bit_length() <= _FACTOR_BIT_LIMIT:
-            for q2, e2 in factorint(q).items():
-                out[int(q2)] = out.get(int(q2), 0) + e2 * e
-        else:
-            raise OrderUnavailable(f"cannot factor {q} within the effort bound")
+    if not is_prime(m):
+        for d in range(2, _TRIAL_LIMIT):
+            if d * d > m:
+                break
+            while m % d == 0:
+                m //= d
+                out[d] = out.get(d, 0) + 1
+    stack = [m] if m > 1 else []
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            continue
+        r = isqrt(n)
+        g = r if r * r == n else gcd(pow(2, lcm(*range(1, _PM1_BOUND + 1)), n) - 1, n)
+        if g in (1, n):
+            g = _rho_divisor(n)
+        stack += [g, n // g]
     return out
 
 
@@ -191,6 +316,8 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
     (t**(N / ell**e))**(ell**k) = 1 (Cohen, GTM 138, Algorithm 1.4.3).  N is
     factored with a bounded effort; OrderUnavailable is raised past it.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     ring = _residue_ring(g, p)
     t, one = ring.generator(), ring.element([1])
     n = p ** ring.f - 1
@@ -226,6 +353,8 @@ class NewtonPolygon:
 
 
 def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if f.is_zero():
         raise ValueError("zero polynomial")
     pts = [(i, valuation(c, p)) for i, c in enumerate(f.coeffs) if c]
@@ -379,16 +508,15 @@ class _Zq:
         for i, u in enumerate(a):
             if u:
                 for j, v in enumerate(b):
-                    out[i + j] = (out[i + j] + u * v) % q
-        # reduce by the monic modulus
+                    out[i + j] += u * v
+        # reduce by the monic modulus, each coefficient mod q once
         mod = self.modulus
         for i in range(2 * f - 2, f - 1, -1):
-            c = out[i]
+            c = out[i] % q
             if c:
-                out[i] = 0
                 for j in range(f):
-                    out[i - f + j] = (out[i - f + j] - c * mod[j]) % q
-        return tuple(out[:f])
+                    out[i - f + j] -= c * mod[j]
+        return tuple(c % q for c in out[:f])
 
     def generator(self):
         """The class of x: -G(0) when G is linear, else the coordinates (0, 1)."""
@@ -511,7 +639,9 @@ def lambda_for_n(structure: UnitRootStructure, n: int, e: int = None) -> int:
 
 
 def ord_delta_exact(j: IntPoly, p: int, n: int) -> int:
-    """ord_p of the Pierce-Lehmer value Res(j, t**n - 1), by exact division."""
+    """ord_p of the Pierce-Lehmer value Res(j, t**n - 1) for a prime p, by exact division."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     delta = pierce_lehmer(j, n)
     if delta == 0:
         raise ValueError("Pierce-Lehmer value vanishes; j has a root of unity")

@@ -232,31 +232,30 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
-# Runs the commands in one fresh interpreter and prints their exit codes and
-# whether sympy was imported after the first four and after padic.
+# Runs every command in one fresh interpreter and prints their exit codes and
+# whether sympy was imported.
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 from ihara_towers.towers_cli import main
 path = sys.argv[1]
 commands = (["analyze", path, "--prime", "2", "--prime", "5"], ["table", path],
-            ["verify", path], ["asymptotics", path])
+            ["verify", path], ["asymptotics", path],
+            *(["padic", path, "--prime", p] for p in ("2", "3", "5")))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(args) for args in commands]
-    before = "sympy" in sys.modules
-    codes.append(main(["padic", path, "--prime", "3"]))
-print(json.dumps({"codes": codes, "before": before, "after": "sympy" in sys.modules}))
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}))
 """
 
 
-def test_sympy_only_imported_for_padic(tmp_path, capsys):
+def test_cli_never_imports_sympy(tmp_path, capsys):
     path = tmp_path / "g.json"
-    run(["generate", "bouquet", "3", "5", "--output", str(path)], capsys)
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
     src = str(Path(ihara_towers.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 5, "before": False, "after": True}
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "sympy": False}
 
 
 @FUZZ

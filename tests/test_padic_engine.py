@@ -1,15 +1,17 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 from corpus import bouquet, fib, ord_p, random_int_poly
 
-from ihara_towers.errors import PrecisionExhausted
+from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     NewtonPolygon,
+    _factor_integer,
     _Zq,
     factor_mod_p,
     friedman_laws,
@@ -24,9 +26,10 @@ from ihara_towers.padic_engine import (
     padic_report,
     sequence_classes,
     unit_root_structure,
+    valuation,
     washington_invariants,
 )
-from ihara_towers.polyring import IntPoly
+from ihara_towers.polyring import IntPoly, cyclotomic_polynomial
 
 J_FIB = IntPoly((-1, -3, -1))
 
@@ -150,6 +153,40 @@ def test_factor_mod_p_matches_trial_division():
     assert repeated > 30
 
 
+def test_factor_mod_p_matches_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+
+    rng = random.Random(71)
+    kinds = Counter()
+    for _ in range(1200):
+        p = rng.choice((2, 2, 3, 3, 5, 7, 11, 13, 31))
+        kind = rng.choice(("plain", "plain", "square", "pth power"))
+        if kind == "square":
+            g = random_int_poly(rng, max_degree=4, bound=30)
+            f = g * g * random_int_poly(rng, max_degree=5, bound=30)
+        elif kind == "pth power":
+            # f(t) = h(t**p) times a cofactor that is often a constant
+            h = random_int_poly(rng, max_degree=max(1, 12 // p), bound=30)
+            f = IntPoly([c for hc in h.coeffs for c in (hc,) + (0,) * (p - 1)])
+            f = f * random_int_poly(rng, max_degree=2, bound=30)
+        else:
+            f = random_int_poly(rng, max_degree=14, bound=30)
+        if all(c % p == 0 for c in f.coeffs):
+            continue
+        _, factors = gf_factor(gf_from_int_poly(f.coeffs[::-1], p), p, ZZ)
+        expected = sorted(((IntPoly(g[::-1]), m) for g, m in factors),
+                          key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        assert factor_mod_p(f, p) == expected, (f, p)
+        kinds[kind] += 1
+        kinds["p = 2"] += p == 2
+        kinds["p = 3"] += p == 3
+        kinds["repeated factor"] += any(m > 1 for _, m in expected)
+        kinds["f' = 0 mod p"] += all(i * c % p == 0 for i, c in enumerate(f.coeffs))
+    assert sum(kinds[k] for k in ("plain", "square", "pth power")) >= 1000
+    assert min(kinds.values()) > 100, kinds
+
+
 # -- primes ----------------------------------------------------------------------
 
 
@@ -171,6 +208,54 @@ def test_is_prime_strong_pseudoprimes_and_mersenne_primes():
               3317044064679887385961981):
         assert not is_prime(n), n
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+# Primes of 80 bits p with (p - 1) / 2 prime: Pollard p - 1 learns nothing
+# from them and rho would need about 2**40 steps.
+SAFE_PRIMES_80 = (779104616247001073777123, 688395332917637777539343)
+
+
+def test_factor_integer_matches_sympy():
+    from sympy import factorint
+
+    rng = random.Random(79)
+    for _ in range(120):
+        # at most one prime factor above 32 bits, which rho leaves for last
+        bits = [rng.randint(2, 32) for _ in range(rng.randint(0, 3))]
+        m = 1
+        for b in bits + [rng.randint(2, 64)]:
+            q = rng.getrandbits(b) | (1 << (b - 1))
+            while not is_prime(q):
+                q += 1
+            m *= q ** rng.choice((1, 1, 2))
+        assert _factor_integer(m) == factorint(m), m
+
+
+def test_factor_integer_on_cyclotomic_values():
+    # Phi_d(p) for the prime p <= 31 and d <= 24: only two of the 251 values
+    # keep two prime factors above 2**36 after trial division, and they may
+    # exceed the effort bound
+    from sympy import factorint
+
+    hard = {949112181811268728834319677753, 154168597062479134669314941883571}
+    values = {cyclotomic_polynomial(d)(p) for p in range(2, 32) if is_prime(p)
+              for d in range(1, 25)}
+    assert len(values) == 251
+    for m in values:
+        try:
+            assert _factor_integer(m) == factorint(m), m
+        except OrderUnavailable:
+            assert m in hard, m
+
+
+def test_factor_integer_effort_is_bounded():
+    start = time.perf_counter()
+    try:
+        _factor_integer(SAFE_PRIMES_80[0] * SAFE_PRIMES_80[1])
+        assert False
+    except OrderUnavailable:
+        pass
+    assert time.perf_counter() - start < 10
 
 
 def test_prime_arguments_are_not_coerced():
@@ -316,12 +401,27 @@ def test_precision_cap_raises_precision_exhausted():
 
 def test_unit_root_structure_rejects_composite_prime():
     # 0 and 1 last: without the check they never return
-    for p in (4, 9, 15, 0, 1):
+    calls = (
+        lambda p: unit_root_structure(J_FIB, p),
+        lambda p: factor_mod_p(IntPoly((1, 3, 1)), p),
+        lambda p: multiplicative_order(IntPoly((1, 1, 1)), p),
+        lambda p: newton_polygon(J_FIB, p),
+        lambda p: ord_delta_exact(J_FIB, p, 3),
+        lambda p: nu_from_oracle(J_FIB, p, 3, 0, 0),
+    )
+    for call in calls:
+        for p in (4, 9, 15, 0, 1):
+            try:
+                call(p)
+                assert False, p
+            except ValueError as exc:
+                assert str(exc) == f"{p} is not prime"
+    for p in (1, 0, -3):
         try:
-            unit_root_structure(J_FIB, p)
+            valuation(12, p)
             assert False, p
-        except ValueError as exc:
-            assert str(exc) == f"{p} is not prime"
+        except ValueError:
+            pass
 
 
 def _fixed_point_constants(j1, g, p):
