@@ -25,6 +25,12 @@ They are computed in an unramified extension at a working precision that
 starts at DEFAULT_PRECISION p-adic digits and doubles until every distance
 is exact; past MAX_PRECISION, PrecisionExhausted is raised.
 
+nu_structural is the only place the constants are summed.  The Iwasawa,
+Washington and Friedman laws are the decomposition along p-power, ell-power
+and smooth subsequences: each reads lambda from lambda_for_n and the
+structural nu from nu_structural at the least n of its subsequence, and fits
+nu from exact values only when the unit part is ramified.
+
 Arithmetic in F_p[t]/(g) is the extension class at precision 1.  F_p
 factoring and integer factoring (residue orders) are local; sympy is imported
 only by is_prime, for integers of at least psi_13 = 3.3e24.
@@ -37,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
@@ -270,10 +276,31 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(n: int):
+    """(r, k) with n = r**k for the least prime k that allows it, else None."""
+    for k in range(2, n.bit_length() + 1):
+        if is_prime(k):
+            r = _integer_root(n, k)
+            if r ** k == n:
+                return r, k
+    return None
+
+
 def _factor_integer(m: int) -> dict:
     """Prime factorization of m >= 1 with a fixed effort, OrderUnavailable past
-    it: trial division below _TRIAL_LIMIT, then a composite non-square cofactor
-    is split by Pollard p - 1 (exponent lcm(1, ..., _PM1_BOUND)) or else rho."""
+    it: trial division below _TRIAL_LIMIT, then a composite cofactor that is
+    not a perfect power is split by Pollard p - 1 (exponent
+    lcm(1, ..., _PM1_BOUND)) or else rho."""
     out = {}
     if not is_prime(m):
         for d in range(2, _TRIAL_LIMIT):
@@ -288,8 +315,11 @@ def _factor_integer(m: int) -> dict:
         if is_prime(n):
             out[n] = out.get(n, 0) + 1
             continue
-        r = isqrt(n)
-        g = r if r * r == n else gcd(pow(2, lcm(*range(1, _PM1_BOUND + 1)), n) - 1, n)
+        power = _perfect_power(n)
+        if power:
+            stack += [power[0]] * power[1]
+            continue
+        g = gcd(pow(2, lcm(*range(1, _PM1_BOUND + 1)), n) - 1, n)
         if g in (1, n):
             g = _rho_divisor(n)
         stack += [g, n // g]
@@ -738,33 +768,21 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
 # ---------------------------------------------------------------------------
 
 
-def _is_one_root_factor(f: UnitFactor, p: int) -> bool:
-    return f.degree == 1 and f.poly(1) % p == 0
-
-
 def iwasawa_invariants(j: IntPoly, p: int):
     """(mu, lambda, nu, k0) with ord_p(D_{p**k}) = mu*p**k + lambda*k + nu for k >= k0.
 
-    lambda counts unit roots congruent to 1 mod the maximal ideal.  nu and the
-    threshold come from the structural path when the unit part is unramified,
-    otherwise from an exact fit on the p-power subsequence.
+    Residue orders are prime to p, so lambda = lambda_for_n(structure, 1)
+    counts the unit roots congruent to 1 mod the maximal ideal.  When the unit
+    part is unramified, k0 is the saturation exponent and nu is
+    nu_structural at p**k0; otherwise both come from an exact fit on the
+    p-power subsequence.
     """
     structure = unit_root_structure(j, p)
     mu = structure.mu
-    lam = sum(
-        f.multiplicity * f.degree
-        for f in structure.factors
-        if _is_one_root_factor(f, p)
-    )
-    data = structure.constants
-    if data is not None:
-        k0 = _saturation(structure)
-        nu = 0
-        for f in structure.factors:
-            if _is_one_root_factor(f, p):
-                rc = data[f]
-                nu += f.degree * (rc.w[rc.s] - rc.s)
-        return mu, lam, nu, k0
+    lam = lambda_for_n(structure, 1)
+    k0 = _saturation(structure)
+    if k0 is not None:
+        return mu, lam, nu_structural(structure, p ** k0), k0
     # Oracle fit.  Every root-to-Teichmueller distance is at least
     # 1/deg(j) (the ramification index is bounded by the degree), so the
     # saturation exponent s_p obeys p**s * (p-1) > deg(j); residues are
@@ -786,25 +804,21 @@ def iwasawa_invariants(j: IntPoly, p: int):
 
 
 def washington_invariants(j: IntPoly, p: int, ell: int):
-    """(mu, nu, k0) with ord_p(D_{ell**k}) = mu*ell**k + nu for k >= k0, p != ell."""
+    """(mu, nu, k0) with ord_p(D_{ell**k}) = mu*ell**k + nu for k >= k0, ell a prime != p.
+
+    k0 is the largest ord_ell of a residue order; nu is nu_structural at ell**k0
+    (ramified: the exact value there), checked exactly at k0, k0 + 1 and k0 + 2.
+    """
     if p == ell:
         raise ValueError("the two primes must be distinct")
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     structure = unit_root_structure(j, p)
     mu = structure.mu
-    orders = []
-    for f in structure.factors:
-        if f.order is None:
-            raise OrderUnavailable("a residue order is unavailable")
-        orders.append((f, f.order))
-    k0 = max((valuation(N, ell) if N % ell == 0 else 0 for _, N in orders), default=0)
-    data = structure.constants
-    if data is not None:
-        nu = 0
-        for f, N in orders:
-            if ell ** k0 % N == 0:
-                nu += f.degree * data[f].w[0]
-    else:
-        nu = None
+    if any(f.order is None for f in structure.factors):
+        raise OrderUnavailable("a residue order is unavailable")
+    k0 = max((valuation(f.order, ell) for f in structure.factors), default=0)
+    nu = nu_structural(structure, ell ** k0)
     # exact verification (and the oracle value in the ramified case)
     checks = [
         ord_delta_exact(j, p, ell ** k) - mu * ell ** k
@@ -890,47 +904,34 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
 
     For n = prod ell_i**k_i with every k_i past its threshold,
     ord_{ell_j}(D_n) = mu_{ell_j} * n + lam_j * k_j + nu_j, and for the
-    outside prime p the lam term is absent.  Each law is verified exactly on
-    all qualifying semigroup elements up to the bound.
+    outside prime p the lam term is absent.  At the least qualifying n0, lam is
+    lambda_for_n and nu is nu_structural (ramified: a fit).  Each law is
+    verified exactly on all qualifying semigroup elements up to the bound.
     """
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise ValueError("generator primes must be distinct")
     if p in primes:
         raise ValueError("the outside prime must not be a generator")
+    for ell in primes:
+        if not is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
 
     def law_for(observer: int, with_lambda: bool) -> FriedmanLaw:
         structure = unit_root_structure(j, observer)
         mu = structure.mu
-        chosen = []
-        for f in structure.factors:
-            if f.order is None:
-                raise OrderUnavailable("a residue order is unavailable")
-            if _smooth_over(f.order, primes):
-                chosen.append(f)
-        lam = sum(f.multiplicity * f.degree for f in chosen) if with_lambda else 0
-        thresholds = []
-        for ell in primes:
-            t = max(
-                (valuation(f.order, ell) if f.order % ell == 0 else 0 for f in chosen),
-                default=0,
-            )
-            thresholds.append(t)
-        data = structure.constants
-        if data is not None:
-            nu = 0
-            for f in chosen:
-                rc = data[f]
-                if with_lambda:
-                    nu += f.degree * (rc.w[rc.s] - rc.s)
-                else:
-                    nu += f.degree * rc.w[0]
-            if with_lambda:
-                sat = max((data[f].s for f in chosen), default=0)
-                idx = primes.index(observer)
-                thresholds[idx] = max(thresholds[idx], sat)
-        else:
-            nu = None
+        if any(f.order is None for f in structure.factors):
+            raise OrderUnavailable("a residue order is unavailable")
+        # The least qualifying element n0 is the lcm of the orders smooth over the
+        # generators (all prime to the observer), times observer**s for their
+        # largest saturation exponent s with lam: those orders divide n0.
+        chosen = [f for f in structure.factors if _smooth_over(f.order, primes)]
+        n0 = lcm(*(f.order for f in chosen))
+        if with_lambda and structure.constants is not None:
+            n0 *= observer ** max((structure.constants[f].s for f in chosen), default=0)
+        thresholds = tuple(valuation(n0, ell) for ell in primes)
+        lam = lambda_for_n(structure, n0) if with_lambda else 0
+        nu = nu_structural(structure, n0)
         # enumerate qualifying semigroup elements and verify (or fit) nu
         elements = _semigroup_elements(primes, bound)
         verified = False
@@ -945,7 +946,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
             verified = True
         if nu is None or not verified:
             raise AssertionError("no qualifying semigroup element below the bound")
-        return FriedmanLaw(observer, mu, lam, nu, tuple(thresholds))
+        return FriedmanLaw(observer, mu, lam, nu, thresholds)
 
     laws = {ell: law_for(ell, True) for ell in primes}
     laws[p] = law_for(p, False)

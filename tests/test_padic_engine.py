@@ -3,13 +3,15 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
-from corpus import bouquet, fib, ord_p, random_int_poly
+from corpus import acceptance_towers, bouquet, fib, ord_p, random_int_poly
 
 from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
+    FriedmanLaw,
     NewtonPolygon,
     _factor_integer,
     _Zq,
@@ -228,6 +230,19 @@ def test_factor_integer_matches_sympy():
             while not is_prime(q):
                 q += 1
             m *= q ** rng.choice((1, 1, 2))
+        assert _factor_integer(m) == factorint(m), m
+
+
+def test_factor_integer_splits_perfect_powers():
+    from sympy import factorint
+
+    rng = random.Random(83)
+    for _ in range(200):
+        b = rng.randint(2, 64)
+        q = rng.getrandbits(b) | (1 << (b - 1))
+        while not is_prime(q):
+            q += 1
+        m = q ** rng.choice((2, 3, 5, 7)) * rng.choice((1, 1, 6, 9991, 10007))
         assert _factor_integer(m) == factorint(m), m
 
 
@@ -542,6 +557,10 @@ def test_iwasawa_invariants_examples():
         assert (mu, lam, nu, k0) == (0, 1, 1, 0)
         for k in range(0, 4):
             assert ord_delta_exact(IntPoly((-1 - p, 1)), p, p ** k) == k + 1
+    # the root 3 of t - 3 saturates at p = 2 only from k = 1: 3**(2**k) - 1 has
+    # valuation k + 2 there, but 1 at k = 0
+    assert iwasawa_invariants(IntPoly((-3, 1)), 2) == (0, 1, 2, 1)
+    assert [ord_delta_exact(IntPoly((-3, 1)), 2, 2 ** k) for k in range(5)] == [1, 3, 4, 5, 6]
 
 
 def test_washington_invariants_examples():
@@ -551,6 +570,21 @@ def test_washington_invariants_examples():
     f = IntPoly((-1, 2))
     mu, nu, k0 = washington_invariants(f, 2, 3)
     assert (mu, nu, k0) == (0, 0, 0)
+
+
+def test_washington_invariants_reject_a_non_prime_ell():
+    for ell in (9, 4, 1, 0, -3):
+        try:
+            washington_invariants(J_FIB, 2, ell)
+            assert False, ell
+        except ValueError as exc:
+            assert str(exc) == f"{ell} is not prime"
+    for primes in ((2, 1), (2, 9), (2, 0)):
+        try:
+            friedman_laws(J_FIB, 7, primes, bound=300)
+            assert False, primes
+        except ValueError as exc:
+            assert str(exc) == f"{primes[1]} is not prime"
 
 
 def test_sequence_classes_fibonacci_p2():
@@ -614,6 +648,103 @@ def _semigroup(a, b, bound):
         x *= a
         i += 1
     return sorted(out)
+
+
+# -- the laws against explicit sums of the Teichmueller constants --------------
+# Each law reads lambda and nu from lambda_for_n and nu_structural at the least
+# n of its subsequence.  These references write the same values out as sums
+# over the residue factors of an unramified unit part.
+
+
+def _smooth(n, primes):
+    for ell in primes:
+        while n % ell == 0:
+            n //= ell
+    return n == 1
+
+
+def _reference_iwasawa(s):
+    ones = [f for f in s.factors if f.degree == 1 and f.poly(1) % s.prime == 0]
+    lam = sum(f.multiplicity * f.degree for f in ones)
+    nu = sum(f.degree * (s.constants[f].w[s.constants[f].s] - s.constants[f].s) for f in ones)
+    return s.mu, lam, nu, max((rc.s for rc in s.constants.values()), default=0)
+
+
+def _reference_washington(s, ell):
+    k0 = max((ord_p(f.order, ell) if f.order % ell == 0 else 0 for f in s.factors), default=0)
+    nu = sum(f.degree * s.constants[f].w[0] for f in s.factors if ell ** k0 % f.order == 0)
+    return s.mu, nu, k0
+
+
+def _reference_friedman(s, primes, with_lambda):
+    chosen = [f for f in s.factors if _smooth(f.order, primes)]
+    thresholds = [
+        max((ord_p(f.order, ell) if f.order % ell == 0 else 0 for f in chosen), default=0)
+        for ell in primes
+    ]
+    if not with_lambda:
+        return FriedmanLaw(s.prime, s.mu, 0, sum(f.degree * s.constants[f].w[0] for f in chosen),
+                           tuple(thresholds))
+    idx = primes.index(s.prime)
+    thresholds[idx] = max([thresholds[idx]] + [s.constants[f].s for f in chosen])
+    lam = sum(f.multiplicity * f.degree for f in chosen)
+    nu = sum(f.degree * (s.constants[f].w[s.constants[f].s] - s.constants[f].s) for f in chosen)
+    return FriedmanLaw(s.prime, s.mu, lam, nu, tuple(thresholds))
+
+
+def _law_pairs():
+    """Seeded (J, p) with deg J <= 12: the acceptance towers and random two-
+    and three-loop bouquets, at each p <= 7."""
+    polys = [ta.j_poly for _, ta in acceptance_towers().values()]
+    rng = random.Random(89)
+    while len(polys) < 120:
+        voltages = rng.sample([a for a in range(-5, 6) if a], rng.choice((2, 3)))
+        if gcd(*voltages) == 1:  # monodromy index 1
+            polys.append(analyze(bouquet(*voltages)).j_poly)
+    return [(j, p) for j in polys if j.degree <= 12 for p in (2, 3, 5, 7)]
+
+
+def test_laws_match_explicit_teichmueller_sums():
+    pairs = _law_pairs()
+    structures = {(j, p): unit_root_structure(j, p) for j, p in pairs}
+    unramified = friedman = ramified = 0
+    for j, p in pairs:
+        s = structures[j, p]
+        others = (2, 3) if p > 3 else (5 - p, 5)  # the two smallest other primes
+        if s.constants is None:
+            # ramified: no structural nu, so Washington fits the exact value at
+            # its threshold
+            assert nu_structural(s, 1) is None
+            mu, nu, k0 = washington_invariants(j, p, others[0])
+            assert nu == ord_delta_exact(j, p, others[0] ** k0) - mu * others[0] ** k0
+            ramified += 1
+            continue
+        assert iwasawa_invariants(j, p) == _reference_iwasawa(s), (j, p)
+        assert washington_invariants(j, p, others[0]) == _reference_washington(s, others[0])
+        unramified += 1
+        try:
+            laws = friedman_laws(j, p, others, bound=300)
+        except AssertionError:
+            continue  # a ramified generator or no qualifying element
+        for ell, law in laws.items():
+            if structures[j, ell].constants is not None:
+                assert law == _reference_friedman(structures[j, ell], others, ell != p), (j, p, ell)
+                friedman += 1
+    assert unramified >= 200 and ramified >= 100 and friedman >= 200
+
+
+def test_ramified_iwasawa_fits_the_least_threshold():
+    # the fit path reports the least k0 from which the p-power law holds,
+    # where the structural path would report the saturation exponent
+    checked = 0
+    for j, p in _law_pairs():
+        if p > 3 or unit_root_structure(j, p).constants is not None:
+            continue
+        mu, lam, nu, k0 = iwasawa_invariants(j, p)
+        law = [ord_delta_exact(j, p, p ** k) - mu * p ** k - lam * k for k in range(k0 + 3)]
+        assert law[k0:] == [nu] * 3 and (k0 == 0 or law[k0 - 1] != nu), (j, p)
+        checked += 1
+    assert checked >= 20
 
 
 # -- structural properties -----------------------------------------------------
