@@ -39,13 +39,15 @@ from .voltage_cover import VoltagedGraph, derived_graph, monodromy_index
 MAX_BITS_ENV = "IHARA_TOWERS_MAX_BITS"
 
 
-def _check_bits(value: int) -> int:
-    cap = os.environ.get(MAX_BITS_ENV)
-    if cap:
-        if abs(value).bit_length() > int(cap):
-            raise ResourceLimit(
-                f"integer exceeds {MAX_BITS_ENV}={cap} bits"
-            )
+def _bit_cap():
+    """The raw MAX_BITS_ENV setting, read once per public call; unset or empty
+    means no cap."""
+    return os.environ.get(MAX_BITS_ENV)
+
+
+def _check_bits(value: int, cap) -> int:
+    if cap and abs(value).bit_length() > int(cap):
+        raise ResourceLimit(f"integer exceeds {MAX_BITS_ENV}={cap} bits")
     return value
 
 
@@ -187,16 +189,17 @@ def pierce_lehmer(f: IntPoly, n: int) -> int:
         raise ValueError("zero polynomial")
     if n < 1:
         raise ValueError("n must be positive")
+    cap = _bit_cap()
     d = f.degree
     if d == 0:
-        return _check_bits(f.coeffs[0] ** n)
+        return _check_bits(f.coeffs[0] ** n, cap)
     monic = _monic_rescaling(f)
     power = IntPoly((1,))
     for bit in bin(n)[2:]:
         power = pseudo_rem(power * power, monic)
         if bit == "1":
             power = pseudo_rem(power.shift(1), monic)
-    return _check_bits(_delta_from_residue(monic, power, f.lead ** n))
+    return _check_bits(_delta_from_residue(monic, power, f.lead ** n), cap)
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
@@ -206,10 +209,11 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
         raise ValueError("zero polynomial")
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    cap = _bit_cap()
     d = f.degree
     if d == 0:
         c = f.coeffs[0]
-        return [_check_bits(c ** n) for n in range(1, n_max + 1)]
+        return [_check_bits(c ** n, cap) for n in range(1, n_max + 1)]
     a = f.lead
     monic = _monic_rescaling(f)
     power = IntPoly((1,))
@@ -218,7 +222,7 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
     for _ in range(n_max):
         power = pseudo_rem(power.shift(1), monic)
         a_pow *= a
-        out.append(_check_bits(_delta_from_residue(monic, power, a_pow)))
+        out.append(_check_bits(_delta_from_residue(monic, power, a_pow), cap))
     return out
 
 
@@ -233,20 +237,21 @@ def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     q, r = divmod(value, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: Pierce-Lehmer quotient is not an integer")
-    return _check_bits(q)
+    return q
 
 
 def kappa_via_formula(ta: TowerAnalysis, n: int) -> int:
     """Spanning trees of layer n from the Pierce-Lehmer quotient formula."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
+    return _check_bits(_kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n)), _bit_cap())
 
 
 def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
     """[kappa(X_1), ..., kappa(X_n_max)] via one incremental sweep."""
+    cap = _bit_cap()
     deltas = pierce_lehmer_range(ta.j_poly, n_max)
-    return [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, n_max + 1)]
+    return [_check_bits(_kappa_from_delta(ta, n, deltas[n - 1]), cap) for n in range(1, n_max + 1)]
 
 
 def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
@@ -254,7 +259,7 @@ def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     q, r = divmod(n ** ta.e * delta_n, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
-    return _check_bits(q)
+    return q
 
 
 def resultant_row(ta: TowerAnalysis, n: int) -> int:
@@ -262,7 +267,7 @@ def resultant_row(ta: TowerAnalysis, n: int) -> int:
     (-1)**(b*(n-1)) * kappa(X) * value."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
+    return _check_bits(_resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n)), _bit_cap())
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ valuations of powers of the lifted root, not of its distance to a
 fixed-point Teichmueller lift: with q = p**f the residue field size,
 ord(beta**(p**r) - omega(beta)**(p**r)) = ord(beta**((q - 1) * p**r) - 1).
 They are computed in an unramified extension at a working precision that
-starts at DEFAULT_PRECISION p-adic digits and doubles until every distance
-is exact; past MAX_PRECISION, PrecisionExhausted is raised.
+rises for each root on its own: from 2 p-adic digits, doubled with one more
+Newton step while a distance reaches it; past MAX_PRECISION,
+PrecisionExhausted is raised.
 
 nu_structural is the only place the constants are summed.  The Iwasawa,
 Washington and Friedman laws are the decomposition along p-power, ell-power
@@ -32,8 +33,8 @@ structural nu from nu_structural at the least n of its subsequence, and fits
 nu from exact values only when the unit part is ramified.
 
 Arithmetic in F_p[t]/(g) is the extension class at precision 1.  F_p
-factoring and integer factoring (residue orders) are local; sympy is imported
-only by is_prime, for integers of at least psi_13 = 3.3e24.
+factoring, integer factoring (residue orders) and primality (BPSW) are local,
+so this module never imports sympy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
 from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
 
-DEFAULT_PRECISION = 32
 MAX_PRECISION = 512
 
 # The effort of integer factoring (residue orders).  Past it, orders degrade
@@ -186,9 +186,8 @@ def factor_mod_p(f: IntPoly, p: int):
     """Complete factorization of f mod p into monic irreducibles.
 
     Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] sorted by
-    degree, then coefficients.  p must be prime (ValueError otherwise); sympy
-    is loaded only to decide that for p >= psi_13 = 3.3e24.  The random
-    splits are seeded, so the result is deterministic.
+    degree, then coefficients.  p must be prime (ValueError otherwise).  The
+    random splits are seeded, so the result is deterministic.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -208,7 +207,9 @@ def factor_mod_p(f: IntPoly, p: int):
 # ---------------------------------------------------------------------------
 
 # Miller-Rabin to the 13 prime bases 2..41 has no strong pseudoprime below
-# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)); sympy decides above.
+# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)).  Above it a strong
+# Lucas test is added, which makes the test BPSW: no composite is known to
+# pass it, and sympy's isprime runs the same strong BPSW test there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
@@ -221,10 +222,6 @@ def is_prime(n) -> bool:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{n} is not an integer") from None
-    if n >= _MR_EXACT_BELOW:
-        from sympy import isprime
-
-        return isprime(n)
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -242,7 +239,54 @@ def is_prime(n) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of an odd n > 41 with Selfridge's parameters P = 1,
+    Q = (1 - D) / 4, D the first of 5, -7, 9, -11, ... with (D/n) = -1
+    (Baillie and Wagstaff, Math. Comp. 35 (1980)): with n + 1 = d * 2**s,
+    n passes when U_d = 0 or some V_{d * 2**r}, r < s, is 0 mod n."""
+    if _integer_root(n, 2) ** 2 == n:  # (D/n) = -1 for no D
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0:  # 1 < gcd(D, n) < n
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # (U_k, V_k, Q**k) from k = 1 along the bits of d: k -> 2k, then k -> k + 1,
+    # where U_{k+1} = (U_k + V_k) / 2 and V_{k+1} = (D U_k + V_k) / 2 mod n
+    u, v, qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u, v, qk = (u + (u & 1) * n) // 2, (v + (v & 1) * n) // 2, qk * Q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 def _rho_divisor(n: int) -> int:
@@ -482,16 +526,7 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     if not ramified:
         if factors and vanishes_at_root_of_unity(j):
             raise ValueError("polynomial vanishes at a root of unity")
-        K = DEFAULT_PRECISION
-        while constants is None:
-            try:
-                constants = {f: _root_constants_at(p, f, K, j1) for f in factors}
-            except _NeedMorePrecision:
-                K *= 2
-                if K > MAX_PRECISION:
-                    raise PrecisionExhausted(
-                        f"p-adic precision exceeded {MAX_PRECISION} digits"
-                    )
+        constants = {f: _root_constants(p, f, j1) for f in factors}
     return UnitRootStructure(p, mu, lifted, tuple(factors), ramified, constants)
 
 
@@ -594,10 +629,6 @@ class _Zq:
         return acc
 
 
-class _NeedMorePrecision(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class _RootConstants:
     """Per-factor structural data: s_p and the summand valuations table."""
@@ -606,45 +637,46 @@ class _RootConstants:
     w: tuple  # w[r] = ord_p(beta**(p**r) - xi**(p**r)) for r = 0..s
 
 
-def _root_constants_at(p: int, factor: UnitFactor, K: int, j1: IntPoly) -> _RootConstants:
+def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
+    """s and w for the roots of j1 over the factor, read at K = 2 p-adic digits
+    and again at twice the digits while some w[r] reaches K."""
     residue = _residue_ring(factor.poly, p)
-    ring = _Zq(p, K, IntPoly(residue.modulus))
     dj1 = j1.derivative()
     # Coupled Newton iteration from the residue root: z follows 1/J1'(beta),
     # a unit because the unit part is squarefree mod p, so only its residue
-    # is inverted and each step doubles the precision of both.
-    beta = ring.generator()
-    z = ring.element(residue.inv(residue.eval_int_poly(dj1, residue.generator())))
-    two = ring.element([2])
-    for _ in range(max(2, K.bit_length() + 2)):
-        value = ring.eval_int_poly(j1, beta)
-        if not any(value):
-            break
-        beta = ring.sub(beta, ring.mul(value, z))
-        z = ring.mul(z, ring.sub(two, ring.mul(ring.eval_int_poly(dj1, beta), z)))
-    else:
-        raise VerificationMismatch("root lifting failed")
-    # beta = xi * u with xi**(q - 1) = 1, u = 1 mod p and q = p**f.  As q - 1
-    # is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) = ord(u**(p**r) - 1)
-    # = ord(beta**((q - 1) * p**r) - 1), so xi itself is never computed.
-    one = ring.element([1])
-    y = ring.pow(beta, p ** ring.f - 1)
-    v1 = ring.valuation(ring.sub(y, one))
-    if v1 >= K:
-        raise _NeedMorePrecision
-    if v1 < 1:
-        raise VerificationMismatch("a root is not congruent to its Teichmueller representative")
-    s = 0
-    while p ** s * (p - 1) * v1 <= 1:
-        s += 1
-    w = [v1]
-    for _ in range(s):
-        y = ring.pow(y, p)
-        vr = ring.valuation(ring.sub(y, one))
-        if vr >= K:
-            raise _NeedMorePrecision
-        w.append(vr)
-    return _RootConstants(s, tuple(w))
+    # is inverted.  Both are exact to K // 2 digits on entry to precision K,
+    # so one step there makes beta exact to K; z is refined only to go on.
+    beta = residue.generator()
+    z = residue.inv(residue.eval_int_poly(dj1, beta))
+    K = 2
+    while True:
+        ring = _Zq(p, K, IntPoly(residue.modulus))
+        beta = ring.sub(beta, ring.mul(ring.eval_int_poly(j1, beta), z))
+        if any(ring.eval_int_poly(j1, beta)):
+            raise VerificationMismatch("root lifting failed")
+        # beta = xi * u with xi**(q - 1) = 1, u = 1 mod p and q = p**f.  As
+        # q - 1 is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) =
+        # ord(u**(p**r) - 1) = ord(beta**((q - 1) * p**r) - 1), so xi itself
+        # is never computed.
+        one = ring.element([1])
+        y = ring.pow(beta, p ** ring.f - 1)
+        w = [ring.valuation(ring.sub(y, one))]
+        if w[0] < 1:
+            raise VerificationMismatch(
+                "a root is not congruent to its Teichmueller representative"
+            )
+        s = 0
+        while p ** s * (p - 1) * w[0] <= 1:
+            s += 1
+        for _ in range(s):
+            y = ring.pow(y, p)
+            w.append(ring.valuation(ring.sub(y, one)))
+        if max(w) < K:
+            return _RootConstants(s, tuple(w))
+        K *= 2
+        if K > MAX_PRECISION:
+            raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
+        z = ring.mul(z, ring.sub(ring.element([2]), ring.mul(ring.eval_int_poly(dj1, beta), z)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .errors import (
     VerificationMismatch,
 )
 from .ihara import (
+    _bit_cap,
+    _check_bits,
     _resultant_from_delta,
     analyze,
     kappa_sequence,
@@ -219,6 +221,7 @@ def cmd_analyze(args) -> int:
 def cmd_table(args) -> int:
     vg = load_graph(args.graph)
     ta = analyze(vg)
+    cap = _bit_cap()
     deltas = pierce_lehmer_range(ta.j_poly, args.n_max)
     kappas = kappa_sequence(ta, args.n_max)
     rows = []
@@ -227,7 +230,7 @@ def cmd_table(args) -> int:
             {
                 "n": n,
                 "kappa": str(kappas[n - 1]),
-                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1])),
+                "resultant": str(_check_bits(_resultant_from_delta(ta, n, deltas[n - 1]), cap)),
                 "delta": str(deltas[n - 1]),
             }
         )

@@ -2,7 +2,7 @@ import random
 
 from corpus import bouquet, dumbbell, fib, random_connected_voltaged_graph, random_int_poly, random_tower
 
-from ihara_towers.errors import HypothesisViolation, VerificationMismatch
+from ihara_towers.errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from ihara_towers.ihara import (
     _kappa_from_delta,
     analyze,
@@ -138,6 +138,43 @@ def test_kappa_via_formula_table():
     assert tuple(kappa_via_formula(ta, n) for n in range(1, 11)) == KAPPA_35
     assert kappa_via_formula(ta, 1) == ta.kappa_base
     assert tuple(kappa_sequence(ta, 10)) == KAPPA_35
+
+
+def test_bit_cap_bounds_every_pierce_lehmer_entry_point(monkeypatch):
+    # With the cap at the largest delta for n <= 12, only the checks on
+    # kappas and resultant rows can stop the calls that must raise.
+    ta = analyze(bouquet(1, 2))
+    monkeypatch.delenv("IHARA_TOWERS_MAX_BITS", raising=False)
+    deltas, kappas = pierce_lehmer_range(ta.j_poly, 12), kappa_sequence(ta, 12)
+    rows = [resultant_row(ta, n) for n in range(1, 13)]
+    cap = max(abs(d).bit_length() for d in deltas)
+    n_kappa = next(n for n, k in enumerate(kappas, 1) if abs(k).bit_length() > cap)
+    n_row = next(n for n, r in enumerate(rows, 1) if abs(r).bit_length() > cap)
+    raising = (
+        lambda: kappa_sequence(ta, 12),
+        lambda: kappa_via_formula(ta, n_kappa),
+        lambda: resultant_row(ta, n_row),
+        lambda: pierce_lehmer_range(ta.j_poly, 13),
+        lambda: pierce_lehmer(ta.j_poly, 40),
+    )
+    monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", str(cap))
+    assert pierce_lehmer_range(ta.j_poly, 12) == deltas
+    assert pierce_lehmer(ta.j_poly, 12) == deltas[-1]
+    for call in raising:
+        try:
+            call()
+            assert False
+        except ResourceLimit as exc:
+            assert str(exc) == f"integer exceeds IHARA_TOWERS_MAX_BITS={cap} bits"
+    for setting in ("", None):
+        if setting is None:
+            monkeypatch.delenv("IHARA_TOWERS_MAX_BITS")
+        else:
+            monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", setting)
+        assert kappa_sequence(ta, 12) == kappas
+        assert kappa_via_formula(ta, n_kappa) == kappas[n_kappa - 1]
+        assert resultant_row(ta, n_row) == rows[n_row - 1]
+        assert pierce_lehmer_range(ta.j_poly, 13)[:12] == deltas
 
 
 def test_kappa_from_delta_rejects_non_integral_quotient():

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from corpus import acceptance_towers, bouquet, fib, ord_p, random_int_poly
 
+import ihara_towers
 from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
@@ -14,6 +19,7 @@ from ihara_towers.padic_engine import (
     FriedmanLaw,
     NewtonPolygon,
     _factor_integer,
+    _strong_lucas_probable_prime,
     _Zq,
     factor_mod_p,
     friedman_laws,
@@ -210,6 +216,50 @@ def test_is_prime_strong_pseudoprimes_and_mersenne_primes():
               3317044064679887385961981):
         assert not is_prime(n), n
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+def test_is_prime_bpsw_matches_sympy():
+    # above psi_13 both run strong BPSW; is_prime adds Miller-Rabin bases 3..41
+    from sympy import isprime, nextprime
+
+    rng = random.Random(89)
+    for _ in range(5000):
+        n = rng.getrandbits(rng.randint(82, 256)) | 1
+        assert is_prime(n) == isprime(n), n
+    for _ in range(300):
+        q = nextprime(rng.getrandbits(rng.randint(6, 128)))
+        r = nextprime(rng.getrandbits(rng.randint(82, 128)))
+        assert is_prime(r) and isprime(r), r
+        assert not is_prime(q * r) and not isprime(q * r), (q, r)
+    assert not is_prime(r * r)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # below psi_13 Miller-Rabin decides alone, so the Lucas half is checked
+    # directly, on odd n with no prime factor up to 41 as is_prime hands it
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    passed = []
+    for n in range(43, 60_000, 2):
+        if gcd(n, 304250263527210) == 1:  # the product of the primes 2..41
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+            if _strong_lucas_probable_prime(n) and not is_prime(n):
+                passed.append(n)
+    # the strong Lucas pseudoprimes below 60000 (OEIS A217255), squares excluded
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+
+
+def test_is_prime_never_imports_sympy():
+    script = ("import sys\n"
+              "from ihara_towers.padic_engine import is_prime\n"
+              "print(is_prime(2**127 - 1), is_prime(3317044064679887385961981), "
+              "'sympy' in sys.modules)")
+    src = str(Path(ihara_towers.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]
 
 
 # Primes of 80 bits p with (p - 1) / 2 prime: Pollard p - 1 learns nothing
@@ -479,7 +529,9 @@ def test_root_constants_match_teichmueller_fixed_point():
     # zeta_3 * (1 + 2**40) at p = 2: a degree-2 residue factor whose
     # distance 40 needs the precision doubled
     c = 1 + 2 ** 40
-    cases = [(IntPoly((c * c, c, 1)), 2), (IntPoly((-(1 + 3 ** 35), 1)), 3)]
+    # and at p = 3 two roots whose distances 30 and 1 need different precisions
+    cases = [(IntPoly((c * c, c, 1)), 2), (IntPoly((-(1 + 3 ** 35), 1)), 3),
+             (IntPoly((-(1 + 3 ** 30), 1)) * IntPoly((-2, 1)), 3)]
     pairs = doubled = 0
     degrees = Counter()
     while pairs < 300:
