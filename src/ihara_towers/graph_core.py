@@ -8,9 +8,9 @@ Two independent spanning-tree counters live here, and the rest of the
 repository treats them as ground truth.  Both read only the adjacency of the
 graph they are given (no vertex labels, voltages or cover structure):
 
-- the reduced-Laplacian determinant, in Cuthill-McKee vertex order with
-  fraction-free symmetric Bareiss elimination kept inside the band (exact,
-  no floating point);
+- the reduced-Laplacian determinant, by fraction-free symmetric Bareiss
+  elimination on sparse rows in minimum-degree order (exact, no floating
+  point);
 - a brute-force enumeration of edge sets by include/exclude backtracking
   over a union-find, which never uses a determinant.
 """
@@ -18,6 +18,7 @@ graph they are given (no vertex labels, voltages or cover structure):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import VerificationMismatch
 
@@ -99,128 +100,93 @@ def is_connected(g: SerreGraph) -> bool:
     return all(seen)
 
 
-def _bfs_levels(adj, root: int) -> list:
-    """Level structure of a breadth-first search from root: a list of levels."""
-    seen = {root}
-    levels = [[root]]
-    while True:
-        level = []
-        for v in levels[-1]:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    level.append(w)
-        if not level:
-            return levels
-        levels.append(level)
+def _min_degree_det(rows) -> int:
+    """Determinant of a symmetric positive-definite integer matrix, consumed.
 
-
-def _cuthill_mckee(adj):
-    """Cuthill-McKee vertex order of a graph given by adjacency dicts, or None
-    when the graph is disconnected.
-
-    The root is pseudo-peripheral (George-Liu): from a vertex of least
-    degree, move to a least-degree vertex of the last BFS level while that
-    deepens the level structure.  The BFS from the root then appends the
-    unvisited neighbours of each vertex by increasing degree, which keeps
-    every edge between nearby positions (a small bandwidth).
+    rows maps each index i to a dict {j: entry (i, j)} of the nonzero entries
+    of row i, diagonal included.  Fraction-free symmetric Bareiss in minimum-
+    degree order (Tinney-Walker; George-Liu): the next pivot k is a live index
+    whose row has the fewest entries, ties by index, popped from a heap whose
+    stale entries are skipped.  After pivots p_1..p_k, entry (i, j) is the
+    minor on the pivot rows and row i against the pivot columns and column j,
+    and the update is a_ij <- (p_k a_ij - a_ik a_kj) / p_{k-1}, computed once
+    for both (i, j) and (j, i).  A row the pivot does not reach only scales by
+    p_k / p_{k-1}, so it is not rewritten: each row keeps the step s of its
+    last update and is scaled by p_{k-1} / p_s when it is next read, exact
+    because both values are minors.  Every pivot is positive for a positive-
+    definite matrix; one that is not raises VerificationMismatch.
     """
-    n = len(adj)
-    degree = [len(a) for a in adj]
-    root = min(range(n), key=lambda v: (degree[v], v))
-    levels = _bfs_levels(adj, root)
-    if sum(map(len, levels)) < n:
-        return None
-    while True:
-        w = min(levels[-1], key=lambda v: (degree[v], v))
-        w_levels = _bfs_levels(adj, w)
-        if len(w_levels) <= len(levels):
-            break
-        root, levels = w, w_levels
-    order = [root]
-    seen = [False] * n
-    seen[root] = True
-    for v in order:  # grows while it is scanned: this is the BFS queue
-        fresh = sorted((w for w in adj[v] if not seen[w]), key=lambda w: (degree[w], w))
-        for w in fresh:
-            seen[w] = True
-        order += fresh
-    return order
-
-
-def _banded_det(band, b: int) -> int:
-    """Determinant of a symmetric positive-definite matrix of bandwidth b.
-
-    band[i][d] holds entry (i, i + d) for 0 <= d <= b (the upper band; zero
-    past the last row).  Fraction-free symmetric Bareiss: after step k,
-    entry (i, j) with i, j > k is the minor on rows 0..k, i and columns
-    0..k, j, and the pivot p_k is the leading principal minor of order k + 1.
-    When column j has no entry in rows 0..k (j > k + b) that minor is just
-    p_k times the original entry, so a column is left untouched until it
-    enters the window at step j - b, where it is multiplied once by p_{j-b-1};
-    only the triangle of rows and columns k + 1..k + b is updated at step k.
-    Every pivot is positive for a positive-definite matrix; one that is not
-    raises VerificationMismatch.
-    """
-    m = len(band)
-    prev = 1
-    for k in range(m):
-        entering = k + b
-        if entering < m and prev != 1:
-            for i in range(k, entering + 1):
-                band[i][entering - i] *= prev
-        wk = band[k]
-        pk = wk[0]
+    pivots = [1]
+    stamp = dict.fromkeys(rows, 0)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    while heap:
+        size, k = heappop(heap)
+        pivot_row = rows.get(k)
+        if pivot_row is None or len(pivot_row) != size:
+            continue
+        del rows[k]
+        prev = pivots[-1]
+        ps = pivots[stamp[k]]
+        if ps != prev:
+            pivot_row = {j: a * prev // ps for j, a in pivot_row.items()}
+        pk = pivot_row.pop(k)
         if pk <= 0:
             raise VerificationMismatch(
-                f"leading minor {k + 1} of a reduced Laplacian is {pk}, not positive"
+                f"pivot {len(pivots)} of a reduced Laplacian is {pk}, not positive"
             )
-        w = min(b, m - 1 - k)
-        for s in range(1, w + 1):
-            wi = band[k + s]
-            mik = wk[s]
-            width = w - s + 1
-            if mik:
-                wi[:width] = [(x * pk - mik * y) // prev for x, y in zip(wi, wk[s:w + 1])]
-            else:
-                wi[:width] = [x * pk // prev for x in wi[:width]]
-        prev = pk
-    return prev
+        reached = list(pivot_row.items())
+        old, new = [], []
+        for i in pivot_row:
+            row = rows[i]
+            before = len(row)
+            del row[k]
+            ps = pivots[stamp[i]]
+            # entries outside the pivot row go from step s to this step at once
+            updated = {j: a * pk // ps for j, a in row.items() if j not in pivot_row}
+            if ps != prev:
+                row = {j: a * prev // ps for j, a in row.items() if j in pivot_row}
+            old.append(row.get)
+            new.append(updated)
+            rows[i] = updated
+            stamp[i] = len(pivots)
+            after = len(updated) + len(pivot_row)
+            if after != before:
+                heappush(heap, (after, i))
+        for t, (i, aik) in enumerate(reached):
+            get, row_i = old[t], new[t]
+            for (j, akj), row_j in zip(reached[t:], new[t:]):
+                row_i[j] = row_j[i] = (pk * get(j, 0) - aik * akj) // prev
+        pivots.append(pk)
+    return pivots[-1]
 
 
 def spanning_tree_count(g: SerreGraph) -> int:
     """Number of spanning trees via the reduced Laplacian determinant.
 
-    The vertices are put in Cuthill-McKee order, computed from the adjacency
-    alone (no labels), and the first one is deleted; the reduced Laplacian is
-    then banded and positive definite, and _banded_det eliminates inside the
-    band.  Loops cancel in the Laplacian.  A single-vertex graph has one
-    spanning tree, the empty one.  Disconnected graphs return 0.
+    The reduced Laplacian drops vertex 0 and is kept as sparse dict rows,
+    built from the adjacency alone (no labels); _min_degree_det eliminates it
+    in minimum-degree order.  Loops cancel in the Laplacian.  A single-vertex
+    graph has one spanning tree, the empty one.  A disconnected graph returns
+    0 before any elimination.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    adj = [{} for _ in range(n)]
+    if not is_connected(g):
+        return 0
+    rows = {v: {v: 0} for v in range(n)}
     for e in g.edge_pairs:
         u, v = e.origin, e.terminus
         if u != v:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    order = _cuthill_mckee(adj)
-    if order is None:
-        return 0
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i - 1  # row of v in the reduced Laplacian; the root gets -1
-    b = max((pos[w] - pos[v] for v in order[1:] for w in adj[v] if pos[w] > pos[v]), default=0)
-    band = [[0] * (b + 1) for _ in range(n - 1)]
-    for v in order[1:]:
-        row = band[pos[v]]
-        row[0] = sum(adj[v].values())
-        for w, c in adj[v].items():
-            if pos[w] > pos[v]:
-                row[pos[w] - pos[v]] = -c
-    return _banded_det(band, b)
+            rows[u][u] += 1
+            rows[v][v] += 1
+            rows[u][v] = rows[u].get(v, 0) - 1
+            rows[v][u] = rows[v].get(u, 0) - 1
+    for v in rows.pop(0):
+        if v:
+            del rows[v][0]
+    return _min_degree_det(rows)
 
 
 BRUTE_FORCE_PAIR_LIMIT = 24

@@ -128,6 +128,20 @@ def _gf_gcd(f, g, p):
     return [c * inv % p for c in f]
 
 
+def _gf_inverse(a, g, p):
+    """The inverse of a modulo g over F_p, by the extended Euclidean algorithm
+    tracking only the cofactor of a; VerificationMismatch unless gcd(a, g) = 1."""
+    r0, r1, s0, s1 = list(g), _gf_trim(list(a)), IntPoly(), IntPoly([1])
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, IntPoly([c % p for c in (s0 - IntPoly(q) * s1).coeffs])
+    if len(r0) != 1:
+        raise VerificationMismatch("attempted to invert a non-unit")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0.coeffs]
+
+
 def _gf_squarefree(f, p):
     """[(g, m)] with the monic f = prod g**m, the g squarefree and coprime."""
     out, e = [], 1
@@ -598,18 +612,6 @@ class _Zq:
                 base = self.mul(base, base)
         return result
 
-    def inv(self, a):
-        """Inverse of a unit.  The residue field has p**f elements, so
-        a**(p**f - 2) inverts a mod p; each Newton step z -> z*(2 - a*z)
-        then doubles the p-adic precision."""
-        z = self.pow(a, self.p ** self.f - 2)
-        two = self.element([2])
-        for _ in range((self.K - 1).bit_length()):
-            z = self.mul(z, self.sub(two, self.mul(a, z)))
-        if self.mul(a, z) != self.element([1]):
-            raise VerificationMismatch("attempted to invert a non-unit")
-        return z
-
     def valuation(self, a) -> int:
         """min ord_p over coordinates; returns K for zero (meaning >= K)."""
         best = self.K
@@ -647,7 +649,9 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
     # is inverted.  Both are exact to K // 2 digits on entry to precision K,
     # so one step there makes beta exact to K; z is refined only to go on.
     beta = residue.generator()
-    z = residue.inv(residue.eval_int_poly(dj1, beta))
+    z = residue.element(
+        _gf_inverse(residue.eval_int_poly(dj1, beta), residue.modulus, p)
+    )
     K = 2
     while True:
         ring = _Zq(p, K, IntPoly(residue.modulus))

@@ -3,9 +3,11 @@ from itertools import combinations
 
 from corpus import degree_and_adjacency, named_towers, random_connected_voltaged_graph, random_tower
 
+from ihara_towers import voltaged_graph
 from ihara_towers.errors import VerificationMismatch
 from ihara_towers.graph_core import (
-    _banded_det,
+    BRUTE_FORCE_PAIR_LIMIT,
+    _min_degree_det,
     build_graph,
     euler_characteristic,
     is_connected,
@@ -160,7 +162,7 @@ def test_matrix_tree_equals_bruteforce_on_corpus():
 
 
 def test_symmetric_elimination_matches_general_bareiss():
-    # banded elimination in Cuthill-McKee order against dense general Bareiss
+    # sparse elimination in minimum-degree order against dense general Bareiss
     rng = random.Random(77)
     graphs = [random_multigraph(rng) for _ in range(300)]
     graphs += [random_multigraph(rng, max_vertices=2, max_pairs=5) for _ in range(40)]
@@ -171,7 +173,8 @@ def test_symmetric_elimination_matches_general_bareiss():
 
 
 def test_banded_count_matches_dense_on_layers():
-    # derived layers of 4-vertex, 6-pair bases with voltages in [-6, 6]
+    # derived layers of 4-vertex, 6-pair bases with voltages in [-6, 6]: the
+    # long cyclic graphs of the verify workload, where fill-in is largest
     rng = random.Random(78)
     checked = 0
     while checked < 3:
@@ -184,13 +187,40 @@ def test_banded_count_matches_dense_on_layers():
         checked += 1
 
 
-def test_banded_elimination_rejects_non_positive_pivot():
+def test_min_degree_elimination_rejects_non_positive_pivot():
     # the unreduced Laplacian of the path 0 - 1 - 2 is singular
     try:
-        _banded_det([[1, -1], [2, -1], [1, 0]], 1)
+        _min_degree_det({0: {0: 1, 1: -1}, 1: {0: -1, 1: 2, 2: -1}, 2: {1: -1, 2: 1}})
         assert False
     except VerificationMismatch:
         pass
+
+
+def test_disconnected_layer_counts_zero():
+    # voltages 2 and 4 reach only even residues, so layer 4 has two components;
+    # its reduced Laplacian is singular, and the count is 0, not a zero pivot
+    layer = derived_graph(voltaged_graph(1, [(0, 0, 2), (0, 0, 4)]), 4)
+    assert not is_connected(layer)
+    assert spanning_tree_count(layer) == 0
+
+
+def test_min_degree_count_matches_dense_and_bruteforce_on_random_layers():
+    # derived layers of random voltaged bases with random endpoints, so some
+    # bases are disconnected and some layers split by their monodromy
+    rng = random.Random(80)
+    layers = []
+    for _ in range(640):
+        v = rng.randint(1, 3)
+        pairs = rng.randint(0, 5)
+        edges = [(rng.randrange(v), rng.randrange(v), rng.randint(-4, 4)) for _ in range(pairs)]
+        layers.append(derived_graph(voltaged_graph(v, edges), rng.randint(1, 5)))
+    assert sum(not is_connected(g) for g in layers) >= 100
+    assert sum(g.vertex_count == 1 for g in layers) >= 10
+    for g in layers:
+        count = spanning_tree_count(g)
+        assert count == dense_matrix_tree(g)
+        if len(g.edge_pairs) <= BRUTE_FORCE_PAIR_LIMIT:
+            assert count == spanning_tree_count_bruteforce(g)
 
 
 def test_bruteforce_matches_combinations_reference():
@@ -228,6 +258,7 @@ def test_tree_count_invariant_under_relabeling():
         assert spanning_tree_count(g) == spanning_tree_count(relabeled)
         if len(g.edge_pairs) <= 12:
             assert spanning_tree_count_bruteforce(g) == spanning_tree_count_bruteforce(relabeled)
+    # minimum-degree ties go by vertex index, so relabelling changes the pivot order
     for _ in range(10):
         vg = random_tower(rng)
         pairs = len(vg.base.edge_pairs)

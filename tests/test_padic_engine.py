@@ -12,13 +12,16 @@ from pathlib import Path
 from corpus import acceptance_towers, bouquet, fib, ord_p, random_int_poly
 
 import ihara_towers
-from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
+from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     FriedmanLaw,
     NewtonPolygon,
     _factor_integer,
+    _gf_gcd,
+    _gf_inverse,
+    _gf_trim,
     _strong_lucas_probable_prime,
     _Zq,
     factor_mod_p,
@@ -489,6 +492,38 @@ def test_unit_root_structure_rejects_composite_prime():
             pass
 
 
+def _zq_inverse(ring, a):
+    """Inverse of a unit of ring: a**(p**f - 2) inverts it mod p, and each
+    Newton step z -> z*(2 - a*z) then doubles the p-adic precision."""
+    z = ring.pow(a, ring.p ** ring.f - 2)
+    two = ring.element([2])
+    for _ in range((ring.K - 1).bit_length()):
+        z = ring.mul(z, ring.sub(two, ring.mul(a, z)))
+    assert ring.mul(a, z) == ring.element([1])
+    return z
+
+
+def test_gf_inverse_inverts_exactly_the_units():
+    # random monic g mod p, reducible or not: a is inverted iff gcd(a, g) = 1
+    rng = random.Random(81)
+    units = non_units = 0
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 31))
+        f = rng.randint(1, 6)
+        ring = _Zq(p, 1, IntPoly([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(f - 1)] + [1]))
+        a = ring.element([rng.randrange(p) for _ in range(f)])
+        coprime = len(_gf_gcd(list(ring.modulus), _gf_trim(list(a)), p)) == 1
+        try:
+            inverse = _gf_inverse(a, ring.modulus, p)
+        except VerificationMismatch:
+            assert not coprime
+            non_units += 1
+            continue
+        assert coprime and ring.mul(a, ring.element(inverse)) == ring.element([1])
+        units += 1
+    assert units > 200 and non_units > 20
+
+
 def _fixed_point_constants(j1, g, p):
     """(s, w) for the roots of j1 over the residue factor g, by the
     Teichmueller lift itself: beta by plain Newton, xi as the fixed point of
@@ -500,7 +535,7 @@ def _fixed_point_constants(j1, g, p):
         beta = ring.element([0, 1] if g.degree > 1 else [-g.coeffs[0]])
         for _ in range(K.bit_length() + 2):
             step = ring.mul(ring.eval_int_poly(j1, beta),
-                            ring.inv(ring.eval_int_poly(j1.derivative(), beta)))
+                            _zq_inverse(ring, ring.eval_int_poly(j1.derivative(), beta)))
             beta = ring.sub(beta, step)
         assert not any(ring.eval_int_poly(j1, beta))
         xi = beta
