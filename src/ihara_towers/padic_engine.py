@@ -32,7 +32,9 @@ and smooth subsequences: each reads lambda from lambda_for_n and the
 structural nu from nu_structural at the least n of its subsequence, and fits
 nu from exact values only when the unit part is ramified.
 
-Arithmetic in F_p[t]/(g) is the extension class at precision 1.  F_p
+An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
+Z/p**K[t]/(g) is one kind of value, a low-first list of ints, and every
+modular product and power goes through one division routine.  F_p
 factoring, integer factoring (residue orders) and primality (BPSW) are local,
 so this module never imports sympy.
 """
@@ -42,8 +44,9 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
@@ -83,25 +86,9 @@ def content_valuation(f: IntPoly, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Arithmetic and factoring in F_p[t]
 # ---------------------------------------------------------------------------
-# A polynomial over F_p is a list of ints in [0, p), t**0 first as in
-# IntPoly.coeffs, with no trailing zeros; it is powered in _Zq(p, 1, g).
-
-
-def _residue_ring(g: IntPoly, p: int) -> "_Zq":
-    """F_p[t]/(g), with g made monic mod p; ValueError unless t is a unit."""
-    h = IntPoly([c % p for c in g.coeffs])
-    if h.is_zero() or h.coeffs[0] == 0:
-        raise ValueError("t must be a unit modulo g")
-    if h.degree < 1:
-        raise ValueError("g must have positive degree modulo p")
-    inv = pow(h.lead, -1, p)
-    return _Zq(p, 1, IntPoly([c * inv % p for c in h.coeffs]))
-
-
-def _t_power_is_one(n: int, g: IntPoly, p: int) -> bool:
-    """Whether t**n = 1 in F_p[t]/(g)."""
-    ring = _residue_ring(g, p)
-    return ring.pow(ring.generator(), n) == ring.element([1])
+# An element of F_p[t], F_p[t]/(g) or Z/p**K[t]/(g) is a list of ints in
+# [0, q), q = p or p**K, t**0 first as in IntPoly.coeffs, with no trailing
+# zeros.  Every modular product and power is reduced by _gf_divmod.
 
 
 def _gf_trim(f):
@@ -110,14 +97,61 @@ def _gf_trim(f):
     return f
 
 
-def _gf_divmod(f, g, p):
-    """(quotient, remainder) of f by a nonzero g over F_p."""
-    r, q, inv = list(f), [], pow(g[-1], -1, p)
-    for k in range(len(f) - len(g), -1, -1):
-        q.append(r[k + len(g) - 1] * inv % p)
-        for i, x in enumerate(g):
-            r[k + i] = (r[k + i] - q[-1] * x) % p
-    return _gf_trim(q[::-1]), _gf_trim(r[: len(g) - 1])
+def _gf_monic(g: IntPoly, p: int) -> list:
+    """g mod p made monic; ValueError unless t is a unit modulo it."""
+    h = _gf_trim([c % p for c in g.coeffs])
+    if not h or h[0] == 0:
+        raise ValueError("t must be a unit modulo g")
+    if len(h) < 2:
+        raise ValueError("g must have positive degree modulo p")
+    inv = pow(h[-1], -1, p)
+    return [c * inv % p for c in h]
+
+
+def _gf_divmod(f, g, q):
+    """(quotient, remainder) of f by g over Z/qZ, for g whose leading
+    coefficient is a unit mod q.  Each coefficient is reduced once, when it
+    leads, and the remainder at the end."""
+    r, quot, inv, low, n = list(f), [], pow(g[-1], -1, q), g[:-1], len(g) - 1
+    for k in range(len(f) - 1 - n, -1, -1):
+        c = r[k + n] * inv % q
+        quot.append(c)
+        if c:
+            for i, x in enumerate(low):
+                r[k + i] -= c * x
+    return _gf_trim(quot[::-1]), _gf_trim([c % q for c in r[:n]])
+
+
+def _gf_sub(a, b, q):
+    """a - b over Z/qZ."""
+    return _gf_trim([(u - v) % q for u, v in zip_longest(a, b, fillvalue=0)])
+
+
+def _gf_mul(a, b):
+    """The product of a and b, coefficients unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _gf_mulmod(a, b, g, q):
+    """a * b modulo g over Z/qZ."""
+    return _gf_divmod(_gf_mul(a, b), g, q)[1]
+
+
+def _gf_powmod(a, e, g, q):
+    """a**e modulo g over Z/qZ, for deg g >= 1, by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _gf_mulmod(result, a, g, q)
+        e >>= 1
+        if e:
+            a = _gf_mulmod(a, a, g, q)
+    return result
 
 
 def _gf_gcd(f, g, p):
@@ -131,15 +165,15 @@ def _gf_gcd(f, g, p):
 def _gf_inverse(a, g, p):
     """The inverse of a modulo g over F_p, by the extended Euclidean algorithm
     tracking only the cofactor of a; VerificationMismatch unless gcd(a, g) = 1."""
-    r0, r1, s0, s1 = list(g), _gf_trim(list(a)), IntPoly(), IntPoly([1])
+    r0, r1, s0, s1 = list(g), _gf_trim(list(a)), [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        quot, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, IntPoly([c % p for c in (s0 - IntPoly(q) * s1).coeffs])
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(quot, s1), p)
     if len(r0) != 1:
         raise VerificationMismatch("attempted to invert a non-unit")
     inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0.coeffs]
+    return [c * inv % p for c in s0]
 
 
 def _gf_squarefree(f, p):
@@ -162,12 +196,10 @@ def _gf_squarefree(f, p):
 def _gf_irreducible_factors(f, p, rng):
     """The irreducible factors of a monic squarefree f: gcd(f, t**(p**k) - t)
     collects those of degree k (distinct-degree factoring), then splits them."""
-    out, k = [], 1
-    ring = _Zq(p, 1, IntPoly(f))
-    t = h = ring.generator()
+    out, k, h = [], 1, [0, 1]
     while len(f) - 1 >= 2 * k:
-        h = ring.pow(h, p)
-        g = _gf_gcd(f, _gf_trim(list(ring.sub(h, t))), p)
+        h = _gf_powmod(h, p, f, p)
+        g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out += _gf_split(g, k, p, rng)
             f = _gf_divmod(f, g, p)[0]
@@ -180,18 +212,18 @@ def _gf_split(f, k, p, rng):
     degree k, split by Cantor-Zassenhaus (Math. Comp. 36 (1981))."""
     if len(f) - 1 == k:
         return [f]
-    ring = _Zq(p, 1, IntPoly(f))
     while True:
-        r = ring.element([rng.randrange(p) for _ in range(ring.f)])
+        r = _gf_trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if p == 2:
-            # the trace r + r**2 + ... + r**(2**(k - 1)) is 0 or 1 mod each factor
+            # the trace r + r**2 + ... + r**(2**(k - 1)) is 0 or 1 mod each
+            # factor; over F_2 the sum is a difference
             s = y = r
             for _ in range(k - 1):
-                y = ring.mul(y, y)
-                s = ring.add(s, y)
+                y = _gf_mulmod(y, y, f, p)
+                s = _gf_sub(s, y, p)
         else:
-            s = ring.sub(ring.pow(r, (p ** k - 1) // 2), ring.element([1]))
-        g = _gf_gcd(f, _gf_trim(list(s)), p)
+            s = _gf_sub(_gf_powmod(r, (p ** k - 1) // 2, f, p), [1], p)
+        g = _gf_gcd(f, s, p)
         if 1 < len(g) < len(f):
             return _gf_split(g, k, p, rng) + _gf_split(_gf_divmod(f, g, p)[0], k, p, rng)
 
@@ -406,18 +438,17 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ring = _residue_ring(g, p)
-    t, one = ring.generator(), ring.element([1])
-    n = p ** ring.f - 1
+    g = _gf_monic(g, p)
+    n = p ** (len(g) - 1) - 1
     order = 1
-    for ell, e in _factor_p_power_minus_one(p, ring.f).items():
-        y = ring.pow(t, n // ell ** e)
+    for ell, e in _factor_p_power_minus_one(p, len(g) - 1).items():
+        y = _gf_powmod([0, 1], n // ell ** e, g, p)
         for _ in range(e):
-            if y == one:
+            if y == [1]:
                 break
-            y = ring.pow(y, ell)
+            y = _gf_powmod(y, ell, g, p)
             order *= ell
-        if y != one:
+        if y != [1]:
             raise ValueError("t**(p**deg(g) - 1) != 1, so g is not irreducible mod p")
     return order
 
@@ -499,7 +530,7 @@ class UnitRootStructure:
         """
         if factor.order is not None:
             return n % factor.order == 0
-        return _t_power_is_one(n, factor.poly, self.prime)
+        return _gf_powmod([0, 1], n, _gf_monic(factor.poly, self.prime), self.prime) == [1]
 
 
 def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
@@ -545,90 +576,8 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
 
 
 # ---------------------------------------------------------------------------
-# Unramified extensions of Z_p at finite precision
+# Teichmueller constants in unramified extensions of Z_p
 # ---------------------------------------------------------------------------
-
-
-class _Zq:
-    """Z_p[x]/(G, p**K) for a monic lift G of an irreducible polynomial mod p.
-
-    Any monic lift generates the unramified extension of degree deg G, so
-    elements have integer valuations computed coordinatewise.  Elements are
-    tuples of ints in [0, p**K).  With K = 1 this is the residue field
-    F_p[t]/(G mod p).
-    """
-
-    def __init__(self, p: int, K: int, modulus: IntPoly):
-        self.p = p
-        self.K = K
-        self.q = p ** K
-        self.f = modulus.degree
-        self.modulus = tuple(c % self.q for c in modulus.coeffs)
-        if modulus.lead != 1:
-            raise VerificationMismatch("the extension modulus is not monic")
-
-    def element(self, coords) -> tuple:
-        coords = [c % self.q for c in coords]
-        coords += [0] * (self.f - len(coords))
-        return tuple(coords[: self.f])
-
-    def add(self, a, b):
-        q = self.q
-        return tuple((u + v) % q for u, v in zip(a, b))
-
-    def sub(self, a, b):
-        q = self.q
-        return tuple((u - v) % q for u, v in zip(a, b))
-
-    def mul(self, a, b):
-        q = self.q
-        f = self.f
-        out = [0] * (2 * f - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-        # reduce by the monic modulus, each coefficient mod q once
-        mod = self.modulus
-        for i in range(2 * f - 2, f - 1, -1):
-            c = out[i] % q
-            if c:
-                for j in range(f):
-                    out[i - f + j] -= c * mod[j]
-        return tuple(c % q for c in out[:f])
-
-    def generator(self):
-        """The class of x: -G(0) when G is linear, else the coordinates (0, 1)."""
-        return self.element([0, 1] if self.f > 1 else [-self.modulus[0]])
-
-    def pow(self, a, e: int):
-        result = self.element([1])
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
-
-    def valuation(self, a) -> int:
-        """min ord_p over coordinates; returns K for zero (meaning >= K)."""
-        best = self.K
-        for c in a:
-            if c:
-                v = valuation(c, self.p)
-                if v < best:
-                    best = v
-                    if best == 0:
-                        break
-        return best
-
-    def eval_int_poly(self, f: IntPoly, a):
-        acc = self.element([0])
-        for c in reversed(f.coeffs):
-            acc = self.add(self.mul(acc, a), self.element([c]))
-        return acc
 
 
 @dataclass(frozen=True)
@@ -640,31 +589,39 @@ class _RootConstants:
 
 
 def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
-    """s and w for the roots of j1 over the factor, read at K = 2 p-adic digits
-    and again at twice the digits while some w[r] reaches K."""
-    residue = _residue_ring(factor.poly, p)
+    """s and w for the roots of j1 over the factor, in Z/p**K[t]/(g) for the
+    monic residue factor g (an unramified extension, so valuations are taken
+    coordinatewise), read at K = 2 p-adic digits and again at twice the
+    digits while some w[r] reaches K."""
+    g = _gf_monic(factor.poly, p)
+    f = len(g) - 1
     dj1 = j1.derivative()
+
+    def at(poly, a, q):  # poly(a), by Horner
+        return reduce(lambda acc, c: _gf_sub(_gf_mulmod(acc, a, g, q), [-c], q),
+                      reversed(poly.coeffs), [])
+
+    def ord_minus_one(y, K):  # min ord_p over the coordinates of y - 1, K for 0
+        return min([valuation(c, p) for c in _gf_sub(y, [1], p ** K) if c] + [K])
+
     # Coupled Newton iteration from the residue root: z follows 1/J1'(beta),
     # a unit because the unit part is squarefree mod p, so only its residue
     # is inverted.  Both are exact to K // 2 digits on entry to precision K,
     # so one step there makes beta exact to K; z is refined only to go on.
-    beta = residue.generator()
-    z = residue.element(
-        _gf_inverse(residue.eval_int_poly(dj1, beta), residue.modulus, p)
-    )
+    beta = _gf_mulmod([0, 1], [1], g, p)
+    z = _gf_inverse(at(dj1, beta, p), g, p)
     K = 2
     while True:
-        ring = _Zq(p, K, IntPoly(residue.modulus))
-        beta = ring.sub(beta, ring.mul(ring.eval_int_poly(j1, beta), z))
-        if any(ring.eval_int_poly(j1, beta)):
+        q = p ** K
+        beta = _gf_sub(beta, _gf_mulmod(at(j1, beta, q), z, g, q), q)
+        if at(j1, beta, q):
             raise VerificationMismatch("root lifting failed")
-        # beta = xi * u with xi**(q - 1) = 1, u = 1 mod p and q = p**f.  As
-        # q - 1 is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) =
-        # ord(u**(p**r) - 1) = ord(beta**((q - 1) * p**r) - 1), so xi itself
-        # is never computed.
-        one = ring.element([1])
-        y = ring.pow(beta, p ** ring.f - 1)
-        w = [ring.valuation(ring.sub(y, one))]
+        # beta = xi * u with xi**(p**f - 1) = 1 and u = 1 mod p.  As p**f - 1
+        # is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) =
+        # ord(u**(p**r) - 1) = ord(beta**((p**f - 1) * p**r) - 1), so xi
+        # itself is never computed.
+        y = _gf_powmod(beta, p ** f - 1, g, q)
+        w = [ord_minus_one(y, K)]
         if w[0] < 1:
             raise VerificationMismatch(
                 "a root is not congruent to its Teichmueller representative"
@@ -673,14 +630,14 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
         while p ** s * (p - 1) * w[0] <= 1:
             s += 1
         for _ in range(s):
-            y = ring.pow(y, p)
-            w.append(ring.valuation(ring.sub(y, one)))
+            y = _gf_powmod(y, p, g, q)
+            w.append(ord_minus_one(y, K))
         if max(w) < K:
             return _RootConstants(s, tuple(w))
         K *= 2
         if K > MAX_PRECISION:
             raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
-        z = ring.mul(z, ring.sub(ring.element([2]), ring.mul(ring.eval_int_poly(dj1, beta), z)))
+        z = _gf_mulmod(z, _gf_sub([2], _gf_mulmod(at(dj1, beta, q), z, g, q), q), g, q)
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +935,8 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
             value = ord_delta_exact(j, observer, n) - mu * n - lam * k_obs
             if nu is None:
                 nu = value
-            assert value == nu, f"Friedman law failed at n={n} for prime {observer}"
+            if value != nu:
+                raise AssertionError(f"Friedman law failed at n={n} for prime {observer}")
             verified = True
         if nu is None or not verified:
             raise AssertionError("no qualifying semigroup element below the bound")

@@ -33,9 +33,9 @@ from .errors import (
 from .ihara import (
     _bit_cap,
     _check_bits,
+    _kappa_from_delta,
     _resultant_from_delta,
     analyze,
-    kappa_sequence,
     kappa_via_formula,
     pierce_lehmer_range,
     verify_tower,
@@ -223,7 +223,8 @@ def cmd_table(args) -> int:
     ta = analyze(vg)
     cap = _bit_cap()
     deltas = pierce_lehmer_range(ta.j_poly, args.n_max)
-    kappas = kappa_sequence(ta, args.n_max)
+    kappas = [_check_bits(_kappa_from_delta(ta, n, deltas[n - 1]), cap)
+              for n in range(1, args.n_max + 1)]
     rows = []
     for n in range(1, args.n_max + 1):
         rows.append(

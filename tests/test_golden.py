@@ -1,11 +1,13 @@
 """Pinned sha256 digests of exact outputs: CLI commands and the p-adic laws.
 
-A CLI entry digests the exit code, stdout and stderr of one command; a library
-entry digests the reprs of one function's results over the primes up to 7,
-with a raised exception recorded as its type and message.  Commands with float
-output (analyze, asymptotics) are left out, so the digests do not depend on
-the platform.  A change that alters any of these outputs on purpose re-records
-the digests and says which ones changed and why.
+A CLI entry digests the exit code, stdout and stderr of one command, with
+every float in them rounded to 10 significant digits first, so that a last-bit
+libm difference between Pythons cannot flip the digest of analyze or
+asymptotics.  The help text is formatted for 80 columns.  A library entry
+digests the reprs of one function's results over the primes up to 7, with a
+raised exception recorded as its type and message.  A change that alters any
+of these outputs on purpose re-records the digests and says which ones changed
+and why.
 
 Print the current digests with: PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +16,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from ihara_towers.ihara import analyze
 from ihara_towers.padic_engine import (
@@ -30,17 +35,29 @@ from ihara_towers.towers_cli import generate_family, main
 GRAPHS = {"bouquet_35": ("bouquet", "3", "5"), "dumbbell_23": ("dumbbell", "2", "3"),
           "fibonacci": ("fibonacci",)}
 PRIMES = (2, 3, 5, 7)
+# one base graph per generator family, beyond the three graphs above
+FAMILIES = (("bouquet", "2"), ("circulant-base", "1", "3"), ("dumbbell", "1", "4"),
+            ("petersen", "2"), ("igraph", "1", "2"), ("fibonacci",))
+FLOAT = re.compile(r"-?\d+(?:\.\d+)?e[-+]?\d+|-?\d+\.\d+")
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _rounded(text: str) -> str:
+    return FLOAT.sub(lambda m: format(float(m.group()), ".10g"), text)
+
+
 def _cli(args) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(args))
-    return _sha(f"{code}\n{out.getvalue()}\n{err.getvalue()}")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # --help, and argparse's usage errors
+            code = exc.code
+    return _sha(_rounded(f"{code}\n{out.getvalue()}\n{err.getvalue()}"))
 
 
 def _calls(thunks) -> str:
@@ -54,7 +71,9 @@ def _calls(thunks) -> str:
 
 
 def golden_digests(workdir) -> dict:
-    digests = {}
+    digests = {"--help": _cli(["--help"]), "generate": _cli(["generate"])}
+    for family in FAMILIES:
+        digests[f"generate {' '.join(family)}"] = _cli(["generate", *family])
     for name, family in GRAPHS.items():
         path = str(Path(workdir) / f"{name}.json")
         digests[f"{name} generate"] = _cli(["generate", *family])
@@ -64,6 +83,10 @@ def golden_digests(workdir) -> dict:
                     ["verify", "--n-max", "8"]]
         commands += [["padic", "--prime", str(p), "--n-max", "60", "--format", fmt]
                      for p in PRIMES for fmt in ("json", "csv")]
+        commands += [["analyze"], ["analyze", "--prime", "2", "--prime", "5"],
+                     ["analyze", "--prime", "4"], ["asymptotics"],
+                     ["padic", "--prime", "4"], ["padic", "--prime", "1"],
+                     ["padic", "--prime", "9"]]
         for command in commands:
             digests[f"{name} {' '.join(command)}"] = _cli([command[0], path, *command[1:]])
 
@@ -83,6 +106,22 @@ def golden_digests(workdir) -> dict:
 
 
 EXPECTED = {
+    "--help":
+        "95f9f9b52a8e5e7f83f9f5ccb11b2595976466ce051c1ad1d5ab002a1a61b81a",
+    "generate":
+        "7efd8d60c638d699058c6a01797d4cc33ac46f292719c49071e3c06878f8d4f6",
+    "generate bouquet 2":
+        "087bb50a3285fbb9b969284ade903f5ed720cd70019ae6c10a07cc08c0fefaa2",
+    "generate circulant-base 1 3":
+        "0a0b8c80b2ff0fee3173db9ac9328d1fed7bc5725640221f72bd015eaa3839c4",
+    "generate dumbbell 1 4":
+        "4a2d8fc037d85e2725c8dceecff4be125ccdbfe37a5ad808d981a008da2e9ad7",
+    "generate petersen 2":
+        "a661ebe612ff2806572296bcf3cab2b34f60347305e3644bc46bd0b15a09a6e4",
+    "generate igraph 1 2":
+        "a661ebe612ff2806572296bcf3cab2b34f60347305e3644bc46bd0b15a09a6e4",
+    "generate fibonacci":
+        "2098d438e64af0e98fae04b82ee60108514f1ed34425a39314cdf942f12c60b9",
     "bouquet_35 generate":
         "fb7ea19be5cd6b0cb4ec0c1cb05ce9183b0a25bba5ee7ec233992be7e714ca21",
     "bouquet_35 table --n-max 20 --format json":
@@ -107,6 +146,20 @@ EXPECTED = {
         "4e93effe334136af894d54616824baf9071ce3f07eae2f290d0aed840b78071e",
     "bouquet_35 padic --prime 7 --n-max 60 --format csv":
         "ddc56669a09363012c406e6bbbf794e15f67db5c3a2c2e7fb7638bef3c0c4cf2",
+    "bouquet_35 analyze":
+        "c65af23ff405770c6ef41b743d4272bdae6f796b17151e958fc19708f38777bc",
+    "bouquet_35 analyze --prime 2 --prime 5":
+        "dcf8a2f58d2c8a3421f9ea6c03f015d1328099bf9396c88253638a61d115629f",
+    "bouquet_35 analyze --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "bouquet_35 asymptotics":
+        "a51f45c8b4aff9362d67863c596d4c259fb9ae6da056ea1442b721bb846802ab",
+    "bouquet_35 padic --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "bouquet_35 padic --prime 1":
+        "6c590531ff905b151ccd8f62c3fe544322f6e5af40941e46dbb9d65e047e760e",
+    "bouquet_35 padic --prime 9":
+        "364e7d05e41a1d0ee8fd23a038916bcf7641b6c3ffccfddf3b72409b5b2faaac",
     "bouquet_35 iwasawa_invariants":
         "73aa5f022a03867d20f166aced8a8e5050b11198f72cc2e3504227ab482db5fb",
     "bouquet_35 washington_invariants":
@@ -139,6 +192,20 @@ EXPECTED = {
         "4cc689091f74abe5320a519205064877ab9ad178220292df059340ae8b87bca8",
     "dumbbell_23 padic --prime 7 --n-max 60 --format csv":
         "9746f0f161e56e7efdedd479083829617ace88ff4c284e50bb7b06659f44c8a4",
+    "dumbbell_23 analyze":
+        "1fad34fb56c06bcd8c65c7969fc5832827a9997c551be7cc0e950aab3c2f108e",
+    "dumbbell_23 analyze --prime 2 --prime 5":
+        "3fa2ee5afe9cb6bcae841a8980a980573c0541c4d76d267e3efb21f7082b6fb4",
+    "dumbbell_23 analyze --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "dumbbell_23 asymptotics":
+        "ab036dcffa46cd6afba2cbf8e8385ede4e7f65f18fb8e69875b15e331fd7bd07",
+    "dumbbell_23 padic --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "dumbbell_23 padic --prime 1":
+        "6c590531ff905b151ccd8f62c3fe544322f6e5af40941e46dbb9d65e047e760e",
+    "dumbbell_23 padic --prime 9":
+        "364e7d05e41a1d0ee8fd23a038916bcf7641b6c3ffccfddf3b72409b5b2faaac",
     "dumbbell_23 iwasawa_invariants":
         "ce78f6649712224bf64c45ee7dfd03ac3897a921305f7251ca2c8cc43d500130",
     "dumbbell_23 washington_invariants":
@@ -171,6 +238,20 @@ EXPECTED = {
         "d9c285a954401e812a21a103779f94a73972e8d994cd3082a75bb77f43cd20e7",
     "fibonacci padic --prime 7 --n-max 60 --format csv":
         "1757daab93231fa0fee2f1b8e410131cb9614d34d8e0c0957f26dc6df9d85c29",
+    "fibonacci analyze":
+        "a738544ee3686cc874870a7baa7aeff2ec4864789687717a3f44f52e1dee8ce3",
+    "fibonacci analyze --prime 2 --prime 5":
+        "5ed25520bf554472a8f09fd475845a1de6184bc0281ea0d177ea981d78ebf3a0",
+    "fibonacci analyze --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "fibonacci asymptotics":
+        "ef1e488890e9cfd6800838e80da0a270a87ed079ffd5e3f7d2755a4c6c820c4e",
+    "fibonacci padic --prime 4":
+        "715a7d1469af6fd6ab402228c8ce3a1402f87e6c20d6f5507df7be0366fdcae3",
+    "fibonacci padic --prime 1":
+        "6c590531ff905b151ccd8f62c3fe544322f6e5af40941e46dbb9d65e047e760e",
+    "fibonacci padic --prime 9":
+        "364e7d05e41a1d0ee8fd23a038916bcf7641b6c3ffccfddf3b72409b5b2faaac",
     "fibonacci iwasawa_invariants":
         "6897c57586468c22086167cda7073fdc0403bc8d6e4e6396dd052ba83e61a1b4",
     "fibonacci washington_invariants":
@@ -181,21 +262,11 @@ EXPECTED = {
         "7dd4ef25ed64ecb68091e1d011357f672885bd3eeef9095c77c8f08775d7d0d3",
 }
 
-# python -O strips the bare assert in friedman_laws (a known defect at a
-# ramified observer prime), so there the unverified law is returned instead.
-EXPECTED_WITHOUT_ASSERTS = {
-    "bouquet_35 friedman_laws":
-        "2dc92f6714d3fbb88307b696cbd2a95779c3106e4bdaa78353bf7b227eb7c02a",
-}
-
 
 def test_outputs_match_recorded_digests(tmp_path):
-    expected = dict(EXPECTED)
-    if not __debug__:
-        expected.update(EXPECTED_WITHOUT_ASSERTS)
     digests = golden_digests(tmp_path)
-    assert {k: v for k, v in digests.items() if expected.get(k) != v} == {}
-    assert digests.keys() == expected.keys()
+    assert {k: v for k, v in digests.items() if EXPECTED.get(k) != v} == {}
+    assert digests.keys() == EXPECTED.keys()
 
 
 if __name__ == "__main__":

@@ -18,12 +18,17 @@ from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     FriedmanLaw,
     NewtonPolygon,
+    UnitFactor,
+    UnitRootStructure,
     _factor_integer,
+    _gf_divmod,
     _gf_gcd,
     _gf_inverse,
+    _gf_mulmod,
+    _gf_powmod,
+    _gf_sub,
     _gf_trim,
     _strong_lucas_probable_prime,
-    _Zq,
     factor_mod_p,
     friedman_laws,
     is_prime,
@@ -40,7 +45,7 @@ from ihara_towers.padic_engine import (
     valuation,
     washington_invariants,
 )
-from ihara_towers.polyring import IntPoly, cyclotomic_polynomial
+from ihara_towers.polyring import IntPoly, cyclotomic_polynomial, pseudo_rem
 
 J_FIB = IntPoly((-1, -3, -1))
 
@@ -378,7 +383,13 @@ def test_multiplicative_order_matches_brute_force():
         for g, _ in factor_mod_p(f, p):
             if g.degree < 1 or g.coeffs[0] == 0:
                 continue
-            assert multiplicative_order(g, p) == _order_by_repeated_multiplication(g, p), (g, p)
+            order = _order_by_repeated_multiplication(g, p)
+            assert multiplicative_order(g, p) == order, (g, p)
+            # without a known order, order_divides powers t itself
+            unknown = UnitFactor(g, 1, g.degree, None)
+            structure = UnitRootStructure(p, 0, g, (unknown,), False, None)
+            for n in (1, order, 2 * order, order + 1, 720720):
+                assert structure.order_divides(unknown, n) == (n % order == 0), (g, p, n)
             checked[g.degree] += 1
     assert sum(checked.values()) > 250 and checked[3] > 10 and checked[4] > 5
 
@@ -492,14 +503,58 @@ def test_unit_root_structure_rejects_composite_prime():
             pass
 
 
-def _zq_inverse(ring, a):
-    """Inverse of a unit of ring: a**(p**f - 2) inverts it mod p, and each
-    Newton step z -> z*(2 - a*z) then doubles the p-adic precision."""
-    z = ring.pow(a, ring.p ** ring.f - 2)
-    two = ring.element([2])
-    for _ in range((ring.K - 1).bit_length()):
-        z = ring.mul(z, ring.sub(two, ring.mul(a, z)))
-    assert ring.mul(a, z) == ring.element([1])
+def test_gf_kernel_matches_int_poly_arithmetic_mod_p_power():
+    # Z/p**K[t]/(G) for a monic G: the product, then pseudo_rem by G, then the
+    # coefficients mod p**K; a power is the same product taken e times
+    rng = random.Random(83)
+    linear = 0
+    for _ in range(600):
+        p = rng.choice((2, 2, 3, 5, 7, 31))
+        q = p ** rng.randint(1, 12)
+        g = [rng.randrange(q) for _ in range(rng.randint(1, 5))] + [1]
+        linear += len(g) == 2
+        a, b = ([rng.randrange(q) for _ in range(rng.randint(0, 9))] for _ in range(2))
+        e = rng.randint(0, 20)
+
+        def reduced(f):
+            return _gf_trim([c % q for c in pseudo_rem(f, IntPoly(g)).coeffs])
+
+        power = IntPoly([1])
+        for _ in range(e):
+            power = power * IntPoly(a)
+        assert _gf_mulmod(a, b, g, q) == reduced(IntPoly(a) * IntPoly(b))
+        assert _gf_powmod(a, e, g, q) == reduced(power)
+        quot, rem = _gf_divmod(a, g, q)
+        assert rem == reduced(IntPoly(a))
+        assert _gf_sub(a, (IntPoly(quot) * IntPoly(g) + IntPoly(rem)).coeffs, q) == []
+        # a unit leading coefficient that is not 1
+        h = g[:-1] + [rng.choice([u for u in range(1, 2 * p) if u % p])]
+        quot, rem = _gf_divmod(a, h, q)
+        assert len(rem) < len(h) and all(0 <= c < q for c in quot + rem)
+        assert _gf_sub(a, (IntPoly(quot) * IntPoly(h) + IntPoly(rem)).coeffs, q) == []
+    assert linear > 50
+
+
+def _horner(poly, a, g, q):
+    acc = []
+    for c in reversed(poly.coeffs):
+        acc = _gf_sub(_gf_mulmod(acc, a, g, q), [-c], q)
+    return acc
+
+
+def _zq_valuation(a, p, K):
+    """min ord_p over the coordinates of a; K for zero (meaning >= K)."""
+    return min([valuation(c, p) for c in a if c] + [K])
+
+
+def _zq_inverse(a, g, p, K):
+    """Inverse of a unit of Z/p**K[t]/(g): a**(p**deg g - 2) inverts it mod p,
+    and each Newton step z -> z*(2 - a*z) then doubles the p-adic precision."""
+    q = p ** K
+    z = _gf_powmod(a, p ** (len(g) - 1) - 2, g, q)
+    for _ in range((K - 1).bit_length()):
+        z = _gf_mulmod(z, _gf_sub([2], _gf_mulmod(a, z, g, q), q), g, q)
+    assert _gf_mulmod(a, z, g, q) == [1]
     return z
 
 
@@ -510,16 +565,16 @@ def test_gf_inverse_inverts_exactly_the_units():
     for _ in range(400):
         p = rng.choice((2, 3, 5, 7, 31))
         f = rng.randint(1, 6)
-        ring = _Zq(p, 1, IntPoly([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(f - 1)] + [1]))
-        a = ring.element([rng.randrange(p) for _ in range(f)])
-        coprime = len(_gf_gcd(list(ring.modulus), _gf_trim(list(a)), p)) == 1
+        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(f - 1)] + [1]
+        a = _gf_trim([rng.randrange(p) for _ in range(f)])
+        coprime = len(_gf_gcd(g, a, p)) == 1
         try:
-            inverse = _gf_inverse(a, ring.modulus, p)
+            inverse = _gf_inverse(a, g, p)
         except VerificationMismatch:
             assert not coprime
             non_units += 1
             continue
-        assert coprime and ring.mul(a, ring.element(inverse)) == ring.element([1])
+        assert coprime and _gf_mulmod(a, inverse, g, p) == [1]
         units += 1
     assert units > 200 and non_units > 20
 
@@ -530,28 +585,30 @@ def _fixed_point_constants(j1, g, p):
     z -> z**(p**deg g) started at beta, and w[r] = ord(beta**(p**r) - xi**(p**r)),
     with the precision doubled until every w[r] is exact."""
     K = 32
+    G = list(g.coeffs)
     while True:
-        ring = _Zq(p, K, g)
-        beta = ring.element([0, 1] if g.degree > 1 else [-g.coeffs[0]])
+        q = p ** K
+        beta = [0, 1] if g.degree > 1 else [-g.coeffs[0] % q]
         for _ in range(K.bit_length() + 2):
-            step = ring.mul(ring.eval_int_poly(j1, beta),
-                            _zq_inverse(ring, ring.eval_int_poly(j1.derivative(), beta)))
-            beta = ring.sub(beta, step)
-        assert not any(ring.eval_int_poly(j1, beta))
+            step = _gf_mulmod(_horner(j1, beta, G, q),
+                              _zq_inverse(_horner(j1.derivative(), beta, G, q), G, p, K), G, q)
+            beta = _gf_sub(beta, step, q)
+        assert not _horner(j1, beta, G, q)
         xi = beta
         for _ in range(K + 1):
-            nxt = ring.pow(xi, p ** g.degree)
+            nxt = _gf_powmod(xi, p ** g.degree, G, q)
             if nxt == xi:
                 break
             xi = nxt
         else:
             assert False, "the Teichmueller fixed point was not reached"
-        w = [ring.valuation(ring.sub(beta, xi))]
+        w = [_zq_valuation(_gf_sub(beta, xi, q), p, K)]
         s = 0
         while p ** s * (p - 1) * w[0] <= 1:
             s += 1
         for r in range(1, s + 1):
-            w.append(ring.valuation(ring.sub(ring.pow(beta, p ** r), ring.pow(xi, p ** r))))
+            w.append(_zq_valuation(
+                _gf_sub(_gf_powmod(beta, p ** r, G, q), _gf_powmod(xi, p ** r, G, q), q), p, K))
         if max(w) < K:
             return s, tuple(w)
         K *= 2
