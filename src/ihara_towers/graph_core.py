@@ -86,18 +86,20 @@ def is_connected(g: SerreGraph) -> bool:
     for e in g.edge_pairs:
         neighbors[e.origin].append(e.terminus)
         neighbors[e.terminus].append(e.origin)
-    seen = [False] * n
-    seen[0] = True
+    return _reaches_all(neighbors, n)
+
+
+def _reaches_all(neighbors, n: int) -> bool:
+    """Whether a breadth-first search from vertex 0, along the vertices that
+    neighbors[v] yields for each v, reaches all n vertices."""
+    seen = {0}
     queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:
         for w in neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
+            if w not in seen:
+                seen.add(w)
                 queue.append(w)
-    return all(seen)
+    return len(seen) == n
 
 
 def _min_degree_det(rows) -> int:
@@ -106,15 +108,17 @@ def _min_degree_det(rows) -> int:
     rows maps each index i to a dict {j: entry (i, j)} of the nonzero entries
     of row i, diagonal included.  Fraction-free symmetric Bareiss in minimum-
     degree order (Tinney-Walker; George-Liu): the next pivot k is a live index
-    whose row has the fewest entries, ties by index, popped from a heap whose
-    stale entries are skipped.  After pivots p_1..p_k, entry (i, j) is the
-    minor on the pivot rows and row i against the pivot columns and column j,
-    and the update is a_ij <- (p_k a_ij - a_ik a_kj) / p_{k-1}, computed once
-    for both (i, j) and (j, i).  A row the pivot does not reach only scales by
-    p_k / p_{k-1}, so it is not rewritten: each row keeps the step s of its
-    last update and is scaled by p_{k-1} / p_s when it is next read, exact
-    because both values are minors.  Every pivot is positive for a positive-
-    definite matrix; one that is not raises VerificationMismatch.
+    whose row has the fewest entries, ties by index, popped from a heap.  A
+    row's least entry there never exceeds its length: a row that shrinks is
+    pushed again, and an entry that pops below its row's length (the row grew
+    by fill-in) is pushed back at that length.  After pivots p_1..p_k, entry
+    (i, j) is the minor on the pivot rows and row i against the pivot columns
+    and column j, and the update is a_ij <- (p_k a_ij - a_ik a_kj) / p_{k-1},
+    computed once for both (i, j) and (j, i).  A row the pivot does not reach
+    only scales by p_k / p_{k-1}, so it is not rewritten: each row keeps the
+    step s of its last update and is scaled by p_{k-1} / p_s when it is next
+    read, exact because both values are minors.  Every pivot is positive for a
+    positive-definite matrix; one that is not raises VerificationMismatch.
     """
     pivots = [1]
     stamp = dict.fromkeys(rows, 0)
@@ -123,7 +127,10 @@ def _min_degree_det(rows) -> int:
     while heap:
         size, k = heappop(heap)
         pivot_row = rows.get(k)
-        if pivot_row is None or len(pivot_row) != size:
+        if pivot_row is None:
+            continue
+        if len(pivot_row) != size:
+            heappush(heap, (len(pivot_row), k))
             continue
         del rows[k]
         prev = pivots[-1]
@@ -151,7 +158,7 @@ def _min_degree_det(rows) -> int:
             rows[i] = updated
             stamp[i] = len(pivots)
             after = len(updated) + len(pivot_row)
-            if after != before:
+            if after < before:
                 heappush(heap, (after, i))
         for t, (i, aik) in enumerate(reached):
             get, row_i = old[t], new[t]
@@ -167,14 +174,12 @@ def spanning_tree_count(g: SerreGraph) -> int:
     The reduced Laplacian drops vertex 0 and is kept as sparse dict rows,
     built from the adjacency alone (no labels); _min_degree_det eliminates it
     in minimum-degree order.  Loops cancel in the Laplacian.  A single-vertex
-    graph has one spanning tree, the empty one.  A disconnected graph returns
-    0 before any elimination.
+    graph has one spanning tree, the empty one.  A disconnected graph, found by
+    a breadth-first search over the rows, returns 0 before any elimination.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    if not is_connected(g):
-        return 0
     rows = {v: {v: 0} for v in range(n)}
     for e in g.edge_pairs:
         u, v = e.origin, e.terminus
@@ -183,6 +188,9 @@ def spanning_tree_count(g: SerreGraph) -> int:
             rows[v][v] += 1
             rows[u][v] = rows[u].get(v, 0) - 1
             rows[v][u] = rows[v].get(u, 0) - 1
+    # the keys of row v are v and its neighbours
+    if not _reaches_all(rows, n):
+        return 0
     for v in rows.pop(0):
         if v:
             del rows[v][0]

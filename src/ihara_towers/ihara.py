@@ -9,6 +9,14 @@ finite layer is
 where D_n is the Pierce-Lehmer value Res(J, t**n - 1) of the distinguished
 factor J of the Ihara polynomial.  This module computes the decomposition
 (b, e, J) and both sides of that identity.
+
+J is palindromic of even degree 2m, so its roots pair off as alpha, 1/alpha
+and D_n = a**n * prod (2 - V_n(s_j)), with a = lead(J), s_j the m roots of
+the trace polynomial K (t**m K(t + 1/t) = J) and V_n the Lucas sequence
+V_n = s V_(n-1) - V_(n-2) (Lehmer 1933).  Each D_n is then one resultant
+against a monic rescaling of K, which has half the degree of J; a
+polynomial that is not palindromic of even degree goes through t**n modulo
+a monic rescaling of itself instead.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .polyring import (
     divide_exact,
     is_self_reciprocal,
     poly_matrix_det,
-    pseudo_rem,
     resultant,
     vanishes_at_root_of_unity,
 )
@@ -151,26 +158,103 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
 # ---------------------------------------------------------------------------
 # Pierce-Lehmer values Res(f, t**n - 1)
 # ---------------------------------------------------------------------------
+#
+# Residues modulo a monic integer polynomial are low-first int lists of length
+# its degree, as padic_engine's _gf_* lists are, but over Z.
 
 
-def _monic_rescaling(f: IntPoly) -> IntPoly:
-    """The monic integer rescaling f~ = a**(d-1) * f(t/a) of f.
+def _rescaled(c: list) -> list:
+    """The monic rescaling a**(d-1) * g(t/a) of g = sum c[i] t**i, a = c[-1].
 
-    Here a = lead(f) and d = deg(f); the roots of f~ are a times the roots
-    of f, so reducing modulo f~ needs no fractions.
+    Its roots are a times those of g, so reducing modulo it needs no fractions.
     """
-    d = f.degree
-    a = f.lead
-    return IntPoly([f.coeffs[i] * a ** (d - 1 - i) for i in range(d)] + [1])
+    d, a = len(c) - 1, c[-1]
+    return [x * a ** (d - 1 - i) for i, x in enumerate(c[:-1])] + [1]
 
 
-def _delta_from_residue(monic: IntPoly, residue: IntPoly, a_pow_n: int) -> int:
-    """D_n from residue = t**n mod f~ and a_pow_n = a**n.
+def _shift(w: list, monic: list) -> list:
+    """t * w modulo monic."""
+    c = w[-1]
+    return [x - c * y for x, y in zip([0] + w[:-1], monic)]
 
-    Res(f~, t**n - a**n) = a**(n*d) * prod(alpha**n - 1) over the roots alpha
-    of f, which is a**(n*(d-1)) * D_n; t**n may be replaced by its residue.
+
+def _mulmod(u: list, v: list, monic: list) -> list:
+    """u * v modulo monic."""
+    d = len(monic) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                prod[i + j] += x * y
+    for k in range(d - 2, -1, -1):
+        c = prod[k + d]
+        if c:
+            for i in range(d):
+                prod[k + i] -= c * monic[i]
+    return prod[:d]
+
+
+def _trace_polynomial(c: tuple) -> list:
+    """K with t**m * K(t + 1/t) = f, for the coefficients c of a palindromic f
+    of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
+    t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s,
+    V_k = s V_(k-1) - V_(k-2)."""
+    m = (len(c) - 1) // 2
+    k = [c[m]] + [0] * m
+    v_prev, v = [2], [0, 1]
+    for j in range(1, m + 1):
+        for i, x in enumerate(v):
+            k[i] += c[m + j] * x
+        v_prev, v = v, [x - y for x, y in zip([0] + v, v_prev + [0, 0])]
+    return k
+
+
+def _lehmer_modulus(f: IntPoly):
+    """(monic, palindromic) for f of degree d >= 1.
+
+    A palindromic f of even degree 2m has roots in pairs alpha, 1/alpha, and
+    (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(s) for s = alpha + 1/alpha, so
+    D_n = a**n * prod (2 - V_n(s_j)) over the m roots s_j of the trace
+    polynomial K (Lehmer, Ann. of Math. 34 (1933)); a = lead(f) = lead(K).
+    Then monic is the rescaling of K, whose roots are sigma_j = a s_j, and
+    W_n = a**n V_n(sigma/a) satisfies W_n = sigma W_(n-1) - a**2 W_(n-2), so
+
+        Res(monic, 2 a**n - W_n) = a**(n(m-1)) * D_n.
+
+    Any other f keeps the t**n path: monic is the rescaling of f, with roots
+    sigma = a alpha, and Res(monic, t**n - a**n) = a**(n(d-1)) * D_n.
     """
-    g = residue - a_pow_n
+    c = f.coeffs
+    if f.degree % 2 == 0 and c == c[::-1]:
+        return _rescaled(_trace_polynomial(c)), True
+    return _rescaled(list(c)), False
+
+
+def _lucas(n: int, a: int, monic: list) -> list:
+    """W_n modulo monic by a Lucas chain, two products per bit of n:
+    W_2k = W_k**2 - 2 a**2k and W_(2k+1) = W_k W_(k+1) - a**2k sigma."""
+    w0 = [2] + [0] * (len(monic) - 2)
+    sigma = w1 = _shift([1] + w0[1:], monic)
+    a_k = 1
+    for bit in bin(n)[2:]:
+        a_2k = a_k * a_k
+        odd = [x - a_2k * y for x, y in zip(_mulmod(w0, w1, monic), sigma)]
+        if bit == "1":
+            a_k = a_2k * a
+            w0, w1 = odd, _mulmod(w1, w1, monic)
+            w1[0] -= 2 * a_k * a
+        else:
+            a_k = a_2k
+            w0, w1 = _mulmod(w0, w0, monic), odd
+            w0[0] -= 2 * a_k
+    return w0
+
+
+def _delta(monic: IntPoly, w: list, a_pow_n: int, palindromic: bool) -> int:
+    """D_n from the residue w of W_n (palindromic f) or of t**n (any other f)
+    modulo monic, and a_pow_n = a**n; see _lehmer_modulus."""
+    g = IntPoly([2 * a_pow_n - w[0]] + [-x for x in w[1:]] if palindromic
+                else [w[0] - a_pow_n] + w[1:])
     if g.is_zero():
         return 0
     q, r = divmod(resultant(monic, g), a_pow_n ** (monic.degree - 1))
@@ -182,8 +266,11 @@ def _delta_from_residue(monic: IntPoly, residue: IntPoly, a_pow_n: int) -> int:
 def pierce_lehmer(f: IntPoly, n: int) -> int:
     """Res(f, t**n - 1), exactly.
 
-    t**n mod f~ comes from square-and-multiply over the monic rescaling f~
-    of f; one subresultant resultant then gives the value.
+    For a palindromic f of even degree, W_n comes from a Lucas chain modulo
+    the monic rescaling of the trace polynomial of f, which has half the
+    degree; for any other f, t**n from square-and-multiply modulo the monic
+    rescaling of f.  One subresultant resultant then gives the value (see
+    _lehmer_modulus).
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -193,18 +280,26 @@ def pierce_lehmer(f: IntPoly, n: int) -> int:
     d = f.degree
     if d == 0:
         return _check_bits(f.coeffs[0] ** n, cap)
-    monic = _monic_rescaling(f)
-    power = IntPoly((1,))
-    for bit in bin(n)[2:]:
-        power = pseudo_rem(power * power, monic)
-        if bit == "1":
-            power = pseudo_rem(power.shift(1), monic)
-    return _check_bits(_delta_from_residue(monic, power, f.lead ** n), cap)
+    modulus, palindromic = _lehmer_modulus(f)
+    if palindromic:
+        w = _lucas(n, f.lead, modulus)
+    else:
+        w = [1] + [0] * (d - 1)
+        for bit in bin(n)[2:]:
+            w = _mulmod(w, w, modulus)
+            if bit == "1":
+                w = _shift(w, modulus)
+    return _check_bits(_delta(IntPoly(modulus), w, f.lead ** n, palindromic), cap)
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
-    """[Res(f, t - 1), ..., Res(f, t**n_max - 1)], advancing t**n mod f~ one
-    shift per layer (see pierce_lehmer)."""
+    """[Res(f, t - 1), ..., Res(f, t**n_max - 1)], one resultant per layer.
+
+    The residue advances by one step per layer: W_n = sigma W_(n-1) -
+    a**2 W_(n-2) from (W_0, W_1) = (2, sigma) for a palindromic f of even
+    degree, and t**n = t * t**(n-1) from 1 for any other f (see
+    _lehmer_modulus).
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if n_max < 1:
@@ -215,14 +310,17 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
         c = f.coeffs[0]
         return [_check_bits(c ** n, cap) for n in range(1, n_max + 1)]
     a = f.lead
-    monic = _monic_rescaling(f)
-    power = IntPoly((1,))
+    modulus, palindromic = _lehmer_modulus(f)
+    monic = IntPoly(modulus)
+    one = [1] + [0] * (len(modulus) - 2)
+    w_prev, w = [2 if palindromic else 1] + one[1:], _shift(one, modulus)
+    b = a * a if palindromic else 0
     a_pow = 1
     out = []
     for _ in range(n_max):
-        power = pseudo_rem(power.shift(1), monic)
         a_pow *= a
-        out.append(_check_bits(_delta_from_residue(monic, power, a_pow), cap))
+        out.append(_check_bits(_delta(monic, w, a_pow, palindromic), cap))
+        w_prev, w = w, [x - b * y for x, y in zip(_shift(w, modulus), w_prev)]
     return out
 
 

@@ -1,13 +1,15 @@
-"""Pinned sha256 digests of exact outputs: CLI commands and the p-adic laws.
+"""Pinned sha256 digests of exact outputs: CLI commands, the p-adic laws and
+Pierce-Lehmer values.
 
 A CLI entry digests the exit code, stdout and stderr of one command, with
 every float in them rounded to 10 significant digits first, so that a last-bit
 libm difference between Pythons cannot flip the digest of analyze or
 asymptotics.  The help text is formatted for 80 columns.  A library entry
 digests the reprs of one function's results over the primes up to 7, with a
-raised exception recorded as its type and message.  A change that alters any
-of these outputs on purpose re-records the digests and says which ones changed
-and why.
+raised exception recorded as its type and message; a Pierce-Lehmer entry
+digests the values of J at the layers it names, in hex.  A change that alters
+any of these outputs on purpose re-records the digests and says which ones
+changed and why.
 
 Print the current digests with: PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,7 +25,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from ihara_towers.ihara import analyze
+from ihara_towers.ihara import analyze, pierce_lehmer, pierce_lehmer_range
 from ihara_towers.padic_engine import (
     friedman_laws,
     iwasawa_invariants,
@@ -102,6 +104,11 @@ def golden_digests(workdir) -> dict:
             lambda p=p: friedman_laws(j, p, others[p][:2], bound=300) for p in PRIMES)
         digests[f"{name} sequence_classes"] = _calls(
             lambda p=p: sequence_classes(ta, p, 60) for p in PRIMES)
+        # hex, since repr refuses ints of more than 4300 decimal digits
+        digests[f"{name} pierce_lehmer_range 300"] = _calls(
+            [lambda: [hex(v) for v in pierce_lehmer_range(j, 300)]])
+        digests[f"{name} pierce_lehmer 10**4, 10**4 + 1"] = _calls(
+            lambda n=n: hex(pierce_lehmer(j, n)) for n in (10 ** 4, 10 ** 4 + 1))
     return digests
 
 
@@ -168,6 +175,10 @@ EXPECTED = {
         "74482e4ddfb4bd0826414e2ab135bd6c24ebd2245dadb07182a48746ac67c9d5",
     "bouquet_35 sequence_classes":
         "c31bce9d132620f42c974a1927e4035016ed82cd36bf42da782b78a3627e5c69",
+    "bouquet_35 pierce_lehmer_range 300":
+        "1bb7373b466a234af9586cb0cd22a12d8a3abd5f7ab7bacde3c3101730364f54",
+    "bouquet_35 pierce_lehmer 10**4, 10**4 + 1":
+        "416977177d77d7dd4f77412562bc85a4d30b379e82ce9a23dcf4dbe6afaf33ae",
     "dumbbell_23 generate":
         "d4af695635102571f9ca5e0ec18cf9fa3e16d23b8c6e98be3a16f8d2daed5774",
     "dumbbell_23 table --n-max 20 --format json":
@@ -214,6 +225,10 @@ EXPECTED = {
         "a74dc154a53af358468f2a8febb954759b6f6f0752b50e48e547d8e5342ea88c",
     "dumbbell_23 sequence_classes":
         "6f077c2c40deccf3501e225edfabfc0dec62c435ec8b83d31a70b90985ad3133",
+    "dumbbell_23 pierce_lehmer_range 300":
+        "7d682605bec694ef1aad7e11b773a2da1fa9a75c964c079bae7496cfc981e031",
+    "dumbbell_23 pierce_lehmer 10**4, 10**4 + 1":
+        "7061aa414e46c515d6588353afd187115b759753660f85a26ed8603452d2f9ae",
     "fibonacci generate":
         "2098d438e64af0e98fae04b82ee60108514f1ed34425a39314cdf942f12c60b9",
     "fibonacci table --n-max 20 --format json":
@@ -260,6 +275,10 @@ EXPECTED = {
         "f3cdd3648b3a433698dae39bf8c5d8f339d498852c60702e8bd5062e33930abb",
     "fibonacci sequence_classes":
         "7dd4ef25ed64ecb68091e1d011357f672885bd3eeef9095c77c8f08775d7d0d3",
+    "fibonacci pierce_lehmer_range 300":
+        "4f4fcbb562f36f6163239c9cf2e8d15098fbf6c27cd8f25b3ad3a0dd505c9b1c",
+    "fibonacci pierce_lehmer 10**4, 10**4 + 1":
+        "2279488b7dc0b4794492701e0ffa190524d3b7df61548d8eab9b87ff6f711869",
 }
 
 

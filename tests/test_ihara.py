@@ -1,6 +1,14 @@
 import random
 
-from corpus import bouquet, dumbbell, fib, random_connected_voltaged_graph, random_int_poly, random_tower
+from corpus import (
+    bouquet,
+    dumbbell,
+    fib,
+    random_connected_voltaged_graph,
+    random_int_poly,
+    random_self_reciprocal,
+    random_tower,
+)
 
 from ihara_towers.errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from ihara_towers.ihara import (
@@ -105,11 +113,17 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
     ns = (1, 2, 3, 7, 12, 25, 33, 40, 41, 64)
     rng = random.Random(19)
     fs = [IntPoly((-2, 1, 1)), IntPoly((1, 0, 1))]  # (t-1)(t+2) and t**2+1: D_n = 0
+    # palindromic, so through the trace polynomial: t**2 -+ t + 1 vanish at
+    # roots of unity, (t -+ 1)**2 has a double root
+    fs += [IntPoly((1, -1, 1)), IntPoly((1, 1, 1)), IntPoly((1, -2, 1)), IntPoly((1, 2, 1))]
     for _ in range(60):
         f = random_int_poly(rng, max_degree=5)
         if f.degree >= 1:
             fs.append(f)
-    for f in fs:
+    palindromes = [random_self_reciprocal(rng) for _ in range(60)]
+    assert any(f.degree == 2 for f in palindromes)
+    assert any(abs(f.lead) > 1 for f in palindromes)
+    for f in fs + palindromes:
         values = pierce_lehmer_range(f, max(ns))
         for n in ns:
             cyc = IntPoly((-1,) + (0,) * (n - 1) + (1,))
@@ -117,6 +131,13 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
             assert pierce_lehmer(f, n) == values[n - 1] == reference
     assert pierce_lehmer(IntPoly((1, 0, 1)), 12) == 0
     assert pierce_lehmer(IntPoly((1, 0, 1)), 6) == 4
+    # large n: Res(f (t - 2), t**n - 1) = Res(f, t**n - 1) (2**n - 1), and
+    # f (t - 2) is not palindromic, so it takes the t**n path
+    small = [f for f in palindromes if f.degree <= 6][:20]
+    assert len(small) >= 15
+    for f in small:
+        for n in (513, 1000):
+            assert pierce_lehmer(f, n) * (2 ** n - 1) == pierce_lehmer(f * IntPoly((-2, 1)), n)
 
 
 def test_pierce_lehmer_divisibility():
