@@ -101,13 +101,6 @@ class TowerAnalysis:
     chi: int
 
 
-def _reject_roots_of_unity(j: IntPoly) -> None:
-    """Hard error when J vanishes at a root of unity (impossible for a
-    connected tower; a violation means corrupted input)."""
-    if vanishes_at_root_of_unity(j):
-        raise HypothesisViolation("J vanishes at a root of unity")
-
-
 def _invariant(holds: bool, message: str) -> None:
     """Raise VerificationMismatch when an invariant that every valid tower
     satisfies fails (unlike assert, this survives python -O)."""
@@ -148,7 +141,9 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
         e += 1
     _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
     _invariant(j_poly(1) != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
-    _reject_roots_of_unity(j_poly)
+    # impossible for a connected tower: a violation means corrupted input
+    if vanishes_at_root_of_unity(j_poly):
+        raise HypothesisViolation("J vanishes at a root of unity")
     delta1 = resultant(j_poly, linear)
     _invariant(delta1 != 0, "D_1 = Res(J, t - 1) vanishes")
     kappa = spanning_tree_count(g)
@@ -197,8 +192,9 @@ def _mulmod(u: list, v: list, monic: list) -> list:
 def _trace_polynomial(c: tuple) -> list:
     """K with t**m * K(t + 1/t) = f, for the coefficients c of a palindromic f
     of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
-    t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s,
-    V_k = s V_(k-1) - V_(k-2)."""
+    t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s, V_k = s V_(k-1) -
+    V_(k-2).  _lehmer_modulus rescales it for the Pierce-Lehmer values, and
+    mahler.count_unit_circle_roots counts its real roots in (-2, 2)."""
     m = (len(c) - 1) // 2
     k = [c[m]] + [0] * m
     v_prev, v = [2], [0, 1]
@@ -402,6 +398,8 @@ def verify_tower(
     """
     if mode not in ("matrix-tree", "bruteforce-small"):
         raise ValueError(f"unknown verification mode {mode!r}")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     ta = analyze(vg)
     kappas = kappa_sequence(ta, n_max)
     payloads = [(vg, n, mode) for n in range(1, n_max + 1)]

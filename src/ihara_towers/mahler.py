@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import TowerError, VerificationMismatch
-from .ihara import TowerAnalysis
+from .ihara import TowerAnalysis, _trace_polynomial
 from .padic_engine import content_valuation, is_prime, newton_polygon, valuation
-from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem, squarefree_part
+from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem
 
 
 # ---------------------------------------------------------------------------
@@ -174,30 +174,6 @@ def mahler_archimedean(f: IntPoly, tol: float = 1e-12, seed: int = 0) -> ArchMea
 # ---------------------------------------------------------------------------
 
 
-def _reversed_poly(f: IntPoly) -> IntPoly:
-    return IntPoly(tuple(reversed(f.coeffs)))
-
-
-def _pair_substitution(h: IntPoly) -> IntPoly:
-    """q with h(t) = t**m q(t + 1/t), for palindromic h of even degree 2m.
-
-    Uses p_k(x) = t**k + t**-k with p_0 = 2, p_1 = x and
-    p_k = x*p_{k-1} - p_{k-2}.
-    """
-    d = h.degree
-    if d % 2 or h.coeffs != tuple(reversed(h.coeffs)):
-        raise VerificationMismatch("the substitution x = t + 1/t needs an even palindrome")
-    m = d // 2
-    q = IntPoly((h.coeffs[m],))
-    pk_prev = IntPoly((2,))
-    pk = IntPoly((0, 1))
-    x = IntPoly((0, 1))
-    for k in range(1, m + 1):
-        q = q + h.coeffs[m + k] * pk
-        pk_prev, pk = pk, x * pk - pk_prev
-    return q
-
-
 def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
     """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0.
 
@@ -230,22 +206,21 @@ def count_unit_circle_roots(f: IntPoly) -> int:
 
     Roots at +-1 are split off by exact division.  The remaining unit-circle
     roots are shared with the reciprocal polynomial, so they live in
-    gcd(f, f*); that gcd is palindromic and the substitution x = t + 1/t
-    turns the question into counting real roots in (-2, 2), which Sturm
-    sequences answer exactly.  Multiplicities are recovered through the
-    gcd-with-derivative chain.
+    g = gcd(f, f*), palindromic of even degree 2m.  Each pair of them is a
+    root in (-2, 2) of the trace polynomial K of g (ihara._trace_polynomial),
+    and a Sturm chain counts distinct roots even if K is not squarefree.
+    The layers g, gcd(g, g'), ... lower each multiplicity by one in turn.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     work, count = _strip_trivial_roots(f)
     if work.degree <= 0:
         return count
-    g = poly_gcd(work, _reversed_poly(work))
+    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
     while g.degree > 0:
-        sf = squarefree_part(g)
-        if sf.coeffs != tuple(reversed(sf.coeffs)):
+        if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
             raise VerificationMismatch("the unit-root gcd is not palindromic")
-        count += 2 * _sturm_count_open(_pair_substitution(sf), -2, 2)
+        count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
         g = poly_gcd(g, g.derivative())
     return count
 

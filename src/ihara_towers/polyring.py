@@ -13,6 +13,7 @@ and the pseudo-remainder sequences of gcds and resultants simple.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd, log
 
@@ -358,80 +359,47 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return a if a.lead > 0 else -a
 
 
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f divided by gcd(f, f'), made primitive with positive lead."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    # The gcd is primitive, so the quotient is integral by Gauss's lemma.
-    h = divide_exact(f, poly_gcd(f, f.derivative())).primitive_part()
-    return h if h.lead > 0 else -h
-
-
 # ---------------------------------------------------------------------------
-# Fraction-free determinants
+# Fraction-free determinants: one Bareiss elimination for Z and Z[t]
 # ---------------------------------------------------------------------------
 
 
-def int_matrix_det(rows) -> int:
-    """Bareiss determinant of a square integer matrix (list of lists)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
+def _bareiss(m, one, div):
+    """Fraction-free determinant of the square matrix m (row lists, which it
+    overwrites) over Z or Z[t]: one is the ring's unit and div its exact
+    division.  Every division is exact by Sylvester's identity.  A zero pivot
+    is swapped with a lower row; a column with no nonzero pivot gives 0.
+    """
+    n = len(m)
     sign = 1
-    prev = 1
+    prev = one
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return 0 * one
         pk = m[k][k]
         mk = m[k]
         for i in range(k + 1, n):
             mi = m[i]
             mik = mi[k]
             m[i] = mi[: k + 1] + [
-                (mi[j] * pk - mik * mk[j]) // prev for j in range(k + 1, n)
+                div(mi[j] * pk - mik * mk[j], prev) for j in range(k + 1, n)
             ]
         prev = pk
-    return sign * m[-1][-1]
+    return sign * m[-1][-1] if n else one
 
 
-def _poly_matrix_det_bareiss(rows) -> IntPoly:
-    """Bareiss over IntPoly entries; exact divisions are guaranteed over Z[t]."""
-    n = len(rows)
-    if n == 0:
-        return IntPoly((1,))
+def int_matrix_det(rows) -> int:
+    """Bareiss determinant of a square integer matrix (list of lists)."""
     m = [list(r) for r in rows]
-    sign = 1
-    prev = IntPoly((1,))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly()
-        pk = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            new_row = mi[: k + 1]
-            for j in range(k + 1, n):
-                new_row.append(divide_exact(mi[j] * pk - mik * mk[j], prev))
-            m[i] = new_row
-        prev = pk
-    det = m[-1][-1]
-    return det if sign == 1 else -det
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("matrix is not square")
+    return _bareiss(m, 1, operator.floordiv)
 
 
 def poly_matrix_det(rows) -> LaurentPoly:
@@ -442,8 +410,6 @@ def poly_matrix_det(rows) -> LaurentPoly:
     runs over plain integer polynomials.
     """
     n = len(rows)
-    if n == 0:
-        return LaurentPoly(0, IntPoly((1,)))
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     shift_total = 0
@@ -453,8 +419,7 @@ def poly_matrix_det(rows) -> LaurentPoly:
         m_i = min(lows) if lows else 0
         shift_total += m_i
         cleared.append([e.body.shift(e.low - m_i) if not e.is_zero() else IntPoly() for e in row])
-    det = _poly_matrix_det_bareiss(cleared)
-    return LaurentPoly(shift_total, det)
+    return LaurentPoly(shift_total, _bareiss(cleared, IntPoly((1,)), divide_exact))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,9 @@ def test_verify_command_and_mismatch(tmp_path, capsys):
     code, out, _ = run(["verify", str(path), "--n-max", "8", "--jobs", "2"], capsys)
     assert code == 0 and json.loads(out)["ok"]
 
+    code, out, err = run(["verify", str(path), "--n-max", "8", "--jobs", "-3"], capsys)
+    assert (code, out, err) == (1, "", "error: jobs must be positive\n")
+
 
 def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     # corrupt the formula path so the oracle disagrees

@@ -289,6 +289,13 @@ def test_verify_tower_caps_the_pool(monkeypatch):
     monkeypatch.setattr(ihara.os, "cpu_count", lambda: 3)
     assert verify_tower(bouquet(1, 2), 8, jobs=6).ok
     assert context.sizes == [2, 3]
+    for jobs in (0, -3):  # rejected, not coerced to a serial run
+        try:
+            verify_tower(bouquet(1, 2), 8, jobs=jobs)
+            assert False
+        except ValueError as exc:
+            assert str(exc) == "jobs must be positive"
+    assert context.sizes == [2, 3]
 
 
 def test_verify_tower_bruteforce_mode():

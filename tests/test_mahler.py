@@ -91,6 +91,11 @@ def test_count_unit_circle_roots_with_pm_one_and_multiplicity():
     # -(t**2 - t + 1)**2 * (8t**2 + 13t + 8): six unit roots, two double
     f = IntPoly((-8, 3, -6, -7, -6, 3, -8))
     assert count_unit_circle_roots(f) == 6
+    # Lehmer's polynomial: 8 unit-circle roots, none of them a root of unity
+    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    assert count_unit_circle_roots(lehmer) == 8
+    assert count_unit_circle_roots(lehmer * lehmer) == 16
+    assert count_unit_circle_roots(lehmer * lehmer * IntPoly((1, 1, 1, 1, 1))) == 20
 
 
 def test_count_unit_circle_roots_against_numeric():
@@ -157,12 +162,14 @@ def test_unit_circle_invariant_raises_package_error(monkeypatch):
     import ihara_towers.mahler as mahler
     from ihara_towers.errors import VerificationMismatch
 
-    monkeypatch.setattr(mahler, "squarefree_part", lambda f: IntPoly((1, 2)))
-    try:
-        count_unit_circle_roots(IntPoly((1, 0, 1)))
-        assert False
-    except VerificationMismatch as exc:
-        assert "palindromic" in str(exc)
+    # a gcd that is not palindromic, and one of odd degree
+    for bad in (IntPoly((1, 0, 2)), IntPoly((1, 1))):
+        monkeypatch.setattr(mahler, "poly_gcd", lambda f, g, bad=bad: bad)
+        try:
+            count_unit_circle_roots(IntPoly((1, 0, 1)))
+            assert False
+        except VerificationMismatch as exc:
+            assert "palindromic" in str(exc)
 
 
 def test_archimedean_asymptotic_records():

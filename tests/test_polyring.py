@@ -18,7 +18,6 @@ from ihara_towers.polyring import (
     poly_matrix_det,
     pseudo_rem,
     resultant,
-    squarefree_part,
     sylvester_matrix,
     vanishes_at_root_of_unity,
 )
@@ -104,6 +103,12 @@ def test_int_matrix_det_small():
     assert int_matrix_det([[7]]) == 7
     assert int_matrix_det([[1, 2], [3, 4]]) == -2
     assert int_matrix_det([[0, 1], [1, 0]]) == -1
+    # singular: a dependent row, a zero pivot swapped out, no pivot left
+    assert int_matrix_det([[1, 2], [2, 4]]) == 0
+    assert int_matrix_det([[0, 0], [1, 1]]) == 0
+    assert int_matrix_det([[1, 2, 3], [2, 4, 6], [1, 2, 5]]) == 0
+    # the first pivot is zero, so the first two rows swap
+    assert int_matrix_det([[0, 2, 1], [1, 1, 1], [2, 0, 3]]) == -4
 
 
 def _cofactor_det(m):
@@ -127,6 +132,9 @@ def test_poly_matrix_det_examples():
     p, q = L({0: 1, 2: 3}), L({-1: 5, 0: -2})
     zero = L({})
     assert poly_matrix_det([[p, zero], [zero, q]]) == p * q
+    # singular: a zero column, and a row that is a multiple of the other
+    assert poly_matrix_det([[zero, p], [zero, q]]) == zero
+    assert poly_matrix_det([[p, q], [p * q, q * q]]) == zero
 
     # dumbbell voltage matrix with voltages (k, l) = (1, 2)
     a = L({0: 3, 1: -1, -1: -1})
@@ -223,7 +231,7 @@ def test_poly_gcd_and_squarefree():
         # the primitive part of g divides the gcd of (g*a, g)
         assert pseudo_rem(d, gp).is_zero()
     sq = IntPoly((1, 1)) * IntPoly((1, 1)) * IntPoly((-1, 1))
-    assert squarefree_part(sq) == IntPoly((-1, 0, 1))
+    assert poly_gcd(sq, sq.derivative()) == IntPoly((1, 1))
 
 
 def test_cyclotomic_polynomials():
