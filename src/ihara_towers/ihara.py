@@ -14,9 +14,11 @@ J is palindromic of even degree 2m, so its roots pair off as alpha, 1/alpha
 and D_n = a**n * prod (2 - V_n(s_j)), with a = lead(J), s_j the m roots of
 the trace polynomial K (t**m K(t + 1/t) = J) and V_n the Lucas sequence
 V_n = s V_(n-1) - V_(n-2) (Lehmer 1933).  Each D_n is then one resultant
-against a monic rescaling of K, which has half the degree of J; a
-polynomial that is not palindromic of even degree goes through t**n modulo
-a monic rescaling of itself instead.
+against a monic rescaling of K, which has half the degree of J.  Every
+Pierce-Lehmer value takes one Lucas chain W_n = sigma W_(n-1) - q W_(n-2)
+modulo a monic polynomial: q = a**2 and the rescaled K for a palindromic
+polynomial of even degree, and q = 0 and the rescaled polynomial itself for
+any other, where W_n = sigma**n is t**n for n >= 1.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .graph_core import (
 from .polyring import (
     IntPoly,
     LaurentPoly,
-    divide_exact,
+    _divide_out,
+    _mul,
+    _prem,
     is_self_reciprocal,
     poly_matrix_det,
     resultant,
@@ -47,13 +51,18 @@ MAX_BITS_ENV = "IHARA_TOWERS_MAX_BITS"
 
 
 def _bit_cap():
-    """The raw MAX_BITS_ENV setting, read once per public call; unset or empty
-    means no cap."""
-    return os.environ.get(MAX_BITS_ENV)
+    """The MAX_BITS_ENV cap in bits, read once per public call: None when the
+    variable is unset or empty, and ValueError unless it is ASCII digits."""
+    raw = os.environ.get(MAX_BITS_ENV)
+    if not raw:
+        return None
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{MAX_BITS_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_bits(value: int, cap) -> int:
-    if cap and abs(value).bit_length() > int(cap):
+    if cap is not None and abs(value).bit_length() > cap:
         raise ResourceLimit(f"integer exceeds {MAX_BITS_ENV}={cap} bits")
     return value
 
@@ -133,18 +142,13 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     _invariant(b >= 0, "the lowest power of t in the Ihara polynomial is positive")
     i_poly = ihara.body
     _invariant(i_poly.coeffs[0] != 0, "the Ihara polynomial body vanishes at t = 0")
-    linear = IntPoly((-1, 1))
-    j_poly = i_poly
-    e = 0
-    while j_poly(1) == 0:
-        j_poly = divide_exact(j_poly, linear)
-        e += 1
+    j_poly, e = _divide_out(i_poly, 1)
     _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
     _invariant(j_poly(1) != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
     # impossible for a connected tower: a violation means corrupted input
     if vanishes_at_root_of_unity(j_poly):
         raise HypothesisViolation("J vanishes at a root of unity")
-    delta1 = resultant(j_poly, linear)
+    delta1 = resultant(j_poly, IntPoly((-1, 1)))
     _invariant(delta1 != 0, "D_1 = Res(J, t - 1) vanishes")
     kappa = spanning_tree_count(g)
     return TowerAnalysis(vg, ihara, b, e, i_poly, j_poly, delta1, kappa, chi)
@@ -173,22 +177,6 @@ def _shift(w: list, monic: list) -> list:
     return [x - c * y for x, y in zip([0] + w[:-1], monic)]
 
 
-def _mulmod(u: list, v: list, monic: list) -> list:
-    """u * v modulo monic."""
-    d = len(monic) - 1
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                prod[i + j] += x * y
-    for k in range(d - 2, -1, -1):
-        c = prod[k + d]
-        if c:
-            for i in range(d):
-                prod[k + i] -= c * monic[i]
-    return prod[:d]
-
-
 def _trace_polynomial(c: tuple) -> list:
     """K with t**m * K(t + 1/t) = f, for the coefficients c of a palindromic f
     of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
@@ -206,117 +194,108 @@ def _trace_polynomial(c: tuple) -> list:
 
 
 def _lehmer_modulus(f: IntPoly):
-    """(monic, palindromic) for f of degree d >= 1.
+    """(monic, q) for f of degree d >= 1: the modulus and the constant term of
+    the Lucas chain W_n = sigma W_(n-1) - q W_(n-2), where sigma = t modulo
+    monic, (W_0, W_1) = (2, sigma) and a = lead(f).
 
     A palindromic f of even degree 2m has roots in pairs alpha, 1/alpha, and
     (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(s) for s = alpha + 1/alpha, so
     D_n = a**n * prod (2 - V_n(s_j)) over the m roots s_j of the trace
-    polynomial K (Lehmer, Ann. of Math. 34 (1933)); a = lead(f) = lead(K).
-    Then monic is the rescaling of K, whose roots are sigma_j = a s_j, and
-    W_n = a**n V_n(sigma/a) satisfies W_n = sigma W_(n-1) - a**2 W_(n-2), so
+    polynomial K (Lehmer, Ann. of Math. 34 (1933)); a = lead(K).  Then monic
+    is the rescaling of K, whose roots are sigma_j = a s_j, q = a**2 and
+    W_n = a**n V_n(sigma/a), so
 
         Res(monic, 2 a**n - W_n) = a**(n(m-1)) * D_n.
 
-    Any other f keeps the t**n path: monic is the rescaling of f, with roots
-    sigma = a alpha, and Res(monic, t**n - a**n) = a**(n(d-1)) * D_n.
+    For any other f, monic is the rescaling of f, with roots sigma = a alpha,
+    and q = 0, so that W_n = sigma**n for n >= 1 and
+    Res(monic, W_n - a**n) = a**(n(d-1)) * D_n.
     """
     c = f.coeffs
     if f.degree % 2 == 0 and c == c[::-1]:
-        return _rescaled(_trace_polynomial(c)), True
-    return _rescaled(list(c)), False
+        return _rescaled(_trace_polynomial(c)), c[-1] ** 2
+    return _rescaled(list(c)), 0
 
 
-def _lucas(n: int, a: int, monic: list) -> list:
+def _lucas(n: int, q: int, monic: list) -> list:
     """W_n modulo monic by a Lucas chain, two products per bit of n:
-    W_2k = W_k**2 - 2 a**2k and W_(2k+1) = W_k W_(k+1) - a**2k sigma."""
+    W_2k = W_k**2 - 2 q**k and W_(2k+1) = W_k W_(k+1) - q**k sigma."""
     w0 = [2] + [0] * (len(monic) - 2)
     sigma = w1 = _shift([1] + w0[1:], monic)
-    a_k = 1
+    q_k = 1
     for bit in bin(n)[2:]:
-        a_2k = a_k * a_k
-        odd = [x - a_2k * y for x, y in zip(_mulmod(w0, w1, monic), sigma)]
+        odd = [x - q_k * y for x, y in zip(_prem(_mul(w0, w1), monic), sigma)]
         if bit == "1":
-            a_k = a_2k * a
-            w0, w1 = odd, _mulmod(w1, w1, monic)
-            w1[0] -= 2 * a_k * a
+            w0, w1 = odd, _prem(_mul(w1, w1), monic)
+            w1[0] -= 2 * q_k * q
+            q_k *= q_k * q
         else:
-            a_k = a_2k
-            w0, w1 = _mulmod(w0, w0, monic), odd
-            w0[0] -= 2 * a_k
+            w0, w1 = _prem(_mul(w0, w0), monic), odd
+            w0[0] -= 2 * q_k
+            q_k *= q_k
     return w0
 
 
-def _delta(monic: IntPoly, w: list, a_pow_n: int, palindromic: bool) -> int:
-    """D_n from the residue w of W_n (palindromic f) or of t**n (any other f)
-    modulo monic, and a_pow_n = a**n; see _lehmer_modulus."""
-    g = IntPoly([2 * a_pow_n - w[0]] + [-x for x in w[1:]] if palindromic
+def _delta(monic: IntPoly, w: list, a_pow_n: int, q: int) -> int:
+    """D_n from the residue w of W_n modulo monic, the q of the chain and
+    a_pow_n = a**n; see _lehmer_modulus."""
+    g = IntPoly([2 * a_pow_n - w[0]] + [-x for x in w[1:]] if q
                 else [w[0] - a_pow_n] + w[1:])
     if g.is_zero():
         return 0
-    q, r = divmod(resultant(monic, g), a_pow_n ** (monic.degree - 1))
+    quot, r = divmod(resultant(monic, g), a_pow_n ** (monic.degree - 1))
     if r:
         raise VerificationMismatch("rescaled resultant is not divisible by the scaling power")
-    return q
+    return quot
 
 
 def pierce_lehmer(f: IntPoly, n: int) -> int:
     """Res(f, t**n - 1), exactly.
 
-    For a palindromic f of even degree, W_n comes from a Lucas chain modulo
-    the monic rescaling of the trace polynomial of f, which has half the
-    degree; for any other f, t**n from square-and-multiply modulo the monic
-    rescaling of f.  One subresultant resultant then gives the value (see
-    _lehmer_modulus).
+    W_n comes from one Lucas chain modulo a monic polynomial, and one
+    subresultant resultant then gives the value.  For a palindromic f of even
+    degree the modulus is the rescaled trace polynomial of f, which has half
+    the degree; for any other f it is the rescaling of f itself, with q = 0,
+    so that W_n = t**n (see _lehmer_modulus).
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if n < 1:
         raise ValueError("n must be positive")
     cap = _bit_cap()
-    d = f.degree
-    if d == 0:
+    if f.degree == 0:
         return _check_bits(f.coeffs[0] ** n, cap)
-    modulus, palindromic = _lehmer_modulus(f)
-    if palindromic:
-        w = _lucas(n, f.lead, modulus)
-    else:
-        w = [1] + [0] * (d - 1)
-        for bit in bin(n)[2:]:
-            w = _mulmod(w, w, modulus)
-            if bit == "1":
-                w = _shift(w, modulus)
-    return _check_bits(_delta(IntPoly(modulus), w, f.lead ** n, palindromic), cap)
+    modulus, q = _lehmer_modulus(f)
+    w = _lucas(n, q, modulus)
+    return _check_bits(_delta(IntPoly(modulus), w, f.lead ** n, q), cap)
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
     """[Res(f, t - 1), ..., Res(f, t**n_max - 1)], one resultant per layer.
 
-    The residue advances by one step per layer: W_n = sigma W_(n-1) -
-    a**2 W_(n-2) from (W_0, W_1) = (2, sigma) for a palindromic f of even
-    degree, and t**n = t * t**(n-1) from 1 for any other f (see
-    _lehmer_modulus).
+    The residue advances by one step of the Lucas chain per layer,
+    W_n = sigma W_(n-1) - q W_(n-2) from (W_0, W_1) = (2, sigma); see
+    _lehmer_modulus.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     cap = _bit_cap()
-    d = f.degree
-    if d == 0:
+    if f.degree == 0:
         c = f.coeffs[0]
         return [_check_bits(c ** n, cap) for n in range(1, n_max + 1)]
     a = f.lead
-    modulus, palindromic = _lehmer_modulus(f)
+    modulus, q = _lehmer_modulus(f)
     monic = IntPoly(modulus)
-    one = [1] + [0] * (len(modulus) - 2)
-    w_prev, w = [2 if palindromic else 1] + one[1:], _shift(one, modulus)
-    b = a * a if palindromic else 0
+    w_prev = [2] + [0] * (len(modulus) - 2)
+    w = _shift([1] + w_prev[1:], modulus)
     a_pow = 1
     out = []
     for _ in range(n_max):
         a_pow *= a
-        out.append(_check_bits(_delta(monic, w, a_pow, palindromic), cap))
-        w_prev, w = w, [x - b * y for x, y in zip(_shift(w, modulus), w_prev)]
+        out.append(_check_bits(_delta(monic, w, a_pow, q), cap))
+        w_prev, w = w, [x - q * y for x, y in zip(_shift(w, modulus), w_prev)]
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis, _trace_polynomial
 from .padic_engine import content_valuation, is_prime, newton_polygon, valuation
-from .polyring import IntPoly, divide_exact, poly_gcd, pseudo_rem
+from .polyring import IntPoly, _divide_out, poly_gcd, pseudo_rem
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +59,9 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
 def _strip_trivial_roots(f: IntPoly):
     """(g, m): f with its power of t and its roots at +-1 divided out, and m
     the number of roots at +-1 removed, with multiplicity."""
-    k = 0
-    while f.coeffs[k] == 0:
-        k += 1
-    work = IntPoly(f.coeffs[k:])
-    count = 0
-    for root in (1, -1):
-        linear = IntPoly((-root, 1))
-        while work.degree > 0 and work(root) == 0:
-            work = divide_exact(work, linear)
-            count += 1
-    return work, count
+    work, plus = _divide_out(_divide_out(f, 0)[0], 1)
+    work, minus = _divide_out(work, -1)
+    return work, plus + minus
 
 
 def _aberth_roots(coeffs, tol: float, rng: random.Random, max_restarts: int = 10):

@@ -51,7 +51,7 @@ from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
-from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
+from .polyring import IntPoly, _mul, cyclotomic_polynomial, vanishes_at_root_of_unity
 
 MAX_PRECISION = 512
 
@@ -127,19 +127,9 @@ def _gf_sub(a, b, q):
     return _gf_trim([(u - v) % q for u, v in zip_longest(a, b, fillvalue=0)])
 
 
-def _gf_mul(a, b):
-    """The product of a and b, coefficients unreduced."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
-
-
 def _gf_mulmod(a, b, g, q):
     """a * b modulo g over Z/qZ."""
-    return _gf_divmod(_gf_mul(a, b), g, q)[1]
+    return _gf_divmod(_mul(a, b), g, q)[1]
 
 
 def _gf_powmod(a, e, g, q):
@@ -169,7 +159,7 @@ def _gf_inverse(a, g, p):
     while r1:
         quot, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(quot, s1), p)
+        s0, s1 = s1, _gf_sub(s0, _mul(quot, s1), p)
     if len(r0) != 1:
         raise VerificationMismatch("attempted to invert a non-unit")
     inv = pow(r0[0], -1, p)
@@ -729,7 +719,12 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
 
     Every row is checked against the exact valuation of the tree count; a
     failure is a bug, not a data condition, hence VerificationMismatch.
+    kappas, when given, must hold at least the tree counts of layers 1..n_max.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    if kappas is not None and len(kappas) < n_max:
+        raise ValueError(f"kappas holds {len(kappas)} layers, fewer than n_max = {n_max}")
     structure = unit_root_structure(ta.j_poly, p)
     mu = structure.mu
     c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)

@@ -18,6 +18,16 @@ from functools import lru_cache
 from math import gcd, log
 
 
+def _mul(a, b) -> list:
+    """The product of the low-first coefficient lists a and b, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 class IntPoly:
     """Dense polynomial over the integers.
 
@@ -94,15 +104,7 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    out[i + j] += ci * cj
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -287,6 +289,16 @@ def divide_exact(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(q)
 
 
+def _divide_out(f: IntPoly, root: int):
+    """(g, m) with f = (t - root)**m * g and g(root) != 0, for nonzero f."""
+    linear = IntPoly((-root, 1))
+    m = 0
+    while f(root) == 0:
+        f = divide_exact(f, linear)
+        m += 1
+    return f, m
+
+
 def ord_at(f, point: int) -> int:
     """Multiplicity of the root at 0 or 1.
 
@@ -297,18 +309,8 @@ def ord_at(f, point: int) -> int:
         f = f.body
     if f.is_zero():
         raise ValueError("zero polynomial has no finite vanishing order")
-    if point == 0:
-        k = 0
-        while f.coeffs[k] == 0:
-            k += 1
-        return k
-    if point == 1:
-        linear = IntPoly((-1, 1))
-        m = 0
-        while f(1) == 0:
-            f = divide_exact(f, linear)
-            m += 1
-        return m
+    if point in (0, 1):
+        return _divide_out(f, point)[1]
     raise ValueError("ord_at supports only the points 0 and 1")
 
 
@@ -331,10 +333,16 @@ def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     """
     if g.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
-    r = list(f.coeffs)
-    d = g.degree
-    gl = g.lead
-    gc = g.coeffs[:d]
+    return IntPoly(_prem(list(f.coeffs), g.coeffs))
+
+
+def _prem(r: list, g) -> list:
+    """The pseudo-remainder of the low-first list r, which it consumes, by the
+    low-first g with nonzero last entry: untrimmed, of length deg g when
+    len(r) > deg g, and r itself otherwise."""
+    d = len(g) - 1
+    gl = g[-1]
+    gc = g[:d]
     # One step per quotient coefficient, even when a leading coefficient
     # cancels, so that lead(g) enters exactly deg f - deg g + 1 times.
     for k in range(len(r) - 1 - d, -1, -1):
@@ -344,7 +352,7 @@ def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
         if c:
             for i, x in enumerate(gc):
                 r[k + i] -= c * x
-    return IntPoly(r)
+    return r
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -141,8 +141,17 @@ _FAMILIES = {"bouquet": _bouquet, "circulant-base": _bouquet, "dumbbell": _dumbb
              "petersen": _petersen, "igraph": _dumbbell, "fibonacci": _fibonacci}
 
 
+def _integer_parameter(x) -> int:
+    """An int, or a decimal string, as an int; a float, a bool or any other
+    value is rejected, never coerced (as in graph_from_json)."""
+    digits = x.removeprefix("-") if isinstance(x, str) else ""
+    if isinstance(x, int) and not isinstance(x, bool) or digits.isascii() and digits.isdigit():
+        return int(x)
+    raise ValueError(f"parameter {x!r} is not an integer")
+
+
 def generate_family(family: str, params) -> VoltagedGraph:
-    params = [int(x) for x in params]
+    params = [_integer_parameter(x) for x in params]
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return _FAMILIES[family](family, params)

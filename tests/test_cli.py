@@ -81,6 +81,19 @@ def test_generate_families():
         pass
 
 
+def test_generate_family_rejects_non_integer_parameters():
+    # ints and decimal strings (the CLI and the golden tests pass both)
+    for params in ([3, -5], ["3", "-5"], [3, "-5"]):
+        vg = generate_family("bouquet", params)
+        assert [vg.voltages[i] for i in range(2)] == [3, -5]
+    for bad in (1.7, 2.0, True, False, None, "1.5", " 3", "1_000", "+", "-", "", "\u0663", [1]):
+        try:
+            generate_family("bouquet", [1, bad])
+            assert False, bad
+        except ValueError as exc:
+            assert str(exc) == f"parameter {bad!r} is not an integer"
+
+
 def test_analyze_command(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(["generate", "bouquet", "3", "5", "--output", str(path)], capsys)
@@ -225,6 +238,16 @@ def test_max_bits_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", "64")
     code, _, err = run(["table", str(path), "--n-max", "40"], capsys)
     assert code == 4 and "resource" in err.lower()
+    # a malformed cap is an input error before any work; 0 refuses every value
+    for setting in ("abc", "-3", " 12", "1_000"):
+        monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", setting)
+        code, out, err = run(["table", str(path), "--n-max", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: IHARA_TOWERS_MAX_BITS must be a non-negative integer, "
+                       f"got {setting!r}\n")
+    monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", "0")
+    code, _, err = run(["table", str(path), "--n-max", "2"], capsys)
+    assert code == 4 and "IHARA_TOWERS_MAX_BITS=0 bits" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -120,6 +120,11 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
         f = random_int_poly(rng, max_degree=5)
         if f.degree >= 1:
             fs.append(f)
+    # not palindromic with |lead| > 1 (q = 0), and deg-1 moduli: f of degree 1
+    # and palindromic f of degree 2
+    chosen = [IntPoly((1, 2, -3)), IntPoly((5, 0, 1, -4)), IntPoly((3, 2)), IntPoly((-1, 7)),
+              IntPoly((3, 1, 3)), IntPoly((2, -5, 2)), IntPoly((-2, 4, -2))]
+    fs += chosen
     palindromes = [random_self_reciprocal(rng) for _ in range(60)]
     assert any(f.degree == 2 for f in palindromes)
     assert any(abs(f.lead) > 1 for f in palindromes)
@@ -129,6 +134,11 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
             cyc = IntPoly((-1,) + (0,) * (n - 1) + (1,))
             reference = int_matrix_det(sylvester_matrix(f, cyc))
             assert pierce_lehmer(f, n) == values[n - 1] == reference
+    # n = 255 and 256: every bit of the chain set, and a single one
+    for f in chosen + palindromes[:4]:
+        values = pierce_lehmer_range(f, 256)
+        for n in (255, 256):
+            assert pierce_lehmer(f, n) == values[n - 1]
     assert pierce_lehmer(IntPoly((1, 0, 1)), 12) == 0
     assert pierce_lehmer(IntPoly((1, 0, 1)), 6) == 4
     # large n: Res(f (t - 2), t**n - 1) = Res(f, t**n - 1) (2**n - 1), and
@@ -196,6 +206,23 @@ def test_bit_cap_bounds_every_pierce_lehmer_entry_point(monkeypatch):
         assert kappa_via_formula(ta, n_kappa) == kappas[n_kappa - 1]
         assert resultant_row(ta, n_row) == rows[n_row - 1]
         assert pierce_lehmer_range(ta.j_poly, 13)[:12] == deltas
+    # a malformed cap is refused when the call starts, before any value is
+    # computed; 0 refuses every nonzero value
+    for setting in ("abc", "-3", " 12", "1_000", "12 ", "+5", "1.5", "\u0661"):
+        monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", setting)
+        for call in (lambda: pierce_lehmer(ta.j_poly, 1), lambda: kappa_sequence(ta, 1)):
+            try:
+                call()
+                assert False, setting
+            except ValueError as exc:
+                assert str(exc) == ("IHARA_TOWERS_MAX_BITS must be a non-negative integer, "
+                                    f"got {setting!r}")
+    monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", "0")
+    try:
+        pierce_lehmer(ta.j_poly, 1)
+        assert False
+    except ResourceLimit as exc:
+        assert str(exc) == "integer exceeds IHARA_TOWERS_MAX_BITS=0 bits"
 
 
 def test_kappa_from_delta_rejects_non_integral_quotient():

@@ -13,7 +13,7 @@ from corpus import acceptance_towers, bouquet, fib, ord_p, random_int_poly
 
 import ihara_towers
 from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
-from ihara_towers.ihara import analyze, pierce_lehmer
+from ihara_towers.ihara import analyze, kappa_sequence, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     FriedmanLaw,
@@ -691,6 +691,23 @@ def test_padic_report_fibonacci_p5():
     for n in range(1, 61):
         ord_f = (rp.per_n[n].ord - (ord_p(n, 5) if n % 5 == 0 else 0)) // 2
         assert ord_f == (ord_p(n, 5) if n % 5 == 0 else 0)
+
+
+def test_padic_report_validates_n_max_and_kappas():
+    ta = analyze(bouquet(3, 5))
+    kappas = kappa_sequence(ta, 5)
+    for n_max, given in ((10, kappas), (6, kappas), (0, []), (0, None), (-1, kappas)):
+        for call in (padic_report, sequence_classes):
+            try:
+                call(ta, 2, n_max, kappas=given)
+                assert False, (n_max, given)
+            except ValueError as exc:
+                assert str(exc) == ("n_max must be positive" if n_max < 1 else
+                                    f"kappas holds 5 layers, fewer than n_max = {n_max}")
+    # kappas for n_max layers or more give the report computed without them
+    plain = padic_report(ta, 2, 5)
+    assert padic_report(ta, 2, 5, kappas=kappas) == plain
+    assert padic_report(ta, 2, 4, kappas=kappas).per_n == {n: plain.per_n[n] for n in range(1, 5)}
 
 
 def test_iwasawa_invariants_examples():

@@ -195,6 +195,13 @@ def test_ord_at_examples():
     assert ord_at(IntPoly((1, 1, -4, 1, 1)), 1) == 2
     assert ord_at(IntPoly((1, 3, 1)), 1) == 0
     assert ord_at(IntPoly((0, 0, 0, 1)), 0) == 3
+    # (t - 1)**3 (t + 1)**2 h, with h(1) != 0 and h(-1) != 0
+    f = IntPoly((1, 3, 1))
+    for root, k in ((1, 3), (-1, 2)):
+        for _ in range(k):
+            f = f * IntPoly((-root, 1))
+    assert ord_at(f, 1) == 3 and ord_at(f, 0) == 0
+    assert ord_at(f * IntPoly((0, 0, 1)), 0) == 2
 
 
 def test_geometric_quotient():
