@@ -10,7 +10,12 @@ c_p = ord_p(kappa(X)) - ord_p(D_1), and nu_{p,n} a finite-image correction.
 
 All data of J at p lives in one UnitRootStructure, built by
 unit_root_structure(j, p): mu, the residue factors of the unit part with
-their orders, and each factor's Teichmueller constants.
+their orders, and each factor's Teichmueller constants.  The last 64
+structures are memoised per process, keyed on (J's coefficients, p), so the
+reports and laws of a tower build each structure once; structures are
+shared, so their constants are read-only.  When J / p**mu is palindromic or
+anti-palindromic, a residue factor g and its monic reciprocal g* have the
+same order and constants, and each pair is computed once.
 
 nu has two computation paths by design.  The oracle path inverts the
 identity using the exact integer valuation of the Pierce-Lehmer value and is
@@ -26,17 +31,22 @@ rises for each root on its own: from 2 p-adic digits, doubled with one more
 Newton step while a distance reaches it; past MAX_PRECISION,
 PrecisionExhausted is raised.
 
-nu_structural is the only place the constants are summed.  The Iwasawa,
-Washington and Friedman laws are the decomposition along p-power, ell-power
-and smooth subsequences: each reads lambda from lambda_for_n and the
-structural nu from nu_structural at the least n of its subsequence, and fits
-nu from exact values only when the unit part is ramified.
+The constants are summed in one place, the per-layer pass over the factors
+that lambda_for_n, nu_structural and the rows of padic_report share.  The
+Iwasawa, Washington and Friedman laws are the decomposition along p-power,
+ell-power and smooth subsequences: each reads lambda from lambda_for_n and
+the structural nu from nu_structural at the least n of its subsequence, and
+fits nu from exact values only when the unit part is ramified.
 
 An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
-Z/p**K[t]/(g) is one kind of value, a low-first list of ints, and every
-modular product and power goes through one division routine.  F_p
-factoring, integer factoring (residue orders) and primality (BPSW) are local,
-so this module never imports sympy.
+Z/p**K[t]/(g) is one kind of value, a low-first list of ints, q = p or p**K.
+Every product and power modulo a monic g of degree d goes through one
+Kronecker-packed kernel: the operands are packed into ints with w bits per
+coefficient, w the bit length of (2d - 1)(q - 1)**2 + q - 1 so that no slot
+carries, multiplied once, and the high slots folded back with the rows
+t**k mod g built once per (g, q).  Division serves gcds, inverses and exact
+quotients.  F_p factoring, integer factoring (residue orders) and primality
+(BPSW) are local, so this module never imports sympy.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, zip_longest
 from math import gcd, lcm
 
@@ -88,7 +98,8 @@ def content_valuation(f: IntPoly, p: int) -> int:
 # ---------------------------------------------------------------------------
 # An element of F_p[t], F_p[t]/(g) or Z/p**K[t]/(g) is a list of ints in
 # [0, q), q = p or p**K, t**0 first as in IntPoly.coeffs, with no trailing
-# zeros.  Every modular product and power is reduced by _gf_divmod.
+# zeros.  Every product and power modulo a monic g goes through the packed
+# kernel of _ModRing; _gf_divmod serves gcds, inverses and exact quotients.
 
 
 def _gf_trim(f):
@@ -127,21 +138,88 @@ def _gf_sub(a, b, q):
     return _gf_trim([(u - v) % q for u, v in zip_longest(a, b, fillvalue=0)])
 
 
+class _ModRing:
+    """Z/qZ[t]/(g) for a monic g of degree d >= 1, multiplied by Kronecker
+    substitution (Harvey, J. Symb. Comput. 44 (2009)).
+
+    An element is packed into one int, w bits per coefficient, so a product
+    is one integer product.  Its slots of t**d .. t**(2d - 2) are reduced mod
+    q and folded back onto the low d slots with the rows t**k mod g, packed
+    once here; then each slot is reduced mod q.  A low slot then holds at
+    most d products of two residues plus d - 1 row terms, and slot 0 also an
+    added constant below q, so w is the bit length of
+    (2d - 1)(q - 1)**2 + q - 1 and no slot carries into the next."""
+
+    __slots__ = ("g", "q", "w", "mask", "split", "low", "shifts", "rows")
+
+    def __init__(self, g, q):
+        d = len(g) - 1
+        self.g, self.q = g, q
+        self.w = w = ((2 * d - 1) * (q - 1) ** 2 + q - 1).bit_length()
+        self.mask, self.split, self.low = (1 << w) - 1, d * w, (1 << d * w) - 1
+        self.shifts = range(0, d * w, w)
+        rows, row = [], [-c % q for c in g[:-1]]  # t**d mod g
+        for _ in range(d - 1):
+            rows.append(self._pack(row))
+            top = row[-1]  # t * row, less top * g
+            row = [(a - top * c) % q for a, c in zip([0] + row[:-1], g)]
+        self.rows = rows
+
+    def _pack(self, a):
+        x, w = 0, self.w
+        for c in reversed(a):
+            x = x << w | c
+        return x
+
+    def _reduce(self, z):
+        """The packed residue of a packed z whose slots obey the bound."""
+        q, mask = self.q, self.mask
+        high = z >> self.split
+        z = (z & self.low) + sum([(high >> s & mask) % q * row
+                                  for s, row in zip(self.shifts, self.rows)])
+        x, w = 0, self.w
+        for s in reversed(self.shifts):
+            x = x << w | (z >> s & mask) % q
+        return x
+
+    def _unpack(self, x):
+        return _gf_trim([x >> s & self.mask for s in self.shifts])
+
+    def _packed(self, a):
+        """a, of any length, packed as an element."""
+        return self._pack(a if len(a) < len(self.g) else _gf_divmod(a, self.g, self.q)[1])
+
+    def mul(self, a, b):
+        """a * b."""
+        return self._unpack(self._reduce(self._packed(a) * self._packed(b)))
+
+    def pow(self, a, e):
+        """a**e, by square and multiply from the leading bit of e."""
+        if e == 0:
+            return [1]
+        x = y = self._packed(a)
+        for bit in bin(e)[3:]:
+            y = self._reduce(y * y)
+            if bit == "1":
+                y = self._reduce(y * x)
+        return self._unpack(y)
+
+    def at(self, coeffs, a):
+        """The integer polynomial with these coefficients at a, by Horner."""
+        x, y = self._packed(a), 0
+        for c in reversed(coeffs):
+            y = self._reduce(y * x + c % self.q)
+        return self._unpack(y)
+
+
 def _gf_mulmod(a, b, g, q):
-    """a * b modulo g over Z/qZ."""
-    return _gf_divmod(_mul(a, b), g, q)[1]
+    """a * b modulo a monic g over Z/qZ."""
+    return _ModRing(g, q).mul(a, b)
 
 
 def _gf_powmod(a, e, g, q):
-    """a**e modulo g over Z/qZ, for deg g >= 1, by square and multiply."""
-    result = [1]
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, a, g, q)
-        e >>= 1
-        if e:
-            a = _gf_mulmod(a, a, g, q)
-    return result
+    """a**e modulo a monic g of degree >= 1 over Z/qZ."""
+    return _ModRing(g, q).pow(a, e)
 
 
 def _gf_gcd(f, g, p):
@@ -186,13 +264,14 @@ def _gf_squarefree(f, p):
 def _gf_irreducible_factors(f, p, rng):
     """The irreducible factors of a monic squarefree f: gcd(f, t**(p**k) - t)
     collects those of degree k (distinct-degree factoring), then splits them."""
-    out, k, h = [], 1, [0, 1]
+    out, k, h, ring = [], 1, [0, 1], None
     while len(f) - 1 >= 2 * k:
-        h = _gf_powmod(h, p, f, p)
+        ring = ring or _ModRing(f, p)
+        h = ring.pow(h, p)
         g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out += _gf_split(g, k, p, rng)
-            f = _gf_divmod(f, g, p)[0]
+            f, ring = _gf_divmod(f, g, p)[0], None
         k += 1
     return out + [f] if len(f) > 1 else out
 
@@ -202,6 +281,7 @@ def _gf_split(f, k, p, rng):
     degree k, split by Cantor-Zassenhaus (Math. Comp. 36 (1981))."""
     if len(f) - 1 == k:
         return [f]
+    ring = _ModRing(f, p)
     while True:
         r = _gf_trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if p == 2:
@@ -209,10 +289,10 @@ def _gf_split(f, k, p, rng):
             # factor; over F_2 the sum is a difference
             s = y = r
             for _ in range(k - 1):
-                y = _gf_mulmod(y, y, f, p)
+                y = ring.mul(y, y)
                 s = _gf_sub(s, y, p)
         else:
-            s = _gf_sub(_gf_powmod(r, (p ** k - 1) // 2, f, p), [1], p)
+            s = _gf_sub(ring.pow(r, (p ** k - 1) // 2), [1], p)
         g = _gf_gcd(f, s, p)
         if 1 < len(g) < len(f):
             return _gf_split(g, k, p, rng) + _gf_split(_gf_divmod(f, g, p)[0], k, p, rng)
@@ -429,14 +509,15 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = _gf_monic(g, p)
+    ring = _ModRing(g, p)
     n = p ** (len(g) - 1) - 1
     order = 1
     for ell, e in _factor_p_power_minus_one(p, len(g) - 1).items():
-        y = _gf_powmod([0, 1], n // ell ** e, g, p)
+        y = ring.pow([0, 1], n // ell ** e)
         for _ in range(e):
             if y == [1]:
                 break
-            y = _gf_powmod(y, ell, g, p)
+            y = ring.pow(y, ell)
             order *= ell
         if y != [1]:
             raise ValueError("t**(p**deg(g) - 1) != 1, so g is not irreducible mod p")
@@ -499,6 +580,19 @@ class UnitFactor:
     order: int  # None when the factoring budget was exceeded
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so a memoised structure can be
+    shared; it prints as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the constants of a unit root structure are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class UnitRootStructure:
     prime: int
@@ -506,7 +600,7 @@ class UnitRootStructure:
     unit_poly: IntPoly  # reduction mod p of j / p**mu with the t-power stripped
     factors: tuple
     ramified: bool
-    constants: dict  # factor -> _RootConstants; None when ramified
+    constants: dict  # read-only, factor -> _RootConstants; None when ramified
 
     @property
     def unit_root_count(self) -> int:
@@ -523,6 +617,12 @@ class UnitRootStructure:
         return _gf_powmod([0, 1], n, _gf_monic(factor.poly, self.prime), self.prime) == [1]
 
 
+# Structures memoised per process.  The reports and laws of one tower read
+# its structures at the same few primes (11 in a padic benchmark round), so
+# 64 keep those of several towers at once while bounding what is held.
+_MEMO_SIZE = 64
+
+
 def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     """Extract the slope-zero (unit root) part of j at p, factor its
     reduction, and compute each factor's Teichmueller constants.
@@ -535,13 +635,23 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     distance infinite, so when there are unit roots to measure that input
     is rejected (ValueError); a distance still ambiguous at MAX_PRECISION
     raises PrecisionExhausted.
+
+    The last _MEMO_SIZE structures are memoised per (j's coefficients, p)
+    and shared between calls, so their constants are read-only; the checks
+    and the errors come on every call, as an exception is never memoised.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if j.is_zero():
         raise ValueError("zero polynomial")
+    return _unit_root_structure(j.coeffs, p)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
+    j = IntPoly(coeffs)
     mu = content_valuation(j, p)
-    j1 = IntPoly([c // p ** mu for c in j.coeffs])
+    j1 = IntPoly([c // p ** mu for c in coeffs])
     red = [c % p for c in j1.coeffs]
     s = 0
     while red[s] == 0:
@@ -549,20 +659,42 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     lifted = IntPoly(red[s:])
     if lifted.degree != newton_polygon(j, p).slope_zero_length:
         raise VerificationMismatch("unit part degree disagrees with the Newton polygon")
-    factors = []
+    # When j / p**mu is palindromic or anti-palindromic its roots pair as
+    # beta and 1/beta, so the monic reciprocal g* of a residue factor g is a
+    # factor too, with g's order and constants: ord(beta**-m - 1) =
+    # ord(beta**m - 1).  Each pair is then computed once, at its first factor.
+    symmetric = coeffs in (coeffs[::-1], tuple(-c for c in reversed(coeffs)))
+    factors, mates, seen = [], [], {}
     for g, mult in factor_mod_p(lifted, p):
-        try:
-            order = multiplicative_order(g, p)
-        except OrderUnavailable:
-            order = None
-        factors.append(UnitFactor(g, mult, g.degree, order))
+        mate = seen.get(_gf_reciprocal(g, p))
+        if mate is not None:
+            order = mate.order
+        else:
+            try:
+                order = multiplicative_order(g, p)
+            except OrderUnavailable:
+                order = None
+        factor = UnitFactor(g, mult, g.degree, order)
+        factors.append(factor)
+        mates.append(mate)
+        if symmetric:
+            seen[g.coeffs] = factor
     ramified = any(f.multiplicity > 1 for f in factors)
     constants = None
     if not ramified:
         if factors and vanishes_at_root_of_unity(j):
             raise ValueError("polynomial vanishes at a root of unity")
-        constants = {f: _root_constants(p, f, j1) for f in factors}
+        constants = {}
+        for f, mate in zip(factors, mates):
+            constants[f] = _root_constants(p, f, j1) if mate is None else constants[mate]
+        constants = _ReadOnlyDict(constants)
     return UnitRootStructure(p, mu, lifted, tuple(factors), ramified, constants)
+
+
+def _gf_reciprocal(g: IntPoly, p: int) -> tuple:
+    """The coefficients of the monic reciprocal t**deg(g) g(1/t) / g(0) mod p."""
+    inv = pow(g.coeffs[0], -1, p)
+    return tuple(c * inv % p for c in reversed(g.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +717,7 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
     digits while some w[r] reaches K."""
     g = _gf_monic(factor.poly, p)
     f = len(g) - 1
-    dj1 = j1.derivative()
-
-    def at(poly, a, q):  # poly(a), by Horner
-        return reduce(lambda acc, c: _gf_sub(_gf_mulmod(acc, a, g, q), [-c], q),
-                      reversed(poly.coeffs), [])
+    poly, dpoly, ring = j1.coeffs, j1.derivative().coeffs, _ModRing(g, p)
 
     def ord_minus_one(y, K):  # min ord_p over the coordinates of y - 1, K for 0
         return min([valuation(c, p) for c in _gf_sub(y, [1], p ** K) if c] + [K])
@@ -598,19 +726,20 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
     # a unit because the unit part is squarefree mod p, so only its residue
     # is inverted.  Both are exact to K // 2 digits on entry to precision K,
     # so one step there makes beta exact to K; z is refined only to go on.
-    beta = _gf_mulmod([0, 1], [1], g, p)
-    z = _gf_inverse(at(dj1, beta, p), g, p)
+    beta = _gf_divmod([0, 1], g, p)[1]
+    z = _gf_inverse(ring.at(dpoly, beta), g, p)
     K = 2
     while True:
         q = p ** K
-        beta = _gf_sub(beta, _gf_mulmod(at(j1, beta, q), z, g, q), q)
-        if at(j1, beta, q):
+        ring = _ModRing(g, q)
+        beta = _gf_sub(beta, ring.mul(ring.at(poly, beta), z), q)
+        if ring.at(poly, beta):
             raise VerificationMismatch("root lifting failed")
         # beta = xi * u with xi**(p**f - 1) = 1 and u = 1 mod p.  As p**f - 1
         # is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) =
         # ord(u**(p**r) - 1) = ord(beta**((p**f - 1) * p**r) - 1), so xi
         # itself is never computed.
-        y = _gf_powmod(beta, p ** f - 1, g, q)
+        y = ring.pow(beta, p ** f - 1)
         w = [ord_minus_one(y, K)]
         if w[0] < 1:
             raise VerificationMismatch(
@@ -620,14 +749,14 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
         while p ** s * (p - 1) * w[0] <= 1:
             s += 1
         for _ in range(s):
-            y = _gf_powmod(y, p, g, q)
+            y = ring.pow(y, p)
             w.append(ord_minus_one(y, K))
         if max(w) < K:
             return _RootConstants(s, tuple(w))
         K *= 2
         if K > MAX_PRECISION:
             raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
-        z = _gf_mulmod(z, _gf_sub([2], _gf_mulmod(at(dj1, beta, q), z, g, q), q), g, q)
+        z = ring.mul(z, _gf_sub([2], ring.mul(ring.at(dpoly, beta), z), q))
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +770,7 @@ def lambda_for_n(structure: UnitRootStructure, n: int, e: int = None) -> int:
     With e given, adds the tower shift e - 1; without it, this is the
     polynomial-level count.
     """
-    count = sum(
-        f.multiplicity * f.degree
-        for f in structure.factors
-        if structure.order_divides(f, n)
-    )
+    count = _layer_terms(structure, n)[0]
     if e is None:
         return count
     return count + e - 1
@@ -669,19 +794,24 @@ def nu_from_oracle(j: IntPoly, p: int, n: int, mu: int, lambda_poly: int) -> int
 def nu_structural(structure: UnitRootStructure, n: int):
     """nu_{p,n}(j) from Teichmueller distances (an int), for the j the
     structure was built from; None when the unit part is ramified."""
-    data = structure.constants
-    if data is None:
-        return None
-    p = structure.prime
+    return _layer_terms(structure, n)[1]
+
+
+def _layer_terms(structure: UnitRootStructure, n: int):
+    """(lambda, nu) at n, deciding each residue order once: the count of
+    lambda_for_n and the sum of the constants of nu_structural, the only
+    place they are summed."""
+    data, p = structure.constants, structure.prime
     m = valuation(n, p) if n % p == 0 else 0
-    total = 0
+    lam = nu = 0
     for f in structure.factors:
-        if not structure.order_divides(f, n):
-            continue
-        rc = data[f]
-        r = min(m, rc.s)
-        total += f.degree * (rc.w[r] - r)
-    return total
+        if structure.order_divides(f, n):
+            lam += f.multiplicity * f.degree
+            if data is not None:
+                rc = data[f]
+                r = min(m, rc.s)
+                nu += f.degree * (rc.w[r] - r)
+    return lam, None if data is None else nu
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +863,12 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
     per_n = {}
     for n in range(1, n_max + 1):
         ordn = valuation(n, p) if n % p == 0 else 0
-        lam_poly = lambda_for_n(structure, n)
+        lam_poly, nu = _layer_terms(structure, n)
         lam = lam_poly + ta.e - 1
         ord_kappa = valuation(kappas[n - 1], p) if kappas[n - 1] % p == 0 else 0
         # The oracle value follows from the tree-count formula itself.
         ord_delta = ord_kappa - (ta.e - 1) * ordn - c
-        if structure.constants is not None:
-            nu = nu_structural(structure, n)
+        if nu is not None:
             source = "structural"
         else:
             nu = ord_delta - mu * n - lam_poly * ordn

@@ -333,6 +333,15 @@ def cmd_asymptotics(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_argument(text: str) -> int:
+    """An integer argument, with generate_family's rule: argparse's int()
+    would also take spaces, underscores, a plus sign and non-ASCII digits."""
+    try:
+        return _integer_parameter(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -345,45 +354,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a base graph for a named family")
     gen.add_argument("family", choices=list(_FAMILIES))
-    gen.add_argument("params", nargs="*", type=int)
+    gen.add_argument("params", nargs="*", type=_int_argument)
     gen.add_argument("--output")
     gen.set_defaults(func=cmd_generate)
 
     ana = sub.add_parser("analyze", help="summary of one voltaged graph")
     ana.add_argument("graph")
-    ana.add_argument("--prime", dest="primes", action="append", type=int, default=[])
-    ana.add_argument("--seed", type=int, default=0)
+    ana.add_argument("--prime", dest="primes", action="append", type=_int_argument, default=[])
+    ana.add_argument("--seed", type=_int_argument, default=0)
     ana.add_argument("--output")
     ana.set_defaults(func=cmd_analyze)
 
     tab = sub.add_parser("table", help="kappa / resultant / delta rows")
     tab.add_argument("graph")
-    tab.add_argument("--n-max", type=int, default=10)
+    tab.add_argument("--n-max", type=_int_argument, default=10)
     tab.add_argument("--format", choices=["json", "csv"])
     tab.add_argument("--output")
     tab.set_defaults(func=cmd_table)
 
     ver = sub.add_parser("verify", help="formula path against an independent count")
     ver.add_argument("graph")
-    ver.add_argument("--n-max", type=int, default=10)
+    ver.add_argument("--n-max", type=_int_argument, default=10)
     ver.add_argument("--mode", choices=["matrix-tree", "bruteforce-small"],
                      default="matrix-tree")
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=_int_argument, default=1)
     ver.add_argument("--output")
     ver.set_defaults(func=cmd_verify)
 
     pad = sub.add_parser("padic", help="per-layer p-adic valuation decomposition")
     pad.add_argument("graph")
-    pad.add_argument("--prime", type=int, required=True)
-    pad.add_argument("--n-max", type=int, default=100)
+    pad.add_argument("--prime", type=_int_argument, required=True)
+    pad.add_argument("--n-max", type=_int_argument, default=100)
     pad.add_argument("--format", choices=["json", "csv"])
     pad.add_argument("--output")
     pad.set_defaults(func=cmd_padic)
 
     asy = sub.add_parser("asymptotics", help="exponential growth law check")
     asy.add_argument("graph")
-    asy.add_argument("--n-probe", type=int, default=100)
-    asy.add_argument("--seed", type=int, default=0)
+    asy.add_argument("--n-probe", type=_int_argument, default=100)
+    asy.add_argument("--seed", type=_int_argument, default=0)
     asy.add_argument("--output")
     asy.set_defaults(func=cmd_asymptotics)
 

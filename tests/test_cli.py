@@ -258,6 +258,34 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+
+def test_integer_arguments_are_not_coerced(tmp_path, capsys):
+    # int() would take each of these; the arguments take only an optional
+    # minus sign and ASCII digits, as generate_family and graph files do
+    path = tmp_path / "fib.json"
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
+    g = str(path)
+    for bad in (" 3", "3 ", "1_0", "+3", "\u0663", "1.5", "0x3", "abc", ""):
+        commands = (["generate", "bouquet", bad], ["generate", "bouquet", "3", bad],
+                    ["analyze", g, "--prime", bad], ["analyze", g, "--seed", bad],
+                    ["table", g, "--n-max", bad], ["verify", g, "--n-max", bad],
+                    ["verify", g, "--jobs", bad], ["padic", g, "--prime", bad],
+                    ["padic", g, "--prime", "2", "--n-max", bad],
+                    ["asymptotics", g, "--n-probe", bad], ["asymptotics", g, "--seed", bad])
+        for args in commands:
+            try:
+                main(args)
+                assert False, args
+            except SystemExit as exc:
+                assert exc.code == 1, args
+            captured = capsys.readouterr()
+            assert captured.out == "", args
+            assert captured.err.endswith(f": invalid int value: {bad!r}\n"), args
+    code, out, _ = run(["generate", "bouquet", "03", "-5"], capsys)
+    assert code == 0 and [e["voltage"] for e in json.loads(out)["edges"]] == [3, -5]
+    code, out, _ = run(["table", g, "--n-max", "007"], capsys)
+    assert code == 0 and len(json.loads(out)["rows"]) == 7
+
 # Runs every command in one fresh interpreter and prints their exit codes and
 # whether sympy was imported.
 STARTUP_SCRIPT = """

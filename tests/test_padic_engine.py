@@ -9,7 +9,14 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from corpus import acceptance_towers, bouquet, fib, ord_p, random_int_poly
+from corpus import (
+    acceptance_towers,
+    bouquet,
+    fib,
+    ord_p,
+    random_int_poly,
+    random_self_reciprocal,
+)
 
 import ihara_towers
 from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
@@ -20,6 +27,7 @@ from ihara_towers.padic_engine import (
     NewtonPolygon,
     UnitFactor,
     UnitRootStructure,
+    _ModRing,
     _factor_integer,
     _gf_divmod,
     _gf_gcd,
@@ -45,7 +53,7 @@ from ihara_towers.padic_engine import (
     valuation,
     washington_invariants,
 )
-from ihara_towers.polyring import IntPoly, cyclotomic_polynomial, pseudo_rem
+from ihara_towers.polyring import IntPoly, _mul, cyclotomic_polynomial, pseudo_rem
 
 J_FIB = IntPoly((-1, -3, -1))
 
@@ -535,6 +543,57 @@ def test_gf_kernel_matches_int_poly_arithmetic_mod_p_power():
     assert linear > 50
 
 
+def _list_mulmod(a, b, g, q):
+    """a * b mod g over Z/qZ by the list product and one division: the
+    route every modular product took before the packed kernel."""
+    return _gf_divmod(_mul(a, b), g, q)[1]
+
+
+def _list_powmod(a, e, g, q):
+    result = [1]
+    while e:
+        if e & 1:
+            result = _list_mulmod(result, a, g, q)
+        e >>= 1
+        if e:
+            a = _list_mulmod(a, a, g, q)
+    return result
+
+
+def test_packed_kernel_matches_list_product_and_division():
+    # the slot width is tightest for full-length operands with every
+    # coefficient q - 1, so a quarter of the cases are made of those
+    rng = random.Random(89)
+    cases, longer, widths = 0, 0, Counter()
+    for _ in range(2400):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 29, 31))
+        K = 1 if rng.random() < 0.4 else rng.randint(2, 16)
+        q, d = p ** K, rng.randint(1, 12)
+        g = [rng.randrange(q) for _ in range(d)] + [1]
+        extreme = rng.random() < 0.25
+
+        def element(length):
+            return [q - 1 if extreme else rng.randrange(q) for _ in range(length)]
+
+        a, b = element(d), element(rng.randint(0, d))
+        if rng.random() < 0.2:  # longer than g, so reduced before it is packed
+            a = element(rng.randint(d + 1, 2 * d + 3))
+            longer += 1
+        e = rng.choice((0, 1, 2, rng.randint(3, 400), rng.getrandbits(rng.randint(9, 40))))
+        coeffs = [rng.randint(-3 * q, 3 * q) for _ in range(rng.randint(0, 6))]
+        ring = _ModRing(g, q)
+        assert _gf_mulmod(a, b, g, q) == ring.mul(a, b) == _list_mulmod(a, b, g, q)
+        assert _gf_powmod(a, e, g, q) == ring.pow(a, e) == _list_powmod(a, e, g, q)
+        value = []
+        for c in reversed(coeffs):
+            value = _gf_sub(_list_mulmod(value, a, g, q), [-c], q)
+        assert ring.at(coeffs, a) == value
+        cases += 1
+        widths[(K > 1, d > 6)] += 1
+    assert _gf_powmod([5, 1], 0, [3, 0, 1], 7) == [1]
+    assert cases >= 2000 and longer > 300 and min(widths.values()) > 300
+
+
 def _horner(poly, a, g, q):
     acc = []
     for c in reversed(poly.coeffs):
@@ -652,6 +711,66 @@ def test_root_constants_match_teichmueller_fixed_point():
         pairs += 1
     assert doubled >= 2
     assert sum(n for d, n in degrees.items() if d >= 2) > 100
+
+
+def _reciprocal_pairs(structure):
+    """The (g, g*) among the factors, g* the monic reciprocal of g != g*."""
+    p, by_poly = structure.prime, {f.poly.coeffs: f for f in structure.factors}
+    pairs = []
+    for f in structure.factors:
+        inv = pow(f.poly.coeffs[0], -1, p)
+        mate = by_poly.get(tuple(c * inv % p for c in reversed(f.poly.coeffs)))
+        if mate is not None and mate is not f:
+            pairs.append((f, mate))
+    return pairs
+
+
+def test_reciprocal_factors_share_data_only_when_j_is_symmetric():
+    from ihara_towers.padic_engine import content_valuation
+
+    def checked(f, p):
+        # every order and constant against its own oracle, never the mate's
+        structure = unit_root_structure(f, p)
+        j1 = IntPoly([c // p ** content_valuation(f, p) for c in f.coeffs])
+        for factor in structure.factors:
+            assert factor.order == multiplicative_order(factor.poly, p)
+            if structure.constants is not None:
+                rc = structure.constants[factor]
+                assert (rc.s, rc.w) == _fixed_point_constants(j1, factor.poly, p), (f, p)
+        return structure, _reciprocal_pairs(structure)
+
+    # (t - 18)(18t - 1) at 5: the pair t - 3, t - 2, and 18 = omega(3) mod 25;
+    # (t**3 + t + 1)(t**3 + t**2 + 1) at 2: a pair of cubics with s = 1
+    for f, p, w in ((IntPoly((18, -325, 18)), 5, (2,)),
+                    (IntPoly((1, 1, 1, 3, 1, 1, 1)), 2, (1, 2))):
+        structure, pairs = checked(f, p)
+        assert len(pairs) == 2
+        for g, mate in pairs:
+            assert structure.constants[g].w == structure.constants[mate].w == w
+            assert structure.constants[g] is structure.constants[mate]  # computed once
+    # (t - 2)(t - 18) has the same pair mod 5 and mod 7, but its roots are
+    # not inverse: at 5, w is 1 for the root 2 and 2 for 18
+    for p in (5, 7):
+        structure, pairs = checked(IntPoly((36, -20, 1)), p)
+        assert len(pairs) == 2
+        for g, mate in pairs:
+            assert structure.constants[g] != structure.constants[mate]
+    # random palindromic j, and anti-palindromic ones (ramified at 1 or with
+    # the root 1, so only their orders are shared)
+    rng = random.Random(97)
+    paired = Counter()
+    for _ in range(120):
+        f = random_self_reciprocal(rng, max_half_degree=4)
+        if rng.random() < 0.3:
+            f = f * IntPoly((-1, 1))
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        try:
+            structure, pairs = checked(f, p)
+        except ValueError:  # a root of unity with unit roots to measure
+            continue
+        paired[structure.constants is not None] += len(pairs)
+        paired["degree > 1"] += sum(g.degree > 1 for g, _ in pairs)
+    assert paired[True] > 40 and paired[False] > 20 and paired["degree > 1"] > 20
 
 
 def test_nu_oracle_examples():
@@ -987,6 +1106,8 @@ def test_unit_root_invariant_raises_package_error(monkeypatch):
     import ihara_towers.padic_engine as padic_engine
     from ihara_towers.errors import VerificationMismatch
 
+    # a memoised structure would never reach the patched Newton polygon
+    padic_engine._unit_root_structure.cache_clear()
     monkeypatch.setattr(
         padic_engine, "newton_polygon", lambda f, p: NewtonPolygon(p, (), ((Fraction(0), 1),))
     )
@@ -995,3 +1116,38 @@ def test_unit_root_invariant_raises_package_error(monkeypatch):
         assert False
     except VerificationMismatch as exc:
         assert "Newton polygon" in str(exc)
+
+
+def test_memoised_structures_are_shared_read_only_and_errors_recur():
+    import copy
+    import pickle
+
+    structure = unit_root_structure(J_FIB, 2)
+    assert unit_root_structure(IntPoly(list(J_FIB.coeffs)), 2) is structure
+    constants = structure.constants
+    before = repr(structure)
+    factor = structure.factors[0]
+    for change in (lambda: constants.__setitem__(factor, None),
+                   lambda: constants.__delitem__(factor), constants.clear,
+                   lambda: constants.pop(factor), constants.popitem,
+                   lambda: constants.setdefault(factor, None),
+                   lambda: constants.update({}), lambda: constants.__ior__({})):
+        try:
+            change()
+            assert False, change
+        except TypeError:
+            pass
+    assert repr(structure) == before and before.count("constants={UnitFactor(") == 1
+    for twin in (copy.copy(constants), copy.deepcopy(constants),
+                 pickle.loads(pickle.dumps(constants))):
+        assert twin == constants and type(twin) is type(constants)
+    # an exception is never memoised: the same call raises every time
+    root_of_unity = IntPoly((27, 15, 13, -15, -31, -2, -2, -5))
+    for _ in range(3):
+        for call, p in ((lambda p: unit_root_structure(J_FIB, p), 4),
+                        (lambda p: unit_root_structure(root_of_unity, p), 3)):
+            try:
+                call(p)
+                assert False, p
+            except ValueError:
+                pass
