@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from .graph_core import (
@@ -384,6 +383,8 @@ def verify_tower(
     payloads = [(vg, n, mode) for n in range(1, n_max + 1)]
     workers = min(jobs, n_max, os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(workers) as pool:
             counts = pool.map(_layer_count, payloads)
     else:

@@ -5,7 +5,8 @@ quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
 by Sturm counts over the integers, never by float proximity.  The p-adic
 measure is the content valuation at a prime that padic_engine.is_prime
-checks, so nothing here imports sympy.
+checks, so nothing here imports sympy.  The p-adic helpers are imported in
+the functions that use them, so the Archimedean laws never load the engine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis, _trace_polynomial
-from .padic_engine import content_valuation, is_prime, newton_polygon, valuation
 from .polyring import IntPoly, _divide_out, poly_gcd, pseudo_rem
 
 
@@ -46,6 +46,8 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
     """Largest p-adic absolute value of the coefficients, as an exact exponent."""
     if f.is_zero():
         raise ValueError("zero polynomial")
+    from .padic_engine import content_valuation, is_prime
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return PadicMeasure(p, content_valuation(f, p))
@@ -268,6 +270,8 @@ class PadicAsymptotic:
     applicable: bool
 
     def predicted_ord(self, n: int) -> int:
+        from .padic_engine import valuation
+
         return self.mu * n + self.poly_order * (valuation(n, self.prime) if n % self.prime == 0 else 0) + self.c
 
 
@@ -277,6 +281,8 @@ def padic_asymptotic_no_unit_roots(ta: TowerAnalysis, p: int) -> PadicAsymptotic
     The gate is the Newton polygon of J at p: no slope-zero segment means no
     root of absolute value one, decided exactly.
     """
+    from .padic_engine import is_prime, newton_polygon, valuation
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     polygon = newton_polygon(ta.j_poly, p)

@@ -18,8 +18,6 @@ verification mismatch, 4 resource or precision exhaustion.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -40,14 +38,6 @@ from .ihara import (
     pierce_lehmer_range,
     verify_tower,
 )
-from .mahler import (
-    archimedean_asymptotic,
-    count_unit_circle_roots,
-    log_big,
-    mahler_archimedean,
-    mahler_padic,
-)
-from .padic_engine import padic_report
 from .voltage_cover import VoltagedGraph, monodromy_index, voltaged_graph
 
 EXIT_OK = 0
@@ -74,12 +64,19 @@ def graph_to_json(vg: VoltagedGraph) -> dict:
     return {"vertices": names, "edges": edges}
 
 
+def _required(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}" key')
+    return obj[key]
+
+
 def graph_from_json(doc: dict) -> VoltagedGraph:
-    """Parse a graph document; a value of the wrong type is rejected, never
-    coerced (a voltage 1.7, true or "3" raises ValueError)."""
+    """Parse a graph document; a missing key raises ValueError, and a value of
+    the wrong type is rejected, never coerced (a voltage 1.7, true or "3"
+    raises ValueError)."""
     if not isinstance(doc, dict):
         raise ValueError("a graph document must be a JSON object")
-    names, edges = doc["vertices"], doc["edges"]
+    names, edges = (_required(doc, key, "the graph document") for key in ("vertices", "edges"))
     if not (isinstance(names, list) and isinstance(edges, list)):
         raise ValueError('"vertices" and "edges" must be lists')
     for name in names:
@@ -92,7 +89,7 @@ def graph_from_json(doc: dict) -> VoltagedGraph:
     for edge in edges:
         if not isinstance(edge, dict):
             raise ValueError(f"edge {edge!r} is not an object")
-        u, v, a = edge["from"], edge["to"], edge["voltage"]
+        u, v, a = (_required(edge, key, f"edge {edge!r}") for key in ("from", "to", "voltage"))
         if not (isinstance(u, str) and isinstance(v, str) and u in index and v in index):
             raise ValueError(f"edge endpoint {u!r} or {v!r} is not a vertex")
         if not isinstance(a, int) or isinstance(a, bool):
@@ -177,6 +174,9 @@ def _write_output(text: str, path) -> None:
 
 
 def _rows_to_csv(fieldnames, rows) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames)
     writer.writeheader()
@@ -205,6 +205,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .mahler import count_unit_circle_roots, mahler_archimedean, mahler_padic
+
     vg = load_graph(args.graph)
     ta = analyze(vg)
     arch = mahler_archimedean(ta.j_poly, seed=args.seed)
@@ -276,6 +278,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_padic(args) -> int:
+    from .padic_engine import padic_report
+
     vg = load_graph(args.graph)
     ta = analyze(vg)
     report = padic_report(ta, args.prime, args.n_max)
@@ -310,6 +314,8 @@ def cmd_padic(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    from .mahler import archimedean_asymptotic, log_big
+
     vg = load_graph(args.graph)
     ta = analyze(vg)
     law = archimedean_asymptotic(ta, seed=args.seed)

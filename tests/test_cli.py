@@ -145,6 +145,12 @@ def test_graph_file_rejects_coerced_values(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out, err = run(["analyze", str(path)], capsys)
         assert code == 1 and out == "" and err.startswith("error: "), doc
+    for key in ("vertices", "edges", "from", "to", "voltage"):  # a ValueError, not a KeyError
+        edges = [{k: v for k, v in edge.items() if k != key} for edge in loops]
+        doc = {k: v for k, v in {"vertices": ["v"], "edges": edges}.items() if k != key}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 1 and out == "" and err.startswith("error: ") and f'no "{key}" key' in err, err
 
 
 def test_table_csv_and_json(tmp_path, capsys):

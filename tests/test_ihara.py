@@ -303,7 +303,7 @@ def test_verify_tower_caps_the_pool(monkeypatch):
     import ihara_towers.ihara as ihara
 
     context = _RecordingContext()
-    monkeypatch.setattr(ihara, "get_context", lambda method: context)
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: context)
     monkeypatch.setattr(ihara.os, "cpu_count", lambda: 64)
     assert verify_tower(bouquet(1, 2), 2, jobs=6).ok
     assert context.sizes == [2]  # no more workers than layers
