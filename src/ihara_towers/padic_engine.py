@@ -44,9 +44,9 @@ Every product and power modulo a monic g of degree d goes through one
 Kronecker-packed kernel: the operands are packed into ints with w bits per
 coefficient, w the bit length of (2d - 1)(q - 1)**2 + q - 1 so that no slot
 carries, multiplied once, and the high slots folded back with the rows
-t**k mod g built once per (g, q).  Division serves gcds, inverses and exact
-quotients.  F_p factoring, integer factoring (residue orders) and primality
-(BPSW) are local, so this module never imports sympy.
+t**k mod g built once per (g, q).  Division serves gcds and exact quotients.
+F_p factoring, integer factoring (residue orders) and primality (BPSW) are
+local, so this module never imports sympy.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
-from .polyring import IntPoly, _mul, cyclotomic_polynomial, vanishes_at_root_of_unity
+from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
 
 MAX_PRECISION = 512
 
@@ -99,7 +99,7 @@ def content_valuation(f: IntPoly, p: int) -> int:
 # An element of F_p[t], F_p[t]/(g) or Z/p**K[t]/(g) is a list of ints in
 # [0, q), q = p or p**K, t**0 first as in IntPoly.coeffs, with no trailing
 # zeros.  Every product and power modulo a monic g goes through the packed
-# kernel of _ModRing; _gf_divmod serves gcds, inverses and exact quotients.
+# kernel of _ModRing; _gf_divmod serves gcds and exact quotients.
 
 
 def _gf_trim(f):
@@ -212,36 +212,12 @@ class _ModRing:
         return self._unpack(y)
 
 
-def _gf_mulmod(a, b, g, q):
-    """a * b modulo a monic g over Z/qZ."""
-    return _ModRing(g, q).mul(a, b)
-
-
-def _gf_powmod(a, e, g, q):
-    """a**e modulo a monic g of degree >= 1 over Z/qZ."""
-    return _ModRing(g, q).pow(a, e)
-
-
 def _gf_gcd(f, g, p):
     """The monic gcd over F_p of f and g, not both zero."""
     while g:
         f, g = g, _gf_divmod(f, g, p)[1]
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
-
-
-def _gf_inverse(a, g, p):
-    """The inverse of a modulo g over F_p, by the extended Euclidean algorithm
-    tracking only the cofactor of a; VerificationMismatch unless gcd(a, g) = 1."""
-    r0, r1, s0, s1 = list(g), _gf_trim(list(a)), [], [1]
-    while r1:
-        quot, r = _gf_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _mul(quot, s1), p)
-    if len(r0) != 1:
-        raise VerificationMismatch("attempted to invert a non-unit")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0]
 
 
 def _gf_squarefree(f, p):
@@ -614,7 +590,7 @@ class UnitRootStructure:
         """
         if factor.order is not None:
             return n % factor.order == 0
-        return _gf_powmod([0, 1], n, _gf_monic(factor.poly, self.prime), self.prime) == [1]
+        return _ModRing(_gf_monic(factor.poly, self.prime), self.prime).pow([0, 1], n) == [1]
 
 
 # Structures memoised per process.  The reports and laws of one tower read
@@ -724,10 +700,14 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
 
     # Coupled Newton iteration from the residue root: z follows 1/J1'(beta),
     # a unit because the unit part is squarefree mod p, so only its residue
-    # is inverted.  Both are exact to K // 2 digits on entry to precision K,
-    # so one step there makes beta exact to K; z is refined only to go on.
+    # is inverted, as a**(p**f - 2) in the field F_p[t]/(g) of p**f elements.
+    # Both are exact to K // 2 digits on entry to precision K, so one step
+    # there makes beta exact to K; z is refined only to go on.
     beta = _gf_divmod([0, 1], g, p)[1]
-    z = _gf_inverse(ring.at(dpoly, beta), g, p)
+    a = ring.at(dpoly, beta)
+    if not a:
+        raise VerificationMismatch("attempted to invert a non-unit")
+    z = ring.pow(a, p ** f - 2)
     K = 2
     while True:
         q = p ** K
@@ -800,7 +780,9 @@ def nu_structural(structure: UnitRootStructure, n: int):
 def _layer_terms(structure: UnitRootStructure, n: int):
     """(lambda, nu) at n, deciding each residue order once: the count of
     lambda_for_n and the sum of the constants of nu_structural, the only
-    place they are summed."""
+    place they are summed.  ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
     data, p = structure.constants, structure.prime
     m = valuation(n, p) if n % p == 0 else 0
     lam = nu = 0
@@ -866,13 +848,9 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
         lam_poly, nu = _layer_terms(structure, n)
         lam = lam_poly + ta.e - 1
         ord_kappa = valuation(kappas[n - 1], p) if kappas[n - 1] % p == 0 else 0
-        # The oracle value follows from the tree-count formula itself.
-        ord_delta = ord_kappa - (ta.e - 1) * ordn - c
-        if nu is not None:
-            source = "structural"
-        else:
-            nu = ord_delta - mu * n - lam_poly * ordn
-            source = "oracle"
+        source = "structural"
+        if nu is None:  # the oracle value follows from the tree-count formula itself
+            nu, source = ord_kappa - mu * n - lam * ordn - c, "oracle"
         total = mu * n + lam * ordn + nu + c
         if total != ord_kappa:
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
@@ -907,10 +885,7 @@ def iwasawa_invariants(j: IntPoly, p: int):
     s_max = 0
     while p ** s_max * (p - 1) <= max(j.degree, 1):
         s_max += 1
-    residues = [
-        ord_delta_exact(j, p, p ** k) - mu * p ** k - lam * k
-        for k in range(s_max + 5)
-    ]
+    residues = [nu_from_oracle(j, p, p ** k, mu, lam) for k in range(s_max + 5)]
     nu = residues[s_max]
     if any(v != nu for v in residues[s_max:]):
         raise PrecisionExhausted("Iwasawa residues did not stabilize in the window")
@@ -937,10 +912,7 @@ def washington_invariants(j: IntPoly, p: int, ell: int):
     k0 = max((valuation(f.order, ell) for f in structure.factors), default=0)
     nu = nu_structural(structure, ell ** k0)
     # exact verification (and the oracle value in the ramified case)
-    checks = [
-        ord_delta_exact(j, p, ell ** k) - mu * ell ** k
-        for k in (k0, k0 + 1, k0 + 2)
-    ]
+    checks = [nu_from_oracle(j, p, ell ** k, mu, 0) for k in (k0, k0 + 1, k0 + 2)]
     if nu is None:
         nu = checks[0]
     if any(v != nu for v in checks):
@@ -1023,7 +995,8 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
     ord_{ell_j}(D_n) = mu_{ell_j} * n + lam_j * k_j + nu_j, and for the
     outside prime p the lam term is absent.  At the least qualifying n0, lam is
     lambda_for_n and nu is nu_structural (ramified: a fit).  Each law is
-    verified exactly on all qualifying semigroup elements up to the bound.
+    verified exactly on all qualifying semigroup elements up to the bound;
+    ValueError when there is none.
     """
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
@@ -1055,15 +1028,14 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
         for n, exps in elements:
             if any(k < t for k, t in zip(exps, thresholds)):
                 continue
-            k_obs = exps[primes.index(observer)] if with_lambda else 0
-            value = ord_delta_exact(j, observer, n) - mu * n - lam * k_obs
+            value = nu_from_oracle(j, observer, n, mu, lam)
             if nu is None:
                 nu = value
             if value != nu:
                 raise AssertionError(f"Friedman law failed at n={n} for prime {observer}")
             verified = True
-        if nu is None or not verified:
-            raise AssertionError("no qualifying semigroup element below the bound")
+        if not verified:
+            raise ValueError(f"no qualifying semigroup element below the bound {bound}")
         return FriedmanLaw(observer, mu, lam, nu, thresholds)
 
     laws = {ell: law_for(ell, True) for ell in primes}

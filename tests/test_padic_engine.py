@@ -19,7 +19,7 @@ from corpus import (
 )
 
 import ihara_towers
-from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
+from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
 from ihara_towers.ihara import analyze, kappa_sequence, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
@@ -30,10 +30,6 @@ from ihara_towers.padic_engine import (
     _ModRing,
     _factor_integer,
     _gf_divmod,
-    _gf_gcd,
-    _gf_inverse,
-    _gf_mulmod,
-    _gf_powmod,
     _gf_sub,
     _gf_trim,
     _strong_lucas_probable_prime,
@@ -446,6 +442,15 @@ def test_lambda_for_n():
     assert lambda_for_n(s, 4, e=2) == 1
     assert lambda_for_n(s, 3) == 2
     assert lambda_for_n(s, 3 * 7, e=2) == s.unit_root_count + 1
+    # n = 0 and n = -1, at the ramified Fibonacci prime 5 too
+    for s in (s, unit_root_structure(J_FIB, 5)):
+        for call in (lambda_for_n, nu_structural):
+            for n in (0, -1):
+                try:
+                    call(s, n)
+                    assert False, (call, n)
+                except ValueError as exc:
+                    assert str(exc) == "n must be positive"
 
 
 def test_nu_structural_fibonacci_p2():
@@ -530,8 +535,9 @@ def test_gf_kernel_matches_int_poly_arithmetic_mod_p_power():
         power = IntPoly([1])
         for _ in range(e):
             power = power * IntPoly(a)
-        assert _gf_mulmod(a, b, g, q) == reduced(IntPoly(a) * IntPoly(b))
-        assert _gf_powmod(a, e, g, q) == reduced(power)
+        ring = _ModRing(g, q)
+        assert ring.mul(a, b) == reduced(IntPoly(a) * IntPoly(b))
+        assert ring.pow(a, e) == reduced(power)
         quot, rem = _gf_divmod(a, g, q)
         assert rem == reduced(IntPoly(a))
         assert _gf_sub(a, (IntPoly(quot) * IntPoly(g) + IntPoly(rem)).coeffs, q) == []
@@ -582,22 +588,22 @@ def test_packed_kernel_matches_list_product_and_division():
         e = rng.choice((0, 1, 2, rng.randint(3, 400), rng.getrandbits(rng.randint(9, 40))))
         coeffs = [rng.randint(-3 * q, 3 * q) for _ in range(rng.randint(0, 6))]
         ring = _ModRing(g, q)
-        assert _gf_mulmod(a, b, g, q) == ring.mul(a, b) == _list_mulmod(a, b, g, q)
-        assert _gf_powmod(a, e, g, q) == ring.pow(a, e) == _list_powmod(a, e, g, q)
+        assert ring.mul(a, b) == _list_mulmod(a, b, g, q)
+        assert ring.pow(a, e) == _list_powmod(a, e, g, q)
         value = []
         for c in reversed(coeffs):
             value = _gf_sub(_list_mulmod(value, a, g, q), [-c], q)
         assert ring.at(coeffs, a) == value
         cases += 1
         widths[(K > 1, d > 6)] += 1
-    assert _gf_powmod([5, 1], 0, [3, 0, 1], 7) == [1]
+    assert _ModRing([3, 0, 1], 7).pow([5, 1], 0) == [1]
     assert cases >= 2000 and longer > 300 and min(widths.values()) > 300
 
 
 def _horner(poly, a, g, q):
     acc = []
     for c in reversed(poly.coeffs):
-        acc = _gf_sub(_gf_mulmod(acc, a, g, q), [-c], q)
+        acc = _gf_sub(_ModRing(g, q).mul(acc, a), [-c], q)
     return acc
 
 
@@ -610,32 +616,12 @@ def _zq_inverse(a, g, p, K):
     """Inverse of a unit of Z/p**K[t]/(g): a**(p**deg g - 2) inverts it mod p,
     and each Newton step z -> z*(2 - a*z) then doubles the p-adic precision."""
     q = p ** K
-    z = _gf_powmod(a, p ** (len(g) - 1) - 2, g, q)
+    ring = _ModRing(g, q)
+    z = ring.pow(a, p ** (len(g) - 1) - 2)
     for _ in range((K - 1).bit_length()):
-        z = _gf_mulmod(z, _gf_sub([2], _gf_mulmod(a, z, g, q), q), g, q)
-    assert _gf_mulmod(a, z, g, q) == [1]
+        z = ring.mul(z, _gf_sub([2], ring.mul(a, z), q))
+    assert ring.mul(a, z) == [1]
     return z
-
-
-def test_gf_inverse_inverts_exactly_the_units():
-    # random monic g mod p, reducible or not: a is inverted iff gcd(a, g) = 1
-    rng = random.Random(81)
-    units = non_units = 0
-    for _ in range(400):
-        p = rng.choice((2, 3, 5, 7, 31))
-        f = rng.randint(1, 6)
-        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(f - 1)] + [1]
-        a = _gf_trim([rng.randrange(p) for _ in range(f)])
-        coprime = len(_gf_gcd(g, a, p)) == 1
-        try:
-            inverse = _gf_inverse(a, g, p)
-        except VerificationMismatch:
-            assert not coprime
-            non_units += 1
-            continue
-        assert coprime and _gf_mulmod(a, inverse, g, p) == [1]
-        units += 1
-    assert units > 200 and non_units > 20
 
 
 def _fixed_point_constants(j1, g, p):
@@ -647,15 +633,16 @@ def _fixed_point_constants(j1, g, p):
     G = list(g.coeffs)
     while True:
         q = p ** K
+        ring = _ModRing(G, q)
         beta = [0, 1] if g.degree > 1 else [-g.coeffs[0] % q]
         for _ in range(K.bit_length() + 2):
-            step = _gf_mulmod(_horner(j1, beta, G, q),
-                              _zq_inverse(_horner(j1.derivative(), beta, G, q), G, p, K), G, q)
+            step = ring.mul(_horner(j1, beta, G, q),
+                            _zq_inverse(_horner(j1.derivative(), beta, G, q), G, p, K))
             beta = _gf_sub(beta, step, q)
         assert not _horner(j1, beta, G, q)
         xi = beta
         for _ in range(K + 1):
-            nxt = _gf_powmod(xi, p ** g.degree, G, q)
+            nxt = ring.pow(xi, p ** g.degree)
             if nxt == xi:
                 break
             xi = nxt
@@ -667,7 +654,7 @@ def _fixed_point_constants(j1, g, p):
             s += 1
         for r in range(1, s + 1):
             w.append(_zq_valuation(
-                _gf_sub(_gf_powmod(beta, p ** r, G, q), _gf_powmod(xi, p ** r, G, q), q), p, K))
+                _gf_sub(ring.pow(beta, p ** r), ring.pow(xi, p ** r), q), p, K))
         if max(w) < K:
             return s, tuple(w)
         K *= 2
@@ -680,9 +667,10 @@ def test_root_constants_match_teichmueller_fixed_point():
     # zeta_3 * (1 + 2**40) at p = 2: a degree-2 residue factor whose
     # distance 40 needs the precision doubled
     c = 1 + 2 ** 40
-    # and at p = 3 two roots whose distances 30 and 1 need different precisions
+    # and at p = 3 two roots whose distances 30 and 1 need different precisions;
+    # t + 3 at p = 2 inverts J1'(beta) in F_2, with the exponent q - 2 = 0
     cases = [(IntPoly((c * c, c, 1)), 2), (IntPoly((-(1 + 3 ** 35), 1)), 3),
-             (IntPoly((-(1 + 3 ** 30), 1)) * IntPoly((-2, 1)), 3)]
+             (IntPoly((-(1 + 3 ** 30), 1)) * IntPoly((-2, 1)), 3), (IntPoly((3, 1)), 2)]
     pairs = doubled = 0
     degrees = Counter()
     while pairs < 300:
@@ -906,6 +894,13 @@ def test_friedman_laws_fibonacci():
         if exps[0] < outside.min_exponents[0] or exps[1] < outside.min_exponents[1]:
             continue
         assert ord_p(pierce_lehmer(J_FIB, n), 7) == outside.mu * n + outside.nu
+    # a bound below every qualifying element is an input error
+    for bound in (0, -1):
+        try:
+            friedman_laws(J_FIB, 5, (2,), bound=bound)
+            assert False, bound
+        except ValueError as exc:
+            assert str(exc) == f"no qualifying semigroup element below the bound {bound}"
 
 
 def test_friedman_degenerate_single_prime_is_washington():
@@ -1005,7 +1000,7 @@ def test_laws_match_explicit_teichmueller_sums():
         try:
             laws = friedman_laws(j, p, others, bound=300)
         except AssertionError:
-            continue  # a ramified generator or no qualifying element
+            continue  # a ramified generator
         for ell, law in laws.items():
             if structures[j, ell].constants is not None:
                 assert law == _reference_friedman(structures[j, ell], others, ell != p), (j, p, ell)
