@@ -11,8 +11,11 @@ graph they are given (no vertex labels, voltages or cover structure):
 - the reduced-Laplacian determinant, by fraction-free symmetric Bareiss
   elimination on sparse rows in minimum-degree order (exact, no floating
   point);
-- a brute-force enumeration of edge sets by include/exclude backtracking
-  over a union-find, which never uses a determinant.
+- a brute-force enumeration of the trees themselves, which never uses a
+  determinant: include/exclude backtracking over the edge pairs in
+  breadth-first order from vertex 0, cut in O(1) per step by the last pair
+  that reaches each component, with the last pair of each tree counted in
+  bulk.
 """
 
 from __future__ import annotations
@@ -201,46 +204,91 @@ BRUTE_FORCE_PAIR_LIMIT = 24
 
 
 def spanning_tree_count_bruteforce(g: SerreGraph) -> int:
-    """Count spanning trees by enumerating sets of |V| - 1 edge pairs.
+    """Count spanning trees by enumerating them, one edge pair at a time.
 
-    Include/exclude backtracking over the edge pairs in order, with a
-    union-find (union by size, no path compression, so a union is undone
-    by resetting one parent): an edge that would close a cycle is never
-    included, loops never are, and a branch ends as soon as too few edges
-    remain.  Each spanning tree is reached once, at a leaf that holds
-    |V| - 1 edges.  Exponential; guarded at BRUTE_FORCE_PAIR_LIMIT edge
-    pairs.  Serves as an oracle independent of any determinant computation.
+    The non-loop edge pairs are put in breadth-first order from vertex 0:
+    a pair is taken when the first of its endpoints is scanned.  A graph
+    the search does not span, which includes every graph with fewer than
+    |V| - 1 non-loop pairs, has no spanning tree.  Include/exclude
+    backtracking then decides the pairs in that order.  The components of
+    the chosen forest are a label per vertex and a member list per label;
+    a union relabels the smaller side, and its undo restores it.  reach[c]
+    is the last index of a pair that touches component c, so a component
+    whose reach is the current index i meets no later pair: pair i is
+    excluded only if both of its endpoint components reach past i, and
+    included (never when it closes a cycle) only if the merged component
+    does.  Both cuts are O(1) and necessary for completing a tree, so no
+    tree is lost.  When one pair is still needed, exactly two components
+    remain, and the later pairs that join them are counted at once.  Each
+    spanning tree is thus counted once, by its last pair.  Exponential;
+    guarded at BRUTE_FORCE_PAIR_LIMIT edge pairs.  Serves as an oracle
+    independent of any determinant computation.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
     if len(g.edge_pairs) > BRUTE_FORCE_PAIR_LIMIT:
         raise ValueError("graph too large for brute-force enumeration")
-    edges = [(e.origin, e.terminus) for e in g.edge_pairs if e.origin != e.terminus]
-    parent = list(range(n))
-    size = [1] * n
+    neighbors = [[] for _ in range(n)]
+    for e in g.edge_pairs:
+        if e.origin != e.terminus:
+            neighbors[e.origin].append(e.terminus)
+            neighbors[e.terminus].append(e.origin)
+    ends = []
+    order = [0]
+    queued = [False] * n
+    queued[0] = True
+    scanned = [False] * n
+    for v in order:
+        for w in neighbors[v]:
+            if not scanned[w]:
+                ends.append((v, w))
+                if not queued[w]:
+                    queued[w] = True
+                    order.append(w)
+        scanned[v] = True
+    if len(order) < n:
+        return 0
+    if n == 1:
+        return 1
+    reach = [0] * n
+    for i, (u, w) in enumerate(ends):
+        reach[u] = reach[w] = i
+    label = list(range(n))
+    members = [[v] for v in range(n)]
 
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    def joining(i):
+        # the pairs from i on that join the two components left
+        return sum([label[u] != label[w] for u, w in ends[i:]])
 
-    def count(index, needed):
-        if needed == 0:
-            return 1
-        if len(edges) - index < needed:
-            return 0
-        total = count(index + 1, needed)
-        u, v = edges[index]
-        ru, rv = root(u), root(v)
-        if ru != rv:
-            if size[ru] > size[rv]:
-                ru, rv = rv, ru
-            parent[ru] = rv
-            size[rv] += size[ru]
-            total += count(index + 1, needed - 1)
-            parent[ru] = ru
-            size[rv] -= size[ru]
+    def count(i, needed):
+        # trees that add needed >= 2 pairs from ends[i:]; excluding pair i
+        # is the next turn of the loop
+        total = 0
+        last = len(ends) - needed
+        while i <= last:
+            u, w = ends[i]
+            a, b = label[u], label[w]
+            ra, rb = reach[a], reach[b]
+            if a != b and (ra > i or rb > i):
+                if len(members[a]) < len(members[b]):
+                    a, b, ra, rb = b, a, rb, ra
+                moved = members[b]
+                for v in moved:
+                    label[v] = a
+                kept = members[a]
+                size = len(kept)
+                kept += moved
+                if rb > ra:
+                    reach[a] = rb
+                total += joining(i + 1) if needed == 2 else count(i + 1, needed - 1)
+                reach[a] = ra
+                del kept[size:]
+                for v in moved:
+                    label[v] = b
+            if ra <= i or rb <= i:
+                break
+            i += 1
         return total
 
-    return count(0, n - 1)
+    return joining(0) if n == 2 else count(0, n - 1)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from .graph_core import (
+    BRUTE_FORCE_PAIR_LIMIT,
     euler_characteristic,
     is_connected,
     spanning_tree_count,
@@ -368,17 +369,21 @@ def verify_tower(
     """Check the formula path against an independent tree count for n <= n_max.
 
     mode "matrix-tree" uses the reduced-Laplacian determinant of each derived
-    graph; "bruteforce-small" uses subset enumeration (and therefore requires
-    tiny layers).  With jobs > 1 a pool of forked worker processes counts
-    the layers; it has at most jobs, n_max and os.cpu_count() workers, and
-    the layers are counted in this process when that bound is 1.  The first
-    disagreement is reported, not raised.
+    graph; "bruteforce-small" enumerates the spanning trees, so it requires
+    tiny layers: layer n has n times the base's edge pairs, and a top layer
+    above BRUTE_FORCE_PAIR_LIMIT of them is refused with the enumerator's
+    ValueError before any layer is counted.  With jobs > 1 a pool of forked
+    worker processes counts the layers; it has at most jobs, n_max and
+    os.cpu_count() workers, and the layers are counted in this process when
+    that bound is 1.  The first disagreement is reported, not raised.
     """
     if mode not in ("matrix-tree", "bruteforce-small"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     ta = analyze(vg)
+    if mode == "bruteforce-small" and n_max * len(vg.base.edge_pairs) > BRUTE_FORCE_PAIR_LIMIT:
+        raise ValueError("graph too large for brute-force enumeration")
     kappas = kappa_sequence(ta, n_max)
     payloads = [(vg, n, mode) for n in range(1, n_max + 1)]
     workers = min(jobs, n_max, os.cpu_count() or 1)

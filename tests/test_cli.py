@@ -184,6 +184,11 @@ def test_verify_command_and_mismatch(tmp_path, capsys):
     code, out, err = run(["verify", str(path), "--n-max", "8", "--jobs", "-3"], capsys)
     assert (code, out, err) == (1, "", "error: jobs must be positive\n")
 
+    # 12 layers of a 3-pair base reach 36 edge pairs: refused before any count
+    run(["generate", "dumbbell", "2", "3", "--output", str(path)], capsys)
+    code, out, err = run(["verify", str(path), "--n-max", "12", "--mode", "bruteforce-small"], capsys)
+    assert (code, out, err) == (1, "", "error: graph too large for brute-force enumeration\n")
+
 
 def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     # corrupt the formula path so the oracle disagrees

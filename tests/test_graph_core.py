@@ -130,6 +130,37 @@ def test_bruteforce_examples():
     assert spanning_tree_count_bruteforce(K4) == 16  # Cayley: 4**2
 
 
+def test_bruteforce_edge_cases():
+    bf = spanning_tree_count_bruteforce
+    assert bf(build_graph(1, [(0, 0)] * 5)) == 1  # loops only: the empty tree
+    assert bf(build_graph(2, [])) == 0
+    assert bf(build_graph(2, [(0, 0), (1, 1)])) == 0
+    # a dense component that vertex 0 cannot reach, with or without a neighbour
+    far = [(a, b) for a in range(2, 6) for b in range(a + 1, 6)] * 3
+    for g in (build_graph(6, [(0, 1)] + far), build_graph(6, [(0, 0)] + far)):
+        assert len(g.edge_pairs) == 19 and not is_connected(g)
+        assert bf(g) == 0
+    # fewer non-loop pairs than |V| - 1, padded with loops to the guard
+    assert bf(build_graph(5, [(0, 1), (2, 3)] + [(v, v) for v in range(5)] * 4)) == 0
+    # parallel pairs only: the count is the product of the multiplicities
+    assert bf(build_graph(2, [(0, 1)] * BRUTE_FORCE_PAIR_LIMIT)) == BRUTE_FORCE_PAIR_LIMIT
+    assert bf(build_graph(3, [(1, 0)] * 5 + [(2, 1)] * 7)) == 35
+    assert bf(build_graph(3, [(0, 1)] * 3 + [(1, 2)] * 4 + [(2, 0)] * 5)) == 3 * 4 + 4 * 5 + 5 * 3
+
+
+def test_bruteforce_matches_matrix_tree_on_verify_shaped_layers():
+    # every layer within the guard of seeded 2-vertex, 3-pair bases: the shape
+    # whose layers the verify workload enumerates, from 2 to 16 vertices
+    rng = random.Random(19)
+    for _ in range(20):
+        edges = [(0, 1, rng.randint(-6, 6))]
+        edges += [(rng.randrange(2), rng.randrange(2), rng.randint(-6, 6)) for _ in range(2)]
+        vg = voltaged_graph(2, edges)
+        for n in range(1, BRUTE_FORCE_PAIR_LIMIT // 3 + 1):
+            layer = derived_graph(vg, n)
+            assert spanning_tree_count_bruteforce(layer) == spanning_tree_count(layer), (edges, n)
+
+
 def test_bruteforce_guard():
     big = build_graph(2, [(0, 1)] * 25)
     try:
@@ -258,12 +289,18 @@ def test_tree_count_invariant_under_relabeling():
         assert spanning_tree_count(g) == spanning_tree_count(relabeled)
         if len(g.edge_pairs) <= 12:
             assert spanning_tree_count_bruteforce(g) == spanning_tree_count_bruteforce(relabeled)
-    # minimum-degree ties go by vertex index, so relabelling changes the pivot order
+    # minimum-degree ties go by vertex index, and the enumeration order is
+    # breadth-first from vertex 0 in input order, so relabelling changes both
+    top_layers = 0
     for _ in range(10):
         vg = random_tower(rng)
         pairs = len(vg.base.edge_pairs)
-        small, large = derived_graph(vg, max(1, 16 // pairs)), derived_graph(vg, 24)
-        assert spanning_tree_count_bruteforce(small) == spanning_tree_count_bruteforce(
-            _relabeled(small, rng)
-        )
+        large = derived_graph(vg, 24)
+        for n in {max(1, 16 // pairs), BRUTE_FORCE_PAIR_LIMIT // pairs}:
+            small = derived_graph(vg, n)
+            top_layers += len(small.edge_pairs) > 20
+            assert spanning_tree_count_bruteforce(small) == spanning_tree_count_bruteforce(
+                _relabeled(small, rng)
+            )
         assert spanning_tree_count(large) == spanning_tree_count(_relabeled(large, rng))
+    assert top_layers >= 5

@@ -329,6 +329,28 @@ def test_verify_tower_bruteforce_mode():
     assert verify_tower(bouquet(3, 5), 6, mode="bruteforce-small").ok
 
 
+def test_verify_tower_refuses_a_large_bruteforce_tower_before_any_layer(monkeypatch):
+    # layer n of a 3-pair base has 3n edge pairs, so 8 layers fit the 24-pair
+    # guard and 9 do not; the refusal comes before the sweep and every count
+    import ihara_towers.ihara as ihara
+
+    def fail(*args):
+        raise AssertionError("counted a layer of a tower that must be refused")
+
+    monkeypatch.setattr(ihara, "spanning_tree_count_bruteforce", fail)
+    monkeypatch.setattr(ihara, "kappa_sequence", fail)
+    for n_max in (9, 12):
+        try:
+            verify_tower(dumbbell(2, 3), n_max, mode="bruteforce-small")
+            assert False
+        except ValueError as exc:
+            assert str(exc) == "graph too large for brute-force enumeration"
+    monkeypatch.undo()
+    monkeypatch.setattr(ihara, "spanning_tree_count_bruteforce", ihara.spanning_tree_count)
+    assert verify_tower(dumbbell(2, 3), 8, mode="bruteforce-small").ok
+    assert verify_tower(dumbbell(2, 3), 12).ok  # the matrix-tree mode has no guard
+
+
 def test_verify_tower_random():
     rng = random.Random(37)
     for _ in range(5):
