@@ -40,6 +40,7 @@ from .polyring import (
     _divide_out,
     _mul,
     _prem,
+    _resultant,
     is_self_reciprocal,
     poly_matrix_det,
     resultant,
@@ -236,14 +237,16 @@ def _lucas(n: int, q: int, monic: list) -> list:
     return w0
 
 
-def _delta(monic: IntPoly, w: list, a_pow_n: int, q: int) -> int:
-    """D_n from the residue w of W_n modulo monic, the q of the chain and
-    a_pow_n = a**n; see _lehmer_modulus."""
-    g = IntPoly([2 * a_pow_n - w[0]] + [-x for x in w[1:]] if q
-                else [w[0] - a_pow_n] + w[1:])
-    if g.is_zero():
+def _delta(monic: list, w: list, a_pow_n: int, q: int) -> int:
+    """D_n from the residue w of W_n modulo the low-first list monic, the q of
+    the chain and a_pow_n = a**n: Res(monic, g) over the scaling power, for g
+    the trimmed list of 2 a**n - W_n, or W_n - a**n when q = 0; see _lehmer_modulus."""
+    g = [2 * a_pow_n - w[0]] + [-x for x in w[1:]] if q else [w[0] - a_pow_n] + w[1:]
+    while g and not g[-1]:
+        g.pop()
+    if not g:
         return 0
-    quot, r = divmod(resultant(monic, g), a_pow_n ** (monic.degree - 1))
+    quot, r = divmod(_resultant(monic, g), a_pow_n ** (len(monic) - 2))
     if r:
         raise VerificationMismatch("rescaled resultant is not divisible by the scaling power")
     return quot
@@ -267,7 +270,7 @@ def pierce_lehmer(f: IntPoly, n: int) -> int:
         return _check_bits(f.coeffs[0] ** n, cap)
     modulus, q = _lehmer_modulus(f)
     w = _lucas(n, q, modulus)
-    return _check_bits(_delta(IntPoly(modulus), w, f.lead ** n, q), cap)
+    return _check_bits(_delta(modulus, w, f.lead ** n, q), cap)
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
@@ -287,14 +290,13 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
         return [_check_bits(c ** n, cap) for n in range(1, n_max + 1)]
     a = f.lead
     modulus, q = _lehmer_modulus(f)
-    monic = IntPoly(modulus)
     w_prev = [2] + [0] * (len(modulus) - 2)
     w = _shift([1] + w_prev[1:], modulus)
     a_pow = 1
     out = []
     for _ in range(n_max):
         a_pow *= a
-        out.append(_check_bits(_delta(monic, w, a_pow, q), cap))
+        out.append(_check_bits(_delta(modulus, w, a_pow, q), cap))
         w_prev, w = w, [x - q * y for x, y in zip(_shift(w, modulus), w_prev)]
     return out
 

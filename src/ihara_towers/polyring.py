@@ -9,6 +9,10 @@ The dense representation keeps coeffs[i] as the coefficient of t**i.
 That is a deliberate trade-off: the polynomials handled here have small
 degree (a few hundred at most), and density keeps Bareiss elimination
 and the pseudo-remainder sequences of gcds and resultants simple.
+
+The kernels _mul, _prem and _resultant take the coefficients as plain int
+lists, so a loop over many small polynomials builds no IntPoly, and the
+subresultant resultant takes out no content, since its divisions are exact.
 """
 
 from __future__ import annotations
@@ -453,24 +457,23 @@ def sylvester_matrix(p: IntPoly, q: IntPoly):
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Res(p, q) by the subresultant pseudo-remainder sequence.
-
-    The sign convention is the classical one: Res(p, q) equals
-    lead(p)**deg(q) times the product of q over the roots of p, which is
-    the determinant of sylvester_matrix(p, q) (the test oracle).  The
-    sequence is Collins' subresultant PRS in the form of Cohen,
-    Algorithm 3.3.7; every division in it is exact.
-    """
+    """Res(p, q) = lead(p)**deg(q) times the product of q over the roots of p,
+    the determinant of sylvester_matrix(p, q) (the test oracle), by
+    _resultant on the coefficient lists."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    m, n = p.degree, q.degree
+    return _resultant(list(p.coeffs), list(q.coeffs))
+
+
+def _resultant(a: list, b: list) -> int:
+    """Res(a, b) of trimmed nonzero low-first int lists, left unchanged, by
+    Collins' subresultant PRS in the form of Cohen, Algorithm 3.3.7.  Every
+    division in it is exact for any inputs, so no content is taken out."""
+    m, n = len(a) - 1, len(b) - 1
     if m == 0:
-        return p.coeffs[0] ** n
+        return a[0] ** n
     if n == 0:
-        return q.coeffs[0] ** m
-    cp, cq = p.content(), q.content()
-    a = IntPoly([c // cp for c in p.coeffs])
-    b = IntPoly([c // cq for c in q.coeffs])
+        return b[0] ** m
     sign = 1
     if m < n:
         a, b = b, a
@@ -478,19 +481,21 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
             sign = -sign
     g = h = 1
     while True:
-        da, db = a.degree, b.degree
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = pseudo_rem(a, b)
-        if r.is_zero():
+        r = _prem(a[:], b)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             return 0
         den = g * h ** delta
-        a, b = b, IntPoly([c // den for c in r.coeffs])
-        g = a.lead
+        a, b = b, [x // den for x in r]
+        g = a[-1]
         h = g ** delta // h ** (delta - 1) if delta else h
-        if b.degree == 0:
-            return sign * cp ** n * cq ** m * b.lead ** a.degree // h ** (a.degree - 1)
+        if len(b) == 1:
+            return sign * b[0] ** db // h ** (db - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,30 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
             assert pierce_lehmer(f, n) * (2 ** n - 1) == pierce_lehmer(f * IntPoly((-2, 1)), n)
 
 
+def test_pierce_lehmer_range_on_small_palindromes():
+    # the padic set-up shape: half-degree m = 1..5, |lead| in {1, 2, 3}, n <= 300
+    rng = random.Random(23)
+    ns = (1, 2, 97, 128, 255, 299, 300)
+    for i in range(45):
+        m, lead = i % 5 + 1, rng.choice((-3, -2, -1, 1, 2, 3))
+        inner = [rng.randint(-6, 6) for _ in range(m)]
+        f = IntPoly([lead] + inner + inner[-2::-1] + [lead])
+        assert f.degree == 2 * m and f.coeffs == f.coeffs[::-1]
+        values = pierce_lehmer_range(f, 300)
+        # Res(f, t - 1) = f(1) and Res(f, t**2 - 1) = f(1) f(-1) at even degree
+        assert values[:2] == [f(1), f(1) * f(-1)]
+        for n in ns:
+            assert pierce_lehmer(f, n) == values[n - 1]
+
+
+def test_kappa_sequence_matches_the_formula_to_300():
+    # J of degree 8 with lead 1, and of degree 6 with lead -2
+    for vg in (dumbbell(2, 3), bouquet(3, 4, 4)):
+        ta = analyze(vg)
+        kappas = kappa_sequence(ta, 300)
+        assert kappas == [kappa_via_formula(ta, n) for n in range(1, 301)]
+
+
 def test_pierce_lehmer_divisibility():
     rng = random.Random(29)
     for _ in range(200):

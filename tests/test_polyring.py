@@ -95,6 +95,80 @@ def test_resultant_against_evaluation():
         assert resultant(f, IntPoly((-c, 1))) == expected
 
 
+def _oracle(p, q):
+    return int_matrix_det(sylvester_matrix(p, q))
+
+
+def _remainder_degrees(p, q):
+    """Degrees of the remainder sequence of p, q (deg p >= deg q), which every
+    pseudo-remainder sequence shares."""
+    degrees = [p.degree, q.degree]
+    while True:
+        p, q = q, pseudo_rem(p, q).primitive_part()
+        if q.is_zero():
+            return degrees
+        degrees.append(q.degree)
+
+
+def test_resultant_of_non_primitive_inputs():
+    # no content is taken out, so the contents ride through every division
+    rng = random.Random(13)
+    for _ in range(60):
+        p = random_int_poly(rng, max_degree=5)
+        q = random_int_poly(rng, max_degree=5)
+        for s in (6, -9, 2 ** 40):
+            for t in (6, -9, 2 ** 40):
+                sp, tq = p * s, q * t
+                expected = (sp.content() ** q.degree * tq.content() ** p.degree
+                            * resultant(sp.primitive_part(), tq.primitive_part()))
+                assert resultant(sp, tq) == _oracle(sp, tq) == expected
+
+
+def test_resultant_when_the_degree_drops_by_more_than_one():
+    # sparse, non-monic pairs whose remainder sequence skips degrees after
+    # the first step, so that h**(delta - 1) is taken with h != 1
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(400):
+        d = rng.randint(3, 7)
+        p = IntPoly([rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(d)]
+                    + [rng.choice((-3, -2, 2, 3))])
+        q = IntPoly([rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(d - 1)]
+                    + [rng.choice((-2, 2, 5))])
+        degrees = _remainder_degrees(p, q)
+        if any(a - b > 1 for a, b in zip(degrees[1:], degrees[2:])):
+            seen += 1
+        assert resultant(p, q) == _oracle(p, q)
+        assert resultant(q, p) == _oracle(q, p)
+    assert seen >= 50
+    # p = (t + 1) q + 3 t**2 - 4: the second step drops from degree 4 to 2
+    q = IntPoly((-3, 0, 0, 1, 2))
+    p = IntPoly((1, 1)) * q + IntPoly((-4, 0, 3))
+    assert _remainder_degrees(p, q) == [5, 4, 2, 1, 0]
+    assert resultant(p, q) == _oracle(p, q)
+
+
+def test_resultant_when_the_first_pseudo_remainder_vanishes():
+    for b, c in (
+        (IntPoly((1, 2)), IntPoly((3, 0, -1))),
+        (IntPoly((-2, 0, 3)), IntPoly((1, 1))),
+        (IntPoly((4, -1, 0, 6)), IntPoly((5,))),
+    ):
+        a = b * c
+        assert resultant(a, b) == resultant(b, a) == _oracle(a, b) == 0
+    # a first pseudo-remainder of degree 0 ends the sequence at once
+    a, b = IntPoly((1, 1, 1)), IntPoly((0, 1))
+    assert resultant(a, b) == _oracle(a, b) == 1
+
+
+def test_resultant_with_a_constant_argument():
+    for p in (IntPoly((1, -3, 2)), IntPoly((7, 0, 0, -4)), IntPoly((-5, 6)), IntPoly((3,))):
+        for c in (1, -1, 6, -9, 2 ** 40):
+            q = IntPoly((c,))
+            assert resultant(p, q) == _oracle(p, q) == c ** p.degree
+            assert resultant(q, p) == _oracle(q, p) == c ** p.degree
+
+
 # -- determinants ------------------------------------------------------------
 
 
