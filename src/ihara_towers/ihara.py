@@ -43,7 +43,6 @@ from .polyring import (
     _resultant,
     is_self_reciprocal,
     poly_matrix_det,
-    resultant,
     vanishes_at_root_of_unity,
 )
 from .voltage_cover import VoltagedGraph, derived_graph, monodromy_index
@@ -145,12 +144,12 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     _invariant(i_poly.coeffs[0] != 0, "the Ihara polynomial body vanishes at t = 0")
     j_poly, e = _divide_out(i_poly, 1)
     _invariant(e >= 1, "the Ihara polynomial does not vanish at t = 1")
-    _invariant(j_poly(1) != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
+    # D_1 = Res(J, t - 1) = lead(J) * prod (alpha - 1) = (-1)**deg(J) * J(1)
+    delta1 = (-1) ** j_poly.degree * j_poly(1)
+    _invariant(delta1 != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
     # impossible for a connected tower: a violation means corrupted input
     if vanishes_at_root_of_unity(j_poly):
         raise HypothesisViolation("J vanishes at a root of unity")
-    delta1 = resultant(j_poly, IntPoly((-1, 1)))
-    _invariant(delta1 != 0, "D_1 = Res(J, t - 1) vanishes")
     kappa = spanning_tree_count(g)
     return TowerAnalysis(vg, ihara, b, e, i_poly, j_poly, delta1, kappa, chi)
 

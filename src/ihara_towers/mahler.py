@@ -37,10 +37,6 @@ class PadicMeasure:
     def value(self) -> float:
         return float(self.prime) ** (-self.exponent)
 
-    @property
-    def log_value(self) -> float:
-        return -self.exponent * math.log(self.prime)
-
 
 def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
     """Largest p-adic absolute value of the coefficients, as an exact exponent."""
@@ -66,7 +62,11 @@ def _strip_trivial_roots(f: IntPoly):
     return work, plus + minus
 
 
-def _aberth_roots(coeffs, tol: float, rng: random.Random, max_restarts: int = 10):
+_ROOT_TOL = 1e-12  # relative residual that every Aberth root must meet
+_MAX_RESTARTS = 10  # restarts of the Aberth iteration, each on a wider circle
+
+
+def _aberth_roots(coeffs, tol: float, rng: random.Random):
     """All complex roots of sum coeffs[i] * t**i by Aberth-Ehrlich iteration.
 
     Initial points sit on a circle of radius the Cauchy bound with a random
@@ -92,7 +92,7 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random, max_restarts: int = 10
             zi *= az
         return abs(val) <= tol * max(bound, 1e-300)
 
-    for restart in range(max_restarts):
+    for restart in range(_MAX_RESTARTS):
         r = radius * (1.0 + 0.5 * restart)
         zs = [
             r * cmath.exp(2j * math.pi * (k + rng.random() * 0.5) / d)
@@ -139,28 +139,33 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random, max_restarts: int = 10
 class ArchMeasure:
     value: float
     log_value: float
-    certified_no_unit_roots: bool
+    unit_circle_roots: int
+
+    @property
+    def certified_no_unit_roots(self) -> bool:
+        return self.unit_circle_roots == 0
 
 
-def mahler_archimedean(f: IntPoly, tol: float = 1e-12, seed: int = 0) -> ArchMeasure:
+def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     """|lead| * prod max(1, |root|) over the complex roots of f.
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
-    a factor of 1); the certified flag comes from the exact unit-circle
-    count, not from the float roots.
+    a factor of 1).  The unit-circle count, and with it the certified flag,
+    is the exact count of count_unit_circle_roots on the same division, taken
+    before the float roots and never from them.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    certified = count_unit_circle_roots(f) == 0
-    work, _ = _strip_trivial_roots(f)
+    work, trivial = _strip_trivial_roots(f)
+    unit_circle_roots = trivial + _unit_circle_pairs(work)
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
-        roots = _aberth_roots([float(c) for c in work.coeffs], tol, random.Random(seed))
+        roots = _aberth_roots([float(c) for c in work.coeffs], _ROOT_TOL, random.Random(seed))
         for z in roots:
             a = abs(z)
             if a > 1.0:
                 log_value += math.log(a)
-    return ArchMeasure(math.exp(log_value), log_value, certified)
+    return ArchMeasure(math.exp(log_value), log_value, unit_circle_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +200,16 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
     return variations(a) - variations(b)
 
 
-def count_unit_circle_roots(f: IntPoly) -> int:
-    """Number of roots of f on the complex unit circle, with multiplicity, exactly.
+def _unit_circle_pairs(work: IntPoly) -> int:
+    """Unit-circle roots, with multiplicity, of work, which has no root at 0 or +-1.
 
-    Roots at +-1 are split off by exact division.  The remaining unit-circle
-    roots are shared with the reciprocal polynomial, so they live in
-    g = gcd(f, f*), palindromic of even degree 2m.  Each pair of them is a
-    root in (-2, 2) of the trace polynomial K of g (ihara._trace_polynomial),
+    They are shared with the reciprocal polynomial, so they live in
+    g = gcd(work, work*), palindromic of even degree 2m.  Each pair of them is
+    a root in (-2, 2) of the trace polynomial K of g (ihara._trace_polynomial),
     and a Sturm chain counts distinct roots even if K is not squarefree.
     The layers g, gcd(g, g'), ... lower each multiplicity by one in turn.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    work, count = _strip_trivial_roots(f)
-    if work.degree <= 0:
-        return count
+    count = 0
     g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
     while g.degree > 0:
         if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
@@ -217,6 +217,16 @@ def count_unit_circle_roots(f: IntPoly) -> int:
         count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
         g = poly_gcd(g, g.derivative())
     return count
+
+
+def count_unit_circle_roots(f: IntPoly) -> int:
+    """Number of roots of f on the complex unit circle, with multiplicity, exactly:
+    the roots at +-1, split off by exact division, plus _unit_circle_pairs of the
+    rest.  mahler_archimedean carries the same count."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    work, count = _strip_trivial_roots(f)
+    return count + _unit_circle_pairs(work)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +255,10 @@ class ArchAsymptotic:
         return n * self.rate + self.poly_order * math.log(n) + self.constant
 
 
-def archimedean_asymptotic(ta: TowerAnalysis, tol: float = 1e-12,
-                           seed: int = 0) -> ArchAsymptotic:
+def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
     """Exponential growth data of the tree counts; gated by the exact
     unit-circle root count of J (the (t-1)**e factor has measure 1)."""
-    measure = mahler_archimedean(ta.j_poly, tol=tol, seed=seed)
+    measure = mahler_archimedean(ta.j_poly, seed=seed)
     constant = log_big(ta.kappa_base) - log_big(abs(ta.delta1))
     return ArchAsymptotic(
         rate=measure.log_value,

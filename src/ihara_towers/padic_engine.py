@@ -1006,6 +1006,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
     for ell in primes:
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
+    elements = _semigroup_elements(primes, bound)
 
     def law_for(observer: int, with_lambda: bool) -> FriedmanLaw:
         structure = unit_root_structure(j, observer)
@@ -1022,8 +1023,7 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
         thresholds = tuple(valuation(n0, ell) for ell in primes)
         lam = lambda_for_n(structure, n0) if with_lambda else 0
         nu = nu_structural(structure, n0)
-        # enumerate qualifying semigroup elements and verify (or fit) nu
-        elements = _semigroup_elements(primes, bound)
+        # run over the qualifying semigroup elements and verify (or fit) nu
         verified = False
         for n, exps in elements:
             if any(k < t for k, t in zip(exps, thresholds)):

@@ -102,9 +102,6 @@ class IntPoly:
             other = IntPoly((other,))
         return self + (-other)
 
-    def __rsub__(self, other) -> "IntPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
@@ -171,10 +168,6 @@ class LaurentPoly:
         self.body = body
 
     @classmethod
-    def from_int_poly(cls, f: IntPoly) -> "LaurentPoly":
-        return cls(0, f)
-
-    @classmethod
     def from_dict(cls, terms: dict) -> "LaurentPoly":
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
@@ -192,9 +185,6 @@ class LaurentPoly:
     @property
     def high(self) -> int:
         return self.low + self.body.degree
-
-    def terms(self) -> dict:
-        return {self.low + i: c for i, c in enumerate(self.body.coeffs) if c}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -229,9 +219,6 @@ class LaurentPoly:
             other = LaurentPoly(0, IntPoly((other,)))
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly(self.low, self.body * other)
@@ -254,7 +241,7 @@ class LaurentPoly:
 def is_self_reciprocal(f) -> bool:
     """True iff f(1/t) == f(t).  Accepts LaurentPoly or IntPoly."""
     if isinstance(f, IntPoly):
-        f = LaurentPoly.from_int_poly(f)
+        f = LaurentPoly(0, f)
     if f.is_zero():
         return True
     return f.reciprocal_substitution() == f
@@ -439,27 +426,10 @@ def poly_matrix_det(rows) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def sylvester_matrix(p: IntPoly, q: IntPoly):
-    """Sylvester matrix of p and q (descending coefficients, p-rows first).
-
-    Its int_matrix_det is the independent oracle that tests hold resultant to.
-    """
-    m, n = p.degree, q.degree
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([0] * i + pc + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (m - 1 - i))
-    return rows
-
-
 def resultant(p: IntPoly, q: IntPoly) -> int:
     """Res(p, q) = lead(p)**deg(q) times the product of q over the roots of p,
-    the determinant of sylvester_matrix(p, q) (the test oracle), by
-    _resultant on the coefficient lists."""
+    which is the determinant of the Sylvester matrix of p and q, by _resultant
+    on the coefficient lists."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     return _resultant(list(p.coeffs), list(q.coeffs))

@@ -205,7 +205,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .mahler import count_unit_circle_roots, mahler_archimedean, mahler_padic
+    from .mahler import mahler_archimedean, mahler_padic
 
     vg = load_graph(args.graph)
     ta = analyze(vg)
@@ -223,7 +223,7 @@ def cmd_analyze(args) -> int:
             str(p): mahler_padic(ta.j_poly, p).exponent for p in args.primes
         },
         "mahler_archimedean": arch.value,
-        "unit_circle_roots": count_unit_circle_roots(ta.j_poly),
+        "unit_circle_roots": arch.unit_circle_roots,
     }
     _write_output(json.dumps(doc, indent=2), args.output)
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import HypothesisViolation
-from .graph_core import SerreGraph, build_graph, is_connected
+from .graph_core import SerreGraph, build_graph
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _bfs_tree_potentials(vg: VoltagedGraph):
     """
     g = vg.base
     n = g.vertex_count
-    if n == 0 or not is_connected(g):
+    if n == 0:
         raise HypothesisViolation("base graph must be connected")
     incident = [[] for _ in range(n)]
     for e in g.edge_pairs:
@@ -85,6 +85,8 @@ def _bfs_tree_potentials(vg: VoltagedGraph):
                 potential[w] = potential[v] + direction * vg.voltages[e.id]
                 tree_ids.add(e.id)
                 queue.append(w)
+    if len(queue) < n:
+        raise HypothesisViolation("base graph must be connected")
     return potential, tree_ids
 
 

@@ -148,3 +148,16 @@ def random_self_reciprocal(rng: random.Random, max_half_degree=6, bound=9):
     f = IntPoly(coeffs)
     assert f.coeffs == tuple(reversed(f.coeffs)) and f.degree == 2 * m
     return f
+
+
+def sylvester_matrix(p: IntPoly, q: IntPoly):
+    """Sylvester matrix of p and q (descending coefficients, p-rows first).
+
+    Its int_matrix_det is the independent oracle that tests hold resultant to.
+    """
+    m, n = p.degree, q.degree
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+    return rows

@@ -8,6 +8,7 @@ from corpus import (
     random_int_poly,
     random_self_reciprocal,
     random_tower,
+    sylvester_matrix,
 )
 
 from ihara_towers.errors import HypothesisViolation, ResourceLimit, VerificationMismatch
@@ -28,7 +29,7 @@ from ihara_towers.polyring import (
     geometric_quotient,
     int_matrix_det,
     is_self_reciprocal,
-    sylvester_matrix,
+    resultant,
 )
 from ihara_towers.voltage_cover import voltaged_graph
 
@@ -407,6 +408,17 @@ def test_bouquet_and_dumbbell_delta1_closed_forms():
         assert ta.e == 2
         assert abs(ta.delta1) == k * k + l * l
         count += 1
+
+
+def test_delta1_is_the_resultant_at_one():
+    # analyze reads D_1 off J(1); the resultant with t - 1 is the oracle
+    rng = random.Random(2101)
+    for _ in range(60):
+        ta = analyze(random_tower(rng))
+        assert ta.delta1 == resultant(ta.j_poly, IntPoly((-1, 1))) != 0
+    for vg in (bouquet(3, 5), bouquet(1, 2), dumbbell(2, 3), bouquet(1, 3, 7)):
+        ta = analyze(vg)
+        assert ta.delta1 == resultant(ta.j_poly, IntPoly((-1, 1)))
 
 
 def test_formula_oracle_sign_consistency():

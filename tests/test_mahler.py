@@ -98,6 +98,35 @@ def test_count_unit_circle_roots_with_pm_one_and_multiplicity():
     assert count_unit_circle_roots(lehmer * lehmer * IntPoly((1, 1, 1, 1, 1))) == 20
 
 
+def test_measure_carries_the_unit_circle_count():
+    # the measure takes its count from the same exact division as
+    # count_unit_circle_roots, and certifies exactly when it is zero
+    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    pm_one = IntPoly((-1, 1)) * IntPoly((1, 1)) * IntPoly((1, 0, 1)) * IntPoly((1, 0, 1))
+    inputs = [
+        IntPoly((-1, -3, -1)),  # J of the Fibonacci tower
+        IntPoly((1, 0, 1)),
+        pm_one,
+        pm_one * IntPoly((-1, 1)) * IntPoly((1, 1)),
+        IntPoly((0, 0, 1)),
+        IntPoly((-8, 3, -6, -7, -6, 3, -8)),
+        lehmer,
+        lehmer * lehmer,
+        lehmer * lehmer * IntPoly((1, 1, 1, 1, 1)),
+        analyze(dumbbell(1, 2)).j_poly,
+        IntPoly((1, 3, 1)) * IntPoly((-1, 1)) * IntPoly((-1, 1)),
+    ]
+    rng = random.Random(2102)
+    inputs += [random_self_reciprocal(rng) for _ in range(40)]
+    for f in inputs:
+        count = count_unit_circle_roots(f)
+        m = mahler_archimedean(f)
+        assert m.unit_circle_roots == count, f
+        assert m.certified_no_unit_roots == (count == 0), f
+    assert mahler_archimedean(lehmer).unit_circle_roots == 8
+    assert mahler_archimedean(lehmer * lehmer).unit_circle_roots == 16
+
+
 def test_count_unit_circle_roots_against_numeric():
     from ihara_towers.polyring import poly_gcd
 

@@ -1,5 +1,7 @@
-"""The package namespace: every exported name, loaded on first use."""
+"""The package namespace: every exported name, loaded on first use, and every
+top-level definition in src/ used by the package, exported or traced."""
 
+import ast
 import importlib
 import json
 import os
@@ -101,3 +103,46 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         (["padic", path, "--prime", "5"], ["ihara_towers.padic_engine"]),
     ]:
         assert json.loads(_fresh_python(COMMAND_SCRIPT, *argv)) == {"code": 0, "loaded": loaded}, argv
+
+
+SRC = Path(ihara_towers.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced():
+    """The (module, name) pairs of the benchmark tracer's TRACED table, read
+    from its source, so that the test imports nothing from the benchmark."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError(f"no TRACED table in {TRACING}")
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each name up when it installs: a missing one fails every traced run
+    traced = _traced()
+    assert len(traced) > 20
+    for module, name in traced:
+        assert hasattr(importlib.import_module(f"ihara_towers.{module}"), name), (module, name)
+
+
+def test_every_top_level_definition_is_used_exported_or_traced():
+    # A name counts as used when some src/ statement other than its own
+    # definition mentions it as a name or an attribute; module hooks such as
+    # __getattr__ are called by the import system.
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append((path.stem, own))
+            for node in ast.walk(stmt):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref and ref != own:
+                    used.add(ref)
+    reached = _traced() | {(m, name) for m, names in ihara_towers._EXPORTS.items() for name in names}
+    unused = [(module, name) for module, name in defined
+              if name not in used and (module, name) not in reached
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert len(defined) > 100 and unused == []

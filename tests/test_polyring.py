@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 
-from corpus import random_int_poly
+from corpus import random_int_poly, sylvester_matrix
 
 from ihara_towers.polyring import (
     IntPoly,
@@ -18,7 +18,6 @@ from ihara_towers.polyring import (
     poly_matrix_det,
     pseudo_rem,
     resultant,
-    sylvester_matrix,
     vanishes_at_root_of_unity,
 )
 
