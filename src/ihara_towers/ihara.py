@@ -81,6 +81,12 @@ def ihara_polynomial(vg: VoltagedGraph) -> LaurentPoly:
     g = vg.base
     if g.vertex_count == 0 or not is_connected(g):
         raise HypothesisViolation("base graph must be connected")
+    return _ihara_determinant(vg)
+
+
+def _ihara_determinant(vg: VoltagedGraph) -> LaurentPoly:
+    """The body of ihara_polynomial, for a base already known to be connected."""
+    g = vg.base
     n = g.vertex_count
     entries = [[{} for _ in range(n)] for _ in range(n)]
     for e in g.edge_pairs:
@@ -134,7 +140,7 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
         raise HypothesisViolation(
             f"monodromy index is {index}, tower layers are not all connected"
         )
-    ihara = ihara_polynomial(vg)
+    ihara = _ihara_determinant(vg)
     if ihara.is_zero():
         raise HypothesisViolation("Ihara polynomial vanishes identically")
     _invariant(is_self_reciprocal(ihara), "the Ihara polynomial is not self-reciprocal")

@@ -31,12 +31,21 @@ rises for each root on its own: from 2 p-adic digits, doubled with one more
 Newton step while a distance reaches it; past MAX_PRECISION,
 PrecisionExhausted is raised.
 
-The constants are summed in one place, the per-layer pass over the factors
-that lambda_for_n, nu_structural and the rows of padic_report share.  The
-Iwasawa, Washington and Friedman laws are the decomposition along p-power,
-ell-power and smooth subsequences: each reads lambda from lambda_for_n and
-the structural nu from nu_structural at the least n of its subsequence, and
-fits nu from exact values only when the unit part is ramified.
+The constants are summed in one place, _layer_terms, which lambda_for_n,
+nu_structural and padic_report share.  (lambda, nu) depend on n only through
+its residue class (gcd(n, L), min(ord_p(n), S)), L the lcm of the residue
+orders and S the largest saturation exponent, so padic_report calls
+_layer_terms once per class and checks every row exactly.  The Iwasawa,
+Washington and Friedman laws are the decomposition along p-power, ell-power
+and smooth subsequences: each reads lambda from lambda_for_n and the
+structural nu from nu_structural at the least n of its subsequence, and fits
+nu from exact values only when the unit part is ramified.
+
+Besides the structures, three facts that repeat within a process are kept
+in bounded memos: the factorization of p**f - 1 per (p, f), the exact D_n of
+nu_from_oracle per (J's coefficients, n), checked against the bit cap on
+every call, and, in polyring, the root-of-unity scan per J's coefficients.
+ord_delta_exact is never memoised, so it stays an independent recomputation.
 
 An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
 Z/p**K[t]/(g) is one kind of value, a low-first list of ints, q = p or p**K.
@@ -60,7 +69,7 @@ from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
-from .ihara import TowerAnalysis, kappa_sequence, pierce_lehmer
+from .ihara import TowerAnalysis, _bit_cap, _check_bits, kappa_sequence, pierce_lehmer
 from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
 
 MAX_PRECISION = 512
@@ -462,8 +471,15 @@ def _factor_integer(m: int) -> dict:
     return out
 
 
-def _factor_p_power_minus_one(p: int, f: int) -> dict:
-    """Factor p**f - 1 through its cyclotomic-value factors, then each part."""
+# Factorizations of p**f - 1 memoised per process: the residue fields of
+# every tower at the primes of a report repeat the same few (p, f).
+_FACTOR_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _factor_p_power_minus_one(p: int, f: int) -> tuple:
+    """((prime, exponent), ...) of p**f - 1, ascending, through its
+    cyclotomic-value factors, then each part; memoised, so a tuple."""
     out = {}
     for d in range(1, f + 1):
         if f % d:
@@ -471,7 +487,7 @@ def _factor_p_power_minus_one(p: int, f: int) -> dict:
         part = cyclotomic_polynomial(d)(p)
         for q, e in _factor_integer(part).items():
             out[q] = out.get(q, 0) + e
-    return out
+    return tuple(sorted(out.items()))
 
 
 def multiplicative_order(g: IntPoly, p: int) -> int:
@@ -488,7 +504,7 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
     ring = _ModRing(g, p)
     n = p ** (len(g) - 1) - 1
     order = 1
-    for ell, e in _factor_p_power_minus_one(p, len(g) - 1).items():
+    for ell, e in _factor_p_power_minus_one(p, len(g) - 1):
         y = ring.pow([0, 1], n // ell ** e)
         for _ in range(e):
             if y == [1]:
@@ -766,9 +782,30 @@ def ord_delta_exact(j: IntPoly, p: int, n: int) -> int:
     return valuation(delta, p)
 
 
+# Exact Pierce-Lehmer values memoised per process for nu_from_oracle: the
+# laws of one tower read D_n at the same n for several primes, since D_n does
+# not depend on the prime (a padic benchmark round reads about 90 values, a
+# third of them distinct).
+_DELTA_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_DELTA_MEMO_SIZE)
+def _pierce_lehmer_memo(coeffs: tuple, n: int) -> int:
+    return pierce_lehmer(IntPoly(coeffs), n)
+
+
 def nu_from_oracle(j: IntPoly, p: int, n: int, mu: int, lambda_poly: int) -> int:
-    """nu_{p,n}(j) from the exact valuation of the Pierce-Lehmer value."""
-    return ord_delta_exact(j, p, n) - mu * n - lambda_poly * valuation(n, p)
+    """nu_{p,n}(j) from the exact valuation of the Pierce-Lehmer value.
+
+    The last _DELTA_MEMO_SIZE values D_n are memoised per (j's coefficients,
+    n); the MAX_BITS_ENV cap is checked on every call, a memoised value
+    included, and the errors of ord_delta_exact come in its order."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    delta = _check_bits(_pierce_lehmer_memo(j.coeffs, n), _bit_cap())
+    if delta == 0:
+        raise ValueError("Pierce-Lehmer value vanishes; j has a root of unity")
+    return valuation(delta, p) - mu * n - lambda_poly * valuation(n, p)
 
 
 def nu_structural(structure: UnitRootStructure, n: int):
@@ -829,33 +866,50 @@ def _saturation(structure: UnitRootStructure):
 def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicReport:
     """Full decomposition of ord_p(kappa(X_n)) for n = 1..n_max.
 
-    Every row is checked against the exact valuation of the tree count; a
-    failure is a bug, not a data condition, hence VerificationMismatch.
-    kappas, when given, must hold at least the tree counts of layers 1..n_max.
+    (lambda, nu) depend on n only through its residue class
+    (gcd(n, L), min(ord_p(n), S)), L the lcm of the residue orders and S the
+    largest saturation exponent (0 when ramified or without unit roots), so
+    _layer_terms runs once per class; without every order, once per n.  Rows
+    with equal fields share one PerLayer.  Every row is checked against the
+    exact valuation of the tree count; a failure is a bug, not a data
+    condition, hence VerificationMismatch.  kappas, when given, must hold at
+    least the tree counts of layers 1..n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if kappas is not None and len(kappas) < n_max:
         raise ValueError(f"kappas holds {len(kappas)} layers, fewer than n_max = {n_max}")
     structure = unit_root_structure(ta.j_poly, p)
-    mu = structure.mu
+    mu, shift = structure.mu, ta.e - 1
     c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)
     if kappas is None:
         kappas = kappa_sequence(ta, n_max)
-    per_n = {}
-    for n in range(1, n_max + 1):
+    orders = [f.order for f in structure.factors]
+    period = None if None in orders else lcm(*orders)
+    R = _saturation(structure)
+    cap = R or 0
+    per_n, terms, rows = {}, {}, {}
+    for n, kappa in zip(range(1, n_max + 1), kappas):
         ordn = valuation(n, p) if n % p == 0 else 0
-        lam_poly, nu = _layer_terms(structure, n)
-        lam = lam_poly + ta.e - 1
-        ord_kappa = valuation(kappas[n - 1], p) if kappas[n - 1] % p == 0 else 0
+        key = n if period is None else (gcd(n, period), ordn if ordn < cap else cap)
+        class_terms = terms.get(key)
+        if class_terms is None:
+            lam_poly, nu = _layer_terms(structure, n)
+            class_terms = terms[key] = (lam_poly + shift, nu)
+        lam, nu = class_terms
+        ord_kappa = valuation(kappa, p) if kappa % p == 0 else 0
         source = "structural"
         if nu is None:  # the oracle value follows from the tree-count formula itself
             nu, source = ord_kappa - mu * n - lam * ordn - c, "oracle"
         total = mu * n + lam * ordn + nu + c
         if total != ord_kappa:
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
-        per_n[n] = PerLayer(lam, nu, ord_kappa, source)
-    return PadicReport(p, mu, c, structure, _saturation(structure), per_n)
+        fields = (lam, nu, ord_kappa, source)
+        row = rows.get(fields)
+        if row is None:
+            row = rows[fields] = PerLayer(*fields)
+        per_n[n] = row
+    return PadicReport(p, mu, c, structure, R, per_n)
 
 
 # ---------------------------------------------------------------------------

@@ -514,13 +514,25 @@ def _phi_lower_bound(k: int) -> float:
     return k / (_E_GAMMA * y + 3 / y)
 
 
+# Scans memoised per process: analyze and the structure of every prime of a
+# tower ask about the same J.
+_ROOT_OF_UNITY_MEMO_SIZE = 256
+
+
 def vanishes_at_root_of_unity(f: IntPoly) -> bool:
     """True iff some root of f is a root of unity, decided exactly.
 
     A primitive k-th root can only be a root when phi(k) <= deg(f).  The
     scan stops at the first k whose lower bound on phi(k) passes deg(f);
-    the margin of 1 absorbs rounding in the float bound.
+    the margin of 1 absorbs rounding in the float bound.  The last
+    _ROOT_OF_UNITY_MEMO_SIZE answers are memoised per f's coefficients.
     """
+    return _vanishes_at_root_of_unity(f.coeffs)
+
+
+@lru_cache(maxsize=_ROOT_OF_UNITY_MEMO_SIZE)
+def _vanishes_at_root_of_unity(coeffs: tuple) -> bool:
+    f = IntPoly(coeffs)
     d = f.degree
     if d <= 0:
         return False

@@ -7,6 +7,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ihara_towers import analyze, monodromy_index, voltaged_graph
+from ihara_towers.errors import VerificationMismatch
+from ihara_towers.ihara import kappa_sequence
+from ihara_towers.padic_engine import (
+    PadicReport,
+    PerLayer,
+    _layer_terms,
+    _saturation,
+    unit_root_structure,
+    valuation,
+)
 from ihara_towers.polyring import IntPoly
 
 
@@ -161,3 +171,29 @@ def sylvester_matrix(p: IntPoly, q: IntPoly):
     rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
     return rows
+
+
+def padic_report_per_n(ta, p: int, n_max: int, kappas=None, structure=None):
+    """padic_report row by row: one _layer_terms and one PerLayer per n, the
+    reference for the rows padic_report computes once per residue class.
+    structure defaults to unit_root_structure(ta.j_poly, p)."""
+    if structure is None:
+        structure = unit_root_structure(ta.j_poly, p)
+    mu = structure.mu
+    c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)
+    if kappas is None:
+        kappas = kappa_sequence(ta, n_max)
+    per_n = {}
+    for n in range(1, n_max + 1):
+        ordn = valuation(n, p) if n % p == 0 else 0
+        lam_poly, nu = _layer_terms(structure, n)
+        lam = lam_poly + ta.e - 1
+        ord_kappa = valuation(kappas[n - 1], p) if kappas[n - 1] % p == 0 else 0
+        source = "structural"
+        if nu is None:
+            nu, source = ord_kappa - mu * n - lam * ordn - c, "oracle"
+        total = mu * n + lam * ordn + nu + c
+        if total != ord_kappa:
+            raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
+        per_n[n] = PerLayer(lam, nu, ord_kappa, source)
+    return PadicReport(p, mu, c, structure, _saturation(structure), per_n)

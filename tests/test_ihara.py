@@ -98,6 +98,29 @@ def test_analyze_rejects_bad_monodromy():
             pass
 
 
+def test_analyze_decides_connectivity_once_and_keeps_its_errors(monkeypatch):
+    import ihara_towers.ihara as ihara
+
+    rng = random.Random(2205)
+    for _ in range(40):
+        vg = random_tower(rng)
+        assert analyze(vg).ihara == ihara_polynomial(vg)
+    calls = []
+    is_connected = ihara.is_connected
+    monkeypatch.setattr(ihara, "is_connected", lambda g: calls.append(g) or is_connected(g))
+    analyze(bouquet(3, 5))
+    assert len(calls) == 1
+    # empty and disconnected bases are refused first, by both entry points
+    for vg in (voltaged_graph(0, []), voltaged_graph(2, [(0, 0, 1), (1, 1, 2)]),
+               voltaged_graph(3, [(0, 1, 1), (0, 0, 2), (2, 2, 0)])):
+        for call in (analyze, ihara_polynomial):
+            try:
+                call(vg)
+                assert False, (call, vg)
+            except HypothesisViolation as exc:
+                assert str(exc) == "base graph must be connected"
+
+
 def test_pierce_lehmer_table_row():
     for n, expected in enumerate(DELTA_35, start=1):
         assert pierce_lehmer(J_35, n) == expected

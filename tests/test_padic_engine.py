@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -14,13 +15,15 @@ from corpus import (
     bouquet,
     fib,
     ord_p,
+    padic_report_per_n,
     random_int_poly,
     random_self_reciprocal,
+    random_tower,
 )
 
 import ihara_towers
-from ihara_towers.errors import OrderUnavailable, PrecisionExhausted
-from ihara_towers.ihara import analyze, kappa_sequence, pierce_lehmer
+from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, ResourceLimit
+from ihara_towers.ihara import MAX_BITS_ENV, analyze, kappa_sequence, pierce_lehmer
 from ihara_towers.mahler import mahler_padic
 from ihara_towers.padic_engine import (
     FriedmanLaw,
@@ -29,10 +32,13 @@ from ihara_towers.padic_engine import (
     UnitRootStructure,
     _ModRing,
     _factor_integer,
+    _factor_p_power_minus_one,
     _gf_divmod,
     _gf_sub,
     _gf_trim,
+    _pierce_lehmer_memo,
     _strong_lucas_probable_prime,
+    _unit_root_structure,
     factor_mod_p,
     friedman_laws,
     is_prime,
@@ -49,7 +55,14 @@ from ihara_towers.padic_engine import (
     valuation,
     washington_invariants,
 )
-from ihara_towers.polyring import IntPoly, _mul, cyclotomic_polynomial, pseudo_rem
+from ihara_towers.polyring import (
+    IntPoly,
+    _mul,
+    _vanishes_at_root_of_unity,
+    cyclotomic_polynomial,
+    pseudo_rem,
+)
+from ihara_towers.voltage_cover import voltaged_graph
 
 J_FIB = IntPoly((-1, -3, -1))
 
@@ -817,6 +830,42 @@ def test_padic_report_validates_n_max_and_kappas():
     assert padic_report(ta, 2, 4, kappas=kappas).per_n == {n: plain.per_n[n] for n in range(1, 5)}
 
 
+def _same_report(got, expected):
+    return all(getattr(got, name) == getattr(expected, name) for name in ("per_n", "mu", "c", "R"))
+
+
+def test_class_keyed_rows_match_the_per_n_reference(monkeypatch):
+    primes = [q for q in range(2, 32) if is_prime(q)]
+    rng = random.Random(2203)
+    # J = -2: a tower with no unit roots at any prime
+    towers = [analyze(voltaged_graph(4, [(0, 1, -2), (1, 2, 5), (2, 3, -5), (0, 2, 4), (3, 2, 5)])),
+              analyze(bouquet(1, 2))]  # the Fibonacci tower, ramified at 5
+    towers += [analyze(random_tower(rng)) for _ in range(60)]
+    kinds = Counter()
+    for ta in towers:
+        n_max = rng.choice((50, 120, 160))
+        kappas = kappa_sequence(ta, n_max)
+        for p in [5] + rng.sample(primes[:2] + primes[3:], 3):
+            got = padic_report(ta, p, n_max, kappas=kappas)
+            assert _same_report(got, padic_report_per_n(ta, p, n_max, kappas)), (ta.j_poly, p)
+            structure = got.structure
+            kinds["ramified" if structure.ramified else
+                  "unramified" if structure.factors else "no unit roots"] += 1
+    assert sum(kinds.values()) >= 200 and min(kinds.values()) > 0, kinds
+    # a structure without one residue order takes one class per n
+    ta = analyze(bouquet(3, 5))
+    structure = unit_root_structure(ta.j_poly, 3)
+    first = dataclasses.replace(structure.factors[0], order=None)
+    constants = dict(structure.constants)
+    constants[first] = constants.pop(structure.factors[0])
+    unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:],
+                                  constants=type(structure.constants)(constants))
+    monkeypatch.setattr(ihara_towers.padic_engine, "unit_root_structure", lambda j, p: unknown)
+    got = padic_report(ta, 3, 160)
+    assert got.structure is unknown and got.R is not None
+    assert _same_report(got, padic_report_per_n(ta, 3, 160, structure=unknown))
+
+
 def test_iwasawa_invariants_examples():
     assert iwasawa_invariants(J_FIB, 2) == (0, 0, 0, 1)
     assert iwasawa_invariants(J_FIB, 5) == (0, 2, 1, 0)
@@ -1146,3 +1195,47 @@ def test_memoised_structures_are_shared_read_only_and_errors_recur():
                 assert False, p
             except ValueError:
                 pass
+
+
+def test_memoised_pierce_lehmer_values_keep_the_bit_cap(monkeypatch):
+    monkeypatch.delenv(MAX_BITS_ENV, raising=False)
+    delta = pierce_lehmer(J_FIB, 40)  # -5 F_40**2, 57 bits
+    nu = nu_from_oracle(J_FIB, 2, 40, 0, 0)
+    hits = _pierce_lehmer_memo.cache_info().hits
+    assert nu_from_oracle(J_FIB, 2, 40, 0, 0) == nu == ord_p(delta, 2)
+    assert _pierce_lehmer_memo.cache_info().hits == hits + 1
+    # the cap set after the value was memoised still refuses it, on every call
+    monkeypatch.setenv(MAX_BITS_ENV, str(abs(delta).bit_length() - 1))
+    for _ in range(2):
+        try:
+            nu_from_oracle(J_FIB, 2, 40, 0, 0)
+            assert False
+        except ResourceLimit:
+            pass
+    monkeypatch.setenv(MAX_BITS_ENV, str(abs(delta).bit_length()))
+    assert nu_from_oracle(J_FIB, 3, 40, 0, 0) == ord_p(delta, 3)
+    for p in (1, 4):
+        try:
+            nu_from_oracle(J_FIB, p, 40, 0, 0)
+            assert False, p
+        except ValueError:
+            pass
+
+
+def test_memoised_factorizations_of_p_power_minus_one():
+    for p, f in ((2, 1), (2, 12), (3, 7), (31, 6), (29, 10)):
+        factors = _factor_p_power_minus_one(p, f)
+        assert _factor_p_power_minus_one(p, f) is factors
+        assert [q for q, _ in factors] == sorted(q for q, _ in factors)
+        assert all(is_prime(q) and e >= 1 for q, e in factors)
+        product = 1
+        for q, e in factors:
+            product *= q ** e
+        assert product == p ** f - 1
+
+
+def test_every_memo_is_bounded():
+    for memo in (_unit_root_structure, _factor_p_power_minus_one, _pierce_lehmer_memo,
+                 _vanishes_at_root_of_unity):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256, memo

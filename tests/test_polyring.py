@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 
-from corpus import random_int_poly, sylvester_matrix
+from corpus import random_int_poly, random_self_reciprocal, sylvester_matrix
 
 from ihara_towers.polyring import (
     IntPoly,
     _phi_lower_bound,
+    _vanishes_at_root_of_unity,
     LaurentPoly,
     cyclotomic_polynomial,
     divide_exact,
@@ -321,15 +322,10 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == IntPoly((1, 0, -1, 0, 1))
 
 
-def test_vanishes_at_root_of_unity_matches_full_scan():
-    def full_scan(f):
-        # every k with phi(k) <= d lies below 2 d**2 + 2, as phi(k) >= sqrt(k / 2)
-        d = f.degree
-        return d > 0 and any(euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
-                             for k in range(1, 2 * d * d + 2))
-
+def _root_of_unity_cases():
+    """Phi_k alone for every k with phi(k) <= 40, the largest k of each degree
+    included, and 300 random polynomials, some times cyclotomic factors."""
     small = [k for k in range(1, 3202) if euler_phi(k) <= 40]
-    # Phi_k alone for every k with phi(k) <= 40, the largest k of each degree included
     cases = [cyclotomic_polynomial(k) for k in small]
     rng = random.Random(66)
     while len(cases) < len(small) + 300:
@@ -339,12 +335,36 @@ def test_vanishes_at_root_of_unity_matches_full_scan():
             if f.degree + phi.degree <= 40:
                 f = f * phi
         cases.append(f)
+    return cases
+
+
+def test_vanishes_at_root_of_unity_matches_full_scan():
+    def full_scan(f):
+        # every k with phi(k) <= d lies below 2 d**2 + 2, as phi(k) >= sqrt(k / 2)
+        d = f.degree
+        return d > 0 and any(euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
+                             for k in range(1, 2 * d * d + 2))
+
+    cases = _root_of_unity_cases()
     outcomes = Counter()
     for f in cases:
         expected = full_scan(f)
         assert vanishes_at_root_of_unity(f) == expected, f
         outcomes[expected] += 1
     assert min(outcomes[True], outcomes[False]) > 100, outcomes
+
+
+def test_memoised_root_of_unity_scan_matches_an_uncached_scan():
+    scan = _vanishes_at_root_of_unity.__wrapped__
+    rng = random.Random(67)
+    cases = _root_of_unity_cases() + [random_self_reciprocal(rng) for _ in range(100)]
+    hits = _vanishes_at_root_of_unity.cache_info().hits
+    for f in cases:
+        expected = scan(f.coeffs)
+        # the second call, on an equal polynomial, is answered from the memo
+        assert vanishes_at_root_of_unity(f) == expected, f
+        assert vanishes_at_root_of_unity(IntPoly(list(f.coeffs))) == expected, f
+    assert _vanishes_at_root_of_unity.cache_info().hits >= hits + len(cases)
 
 
 def test_phi_lower_bound_holds_and_increases():
