@@ -9,22 +9,23 @@ roots of J whose residue order divides n (shifted by e - 1 at tower level),
 c_p = ord_p(kappa(X)) - ord_p(D_1), and nu_{p,n} a finite-image correction.
 
 All data of J at p lives in one UnitRootStructure, built by
-unit_root_structure(j, p): mu, the residue factors of the unit part with
-their orders, and each factor's Teichmueller constants.  The last 64
-structures are memoised per process, keyed on (J's coefficients, p), so the
-reports and laws of a tower build each structure once; structures are
-shared, so their constants are read-only.  When J / p**mu is palindromic or
-anti-palindromic, a residue factor g and its monic reciprocal g* have the
-same order and constants, and each pair is computed once.
+unit_root_structure(j, p): mu and the residue factors of the unit part, each
+one frozen UnitFactor with its order and its Teichmueller constants s and w.
+The last 64 structures are memoised per process, keyed on (J's
+coefficients, p), so the reports and laws of a tower build each structure
+once; structures are shared, and frozen records of ints and tuples make them
+immutable.  When J / p**mu is palindromic or anti-palindromic, a residue
+factor g and its monic reciprocal g* have the same order and constants, and
+each pair is computed once.
 
 nu has two computation paths by design.  The oracle path inverts the
 identity using the exact integer valuation of the Pierce-Lehmer value and is
 always available.  The structural path reads each root's distance to its
-Teichmueller representative from the structure's constants; they exist only
-when the unit part of J is squarefree mod p, and they are differentially
-checked against the oracle wherever they apply.  The constants are
-valuations of powers of the lifted root, not of its distance to a
-fixed-point Teichmueller lift: with q = p**f the residue field size,
+Teichmueller representative from the constants of its factor; they exist
+only when the unit part of J is squarefree mod p, and they are
+differentially checked against the oracle wherever they apply.  The
+constants are valuations of powers of the lifted root, not of its distance
+to a fixed-point Teichmueller lift: with q = p**f the residue field size,
 ord(beta**(p**r) - omega(beta)**(p**r)) = ord(beta**((q - 1) * p**r) - 1).
 They are computed in an unramified extension at a working precision that
 rises for each root on its own: from 2 p-adic digits, doubled with one more
@@ -34,12 +35,13 @@ PrecisionExhausted is raised.
 The constants are summed in one place, _layer_terms, which lambda_for_n,
 nu_structural and padic_report share.  (lambda, nu) depend on n only through
 its residue class (gcd(n, L), min(ord_p(n), S)), L the lcm of the residue
-orders and S the largest saturation exponent, so padic_report calls
-_layer_terms once per class and checks every row exactly.  The Iwasawa,
-Washington and Friedman laws are the decomposition along p-power, ell-power
-and smooth subsequences: each reads lambda from lambda_for_n and the
-structural nu from nu_structural at the least n of its subsequence, and fits
-nu from exact values only when the unit part is ramified.
+orders (p**deg(g) - 1 for an unknown one) and S the largest saturation
+exponent, so padic_report calls _layer_terms once per class and checks
+every row exactly.  The Iwasawa, Washington and Friedman laws are the
+decomposition along p-power, ell-power and smooth subsequences: each reads
+lambda from lambda_for_n and the structural nu from nu_structural at the
+least n of its subsequence, and fits nu from exact values only when the
+unit part is ramified.
 
 Besides the structures, three facts that repeat within a process are kept
 in bounded memos: the factorization of p**f - 1 per (p, f), the exact D_n of
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, zip_longest
@@ -564,25 +566,18 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
 
 @dataclass(frozen=True)
 class UnitFactor:
-    """One irreducible residue factor of the unit part of J mod p."""
+    """One irreducible residue factor g of the unit part of J mod p, with the
+    Teichmueller constants of the roots beta over it: the saturation
+    exponent s and w[r] = ord_p(beta**(p**r) - xi**(p**r)) for r = 0..s, xi
+    the Teichmueller representative of beta.  s and w are None when the unit
+    part is ramified."""
 
     poly: IntPoly
     multiplicity: int
     degree: int
     order: int  # None when the factoring budget was exceeded
-
-
-class _ReadOnlyDict(dict):
-    """A dict that refuses every change, so a memoised structure can be
-    shared; it prints as a dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("the constants of a unit root structure are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
+    s: int = None
+    w: tuple = None
 
 
 @dataclass(frozen=True)
@@ -592,7 +587,6 @@ class UnitRootStructure:
     unit_poly: IntPoly  # reduction mod p of j / p**mu with the t-power stripped
     factors: tuple
     ramified: bool
-    constants: dict  # read-only, factor -> _RootConstants; None when ramified
 
     @property
     def unit_root_count(self) -> int:
@@ -617,20 +611,21 @@ _MEMO_SIZE = 64
 
 def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     """Extract the slope-zero (unit root) part of j at p, factor its
-    reduction, and compute each factor's Teichmueller constants.
+    reduction, and give each factor its order and Teichmueller constants.
 
     p must be prime (ValueError otherwise).  The reduction of j / p**mu mod p
     equals t**s times the unit part's reduction; the stripped degree must
     match the Newton polygon's slope-zero length (VerificationMismatch
-    otherwise).  The constants are None when the unit part is ramified.  A
-    root of unity among the roots would make some root-to-Teichmueller
-    distance infinite, so when there are unit roots to measure that input
-    is rejected (ValueError); a distance still ambiguous at MAX_PRECISION
-    raises PrecisionExhausted.
+    otherwise).  Each factor's s and w are None when the unit part is
+    ramified.  A root of unity among the roots would make some
+    root-to-Teichmueller distance infinite, so when there are unit roots to
+    measure that input is rejected (ValueError); a distance still ambiguous
+    at MAX_PRECISION raises PrecisionExhausted.
 
     The last _MEMO_SIZE structures are memoised per (j's coefficients, p)
-    and shared between calls, so their constants are read-only; the checks
-    and the errors come on every call, as an exception is never memoised.
+    and shared between calls; they are frozen records of ints and tuples,
+    so nothing in them can change.  The checks and the errors come on every
+    call, as an exception is never memoised.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -656,31 +651,26 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
     # factor too, with g's order and constants: ord(beta**-m - 1) =
     # ord(beta**m - 1).  Each pair is then computed once, at its first factor.
     symmetric = coeffs in (coeffs[::-1], tuple(-c for c in reversed(coeffs)))
-    factors, mates, seen = [], [], {}
-    for g, mult in factor_mod_p(lifted, p):
+    residue = factor_mod_p(lifted, p)
+    ramified = any(mult > 1 for _, mult in residue)
+    if residue and not ramified and vanishes_at_root_of_unity(j):
+        raise ValueError("polynomial vanishes at a root of unity")
+    factors, seen = [], {}
+    for g, mult in residue:
         mate = seen.get(_gf_reciprocal(g, p))
         if mate is not None:
-            order = mate.order
+            factor = replace(mate, poly=g, multiplicity=mult)
         else:
             try:
                 order = multiplicative_order(g, p)
             except OrderUnavailable:
                 order = None
-        factor = UnitFactor(g, mult, g.degree, order)
+            s, w = (None, None) if ramified else _root_constants(p, g, j1)
+            factor = UnitFactor(g, mult, g.degree, order, s, w)
         factors.append(factor)
-        mates.append(mate)
         if symmetric:
             seen[g.coeffs] = factor
-    ramified = any(f.multiplicity > 1 for f in factors)
-    constants = None
-    if not ramified:
-        if factors and vanishes_at_root_of_unity(j):
-            raise ValueError("polynomial vanishes at a root of unity")
-        constants = {}
-        for f, mate in zip(factors, mates):
-            constants[f] = _root_constants(p, f, j1) if mate is None else constants[mate]
-        constants = _ReadOnlyDict(constants)
-    return UnitRootStructure(p, mu, lifted, tuple(factors), ramified, constants)
+    return UnitRootStructure(p, mu, lifted, tuple(factors), ramified)
 
 
 def _gf_reciprocal(g: IntPoly, p: int) -> tuple:
@@ -694,20 +684,12 @@ def _gf_reciprocal(g: IntPoly, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RootConstants:
-    """Per-factor structural data: s_p and the summand valuations table."""
-
-    s: int
-    w: tuple  # w[r] = ord_p(beta**(p**r) - xi**(p**r)) for r = 0..s
-
-
-def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
-    """s and w for the roots of j1 over the factor, in Z/p**K[t]/(g) for the
-    monic residue factor g (an unramified extension, so valuations are taken
-    coordinatewise), read at K = 2 p-adic digits and again at twice the
+def _root_constants(p: int, residue: IntPoly, j1: IntPoly) -> tuple:
+    """(s, w) for the roots of j1 over the residue factor, in Z/p**K[t]/(g)
+    for g the factor made monic (an unramified extension, so valuations are
+    taken coordinatewise), read at K = 2 p-adic digits and again at twice the
     digits while some w[r] reaches K."""
-    g = _gf_monic(factor.poly, p)
+    g = _gf_monic(residue, p)
     f = len(g) - 1
     poly, dpoly, ring = j1.coeffs, j1.derivative().coeffs, _ModRing(g, p)
 
@@ -748,7 +730,7 @@ def _root_constants(p: int, factor: UnitFactor, j1: IntPoly) -> _RootConstants:
             y = ring.pow(y, p)
             w.append(ord_minus_one(y, K))
         if max(w) < K:
-            return _RootConstants(s, tuple(w))
+            return s, tuple(w)
         K *= 2
         if K > MAX_PRECISION:
             raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
@@ -820,17 +802,16 @@ def _layer_terms(structure: UnitRootStructure, n: int):
     place they are summed.  ValueError unless n >= 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    data, p = structure.constants, structure.prime
+    p, ramified = structure.prime, structure.ramified
     m = valuation(n, p) if n % p == 0 else 0
     lam = nu = 0
     for f in structure.factors:
         if structure.order_divides(f, n):
             lam += f.multiplicity * f.degree
-            if data is not None:
-                rc = data[f]
-                r = min(m, rc.s)
-                nu += f.degree * (rc.w[r] - r)
-    return lam, None if data is None else nu
+            if not ramified:
+                r = min(m, f.s)
+                nu += f.degree * (f.w[r] - r)
+    return lam, None if ramified else nu
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +839,9 @@ class PadicReport:
 
 def _saturation(structure: UnitRootStructure):
     """max s_p over the unit roots (0 without any); None when ramified."""
-    if structure.constants is None:
+    if structure.ramified:
         return None
-    return max((rc.s for rc in structure.constants.values()), default=0)
+    return max((f.s for f in structure.factors), default=0)
 
 
 def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicReport:
@@ -869,11 +850,12 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
     (lambda, nu) depend on n only through its residue class
     (gcd(n, L), min(ord_p(n), S)), L the lcm of the residue orders and S the
     largest saturation exponent (0 when ramified or without unit roots), so
-    _layer_terms runs once per class; without every order, once per n.  Rows
-    with equal fields share one PerLayer.  Every row is checked against the
-    exact valuation of the tree count; a failure is a bug, not a data
-    condition, hence VerificationMismatch.  kappas, when given, must hold at
-    least the tree counts of layers 1..n_max.
+    _layer_terms runs once per class.  An unknown order N_g is replaced in L
+    by its multiple p**deg(g) - 1, which keeps the classes exact: N_g | n
+    iff N_g | gcd(n, L).  Rows with equal fields share one PerLayer.  Every
+    row is checked against the exact valuation of the tree count; a failure
+    is a bug, not a data condition, hence VerificationMismatch.  kappas,
+    when given, must hold at least the tree counts of layers 1..n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -884,14 +866,13 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
     c = valuation(ta.kappa_base, p) - valuation(ta.delta1, p)
     if kappas is None:
         kappas = kappa_sequence(ta, n_max)
-    orders = [f.order for f in structure.factors]
-    period = None if None in orders else lcm(*orders)
+    period = lcm(*(f.order or p ** f.degree - 1 for f in structure.factors))
     R = _saturation(structure)
     cap = R or 0
     per_n, terms, rows = {}, {}, {}
     for n, kappa in zip(range(1, n_max + 1), kappas):
         ordn = valuation(n, p) if n % p == 0 else 0
-        key = n if period is None else (gcd(n, period), ordn if ordn < cap else cap)
+        key = (gcd(n, period), ordn if ordn < cap else cap)
         class_terms = terms.get(key)
         if class_terms is None:
             lam_poly, nu = _layer_terms(structure, n)
@@ -1072,8 +1053,8 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
         # largest saturation exponent s with lam: those orders divide n0.
         chosen = [f for f in structure.factors if _smooth_over(f.order, primes)]
         n0 = lcm(*(f.order for f in chosen))
-        if with_lambda and structure.constants is not None:
-            n0 *= observer ** max((structure.constants[f].s for f in chosen), default=0)
+        if with_lambda and not structure.ramified:
+            n0 *= observer ** max((f.s for f in chosen), default=0)
         thresholds = tuple(valuation(n0, ell) for ell in primes)
         lam = lambda_for_n(structure, n0) if with_lambda else 0
         nu = nu_structural(structure, n0)

@@ -105,11 +105,13 @@ def test_analyze_decides_connectivity_once_and_keeps_its_errors(monkeypatch):
     for _ in range(40):
         vg = random_tower(rng)
         assert analyze(vg).ihara == ihara_polynomial(vg)
-    calls = []
-    is_connected = ihara.is_connected
+    calls, index_calls = [], []
+    is_connected, monodromy_index = ihara.is_connected, ihara.monodromy_index
     monkeypatch.setattr(ihara, "is_connected", lambda g: calls.append(g) or is_connected(g))
+    monkeypatch.setattr(ihara, "monodromy_index",
+                        lambda vg: index_calls.append(vg) or monodromy_index(vg))
     analyze(bouquet(3, 5))
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(index_calls) == 1
     # empty and disconnected bases are refused first, by both entry points
     for vg in (voltaged_graph(0, []), voltaged_graph(2, [(0, 0, 1), (1, 1, 2)]),
                voltaged_graph(3, [(0, 1, 1), (0, 0, 2), (2, 2, 0)])):

@@ -13,6 +13,7 @@ from pathlib import Path
 from corpus import (
     acceptance_towers,
     bouquet,
+    dumbbell,
     fib,
     ord_p,
     padic_report_per_n,
@@ -404,7 +405,7 @@ def test_multiplicative_order_matches_brute_force():
             assert multiplicative_order(g, p) == order, (g, p)
             # without a known order, order_divides powers t itself
             unknown = UnitFactor(g, 1, g.degree, None)
-            structure = UnitRootStructure(p, 0, g, (unknown,), False, None)
+            structure = UnitRootStructure(p, 0, g, (unknown,), False)
             for n in (1, order, 2 * order, order + 1, 720720):
                 assert structure.order_divides(unknown, n) == (n % order == 0), (g, p, n)
             checked[g.degree] += 1
@@ -700,13 +701,13 @@ def test_root_constants_match_teichmueller_fixed_point():
             structure = unit_root_structure(f, p)
         except ValueError:  # a root of unity
             continue
-        if not structure.constants:
+        if structure.ramified or not structure.factors:
             continue
         mu = content_valuation(f, p)
         j1 = IntPoly([x // p ** mu for x in f.coeffs])
-        for factor, rc in structure.constants.items():
+        for factor in structure.factors:
             s, w = _fixed_point_constants(j1, factor.poly, p)
-            assert (rc.s, rc.w) == (s, w), (f, p, factor.poly)
+            assert (factor.s, factor.w) == (s, w), (f, p, factor.poly)
             degrees[factor.degree] += 1
             doubled += max(w) >= 32
         pairs += 1
@@ -735,9 +736,10 @@ def test_reciprocal_factors_share_data_only_when_j_is_symmetric():
         j1 = IntPoly([c // p ** content_valuation(f, p) for c in f.coeffs])
         for factor in structure.factors:
             assert factor.order == multiplicative_order(factor.poly, p)
-            if structure.constants is not None:
-                rc = structure.constants[factor]
-                assert (rc.s, rc.w) == _fixed_point_constants(j1, factor.poly, p), (f, p)
+            if structure.ramified:
+                assert factor.s is None and factor.w is None, (f, p)
+            else:
+                assert (factor.s, factor.w) == _fixed_point_constants(j1, factor.poly, p), (f, p)
         return structure, _reciprocal_pairs(structure)
 
     # (t - 18)(18t - 1) at 5: the pair t - 3, t - 2, and 18 = omega(3) mod 25;
@@ -747,15 +749,15 @@ def test_reciprocal_factors_share_data_only_when_j_is_symmetric():
         structure, pairs = checked(f, p)
         assert len(pairs) == 2
         for g, mate in pairs:
-            assert structure.constants[g].w == structure.constants[mate].w == w
-            assert structure.constants[g] is structure.constants[mate]  # computed once
+            assert g.w == mate.w == w and g.s == mate.s
+            assert g.w is mate.w  # computed once
     # (t - 2)(t - 18) has the same pair mod 5 and mod 7, but its roots are
     # not inverse: at 5, w is 1 for the root 2 and 2 for 18
     for p in (5, 7):
         structure, pairs = checked(IntPoly((36, -20, 1)), p)
         assert len(pairs) == 2
         for g, mate in pairs:
-            assert structure.constants[g] != structure.constants[mate]
+            assert (g.s, g.w) != (mate.s, mate.w)
     # random palindromic j, and anti-palindromic ones (ramified at 1 or with
     # the root 1, so only their orders are shared)
     rng = random.Random(97)
@@ -769,7 +771,7 @@ def test_reciprocal_factors_share_data_only_when_j_is_symmetric():
             structure, pairs = checked(f, p)
         except ValueError:  # a root of unity with unit roots to measure
             continue
-        paired[structure.constants is not None] += len(pairs)
+        paired[not structure.ramified] += len(pairs)
         paired["degree > 1"] += sum(g.degree > 1 for g, _ in pairs)
     assert paired[True] > 40 and paired[False] > 20 and paired["degree > 1"] > 20
 
@@ -852,18 +854,38 @@ def test_class_keyed_rows_match_the_per_n_reference(monkeypatch):
             kinds["ramified" if structure.ramified else
                   "unramified" if structure.factors else "no unit roots"] += 1
     assert sum(kinds.values()) >= 200 and min(kinds.values()) > 0, kinds
-    # a structure without one residue order takes one class per n
+    # a structure without one residue order keys that factor on p**deg(g) - 1
     ta = analyze(bouquet(3, 5))
     structure = unit_root_structure(ta.j_poly, 3)
     first = dataclasses.replace(structure.factors[0], order=None)
-    constants = dict(structure.constants)
-    constants[first] = constants.pop(structure.factors[0])
-    unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:],
-                                  constants=type(structure.constants)(constants))
+    unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:])
     monkeypatch.setattr(ihara_towers.padic_engine, "unit_root_structure", lambda j, p: unknown)
     got = padic_report(ta, 3, 160)
     assert got.structure is unknown and got.R is not None
     assert _same_report(got, padic_report_per_n(ta, 3, 160, structure=unknown))
+
+
+def test_an_unknown_order_keeps_one_layer_evaluation_per_class(monkeypatch):
+    # N_g | n iff N_g | gcd(n, p**deg(g) - 1), so a factor without its order
+    # still splits n <= 300 into few classes: 10 at p = 3 and 34 at p = 31
+    import ihara_towers.padic_engine as padic_engine
+
+    ta = analyze(dumbbell(2, 3))
+    kappas = kappa_sequence(ta, 300)
+    layer_terms = padic_engine._layer_terms
+    for p, classes in ((3, 10), (31, 34)):
+        structure = unit_root_structure(ta.j_poly, p)
+        first = dataclasses.replace(structure.factors[0], order=None)
+        unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:])
+        expected = padic_report_per_n(ta, p, 300, kappas, structure=unknown)
+        calls = []
+        monkeypatch.setattr(padic_engine, "unit_root_structure", lambda j, q: unknown)
+        monkeypatch.setattr(padic_engine, "_layer_terms",
+                            lambda s, n: calls.append(n) or layer_terms(s, n))
+        got = padic_report(ta, p, 300, kappas=kappas)
+        monkeypatch.undo()
+        assert len(calls) == classes, (p, len(calls))
+        assert got.structure is unknown and _same_report(got, expected)
 
 
 def test_iwasawa_invariants_examples():
@@ -990,13 +1012,13 @@ def _smooth(n, primes):
 def _reference_iwasawa(s):
     ones = [f for f in s.factors if f.degree == 1 and f.poly(1) % s.prime == 0]
     lam = sum(f.multiplicity * f.degree for f in ones)
-    nu = sum(f.degree * (s.constants[f].w[s.constants[f].s] - s.constants[f].s) for f in ones)
-    return s.mu, lam, nu, max((rc.s for rc in s.constants.values()), default=0)
+    nu = sum(f.degree * (f.w[f.s] - f.s) for f in ones)
+    return s.mu, lam, nu, max((f.s for f in s.factors), default=0)
 
 
 def _reference_washington(s, ell):
     k0 = max((ord_p(f.order, ell) if f.order % ell == 0 else 0 for f in s.factors), default=0)
-    nu = sum(f.degree * s.constants[f].w[0] for f in s.factors if ell ** k0 % f.order == 0)
+    nu = sum(f.degree * f.w[0] for f in s.factors if ell ** k0 % f.order == 0)
     return s.mu, nu, k0
 
 
@@ -1007,12 +1029,12 @@ def _reference_friedman(s, primes, with_lambda):
         for ell in primes
     ]
     if not with_lambda:
-        return FriedmanLaw(s.prime, s.mu, 0, sum(f.degree * s.constants[f].w[0] for f in chosen),
+        return FriedmanLaw(s.prime, s.mu, 0, sum(f.degree * f.w[0] for f in chosen),
                            tuple(thresholds))
     idx = primes.index(s.prime)
-    thresholds[idx] = max([thresholds[idx]] + [s.constants[f].s for f in chosen])
+    thresholds[idx] = max([thresholds[idx]] + [f.s for f in chosen])
     lam = sum(f.multiplicity * f.degree for f in chosen)
-    nu = sum(f.degree * (s.constants[f].w[s.constants[f].s] - s.constants[f].s) for f in chosen)
+    nu = sum(f.degree * (f.w[f.s] - f.s) for f in chosen)
     return FriedmanLaw(s.prime, s.mu, lam, nu, tuple(thresholds))
 
 
@@ -1035,7 +1057,7 @@ def test_laws_match_explicit_teichmueller_sums():
     for j, p in pairs:
         s = structures[j, p]
         others = (2, 3) if p > 3 else (5 - p, 5)  # the two smallest other primes
-        if s.constants is None:
+        if s.ramified:
             # ramified: no structural nu, so Washington fits the exact value at
             # its threshold
             assert nu_structural(s, 1) is None
@@ -1051,7 +1073,7 @@ def test_laws_match_explicit_teichmueller_sums():
         except AssertionError:
             continue  # a ramified generator
         for ell, law in laws.items():
-            if structures[j, ell].constants is not None:
+            if not structures[j, ell].ramified:
                 assert law == _reference_friedman(structures[j, ell], others, ell != p), (j, p, ell)
                 friedman += 1
     assert unramified >= 200 and ramified >= 100 and friedman >= 200
@@ -1062,7 +1084,7 @@ def test_ramified_iwasawa_fits_the_least_threshold():
     # where the structural path would report the saturation exponent
     checked = 0
     for j, p in _law_pairs():
-        if p > 3 or unit_root_structure(j, p).constants is not None:
+        if p > 3 or not unit_root_structure(j, p).ramified:
             continue
         mu, lam, nu, k0 = iwasawa_invariants(j, p)
         law = [ord_delta_exact(j, p, p ** k) - mu * p ** k - lam * k for k in range(k0 + 3)]
@@ -1168,23 +1190,19 @@ def test_memoised_structures_are_shared_read_only_and_errors_recur():
 
     structure = unit_root_structure(J_FIB, 2)
     assert unit_root_structure(IntPoly(list(J_FIB.coeffs)), 2) is structure
-    constants = structure.constants
     before = repr(structure)
     factor = structure.factors[0]
-    for change in (lambda: constants.__setitem__(factor, None),
-                   lambda: constants.__delitem__(factor), constants.clear,
-                   lambda: constants.pop(factor), constants.popitem,
-                   lambda: constants.setdefault(factor, None),
-                   lambda: constants.update({}), lambda: constants.__ior__({})):
+    for name in ("s", "w", "order"):
         try:
-            change()
-            assert False, change
-        except TypeError:
+            setattr(factor, name, None)
+            assert False, name
+        except dataclasses.FrozenInstanceError:
             pass
-    assert repr(structure) == before and before.count("constants={UnitFactor(") == 1
-    for twin in (copy.copy(constants), copy.deepcopy(constants),
-                 pickle.loads(pickle.dumps(constants))):
-        assert twin == constants and type(twin) is type(constants)
+    assert type(factor.w) is tuple and (factor.order, factor.s, factor.w) == (3, 1, (1, 3))
+    assert repr(structure) == before
+    for twin in (copy.copy(structure), copy.deepcopy(structure),
+                 pickle.loads(pickle.dumps(structure))):
+        assert twin == structure and type(twin) is type(structure)
     # an exception is never memoised: the same call raises every time
     root_of_unity = IntPoly((27, 15, 13, -15, -31, -2, -2, -5))
     for _ in range(3):
