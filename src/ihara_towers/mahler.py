@@ -7,6 +7,8 @@ by Sturm counts over the integers, never by float proximity.  The p-adic
 measure is the content valuation at a prime that padic_engine.is_prime
 checks, so nothing here imports sympy.  The p-adic helpers are imported in
 the functions that use them, so the Archimedean laws never load the engine.
+The Archimedean measures of the last 256 (coefficients, seed) pairs are
+memoised per process: analyze and asymptotics of one tower ask for the same J.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis, _trace_polynomial
@@ -152,11 +155,27 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     Roots at 0 and +-1 are removed by exact division first (they contribute
     a factor of 1).  The unit-circle count, and with it the certified flag,
     is the exact count of count_unit_circle_roots on the same division, taken
-    before the float roots and never from them.
+    before the float roots and never from them.  A seed that is not an int
+    (a bool, a float, bytes...) raises ValueError, never coerced.  The last
+    _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
+    exception is never memoised, so a root iteration that fails fails again
+    on every call.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    work, trivial = _strip_trivial_roots(f)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed {seed!r} is not an integer")
+    return _mahler_archimedean(f.coeffs, seed)
+
+
+# ArchMeasure is frozen and holds only numbers, so a memoised value that
+# every caller shares cannot change.
+_ARCH_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_ARCH_MEMO_SIZE)
+def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
+    work, trivial = _strip_trivial_roots(IntPoly(coeffs))
     unit_circle_roots = trivial + _unit_circle_pairs(work)
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
@@ -257,7 +276,8 @@ class ArchAsymptotic:
 
 def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
     """Exponential growth data of the tree counts; gated by the exact
-    unit-circle root count of J (the (t-1)**e factor has measure 1)."""
+    unit-circle root count of J (the (t-1)**e factor has measure 1).  A seed
+    that is not an int raises ValueError, as in mahler_archimedean."""
     measure = mahler_archimedean(ta.j_poly, seed=seed)
     constant = log_big(ta.kappa_base) - log_big(abs(ta.delta1))
     return ArchAsymptotic(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import (
     HypothesisViolation,
@@ -354,7 +355,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main() call.  Sharing is safe: parse_args returns a fresh Namespace each
+    call, the append action of --prime copies its default list before it
+    appends, and error() looks up sys.stderr when it runs.  Callers must not
+    change the parser it returns."""
     parser = _Parser(prog="ihara-towers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

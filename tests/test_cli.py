@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ihara_towers
+from ihara_towers import towers_cli
 from ihara_towers.towers_cli import (
+    build_parser,
     generate_family,
     graph_from_json,
     graph_to_json,
@@ -296,6 +298,47 @@ def test_integer_arguments_are_not_coerced(tmp_path, capsys):
     assert code == 0 and [e["voltage"] for e in json.loads(out)["edges"]] == [3, -5]
     code, out, _ = run(["table", g, "--n-max", "007"], capsys)
     assert code == 0 and len(json.loads(out)["rows"]) == 7
+
+
+def test_one_parser_per_process_carries_no_state(tmp_path, capsys):
+    assert build_parser.cache_info().maxsize == 1
+    assert build_parser() is build_parser()
+    path = tmp_path / "g.json"
+    run(["generate", "bouquet", "3", "5", "--output", str(path)], capsys)
+    g = str(path)
+    # the appended primes of one call do not reach the next
+    code, out, _ = run(["analyze", g, "--prime", "2", "--prime", "3"], capsys)
+    assert code == 0 and json.loads(out)["padic_measure_exponents"] == {"2": 0, "3": 0}
+    code, out, _ = run(["analyze", g], capsys)
+    assert code == 0 and json.loads(out)["padic_measure_exponents"] == {}
+    # a usage error leaves nothing behind
+    errors = []
+    for _ in range(2):
+        try:
+            main(["table", g, "--n-max", "1.5"])
+            assert False
+        except SystemExit as exc:
+            assert exc.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1] and errors[0].endswith(": invalid int value: '1.5'\n")
+
+
+def test_shared_parser_output_equals_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    run(["generate", "dumbbell", "2", "3", "--output", str(path)], capsys)
+    g = str(path)
+    commands = (["generate", "bouquet", "1", "3", "7"], ["analyze", g, "--prime", "5"],
+                ["analyze", g], ["table", g, "--n-max", "12", "--format", "csv"], ["table", g],
+                ["verify", g, "--n-max", "6"], ["padic", g, "--prime", "3", "--n-max", "20"],
+                ["asymptotics", g, "--n-probe", "50", "--seed", "1"], ["asymptotics", g])
+    shared = [run(args, capsys) for args in commands]
+    monkeypatch.setattr(towers_cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run(args, capsys) for args in commands]
+    assert shared == fresh
+    assert all(code == 0 and out for code, out, _ in shared)
+
 
 # Runs every command in one fresh interpreter and prints their exit codes and
 # whether sympy was imported.

@@ -1,11 +1,16 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 from corpus import bouquet, dumbbell, random_int_poly, random_self_reciprocal
 
+from ihara_towers.errors import TowerError
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import (
     _aberth_roots,
+    _mahler_archimedean,
     archimedean_asymptotic,
     count_unit_circle_roots,
     log_big,
@@ -14,8 +19,11 @@ from ihara_towers.mahler import (
     padic_asymptotic_no_unit_roots,
 )
 from ihara_towers.polyring import IntPoly
+from ihara_towers.towers_cli import graph_from_json
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
+LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_mahler_padic_examples():
@@ -256,3 +264,104 @@ def test_padic_asymptotic_only_boundary_primes_qualify():
         for p in (2, 3, 5):
             if f.coeffs[0] % p and f.lead % p:
                 assert newton_polygon(f, p).slope_zero_length == f.degree
+
+
+def _sweep_plan_j_polys(seeds):
+    """The J of every base of the benchmark's sweep plans at these seeds."""
+    spec = importlib.util.spec_from_file_location("_sweep_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [analyze(graph_from_json(doc)).j_poly
+            for seed in seeds for doc in workloads.build("sweep", seed).graphs.values()]
+
+
+def _memo_cases():
+    """(f, seed) pairs: sweep J, Lehmer's polynomial and its square, palindromes
+    with unit-circle roots, roots at 0 and +-1, and polynomials that are not
+    palindromic."""
+    rng = random.Random(2401)
+    cases = [(j, 0) for j in _sweep_plan_j_polys((1, 2, 3))]
+    cases += [(LEHMER, 0), (LEHMER * LEHMER, 1)]
+    # t**2 - c t + 1 with |c| < 2 has both roots on the unit circle
+    circle = [IntPoly((1, c, 1)) for c in (-1, 0, 1)]
+    cases += [(random_self_reciprocal(rng, max_half_degree=5) * rng.choice(circle), rng.randrange(3))
+              for _ in range(40)]
+    trivial = [IntPoly((0, 1)), IntPoly((-1, 1)), IntPoly((1, 1))]
+    for _ in range(30):
+        f = random_int_poly(rng, max_degree=5)
+        for _ in range(rng.randint(1, 4)):
+            f = f * rng.choice(trivial)
+        cases.append((f, rng.randrange(3)))
+    while len(cases) < 215:
+        f = random_int_poly(rng, max_degree=8)
+        if f.coeffs != f.coeffs[::-1]:
+            cases.append((f, rng.randrange(3)))
+    return cases
+
+
+def test_memoised_measure_equals_the_uncached_body():
+    cases = _memo_cases()
+    assert len(cases) >= 200
+    for f, seed in cases:
+        fresh = _mahler_archimedean.__wrapped__(f.coeffs, seed)
+        for _ in range(2):  # a miss, then a hit
+            m = mahler_archimedean(f, seed=seed)
+            assert (m.value, m.log_value, m.unit_circle_roots) == (
+                fresh.value, fresh.log_value, fresh.unit_circle_roots), (f, seed)
+    assert mahler_archimedean(LEHMER).unit_circle_roots == 8
+
+
+def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
+    import ihara_towers.mahler as mahler
+
+    assert _mahler_archimedean.cache_info().maxsize == 256
+    _mahler_archimedean.cache_clear()
+    f = IntPoly((2, -3, 5, 1))
+    first = mahler_archimedean(f, seed=0)
+    assert mahler_archimedean(f, seed=0) is first
+    mahler_archimedean(f, seed=1)
+    info = _mahler_archimedean.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 1, 2)
+
+    # a failed root iteration is not memoised, so it fails on every call
+    calls = []
+
+    def diverge(coeffs, tol, rng):
+        calls.append(coeffs)
+        raise TowerError("root iteration did not converge within the restart budget")
+
+    monkeypatch.setattr(mahler, "_aberth_roots", diverge)
+    g = IntPoly((3, 1, 4, 1, 5))
+    for _ in range(2):
+        try:
+            mahler_archimedean(g)
+            assert False
+        except TowerError:
+            pass
+    assert len(calls) == 2 and _mahler_archimedean.cache_info().currsize == 2
+
+
+def test_seed_must_be_an_int():
+    ta = analyze(bouquet(1, 2))
+    before = _mahler_archimedean.cache_info()
+    for seed in (True, False, 1.0, 0.5, "1", b"1", bytearray(b"1"), None, [0]):
+        for call in (lambda: mahler_archimedean(ta.j_poly, seed=seed),
+                     lambda: archimedean_asymptotic(ta, seed=seed)):
+            try:
+                call()
+                assert False, seed
+            except ValueError as exc:
+                assert "is not an integer" in str(exc), seed
+    after = _mahler_archimedean.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    # the zero check still comes first
+    try:
+        mahler_archimedean(IntPoly(()), seed=True)
+        assert False
+    except ValueError as exc:
+        assert "zero polynomial" in str(exc)
+    assert archimedean_asymptotic(ta, seed=2**70).applicable

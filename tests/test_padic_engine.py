@@ -25,7 +25,7 @@ from corpus import (
 import ihara_towers
 from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, ResourceLimit
 from ihara_towers.ihara import MAX_BITS_ENV, analyze, kappa_sequence, pierce_lehmer
-from ihara_towers.mahler import mahler_padic
+from ihara_towers.mahler import _mahler_archimedean, mahler_padic
 from ihara_towers.padic_engine import (
     FriedmanLaw,
     NewtonPolygon,
@@ -63,6 +63,7 @@ from ihara_towers.polyring import (
     cyclotomic_polynomial,
     pseudo_rem,
 )
+from ihara_towers.towers_cli import build_parser
 from ihara_towers.voltage_cover import voltaged_graph
 
 J_FIB = IntPoly((-1, -3, -1))
@@ -1254,6 +1255,6 @@ def test_memoised_factorizations_of_p_power_minus_one():
 
 def test_every_memo_is_bounded():
     for memo in (_unit_root_structure, _factor_p_power_minus_one, _pierce_lehmer_memo,
-                 _vanishes_at_root_of_unity):
+                 _vanishes_at_root_of_unity, _mahler_archimedean, build_parser):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256, memo
