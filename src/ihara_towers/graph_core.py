@@ -11,11 +11,10 @@ graph they are given (no vertex labels, voltages or cover structure):
 - the reduced-Laplacian determinant, by fraction-free symmetric Bareiss
   elimination on sparse rows in minimum-degree order (exact, no floating
   point);
-- a brute-force enumeration of the trees themselves, which never uses a
-  determinant: include/exclude backtracking over the edge pairs in
-  breadth-first order from vertex 0, cut in O(1) per step by the last pair
-  that reaches each component, with the last pair of each tree counted in
-  bulk.
+- a brute-force count of the trees themselves, which never uses a
+  determinant: a frontier dynamic program over the edge pairs in
+  breadth-first order from vertex 0, whose states are the partitions of the
+  frontier vertices into the components of a chosen forest.
 """
 
 from __future__ import annotations
@@ -204,25 +203,24 @@ BRUTE_FORCE_PAIR_LIMIT = 24
 
 
 def spanning_tree_count_bruteforce(g: SerreGraph) -> int:
-    """Count spanning trees by enumerating them, one edge pair at a time.
+    """Count spanning trees by a frontier dynamic program over the edge pairs.
 
     The non-loop edge pairs are put in breadth-first order from vertex 0:
     a pair is taken when the first of its endpoints is scanned.  A graph
     the search does not span, which includes every graph with fewer than
-    |V| - 1 non-loop pairs, has no spanning tree.  Include/exclude
-    backtracking then decides the pairs in that order.  The components of
-    the chosen forest are a label per vertex and a member list per label;
-    a union relabels the smaller side, and its undo restores it.  reach[c]
-    is the last index of a pair that touches component c, so a component
-    whose reach is the current index i meets no later pair: pair i is
-    excluded only if both of its endpoint components reach past i, and
-    included (never when it closes a cycle) only if the merged component
-    does.  Both cuts are O(1) and necessary for completing a tree, so no
-    tree is lost.  When one pair is still needed, exactly two components
-    remain, and the later pairs that join them are counted at once.  Each
-    spanning tree is thus counted once, by its last pair.  Exponential;
-    guarded at BRUTE_FORCE_PAIR_LIMIT edge pairs.  Serves as an oracle
-    independent of any determinant computation.
+    |V| - 1 non-loop pairs, has no spanning tree.  A vertex is on the
+    frontier from its first pair to its last.  states maps each partition
+    of the frontier into the components of a chosen forest, each vertex
+    labelled by the position of its component's first one, to its number
+    of forests.  Excluding a pair keeps the state; including it merges the
+    components of its ends, unless they are one (a cycle).  A component
+    whose last frontier vertex leaves is closed, and its state is kept only
+    if it is the whole tree: no frontier vertex and no unseen vertex remain,
+    which in a connected graph happens only after the last pair.  The count
+    of the empty state is then the answer.  With w the widest frontier there
+    are at most Bell(w) states, and a pair costs O(w Bell(w)) whatever the
+    number of trees.  Guarded at BRUTE_FORCE_PAIR_LIMIT edge pairs.  Serves
+    as an oracle independent of any determinant computation.
     """
     n = g.vertex_count
     if n == 0:
@@ -249,46 +247,43 @@ def spanning_tree_count_bruteforce(g: SerreGraph) -> int:
         scanned[v] = True
     if len(order) < n:
         return 0
-    if n == 1:
-        return 1
-    reach = [0] * n
+    last = [0] * n
     for i, (u, w) in enumerate(ends):
-        reach[u] = reach[w] = i
-    label = list(range(n))
-    members = [[v] for v in range(n)]
-
-    def joining(i):
-        # the pairs from i on that join the two components left
-        return sum([label[u] != label[w] for u, w in ends[i:]])
-
-    def count(i, needed):
-        # trees that add needed >= 2 pairs from ends[i:]; excluding pair i
-        # is the next turn of the loop
-        total = 0
-        last = len(ends) - needed
-        while i <= last:
-            u, w = ends[i]
-            a, b = label[u], label[w]
-            ra, rb = reach[a], reach[b]
-            if a != b and (ra > i or rb > i):
-                if len(members[a]) < len(members[b]):
-                    a, b, ra, rb = b, a, rb, ra
-                moved = members[b]
-                for v in moved:
-                    label[v] = a
-                kept = members[a]
-                size = len(kept)
-                kept += moved
-                if rb > ra:
-                    reach[a] = rb
-                total += joining(i + 1) if needed == 2 else count(i + 1, needed - 1)
-                reach[a] = ra
-                del kept[size:]
-                for v in moved:
-                    label[v] = b
-            if ra <= i or rb <= i:
-                break
-            i += 1
-        return total
-
-    return joining(0) if n == 2 else count(0, n - 1)
+        last[u] = last[w] = i
+    front = []
+    states = {(): 1}
+    for i, (u, w) in enumerate(ends):
+        for v in (u, w):
+            if v not in front:
+                states = {s + (len(front),): c for s, c in states.items()}
+                front.append(v)
+        a, b = front.index(u), front.index(w)
+        # each include branch reads the count of its state before this pair
+        for s, c in list(states.items()):
+            x, y = s[a], s[b]
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                s = tuple([x if z == y else z for z in s])
+                states[s] = states.get(s, 0) + c
+        for v in (u, w):
+            if last[v] != i:
+                continue
+            p = front.index(v)
+            del front[p]
+            left = {}
+            for s, c in states.items():
+                rest = s[:p] + s[p + 1:]
+                if s[p] < p:
+                    s = tuple([z - 1 if z > p else z for z in rest])
+                elif p in rest:
+                    # the component's next frontier vertex becomes its first
+                    q = rest.index(p)
+                    s = tuple([q if z == p else z - 1 if z > p else z for z in rest])
+                elif rest:
+                    continue  # a closed component that is not the whole tree
+                else:
+                    s = ()
+                left[s] = left.get(s, 0) + c
+            states = left
+    return states.get((), 0)

@@ -375,13 +375,13 @@ def verify_tower(
     """Check the formula path against an independent tree count for n <= n_max.
 
     mode "matrix-tree" uses the reduced-Laplacian determinant of each derived
-    graph; "bruteforce-small" enumerates the spanning trees, so it requires
-    tiny layers: layer n has n times the base's edge pairs, and a top layer
-    above BRUTE_FORCE_PAIR_LIMIT of them is refused with the enumerator's
-    ValueError before any layer is counted.  With jobs > 1 a pool of forked
-    worker processes counts the layers; it has at most jobs, n_max and
-    os.cpu_count() workers, and the layers are counted in this process when
-    that bound is 1.  The first disagreement is reported, not raised.
+    graph; "bruteforce-small" counts the trees with no determinant, so it
+    requires tiny layers: layer n has n times the base's edge pairs, and a
+    top layer above BRUTE_FORCE_PAIR_LIMIT of them is refused with the
+    counter's ValueError before any layer is counted.  With jobs > 1 a pool
+    of forked worker processes counts the layers; it has at most jobs, n_max
+    and os.cpu_count() workers, and the layers are counted in this process
+    when that bound is 1.  The first disagreement is reported, not raised.
     """
     if mode not in ("matrix-tree", "bruteforce-small"):
         raise ValueError(f"unknown verification mode {mode!r}")

@@ -29,6 +29,21 @@ PETERSEN = build_graph(
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
 )
+# three graphs at the brute-force guard, with many trees and wide frontiers
+MOBIUS_KANTOR = build_graph(  # the generalized Petersen graph GP(8, 3)
+    16,
+    [(i, (i + 1) % 8) for i in range(8)]
+    + [(i, i + 8) for i in range(8)]
+    + [(8 + i, 8 + (i + 3) % 8) for i in range(8)],
+)
+GRID_4X4 = build_graph(
+    16,
+    [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)],
+)
+K7_PLUS_3 = build_graph(
+    7, [(a, b) for a in range(7) for b in range(a + 1, 7)] + [(0, 1), (2, 3), (4, 5)]
+)
 
 
 def dense_matrix_tree(g):
@@ -148,9 +163,30 @@ def test_bruteforce_edge_cases():
     assert bf(build_graph(3, [(0, 1)] * 3 + [(1, 2)] * 4 + [(2, 0)] * 5)) == 3 * 4 + 4 * 5 + 5 * 3
 
 
+def test_bruteforce_on_graphs_at_the_guard():
+    counts = {}
+    for name, g in (("GP(8, 3)", MOBIUS_KANTOR), ("4x4 grid", GRID_4X4), ("K7 + 3", K7_PLUS_3)):
+        assert len(g.edge_pairs) == BRUTE_FORCE_PAIR_LIMIT, name
+        counts[name] = spanning_tree_count_bruteforce(g)
+        assert counts[name] == spanning_tree_count(g) == dense_matrix_tree(g), name
+    assert counts == {"GP(8, 3)": 248832, "4x4 grid": 100352, "K7 + 3": 35721}
+
+
+def test_bruteforce_drops_a_component_closed_before_the_last_pair():
+    # breadth-first from 0 the pairs run (0, 1), (0, 4), (1, 2), (1, 3),
+    # (4, 5), (4, 7), (4, 6), (2, 3), (5, 6), (7, 6): the pendant triangle
+    # 1-2-3 leaves the frontier at (2, 3), before the last pair, so every
+    # forest without the bridge (0, 1) closes it while 5, 6 and 7 remain
+    edges = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]
+    g = build_graph(8, edges)
+    # the bridges (0, 1) and (0, 4), one of 3 trees of the triangle and one
+    # of 8 of the 4-cycle 4-5-6-7 with the chord (4, 6)
+    assert spanning_tree_count_bruteforce(g) == spanning_tree_count(g) == 3 * 8
+
+
 def test_bruteforce_matches_matrix_tree_on_verify_shaped_layers():
     # every layer within the guard of seeded 2-vertex, 3-pair bases: the shape
-    # whose layers the verify workload enumerates, from 2 to 16 vertices
+    # whose layers the verify workload counts by brute force, 2 to 16 vertices
     rng = random.Random(19)
     for _ in range(20):
         edges = [(0, 1, rng.randint(-6, 6))]
@@ -259,6 +295,15 @@ def test_bruteforce_matches_combinations_reference():
     for _ in range(300):
         g = random_multigraph(rng, max_vertices=7, max_pairs=12)
         assert spanning_tree_count_bruteforce(g) == combinations_count(g)
+    # 400 more, wider: loops, parallel pairs and disconnected graphs all occur
+    graphs = [random_multigraph(rng, max_vertices=8, max_pairs=14) for _ in range(400)]
+    pairs = [[frozenset((e.origin, e.terminus)) for e in g.edge_pairs] for g in graphs]
+    assert any(len(p) == 1 for ends in pairs for p in ends)
+    assert any(len(set(ends)) < len(ends) for ends in pairs)
+    assert any(not is_connected(g) for g in graphs)
+    counts = [spanning_tree_count_bruteforce(g) for g in graphs]
+    assert sum(count > 0 for count in counts) >= 100
+    assert counts == [combinations_count(g) for g in graphs]
 
 
 def test_known_counts():
@@ -289,7 +334,7 @@ def test_tree_count_invariant_under_relabeling():
         assert spanning_tree_count(g) == spanning_tree_count(relabeled)
         if len(g.edge_pairs) <= 12:
             assert spanning_tree_count_bruteforce(g) == spanning_tree_count_bruteforce(relabeled)
-    # minimum-degree ties go by vertex index, and the enumeration order is
+    # minimum-degree ties go by vertex index, and the brute-force pair order is
     # breadth-first from vertex 0 in input order, so relabelling changes both
     top_layers = 0
     for _ in range(10):
