@@ -37,8 +37,8 @@ _EXPORTS = {
         "sequence_classes", "unit_root_structure", "washington_invariants",
     ),
     "polyring": (
-        "IntPoly", "LaurentPoly", "divide_exact", "geometric_quotient",
-        "is_self_reciprocal", "ord_at", "poly_matrix_det", "resultant",
+        "IntPoly", "LaurentPoly", "divide_exact", "is_self_reciprocal",
+        "poly_matrix_det", "resultant",
     ),
     "voltage_cover": (
         "VoltageAssignment", "VoltagedGraph", "derived_graph",

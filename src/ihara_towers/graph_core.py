@@ -43,9 +43,6 @@ class SerreGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def directed_edge_count(self) -> int:
-        return 2 * len(self.edge_pairs)
-
     def valency(self, v: int) -> int:
         count = 0
         for e in self.edge_pairs:

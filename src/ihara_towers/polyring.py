@@ -149,7 +149,11 @@ class IntPoly:
 class LaurentPoly:
     """Laurent polynomial t**low * body with body(0) != 0 unless zero.
 
-    The zero Laurent polynomial is stored as low == 0 with a zero body.
+    The zero Laurent polynomial is stored as low == 0 with a zero body.  It
+    holds the Ihara determinant, so it supports construction, from_dict,
+    is_zero, high, equality, reciprocal_substitution and repr, and no
+    arithmetic: poly_matrix_det clears each row to IntPoly entries.  The
+    tests carry their own Laurent arithmetic.
     """
 
     __slots__ = ("low", "body")
@@ -191,47 +195,8 @@ class LaurentPoly:
             return NotImplemented
         return self.low == other.low and self.body == other.body
 
-    def __hash__(self):
-        return hash((self.low, self.body))
-
     def __repr__(self):
         return f"LaurentPoly({self.low}, {list(self.body.coeffs)!r})"
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, -self.body)
-
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(0, IntPoly((other,)))
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        low = min(self.low, other.low)
-        a = self.body.shift(self.low - low)
-        b = other.body.shift(other.low - low)
-        return LaurentPoly(low, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(0, IntPoly((other,)))
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly(self.low, self.body * other)
-        return LaurentPoly(self.low + other.low, self.body * other.body)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Evaluate at a nonzero point."""
-        val = self.body(x)
-        if self.low >= 0:
-            return val * x ** self.low
-        return val / x ** (-self.low)
 
     def reciprocal_substitution(self) -> "LaurentPoly":
         """Return f(1/t) as a Laurent polynomial."""
@@ -288,28 +253,6 @@ def _divide_out(f: IntPoly, root: int):
         f = divide_exact(f, linear)
         m += 1
     return f, m
-
-
-def ord_at(f, point: int) -> int:
-    """Multiplicity of the root at 0 or 1.
-
-    Laurent input is handled through its body, so ord_at(f, 0) reports the
-    multiplicity after the t-power normalization (0 for any nonzero input).
-    """
-    if isinstance(f, LaurentPoly):
-        f = f.body
-    if f.is_zero():
-        raise ValueError("zero polynomial has no finite vanishing order")
-    if point in (0, 1):
-        return _divide_out(f, point)[1]
-    raise ValueError("ord_at supports only the points 0 and 1")
-
-
-def geometric_quotient(n: int) -> IntPoly:
-    """1 + t + ... + t**(n-1), the quotient (t**n - 1)/(t - 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return IntPoly((1,) * n)
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except (PrecisionExhausted, ResourceLimit) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (TowerError, ValueError, OSError, KeyError) as exc:
+    except (TowerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

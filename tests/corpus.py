@@ -173,6 +173,34 @@ def sylvester_matrix(p: IntPoly, q: IntPoly):
     return rows
 
 
+def geometric_quotient(n: int) -> IntPoly:
+    """1 + t + ... + t**(n-1), the quotient (t**n - 1)/(t - 1)."""
+    return IntPoly((1,) * n)
+
+
+# Laurent polynomials as dicts {exponent: nonzero coefficient}: an arithmetic
+# that shares no code with polyring.LaurentPoly.
+
+
+def laurent_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
 def padic_report_per_n(ta, p: int, n_max: int, kappas=None, structure=None):
     """padic_report row by row: one _layer_terms and one PerLayer per n, the
     reference for the rows padic_report computes once per residue class.

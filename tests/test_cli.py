@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+import pytest
 
 import ihara_towers
 from ihara_towers import towers_cli
@@ -204,6 +205,20 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["first_mismatch"]["n"] == 4
     assert "mismatch" in err
+
+
+def test_a_key_error_inside_a_command_propagates(tmp_path, capsys, monkeypatch):
+    # a graph file's missing key is a ValueError (exit 1); a KeyError is a
+    # fault of the program, so main raises it rather than printing an error
+    path = tmp_path / "g.json"
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
+
+    def faulty(vg):
+        raise KeyError("delta1")
+
+    monkeypatch.setattr(towers_cli, "analyze", faulty)
+    with pytest.raises(KeyError):
+        main(["table", str(path)])
 
 
 def test_padic_command(tmp_path, capsys):

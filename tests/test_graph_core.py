@@ -83,7 +83,7 @@ def random_multigraph(rng, max_vertices=6, max_pairs=10):
 
 def test_build_graph_examples():
     assert B2.vertex_count == 1
-    assert B2.directed_edge_count() == 4
+    assert 2 * len(B2.edge_pairs) == 4
     assert B2.valency(0) == 4
     assert DUMBBELL.valency(0) == 3 and DUMBBELL.valency(1) == 3
     lonely = build_graph(1, [])
@@ -127,7 +127,7 @@ def test_valency_sum_equals_directed_edges():
     rng = random.Random(6)
     for _ in range(50):
         g = random_connected_voltaged_graph(rng).base
-        assert sum(g.valency(v) for v in range(g.vertex_count)) == g.directed_edge_count()
+        assert sum(g.valency(v) for v in range(g.vertex_count)) == 2 * len(g.edge_pairs)
 
 
 def test_spanning_tree_counts():

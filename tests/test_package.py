@@ -1,7 +1,9 @@
-"""The package namespace: every exported name, loaded on first use, and every
-top-level definition in src/ used by the package, exported or traced."""
+"""The package namespace: every exported name, loaded on first use; every
+top-level definition in src/ used by the package, exported or traced; and
+every named method or property used, an override or kept for a stated reason."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -28,8 +30,8 @@ EXPORTED = {
                      "multiplicative_order", "newton_polygon", "nu_from_oracle", "nu_structural",
                      "ord_delta_exact", "padic_report", "sequence_classes",
                      "unit_root_structure", "washington_invariants"],
-    "polyring": ["IntPoly", "LaurentPoly", "divide_exact", "geometric_quotient",
-                 "is_self_reciprocal", "ord_at", "poly_matrix_det", "resultant"],
+    "polyring": ["IntPoly", "LaurentPoly", "divide_exact", "is_self_reciprocal",
+                 "poly_matrix_det", "resultant"],
     "voltage_cover": ["VoltageAssignment", "VoltagedGraph", "derived_graph",
                       "fundamental_cycle_voltages", "monodromy_index", "voltaged_graph"],
 }
@@ -126,23 +128,120 @@ def test_every_traced_name_resolves():
         assert hasattr(importlib.import_module(f"ihara_towers.{module}"), name), (module, name)
 
 
-def test_every_top_level_definition_is_used_exported_or_traced():
-    # A name counts as used when some src/ statement other than its own
-    # definition mentions it as a name or an attribute; module hooks such as
-    # __getattr__ are called by the import system.
-    defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+# Members that no src/ statement names but that are kept, each with its reason.
+KEPT_MEMBERS = {
+    ("padic_engine", "UnitRootStructure.unit_root_count"):
+        "the number of unit roots of J mod p, a public paper quantity the tests assert",
+    ("mahler", "PadicAsymptotic.predicted_ord"):
+        "ord_p(kappa_n) by the p-adic asymptotic law, a public paper quantity the tests assert",
+}
+
+
+def _refs(nodes, own):
+    """The names and attributes that nodes mention, other than those in own."""
+    for node in nodes:
+        for sub in ast.walk(node):
+            ref = (sub.id if isinstance(sub, ast.Name)
+                   else sub.attr if isinstance(sub, ast.Attribute) else None)
+            if ref and ref not in own:
+                yield ref
+
+
+def _external_members(base):
+    """The attributes of a base class defined outside the scanned sources: a
+    builtin such as Exception, or module.Class such as argparse.ArgumentParser."""
+    *module, name = ast.unparse(base).split(".")
+    owner = importlib.import_module(".".join(module)) if module else builtins
+    return set(dir(getattr(owner, name)))
+
+
+def unused_definitions(sources, reached=frozenset()):
+    """The definitions in sources (module name -> source text) that nothing
+    uses: (module, name) for a top-level function or class, and (module,
+    "Class.member") for a named method or property of a class.
+
+    A definition is used when a statement other than its own definition names
+    it, as a name or an attribute, or when its pair is in reached.  A member
+    is also used when it overrides a method of a base class, whose own code
+    calls it.  Dunder names, such as the module hook __getattr__, are called
+    by the language and never reported.
+    """
+    tops, members, used, classes = [], [], set(), {}
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
             own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
             if own:
-                defined.append((path.stem, own))
-            for node in ast.walk(stmt):
-                ref = (node.id if isinstance(node, ast.Name)
-                       else node.attr if isinstance(node, ast.Attribute) else None)
-                if ref and ref != own:
-                    used.add(ref)
-    reached = _traced() | {(m, name) for m, names in ihara_towers._EXPORTS.items() for name in names}
-    unused = [(module, name) for module, name in defined
-              if name not in used and (module, name) not in reached
-              and not (name.startswith("__") and name.endswith("__"))]
-    assert len(defined) > 100 and unused == []
+                tops.append((module, own))
+            if not isinstance(stmt, ast.ClassDef):
+                used.update(_refs([stmt], {own}))
+                continue
+            classes[own] = stmt
+            used.update(_refs(stmt.bases + stmt.keywords + stmt.decorator_list, {own}))
+            for item in stmt.body:
+                name = item.name if isinstance(item, ast.FunctionDef) else None
+                if name:
+                    members.append((module, stmt, name))
+                used.update(_refs([item], {own, name}))
+
+    def inherited(cls):
+        names = set()
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                parent = classes[base.id]
+                names |= {item.name for item in parent.body if isinstance(item, ast.FunctionDef)}
+                names |= inherited(parent)
+            else:
+                names |= _external_members(base)
+        return names
+
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
+    unused = [(module, name) for module, name in tops
+              if name not in used and (module, name) not in reached and not dunder(name)]
+    unused += [(module, f"{cls.name}.{name}") for module, cls, name in members
+               if name not in used and (module, f"{cls.name}.{name}") not in reached
+               and not dunder(name) and name not in inherited(cls)]
+    return unused
+
+
+def _src_texts():
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sum(isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               for text in texts.values() for stmt in ast.parse(text).body) > 100
+    return texts
+
+
+def _reached():
+    return (_traced() | set(KEPT_MEMBERS)
+            | {(m, name) for m, names in ihara_towers._EXPORTS.items() for name in names})
+
+
+def test_every_top_level_definition_is_used_exported_or_traced():
+    assert [d for d in unused_definitions(_src_texts(), _reached()) if "." not in d[1]] == []
+
+
+def test_every_named_member_is_used_an_override_or_kept():
+    assert [d for d in unused_definitions(_src_texts(), _reached()) if "." in d[1]] == []
+    for module, member in KEPT_MEMBERS:
+        cls, name = member.split(".")
+        assert hasattr(getattr(importlib.import_module(f"ihara_towers.{module}"), cls), name)
+
+
+PLANTED = """
+class X:
+    def never_called(self): ...
+
+
+class Y(X):
+    def never_called(self): ...
+
+
+Y()
+"""
+
+
+def test_the_scan_flags_a_planted_unused_method():
+    # Y.never_called overrides X's, so only X's is reported
+    texts = dict(_src_texts(), planted=PLANTED)
+    assert unused_definitions(texts, _reached()) == [("planted", "X.never_called")]
