@@ -41,6 +41,7 @@ from .polyring import (
     _mul,
     _prem,
     _resultant,
+    _trace_polynomial,
     is_self_reciprocal,
     poly_matrix_det,
     vanishes_at_root_of_unity,
@@ -180,22 +181,6 @@ def _shift(w: list, monic: list) -> list:
     """t * w modulo monic."""
     c = w[-1]
     return [x - c * y for x, y in zip([0] + w[:-1], monic)]
-
-
-def _trace_polynomial(c: tuple) -> list:
-    """K with t**m * K(t + 1/t) = f, for the coefficients c of a palindromic f
-    of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
-    t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s, V_k = s V_(k-1) -
-    V_(k-2).  _lehmer_modulus rescales it for the Pierce-Lehmer values, and
-    mahler.count_unit_circle_roots counts its real roots in (-2, 2)."""
-    m = (len(c) - 1) // 2
-    k = [c[m]] + [0] * m
-    v_prev, v = [2], [0, 1]
-    for j in range(1, m + 1):
-        for i, x in enumerate(v):
-            k[i] += c[m + j] * x
-        v_prev, v = v, [x - y for x, y in zip([0] + v, v_prev + [0, 0])]
-    return k
 
 
 def _lehmer_modulus(f: IntPoly):

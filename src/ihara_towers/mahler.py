@@ -3,7 +3,9 @@
 The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
 quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
-by Sturm counts over the integers, never by float proximity.  The p-adic
+by the Sturm count of polyring.count_unit_circle_roots over the integers,
+never by float proximity; the measure reads it from the count's memo, which
+analyze filled when it asked whether J has a root of unity.  The p-adic
 measure is the content valuation at a prime that padic_engine.is_prime
 checks, so nothing here imports sympy.  The p-adic helpers are imported in
 the functions that use them, so the Archimedean laws never load the engine.
@@ -19,9 +21,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TowerError, VerificationMismatch
-from .ihara import TowerAnalysis, _trace_polynomial
-from .polyring import IntPoly, _divide_out, poly_gcd, pseudo_rem
+from .errors import TowerError
+from .ihara import TowerAnalysis
+from .polyring import IntPoly, _strip_trivial_roots, count_unit_circle_roots
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +57,6 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
 # ---------------------------------------------------------------------------
 # Archimedean measure via simultaneous root iteration
 # ---------------------------------------------------------------------------
-
-
-def _strip_trivial_roots(f: IntPoly):
-    """(g, m): f with its power of t and its roots at +-1 divided out, and m
-    the number of roots at +-1 removed, with multiplicity."""
-    work, plus = _divide_out(_divide_out(f, 0)[0], 1)
-    work, minus = _divide_out(work, -1)
-    return work, plus + minus
 
 
 _ROOT_TOL = 1e-12  # relative residual that every Aberth root must meet
@@ -154,8 +148,8 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
     a factor of 1).  The unit-circle count, and with it the certified flag,
-    is the exact count of count_unit_circle_roots on the same division, taken
-    before the float roots and never from them.  A seed that is not an int
+    is the memoised exact count of count_unit_circle_roots, taken before the
+    float roots and never from them.  A seed that is not an int
     (a bool, a float, bytes...) raises ValueError, never coerced.  The last
     _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
     exception is never memoised, so a root iteration that fails fails again
@@ -175,8 +169,9 @@ _ARCH_MEMO_SIZE = 256
 
 @lru_cache(maxsize=_ARCH_MEMO_SIZE)
 def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
-    work, trivial = _strip_trivial_roots(IntPoly(coeffs))
-    unit_circle_roots = trivial + _unit_circle_pairs(work)
+    f = IntPoly(coeffs)
+    unit_circle_roots = count_unit_circle_roots(f)
+    work = _strip_trivial_roots(f)[0]
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
         roots = _aberth_roots([float(c) for c in work.coeffs], _ROOT_TOL, random.Random(seed))
@@ -185,67 +180,6 @@ def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
             if a > 1.0:
                 log_value += math.log(a)
     return ArchMeasure(math.exp(log_value), log_value, unit_circle_roots)
-
-
-# ---------------------------------------------------------------------------
-# Exact unit-circle root counting
-# ---------------------------------------------------------------------------
-
-
-def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
-    """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0.
-
-    The chain is built from primitive pseudo-remainders, signed so that each
-    member is a positive multiple of the classical Sturm chain's member:
-    prem(f, g) = lead(g)**(deg f - deg g + 1) * rem(f, g), whose scalar is
-    negative exactly when lead(g) < 0 and deg f - deg g is even.
-    """
-    chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        f, g = chain[-2], chain[-1]
-        rem = pseudo_rem(f, g).primitive_part()
-        if rem.is_zero():
-            break
-        if g.lead < 0 and (f.degree - g.degree) % 2 == 0:
-            rem = -rem
-        chain.append(-rem)
-
-    def variations(x):
-        signs = [v > 0 for v in (poly(x) for poly in chain) if v]
-        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-    if q(a) == 0 or q(b) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    return variations(a) - variations(b)
-
-
-def _unit_circle_pairs(work: IntPoly) -> int:
-    """Unit-circle roots, with multiplicity, of work, which has no root at 0 or +-1.
-
-    They are shared with the reciprocal polynomial, so they live in
-    g = gcd(work, work*), palindromic of even degree 2m.  Each pair of them is
-    a root in (-2, 2) of the trace polynomial K of g (ihara._trace_polynomial),
-    and a Sturm chain counts distinct roots even if K is not squarefree.
-    The layers g, gcd(g, g'), ... lower each multiplicity by one in turn.
-    """
-    count = 0
-    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
-    while g.degree > 0:
-        if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
-            raise VerificationMismatch("the unit-root gcd is not palindromic")
-        count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
-        g = poly_gcd(g, g.derivative())
-    return count
-
-
-def count_unit_circle_roots(f: IntPoly) -> int:
-    """Number of roots of f on the complex unit circle, with multiplicity, exactly:
-    the roots at +-1, split off by exact division, plus _unit_circle_pairs of the
-    rest.  mahler_archimedean carries the same count."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    work, count = _strip_trivial_roots(f)
-    return count + _unit_circle_pairs(work)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ unit part is ramified.
 Besides the structures, three facts that repeat within a process are kept
 in bounded memos: the factorization of p**f - 1 per (p, f), the exact D_n of
 nu_from_oracle per (J's coefficients, n), checked against the bit cap on
-every call, and, in polyring, the root-of-unity scan per J's coefficients.
+every call, and, in polyring, the unit-circle count per J's coefficients,
+which decides whether J has a root of unity.
 ord_delta_exact is never memoised, so it stays an independent recomputation.
 
 An element of F_p[t], of a residue field F_p[t]/(g) or of its lift

@@ -13,13 +13,21 @@ and the pseudo-remainder sequences of gcds and resultants simple.
 The kernels _mul, _prem and _resultant take the coefficients as plain int
 lists, so a loop over many small polynomials builds no IntPoly, and the
 subresultant resultant takes out no content, since its divisions are exact.
+
+The exact count of roots on the unit circle (a Sturm chain on the trace
+polynomial) lives here, behind one bounded per-process memo by coefficients.
+It gates the root-of-unity scan, and the Archimedean measure reads it, so
+analyze, the p-adic unit-root structure and the measure of one J share one
+count.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import gcd, log
+from math import gcd
+
+from .errors import VerificationMismatch
 
 
 def _mul(a, b) -> list:
@@ -442,47 +450,114 @@ def euler_phi(k: int) -> int:
     return result
 
 
-# e**gamma, gamma the Euler-Mascheroni constant
-_E_GAMMA = 1.7810724179901979
-
-
-def _phi_lower_bound(k: int) -> float:
-    """A lower bound on phi(k) for k >= 3 that increases with k.
-
-    Rosser and Schoenfeld (1962, Theorem 15) prove k / phi(k) <
-    e**gamma log log k + 2.50637 / log log k for k >= 3 except k = 223092870,
-    where 2.51 suffices; 3 covers both.
-    """
-    y = log(log(k))
-    return k / (_E_GAMMA * y + 3 / y)
-
-
-# Scans memoised per process: analyze and the structure of every prime of a
-# tower ask about the same J.
-_ROOT_OF_UNITY_MEMO_SIZE = 256
-
-
 def vanishes_at_root_of_unity(f: IntPoly) -> bool:
     """True iff some root of f is a root of unity, decided exactly.
 
-    A primitive k-th root can only be a root when phi(k) <= deg(f).  The
-    scan stops at the first k whose lower bound on phi(k) passes deg(f);
-    the margin of 1 absorbs rounding in the float bound.  The last
-    _ROOT_OF_UNITY_MEMO_SIZE answers are memoised per f's coefficients.
+    Phi_k divides f when a primitive k-th root of unity is a root, and then
+    its phi(k) roots lie on the unit circle, so phi(k) <= c, the memoised
+    count_unit_circle_roots of f.  As phi(k) >= sqrt(k / 2), every such k is
+    at most 2 c**2, and the scan stops there; c = 0 skips it.
     """
-    return _vanishes_at_root_of_unity(f.coeffs)
-
-
-@lru_cache(maxsize=_ROOT_OF_UNITY_MEMO_SIZE)
-def _vanishes_at_root_of_unity(coeffs: tuple) -> bool:
-    f = IntPoly(coeffs)
-    d = f.degree
-    if d <= 0:
+    if f.degree <= 0:
         return False
-    k = 1
-    while k < 3 or _phi_lower_bound(k) <= d + 1:
-        # cyclotomic polynomials are monic, so the pseudo-remainder is exact
-        if euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero():
-            return True
-        k += 1
-    return False
+    c = _count_unit_circle_roots(f.coeffs)
+    # cyclotomic polynomials are monic, so the pseudo-remainder is exact
+    return any(euler_phi(k) <= c and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
+               for k in range(1, 2 * c * c + 1))
+
+
+# ---------------------------------------------------------------------------
+# Exact unit-circle root counting
+# ---------------------------------------------------------------------------
+
+
+def _strip_trivial_roots(f: IntPoly):
+    """(g, m): f with its power of t and its roots at +-1 divided out, and m
+    the number of roots at +-1 removed, with multiplicity."""
+    work, plus = _divide_out(_divide_out(f, 0)[0], 1)
+    work, minus = _divide_out(work, -1)
+    return work, plus + minus
+
+
+def _trace_polynomial(c: tuple) -> list:
+    """K with t**m * K(t + 1/t) = f, for the coefficients c of a palindromic f
+    of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
+    t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s, V_k = s V_(k-1) -
+    V_(k-2).  ihara._lehmer_modulus rescales it for the Pierce-Lehmer values,
+    and count_unit_circle_roots counts its real roots in (-2, 2)."""
+    m = (len(c) - 1) // 2
+    k = [c[m]] + [0] * m
+    v_prev, v = [2], [0, 1]
+    for j in range(1, m + 1):
+        for i, x in enumerate(v):
+            k[i] += c[m + j] * x
+        v_prev, v = v, [x - y for x, y in zip([0] + v, v_prev + [0, 0])]
+    return k
+
+
+def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
+    """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0.
+
+    The chain is built from primitive pseudo-remainders, signed so that each
+    member is a positive multiple of the classical Sturm chain's member:
+    prem(f, g) = lead(g)**(deg f - deg g + 1) * rem(f, g), whose scalar is
+    negative exactly when lead(g) < 0 and deg f - deg g is even.
+    """
+    chain = [q, q.derivative()]
+    while chain[-1].degree > 0:
+        f, g = chain[-2], chain[-1]
+        rem = pseudo_rem(f, g).primitive_part()
+        if rem.is_zero():
+            break
+        if g.lead < 0 and (f.degree - g.degree) % 2 == 0:
+            rem = -rem
+        chain.append(-rem)
+
+    def variations(x):
+        signs = [v > 0 for v in (poly(x) for poly in chain) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    if q(a) == 0 or q(b) == 0:
+        raise ValueError("Sturm endpoints must not be roots")
+    return variations(a) - variations(b)
+
+
+def _unit_circle_pairs(work: IntPoly) -> int:
+    """Unit-circle roots, with multiplicity, of work, which has no root at 0 or +-1.
+
+    They are shared with the reciprocal polynomial, so they live in
+    g = gcd(work, work*), palindromic of even degree 2m.  Each pair of them is
+    a root in (-2, 2) of the trace polynomial K of g, and a Sturm chain counts
+    distinct roots even if K is not squarefree.  The layers g, gcd(g, g'), ...
+    lower each multiplicity by one in turn.
+    """
+    count = 0
+    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
+    while g.degree > 0:
+        if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
+            raise VerificationMismatch("the unit-root gcd is not palindromic")
+        count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
+        g = poly_gcd(g, g.derivative())
+    return count
+
+
+def count_unit_circle_roots(f: IntPoly) -> int:
+    """Number of roots of f on the complex unit circle, with multiplicity, exactly:
+    the roots at +-1, split off by exact division, plus _unit_circle_pairs of the
+    rest.  The last _UNIT_CIRCLE_MEMO_SIZE counts are memoised per f's
+    coefficients; mahler_archimedean carries the same count."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    return _count_unit_circle_roots(f.coeffs)
+
+
+# Counts memoised per process: analyze, the structure of every prime of a
+# tower and the Archimedean measure ask about the same J.  An exception is
+# never memoised.
+_UNIT_CIRCLE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_UNIT_CIRCLE_MEMO_SIZE)
+def _count_unit_circle_roots(coeffs: tuple) -> int:
+    work, count = _strip_trivial_roots(IntPoly(coeffs))
+    return count + _unit_circle_pairs(work)

@@ -123,6 +123,33 @@ def test_analyze_decides_connectivity_once_and_keeps_its_errors(monkeypatch):
                 assert str(exc) == "base graph must be connected"
 
 
+def test_analyze_builds_no_cyclotomic_polynomial_when_j_has_no_unit_circle_root(monkeypatch):
+    # J of bouquet(1, 160) has degree 318 and no root on the unit circle, so
+    # the exact count settles the root-of-unity question with no Phi_k
+    import ihara_towers.polyring as polyring
+
+    def refuse(k):
+        raise AssertionError(f"Phi_{k} built")
+
+    monkeypatch.setattr(polyring, "cyclotomic_polynomial", refuse)
+    ta = analyze(bouquet(1, 160))
+    assert ta.j_poly.degree == 318 and polyring.count_unit_circle_roots(ta.j_poly) == 0
+
+
+def test_analyze_of_a_degree_318_j_is_fast():
+    import time
+
+    from ihara_towers.polyring import _count_unit_circle_roots
+
+    elapsed = []
+    for _ in range(3):
+        _count_unit_circle_roots.cache_clear()  # time the count, not a memo hit
+        started = time.perf_counter()
+        analyze(bouquet(1, 160))
+        elapsed.append(time.perf_counter() - started)
+    assert min(elapsed) < 0.3, elapsed
+
+
 def test_pierce_lehmer_table_row():
     for n, expected in enumerate(DELTA_35, start=1):
         assert pierce_lehmer(J_35, n) == expected

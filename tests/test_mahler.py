@@ -178,7 +178,7 @@ def test_sturm_count_matches_sympy():
     # pseudo-remainder depends on the parity of the degree drop.
     from sympy import Poly, symbols
 
-    from ihara_towers.mahler import _sturm_count_open
+    from ihara_towers.polyring import _sturm_count_open
 
     x = symbols("x")
     rng = random.Random(71)
@@ -196,12 +196,14 @@ def test_sturm_count_matches_sympy():
 
 
 def test_unit_circle_invariant_raises_package_error(monkeypatch):
-    import ihara_towers.mahler as mahler
+    import ihara_towers.polyring as polyring
     from ihara_towers.errors import VerificationMismatch
 
+    # a memoised count would never reach the patched gcd; an error is not memoised
+    polyring._count_unit_circle_roots.cache_clear()
     # a gcd that is not palindromic, and one of odd degree
     for bad in (IntPoly((1, 0, 2)), IntPoly((1, 1))):
-        monkeypatch.setattr(mahler, "poly_gcd", lambda f, g, bad=bad: bad)
+        monkeypatch.setattr(polyring, "poly_gcd", lambda f, g, bad=bad: bad)
         try:
             count_unit_circle_roots(IntPoly((1, 0, 1)))
             assert False
@@ -365,3 +367,19 @@ def test_seed_must_be_an_int():
     except ValueError as exc:
         assert "zero polynomial" in str(exc)
     assert archimedean_asymptotic(ta, seed=2**70).applicable
+
+
+def test_the_measure_after_analyze_adds_no_unit_circle_count():
+    # analyze counted each J's unit-circle roots; the measure reads that count
+    from ihara_towers.polyring import _count_unit_circle_roots
+
+    js = _sweep_plan_j_polys((1, 2, 3))
+    _mahler_archimedean.cache_clear()
+    before = _count_unit_circle_roots.cache_info()
+    assert len(js) <= before.maxsize
+    for j in js:
+        assert mahler_archimedean(j).unit_circle_roots == 0
+    after = _count_unit_circle_roots.cache_info()
+    # a J that repeats is answered by the measure's own memo
+    distinct = len({j.coeffs for j in js})
+    assert after.misses == before.misses and after.hits == before.hits + distinct

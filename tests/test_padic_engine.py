@@ -58,8 +58,8 @@ from ihara_towers.padic_engine import (
 )
 from ihara_towers.polyring import (
     IntPoly,
+    _count_unit_circle_roots,
     _mul,
-    _vanishes_at_root_of_unity,
     cyclotomic_polynomial,
     pseudo_rem,
 )
@@ -1255,6 +1255,6 @@ def test_memoised_factorizations_of_p_power_minus_one():
 
 def test_every_memo_is_bounded():
     for memo in (_unit_root_structure, _factor_p_power_minus_one, _pierce_lehmer_memo,
-                 _vanishes_at_root_of_unity, _mahler_archimedean, build_parser):
+                 _count_unit_circle_roots, _mahler_archimedean, build_parser):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256, memo

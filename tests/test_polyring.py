@@ -12,10 +12,10 @@ from corpus import (
 
 from ihara_towers.polyring import (
     IntPoly,
+    _count_unit_circle_roots,
     _divide_out,
-    _phi_lower_bound,
-    _vanishes_at_root_of_unity,
     LaurentPoly,
+    count_unit_circle_roots,
     cyclotomic_polynomial,
     divide_exact,
     euler_phi,
@@ -340,6 +340,12 @@ def _root_of_unity_cases():
     return cases
 
 
+LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+# unit-circle roots and no root of unity: Lehmer's polynomial, its square, and
+# its product with the Salem polynomial t**4 - t**3 - t**2 - t + 1
+NOT_CYCLOTOMIC = (LEHMER, LEHMER * LEHMER, LEHMER * IntPoly((1, -1, -1, -1, 1)))
+
+
 def test_vanishes_at_root_of_unity_matches_full_scan():
     def full_scan(f):
         # every k with phi(k) <= d lies below 2 d**2 + 2, as phi(k) >= sqrt(k / 2)
@@ -347,35 +353,46 @@ def test_vanishes_at_root_of_unity_matches_full_scan():
         return d > 0 and any(euler_phi(k) <= d and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
                              for k in range(1, 2 * d * d + 2))
 
-    cases = _root_of_unity_cases()
+    cases = _root_of_unity_cases() + list(NOT_CYCLOTOMIC) + [
+        f * cyclotomic_polynomial(k) for f in NOT_CYCLOTOMIC for k in range(1, 61)]
     outcomes = Counter()
     for f in cases:
         expected = full_scan(f)
         assert vanishes_at_root_of_unity(f) == expected, f
         outcomes[expected] += 1
     assert min(outcomes[True], outcomes[False]) > 100, outcomes
+    # with no root of unity to stop it, the scan runs to k = 2 c**2
+    assert [count_unit_circle_roots(f) for f in NOT_CYCLOTOMIC] == [8, 16, 10]
+    assert not any(vanishes_at_root_of_unity(f) for f in NOT_CYCLOTOMIC)
+    # the range's ends: Phi_2 has c = 1 and sits at k = 2 = 2 c**2, and
+    # phi(15) = c = 8
+    for k, c in ((2, 1), (15, 8)):
+        phi = cyclotomic_polynomial(k)
+        assert count_unit_circle_roots(phi) == euler_phi(k) == c
+        assert vanishes_at_root_of_unity(phi)
 
 
 def test_memoised_root_of_unity_scan_matches_an_uncached_scan():
-    scan = _vanishes_at_root_of_unity.__wrapped__
+    # the scan reads its unit-circle count from the memo; repeated calls hit it
+    count = _count_unit_circle_roots.__wrapped__
     rng = random.Random(67)
     cases = _root_of_unity_cases() + [random_self_reciprocal(rng) for _ in range(100)]
-    hits = _vanishes_at_root_of_unity.cache_info().hits
+    hits = _count_unit_circle_roots.cache_info().hits
     for f in cases:
-        expected = scan(f.coeffs)
+        expected = count(f.coeffs)
         # the second call, on an equal polynomial, is answered from the memo
-        assert vanishes_at_root_of_unity(f) == expected, f
-        assert vanishes_at_root_of_unity(IntPoly(list(f.coeffs))) == expected, f
-    assert _vanishes_at_root_of_unity.cache_info().hits >= hits + len(cases)
+        assert count_unit_circle_roots(f) == expected, f
+        assert count_unit_circle_roots(IntPoly(list(f.coeffs))) == expected, f
+    assert _count_unit_circle_roots.cache_info().hits >= hits + len(cases)
 
 
-def test_phi_lower_bound_holds_and_increases():
-    n = 100_000
+def test_phi_squared_is_at_least_half_of_k():
+    # the bound phi(k) >= sqrt(k / 2) that ends the root-of-unity scan at 2 c**2
+    n = 100_001
     phi = list(range(n))
     for q in range(2, n):
         if phi[q] == q:  # q is prime
             for m in range(q, n, q):
                 phi[m] -= phi[m] // q
-    bounds = [_phi_lower_bound(k) for k in range(3, n)]
-    assert all(phi[k] > b for k, b in zip(range(3, n), bounds))
-    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert all(2 * phi[k] ** 2 >= k for k in range(1, n))
+    assert all(phi[k] == euler_phi(k) for k in range(1, 2000))
