@@ -10,15 +10,20 @@ where D_n is the Pierce-Lehmer value Res(J, t**n - 1) of the distinguished
 factor J of the Ihara polynomial.  This module computes the decomposition
 (b, e, J) and both sides of that identity.
 
-J is palindromic of even degree 2m, so its roots pair off as alpha, 1/alpha
-and D_n = a**n * prod (2 - V_n(s_j)), with a = lead(J), s_j the m roots of
-the trace polynomial K (t**m K(t + 1/t) = J) and V_n the Lucas sequence
-V_n = s V_(n-1) - V_(n-2) (Lehmer 1933).  Each D_n is then one resultant
-against a monic rescaling of K, which has half the degree of J.  Every
-Pierce-Lehmer value takes one Lucas chain W_n = sigma W_(n-1) - q W_(n-2)
-modulo a monic polynomial: q = a**2 and the rescaled K for a palindromic
-polynomial of even degree, and q = 0 and the rescaled polynomial itself for
-any other, where W_n = sigma**n is t**n for n >= 1.
+J is palindromic of even degree 2m, so its roots pair off as alpha, 1/alpha,
+and with a = lead(J), K the trace polynomial (t**m K(t + 1/t) = J) and U_k
+the Lucas U-polynomials in s = t + 1/t, Lehmer's factorization (Ann. of
+Math. 34 (1933)) gives each D_n as a small factor times a square:
+
+    D_(2k+1) = J(1) T_k**2,          T_k = Res(K, U_k + U_(k+1)),
+    D_(2k) = J(1) J(-1) R_k**2,      R_k = Res(K, U_k).
+
+Every Pierce-Lehmer value takes one Lucas chain u_(j+1) = sigma u_j -
+q u_(j-1) modulo a monic polynomial and one resultant.  For J the modulus is
+the monic rescaling of K, of half the degree of J, q = a**2, and the
+resultant is T_k or R_k times a power of a, about half the size of D_n.  For
+any other polynomial f the modulus is the rescaling of f, q = 0, so that
+u_(n+1) = sigma**n, and the resultant is a**(n(deg f - 1)) D_n.
 """
 
 from __future__ import annotations
@@ -184,71 +189,89 @@ def _shift(w: list, monic: list) -> list:
 
 
 def _lehmer_modulus(f: IntPoly):
-    """(monic, q) for f of degree d >= 1: the modulus and the constant term of
-    the Lucas chain W_n = sigma W_(n-1) - q W_(n-2), where sigma = t modulo
-    monic, (W_0, W_1) = (2, sigma) and a = lead(f).
+    """(monic, q, units) for f of degree d >= 1: the modulus and the constant
+    term of the Lucas chain u_(j+1) = sigma u_j - q u_(j-1) from
+    (u_0, u_1) = (0, 1), where sigma = t modulo monic and a = lead(f), and
+    the factors (f(1) f(-1), f(1)) of even and odd D_n over a square.
 
-    A palindromic f of even degree 2m has roots in pairs alpha, 1/alpha, and
-    (alpha**n - 1)(alpha**-n - 1) = 2 - V_n(s) for s = alpha + 1/alpha, so
-    D_n = a**n * prod (2 - V_n(s_j)) over the m roots s_j of the trace
-    polynomial K (Lehmer, Ann. of Math. 34 (1933)); a = lead(K).  Then monic
-    is the rescaling of K, whose roots are sigma_j = a s_j, q = a**2 and
-    W_n = a**n V_n(sigma/a), so
-
-        Res(monic, 2 a**n - W_n) = a**(n(m-1)) * D_n.
-
-    For any other f, monic is the rescaling of f, with roots sigma = a alpha,
-    and q = 0, so that W_n = sigma**n for n >= 1 and
-    Res(monic, W_n - a**n) = a**(n(d-1)) * D_n.
+    For a palindromic f of even degree 2m, monic is the rescaling of the trace
+    polynomial K of f, whose roots are sigma_j = a s_j for the m roots s_j of
+    K, and q = a**2, so that u_j = a**(j-1) U_j(sigma/a) for the Lucas
+    U-polynomials U_j(s) (see _delta).  For any other f, monic is the
+    rescaling of f, with roots sigma = a alpha, q = 0, so that
+    u_(n+1) = sigma**n, and units is None.
     """
     c = f.coeffs
     if f.degree % 2 == 0 and c == c[::-1]:
-        return _rescaled(_trace_polynomial(c)), c[-1] ** 2
-    return _rescaled(list(c)), 0
+        return _rescaled(_trace_polynomial(c)), c[-1] ** 2, (f(1) * f(-1), f(1))
+    return _rescaled(list(c)), 0, None
 
 
-def _lucas(n: int, q: int, monic: list) -> list:
-    """W_n modulo monic by a Lucas chain, two products per bit of n:
-    W_2k = W_k**2 - 2 q**k and W_(2k+1) = W_k W_(k+1) - q**k sigma."""
-    w0 = [2] + [0] * (len(monic) - 2)
-    sigma = w1 = _shift([1] + w0[1:], monic)
-    q_k = 1
-    for bit in bin(n)[2:]:
-        odd = [x - q_k * y for x, y in zip(_prem(_mul(w0, w1), monic), sigma)]
+def _lucas_u(k: int, q: int, monic: list) -> tuple:
+    """(u_k, u_(k+1)) modulo monic by a doubling chain, three products per bit
+    of k: u_2j = 2 u_j u_(j+1) - sigma u_j**2, u_(2j+1) = u_(j+1)**2 - q u_j**2
+    and u_(2j+2) = sigma u_(j+1)**2 - 2 q u_j u_(j+1); see _lehmer_modulus."""
+    u0 = [0] * (len(monic) - 1)
+    u1 = [1] + u0[1:]
+    if not k:
+        return u0, u1
+    u0, u1 = u1, _shift(u1, monic)  # (u_1, u_2), for the leading bit of k
+    for bit in bin(k)[3:]:
+        sq0, sq1 = _prem(_mul(u0, u0), monic), _prem(_mul(u1, u1), monic)
+        cross = _prem(_mul(u0, u1), monic)
+        odd = [x - q * y for x, y in zip(sq1, sq0)]
         if bit == "1":
-            w0, w1 = odd, _prem(_mul(w1, w1), monic)
-            w1[0] -= 2 * q_k * q
-            q_k *= q_k * q
+            u0, u1 = odd, [x - 2 * q * y for x, y in zip(_shift(sq1, monic), cross)]
         else:
-            w0, w1 = _prem(_mul(w0, w0), monic), odd
-            w0[0] -= 2 * q_k
-            q_k *= q_k
-    return w0
+            u0, u1 = [2 * x - y for x, y in zip(cross, _shift(sq0, monic))], odd
+    return u0, u1
 
 
-def _delta(monic: list, w: list, a_pow_n: int, q: int) -> int:
-    """D_n from the residue w of W_n modulo the low-first list monic, the q of
-    the chain and a_pow_n = a**n: Res(monic, g) over the scaling power, for g
-    the trimmed list of 2 a**n - W_n, or W_n - a**n when q = 0; see _lehmer_modulus."""
-    g = [2 * a_pow_n - w[0]] + [-x for x in w[1:]] if q else [w[0] - a_pow_n] + w[1:]
+def _delta(a: int, lehmer: tuple, n: int, u: tuple) -> int:
+    """D_n = Res(f, t**n - 1) for a = lead(f) and lehmer = _lehmer_modulus(f),
+    from u = (u_k, u_(k+1)) modulo monic, where k = n // 2 when q != 0 and
+    k = n when q = 0.
+
+    For a palindromic f of even degree 2m, the roots pair off as alpha, 1/alpha
+    with s = alpha + 1/alpha, and (alpha**n - 1)(alpha**-n - 1) is
+    (2 - s) (U_k + U_(k+1))(s)**2 for n = 2k + 1 and (4 - s**2) U_k(s)**2 for
+    n = 2k.  Over the roots of K, with f(1) = K(2) and f(-1) = (-1)**m K(-2),
+    this is Lehmer's factorization (Ann. of Math. 34 (1933))
+
+        D_(2k+1) = f(1) T_k**2,  a**(k(m-1)) T_k = Res(monic, a u_k + u_(k+1)),
+        D_(2k) = f(1) f(-1) R_k**2,  a**((k-1)(m-1)) R_k = Res(monic, u_k),
+
+    so each resultant has about half the size of D_n.  For any other f,
+    a**(n(d-1)) D_n = Res(monic, u_(n+1) - a**n).
+    """
+    (monic, q, units), (u0, u1) = lehmer, u
+    e = len(monic) - 2
+    if q:
+        k, odd = divmod(n, 2)
+        g = [a * x + y for x, y in zip(u0, u1)] if odd else u0[:]
+        power = a ** ((k - 1 + odd) * e)
+    else:
+        g, power = [u1[0] - a ** n] + u1[1:], a ** (n * e)
     while g and not g[-1]:
         g.pop()
     if not g:
         return 0
-    quot, r = divmod(_resultant(monic, g), a_pow_n ** (len(monic) - 2))
+    quot, r = divmod(_resultant(monic, g), power)
     if r:
         raise VerificationMismatch("rescaled resultant is not divisible by the scaling power")
-    return quot
+    return units[odd] * quot * quot if q else quot
 
 
 def pierce_lehmer(f: IntPoly, n: int) -> int:
     """Res(f, t**n - 1), exactly.
 
-    W_n comes from one Lucas chain modulo a monic polynomial, and one
-    subresultant resultant then gives the value.  For a palindromic f of even
-    degree the modulus is the rescaled trace polynomial of f, which has half
-    the degree; for any other f it is the rescaling of f itself, with q = 0,
-    so that W_n = t**n (see _lehmer_modulus).
+    One doubling chain of _lucas_u gives (u_k, u_(k+1)) modulo a monic
+    polynomial, and one subresultant resultant then gives the value.  For a
+    palindromic f of even degree the modulus is the rescaled trace polynomial
+    of f, which has half the degree, k = n // 2 and the resultant is a
+    square root of D_n / f(1) or D_n / (f(1) f(-1)) times a power of lead(f);
+    for any other f it is the
+    rescaling of f itself, with q = 0 and k = n (see _delta).
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -257,17 +280,18 @@ def pierce_lehmer(f: IntPoly, n: int) -> int:
     cap = _bit_cap()
     if f.degree == 0:
         return _check_bits(f.coeffs[0] ** n, cap)
-    modulus, q = _lehmer_modulus(f)
-    w = _lucas(n, q, modulus)
-    return _check_bits(_delta(modulus, w, f.lead ** n, q), cap)
+    lehmer = _lehmer_modulus(f)
+    modulus, q, _ = lehmer
+    u = _lucas_u(n // 2 if q else n, q, modulus)
+    return _check_bits(_delta(f.lead, lehmer, n, u), cap)
 
 
 def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
     """[Res(f, t - 1), ..., Res(f, t**n_max - 1)], one resultant per layer.
 
-    The residue advances by one step of the Lucas chain per layer,
-    W_n = sigma W_(n-1) - q W_(n-2) from (W_0, W_1) = (2, sigma); see
-    _lehmer_modulus.
+    The pair (u_k, u_(k+1)) advances by one step of the Lucas chain
+    u_(j+1) = sigma u_j - q u_(j-1) per two layers for a palindromic f of even
+    degree, and per layer for any other f; see _lehmer_modulus and _delta.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -277,16 +301,14 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
     if f.degree == 0:
         c = f.coeffs[0]
         return [_check_bits(c ** n, cap) for n in range(1, n_max + 1)]
-    a = f.lead
-    modulus, q = _lehmer_modulus(f)
-    w_prev = [2] + [0] * (len(modulus) - 2)
-    w = _shift([1] + w_prev[1:], modulus)
-    a_pow = 1
+    lehmer = _lehmer_modulus(f)
+    modulus, q, _ = lehmer
+    u0, u1 = _lucas_u(0, q, modulus)
     out = []
-    for _ in range(n_max):
-        a_pow *= a
-        out.append(_check_bits(_delta(modulus, w, a_pow, q), cap))
-        w_prev, w = w, [x - q * y for x, y in zip(_shift(w, modulus), w_prev)]
+    for n in range(1, n_max + 1):
+        if n % 2 == 0 or not q:
+            u0, u1 = u1, [x - q * y for x, y in zip(_shift(u1, modulus), u0)]
+        out.append(_check_bits(_delta(f.lead, lehmer, n, (u0, u1)), cap))
     return out
 
 

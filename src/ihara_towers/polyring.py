@@ -412,9 +412,12 @@ def _resultant(a: list, b: list) -> int:
         if not r:
             return 0
         den = g * h ** delta
-        a, b = b, [x // den for x in r]
+        a, b = b, ([x // den for x in r] if den != 1 else r)
         g = a[-1]
-        h = g ** delta // h ** (delta - 1) if delta else h
+        if delta == 1:
+            h = g
+        elif delta:
+            h = g ** delta // h ** (delta - 1)
         if len(b) == 1:
             return sign * b[0] ** db // h ** (db - 1)
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 from corpus import (
@@ -27,6 +28,7 @@ from ihara_towers.ihara import (
 from ihara_towers.polyring import (
     IntPoly,
     LaurentPoly,
+    cyclotomic_polynomial,
     int_matrix_det,
     is_self_reciprocal,
     resultant,
@@ -195,7 +197,7 @@ def test_pierce_lehmer_fast_path_matches_sylvester():
     assert pierce_lehmer(IntPoly((1, 0, 1)), 12) == 0
     assert pierce_lehmer(IntPoly((1, 0, 1)), 6) == 4
     # large n: Res(f (t - 2), t**n - 1) = Res(f, t**n - 1) (2**n - 1), and
-    # f (t - 2) is not palindromic, so it takes the t**n path
+    # f (t - 2) is not palindromic, so its chain has q = 0 and u_(n+1) = t**n
     small = [f for f in palindromes if f.degree <= 6][:20]
     assert len(small) >= 15
     for f in small:
@@ -217,6 +219,72 @@ def test_pierce_lehmer_range_on_small_palindromes():
         assert values[:2] == [f(1), f(1) * f(-1)]
         for n in ns:
             assert pierce_lehmer(f, n) == values[n - 1]
+
+
+def _is_square_over(value: int, unit: int) -> bool:
+    """value = unit * r**2 for an integer r (value = 0 when unit = 0)."""
+    if unit == 0:
+        return value == 0
+    quot, rem = divmod(value, unit)
+    return rem == 0 and quot >= 0 and math.isqrt(quot) ** 2 == quot
+
+
+def test_pierce_lehmer_takes_half_size_resultants(monkeypatch):
+    # Lehmer 1933: D_(2k+1) = J(1) T_k**2 and D_(2k) = J(1) J(-1) R_k**2, and
+    # each layer's resultant is T_k or R_k, never a value of the size of D_n
+    import ihara_towers.ihara as ihara_module
+
+    real, returned = ihara_module._resultant, []
+
+    def recording(a, b):
+        returned.append(real(a, b))
+        return returned[-1]
+
+    monkeypatch.setattr(ihara_module, "_resultant", recording)
+    rng = random.Random(37)
+    tried = 0
+    while tried < 40:
+        m = rng.randint(1, 6)
+        inner = [rng.randint(-5, 5) for _ in range(m)]
+        lead = rng.choice((-1, 1))
+        f = IntPoly([lead] + inner + inner[-2::-1] + [lead])
+        returned.clear()
+        values = pierce_lehmer_range(f, 300)
+        if 0 in values:
+            continue
+        tried += 1
+        half = max(abs(v) for v in values).bit_length() // 2 + 8
+        assert len(returned) == 300
+        assert max(abs(r).bit_length() for r in returned) <= half, f
+        for n, value in enumerate(values, start=1):
+            assert _is_square_over(value, f(1) if n % 2 else f(1) * f(-1)), (f, n)
+
+
+def test_pierce_lehmer_square_factors_at_every_lead_and_root_of_unity():
+    rng = random.Random(41)
+    ns = (1, 2, 3, 64, 99, 100, 255, 256)
+    # |lead| 2 and 3 (q = 4 and 9), half-degree m = 1, and (t + 1)**2, where
+    # J(-1) = 0 and so every even D_n vanishes
+    fs = [IntPoly((2, 1, 2)), IntPoly((-3, 7, -3)), IntPoly((3, -1, 4, -1, 3)),
+          IntPoly((2, 1, -3, 1, 2)), IntPoly((1, 2, 1)) * IntPoly((1, 3, 1)),
+          IntPoly((1, 2, 1)) * IntPoly((-2, 1, 5, 1, -2))]
+    fs += [random_self_reciprocal(rng, max_half_degree=4, bound=6) for _ in range(12)]
+    for f in fs:
+        values = pierce_lehmer_range(f, 300)
+        for n, value in enumerate(values, start=1):
+            assert _is_square_over(value, f(1) if n % 2 else f(1) * f(-1)), (f, n)
+        for n in ns:
+            assert pierce_lehmer(f, n) == values[n - 1]
+    # a factor Phi_d, d >= 3: D_n = 0 exactly when d | n
+    base = [IntPoly((1, -3, 1)), IntPoly((-2, 1, 3, 1, -2)),
+            IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))]  # Lehmer's polynomial
+    for d in (3, 4, 5, 7, 12):
+        for g in base:
+            f = g * cyclotomic_polynomial(d)
+            values = pierce_lehmer_range(f, 120)
+            assert [n for n, v in enumerate(values, start=1) if v == 0] == list(range(d, 121, d))
+            for n in (d, 2 * d + 1, 60):
+                assert pierce_lehmer(f, n) == values[n - 1]
 
 
 def test_kappa_sequence_matches_the_formula_to_300():
