@@ -49,7 +49,6 @@ from .polyring import (
     _trace_polynomial,
     is_self_reciprocal,
     poly_matrix_det,
-    vanishes_at_root_of_unity,
 )
 from .voltage_cover import VoltagedGraph, derived_graph, monodromy_index
 
@@ -158,9 +157,6 @@ def analyze(vg: VoltagedGraph) -> TowerAnalysis:
     # D_1 = Res(J, t - 1) = lead(J) * prod (alpha - 1) = (-1)**deg(J) * J(1)
     delta1 = (-1) ** j_poly.degree * j_poly(1)
     _invariant(delta1 != 0 and j_poly.coeffs[0] != 0, "J vanishes at t = 1 or t = 0")
-    # impossible for a connected tower: a violation means corrupted input
-    if vanishes_at_root_of_unity(j_poly):
-        raise HypothesisViolation("J vanishes at a root of unity")
     kappa = spanning_tree_count(g)
     return TowerAnalysis(vg, ihara, b, e, i_poly, j_poly, delta1, kappa, chi)
 
@@ -208,22 +204,22 @@ def _lehmer_modulus(f: IntPoly):
 
 
 def _lucas_u(k: int, q: int, monic: list) -> tuple:
-    """(u_k, u_(k+1)) modulo monic by a doubling chain, three products per bit
-    of k: u_2j = 2 u_j u_(j+1) - sigma u_j**2, u_(2j+1) = u_(j+1)**2 - q u_j**2
-    and u_(2j+2) = sigma u_(j+1)**2 - 2 q u_j u_(j+1); see _lehmer_modulus."""
+    """(u_k, u_(k+1)) modulo monic by a doubling chain, two products per bit
+    of k: with v_j = 2 u_(j+1) - sigma u_j, u_2j = u_j v_j and
+    u_(2j+1) = u_(j+1) v_j - q**j, and u_(2j+2) = sigma u_(2j+1) - q u_2j
+    follows; q**j is kept by squaring beside the chain.  See _lehmer_modulus."""
     u0 = [0] * (len(monic) - 1)
     u1 = [1] + u0[1:]
     if not k:
         return u0, u1
-    u0, u1 = u1, _shift(u1, monic)  # (u_1, u_2), for the leading bit of k
+    u0, u1, qj = u1, _shift(u1, monic), q  # (u_1, u_2, q**1), for the leading bit of k
     for bit in bin(k)[3:]:
-        sq0, sq1 = _prem(_mul(u0, u0), monic), _prem(_mul(u1, u1), monic)
-        cross = _prem(_mul(u0, u1), monic)
-        odd = [x - q * y for x, y in zip(sq1, sq0)]
+        v = [2 * x - y for x, y in zip(u1, _shift(u0, monic))]
+        u0, u1 = _prem(_mul(u0, v), monic), _prem(_mul(u1, v), monic)
+        u1[0] -= qj
+        qj *= qj
         if bit == "1":
-            u0, u1 = odd, [x - 2 * q * y for x, y in zip(_shift(sq1, monic), cross)]
-        else:
-            u0, u1 = [2 * x - y for x, y in zip(cross, _shift(sq0, monic))], odd
+            u0, u1, qj = u1, [x - q * y for x, y in zip(_shift(u1, monic), u0)], qj * q
     return u0, u1
 
 
@@ -318,6 +314,7 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
 
 
 def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
+    _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     sign = -1 if (ta.b * (n - 1)) % 2 else 1
     value = sign * ta.kappa_base * n ** (ta.e - 1) * delta_n
     q, r = divmod(value, ta.delta1)
@@ -342,6 +339,7 @@ def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
 
 def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     # Identical by the factorization I = (t-1)**e * J and multiplicativity.
+    _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     q, r = divmod(n ** ta.e * delta_n, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")

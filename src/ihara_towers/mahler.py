@@ -4,8 +4,8 @@ The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
 quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
 by the Sturm count of polyring.count_unit_circle_roots over the integers,
-never by float proximity; the measure reads it from the count's memo, which
-analyze filled when it asked whether J has a root of unity.  The p-adic
+never by float proximity; it is memoised, so the measure and the p-adic
+unit-root structure of one J count once.  The p-adic
 measure is the content valuation at a prime that padic_engine.is_prime
 checks, so nothing here imports sympy.  The p-adic helpers are imported in
 the functions that use them, so the Archimedean laws never load the engine.
@@ -148,8 +148,9 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
     a factor of 1).  The unit-circle count, and with it the certified flag,
-    is the memoised exact count of count_unit_circle_roots, taken before the
-    float roots and never from them.  A seed that is not an int
+    is the exact count of count_unit_circle_roots, taken before the float
+    roots and never from them; its memo answers the p-adic unit-root
+    structure of the same f.  A seed that is not an int
     (a bool, a float, bytes...) raises ValueError, never coerced.  The last
     _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
     exception is never memoised, so a root iteration that fails fails again

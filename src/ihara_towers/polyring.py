@@ -14,11 +14,12 @@ The kernels _mul, _prem and _resultant take the coefficients as plain int
 lists, so a loop over many small polynomials builds no IntPoly, and the
 subresultant resultant takes out no content, since its divisions are exact.
 
-The exact count of roots on the unit circle (a Sturm chain on the trace
-polynomial) lives here, behind one bounded per-process memo by coefficients.
-It gates the root-of-unity scan, and the Archimedean measure reads it, so
-analyze, the p-adic unit-root structure and the measure of one J share one
-count.
+The exact count of roots on the unit circle (Sturm chains on the trace
+polynomials of the layers g, gcd(g, g'), ..., up to the first squarefree one)
+lives here, behind one bounded per-process memo by coefficients.  It gates
+the root-of-unity scan of the p-adic unit-root structure, and the Archimedean
+measure reads it, so the two share one count of J.  analyze runs no count:
+monodromy index 1 already keeps every root of unity out of J.
 """
 
 from __future__ import annotations
@@ -498,13 +499,15 @@ def _trace_polynomial(c: tuple) -> list:
     return k
 
 
-def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
-    """Distinct real roots of q in the open interval (a, b); q(a), q(b) != 0.
+def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
+    """(count, squarefree): the distinct real roots of q in the open interval
+    (a, b), where q(a), q(b) != 0, and whether q is squarefree.
 
     The chain is built from primitive pseudo-remainders, signed so that each
     member is a positive multiple of the classical Sturm chain's member:
     prem(f, g) = lead(g)**(deg f - deg g + 1) * rem(f, g), whose scalar is
-    negative exactly when lead(g) < 0 and deg f - deg g is even.
+    negative exactly when lead(g) < 0 and deg f - deg g is even.  Its last
+    member is a multiple of gcd(q, q'), so q is squarefree when it is constant.
     """
     chain = [q, q.derivative()]
     while chain[-1].degree > 0:
@@ -522,7 +525,7 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> int:
 
     if q(a) == 0 or q(b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
-    return variations(a) - variations(b)
+    return variations(a) - variations(b), chain[-1].degree == 0
 
 
 def _unit_circle_pairs(work: IntPoly) -> int:
@@ -532,14 +535,19 @@ def _unit_circle_pairs(work: IntPoly) -> int:
     g = gcd(work, work*), palindromic of even degree 2m.  Each pair of them is
     a root in (-2, 2) of the trace polynomial K of g, and a Sturm chain counts
     distinct roots even if K is not squarefree.  The layers g, gcd(g, g'), ...
-    lower each multiplicity by one in turn.
+    lower each multiplicity by one in turn.  As g has no root at +-1, where
+    t + 1/t has a critical point, a double root of g gives a double root of K,
+    so the layers stop, with no gcd at full degree, once K is squarefree.
     """
     count = 0
     g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
     while g.degree > 0:
         if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
             raise VerificationMismatch("the unit-root gcd is not palindromic")
-        count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
+        pairs, squarefree = _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
+        count += 2 * pairs
+        if squarefree:
+            break
         g = poly_gcd(g, g.derivative())
     return count
 
@@ -554,9 +562,8 @@ def count_unit_circle_roots(f: IntPoly) -> int:
     return _count_unit_circle_roots(f.coeffs)
 
 
-# Counts memoised per process: analyze, the structure of every prime of a
-# tower and the Archimedean measure ask about the same J.  An exception is
-# never memoised.
+# Counts memoised per process: the Archimedean measure and the structure of
+# every prime of a tower ask about the same J.  An exception is never memoised.
 _UNIT_CIRCLE_MEMO_SIZE = 256
 
 

@@ -125,31 +125,39 @@ def test_analyze_decides_connectivity_once_and_keeps_its_errors(monkeypatch):
                 assert str(exc) == "base graph must be connected"
 
 
-def test_analyze_builds_no_cyclotomic_polynomial_when_j_has_no_unit_circle_root(monkeypatch):
-    # J of bouquet(1, 160) has degree 318 and no root on the unit circle, so
-    # the exact count settles the root-of-unity question with no Phi_k
+def test_analyze_builds_no_sturm_chain(monkeypatch):
+    # Monodromy index 1 already rules out a root of unity in J, so analyze
+    # runs no unit-circle count: neither a Sturm chain nor any Phi_k
     import ihara_towers.polyring as polyring
 
-    def refuse(k):
-        raise AssertionError(f"Phi_{k} built")
+    def refuse(*args):
+        raise AssertionError(f"unit-circle work on {args}")
 
+    polyring._count_unit_circle_roots.cache_clear()  # a memo hit would hide a count
+    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
     monkeypatch.setattr(polyring, "cyclotomic_polynomial", refuse)
-    ta = analyze(bouquet(1, 160))
-    assert ta.j_poly.degree == 318 and polyring.count_unit_circle_roots(ta.j_poly) == 0
+    for vg in (bouquet(1, 160), bouquet(3, 5), dumbbell(2, 3), random_tower(random.Random(5))):
+        analyze(vg)
 
 
-def test_analyze_of_a_degree_318_j_is_fast():
+def test_table_of_a_degree_1998_j_is_fast(tmp_path, capsys):
+    import json
     import time
 
-    from ihara_towers.polyring import _count_unit_circle_roots
+    from ihara_towers.graph_core import spanning_tree_count
+    from ihara_towers.towers_cli import graph_to_json, main
+    from ihara_towers.voltage_cover import derived_graph
 
-    elapsed = []
-    for _ in range(3):
-        _count_unit_circle_roots.cache_clear()  # time the count, not a memo hit
-        started = time.perf_counter()
-        analyze(bouquet(1, 160))
-        elapsed.append(time.perf_counter() - started)
-    assert min(elapsed) < 0.3, elapsed
+    vg = bouquet(1, 1000)
+    path = tmp_path / "bouquet.json"
+    path.write_text(json.dumps(graph_to_json(vg)))
+    started = time.perf_counter()
+    assert main(["table", str(path), "--n-max", "3"]) == 0
+    elapsed = time.perf_counter() - started
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["kappa"] for row in rows] == [
+        str(spanning_tree_count(derived_graph(vg, n))) for n in (1, 2, 3)] == ["1", "2", "12"]
+    assert elapsed < 1.0, elapsed
 
 
 def test_pierce_lehmer_table_row():
@@ -376,6 +384,30 @@ def test_kappa_from_delta_rejects_non_integral_quotient():
         assert False
     except VerificationMismatch:
         pass
+
+
+def test_a_layer_with_d_n_zero_raises():
+    # A J with a root of unity cannot come from a connected tower, and analyze
+    # no longer tests for one: D_k = 0 at the layer of Phi_k raises instead
+    from dataclasses import replace
+
+    for vg in (bouquet(3, 5), dumbbell(2, 3)):
+        ta = analyze(vg)
+        for k in (2, 3, 4, 6, 12):
+            j = ta.j_poly * cyclotomic_polynomial(k)
+            patched = replace(ta, j_poly=j, delta1=(-1) ** j.degree * j(1))
+            assert pierce_lehmer(j, k) == 0
+            for layer in (kappa_via_formula, resultant_row):
+                try:
+                    layer(patched, k)
+                    assert False, (vg, k, layer)
+                except VerificationMismatch as exc:
+                    assert str(exc) == f"layer {k}: D_n = 0, but a connected layer has a spanning tree"
+            try:
+                kappa_sequence(patched, k)
+                assert False, (vg, k)
+            except VerificationMismatch as exc:
+                assert str(exc).startswith(f"layer {k}: D_n = 0")
 
 
 def test_kappa_fibonacci_shape():

@@ -190,8 +190,50 @@ def test_sturm_count_matches_sympy():
         b = a + rng.randint(1, 4)
         if q.degree < 1 or q(a) == 0 or q(b) == 0:
             continue
-        expected = Poly(list(reversed(q.coeffs)), x).count_roots(a, b)
-        assert _sturm_count_open(q, a, b) == expected, (q, a, b)
+        poly = Poly(list(reversed(q.coeffs)), x)
+        expected = poly.count_roots(a, b)
+        count, squarefree = _sturm_count_open(q, a, b)
+        assert count == expected, (q, a, b)
+        assert squarefree == (poly.gcd(poly.diff(x)).degree() == 0), q
+        checked += 1
+
+
+def test_unit_circle_count_matches_the_layered_gcd_count():
+    # The count leaves its layers g, gcd(g, g'), ... once the trace polynomial
+    # of a layer is squarefree; the reference takes every layer's full gcd.
+    from ihara_towers.polyring import (
+        _count_unit_circle_roots,
+        _strip_trivial_roots,
+        _sturm_count_open,
+        _trace_polynomial,
+        cyclotomic_polynomial,
+        poly_gcd,
+    )
+
+    def layered(f):
+        work, count = _strip_trivial_roots(f)
+        g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
+        while g.degree > 0:
+            count += 2 * _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)[0]
+            g = poly_gcd(g, g.derivative())
+        return count
+
+    def power(f, k):
+        out = IntPoly((1,))
+        for _ in range(k):
+            out = out * f
+        return out
+
+    rng = random.Random(1733)
+    circle = [LEHMER, IntPoly((1, -1, -1, -1, 1))] + [
+        cyclotomic_polynomial(k) for k in (1, 2, 3, 4, 5, 6, 7, 8, 12)]
+    checked = 0
+    while checked < 500:
+        f = power(rng.choice(circle), rng.randint(1, 3)) * random_int_poly(rng, max_degree=5)
+        repeated = rng.choice(circle + [random_self_reciprocal(rng, max_half_degree=3)])
+        f = f * power(repeated, rng.randint(2, 3))
+        expected = layered(f)
+        assert _count_unit_circle_roots.__wrapped__(f.coeffs) == expected > 0, f
         checked += 1
 
 
@@ -369,17 +411,19 @@ def test_seed_must_be_an_int():
     assert archimedean_asymptotic(ta, seed=2**70).applicable
 
 
-def test_the_measure_after_analyze_adds_no_unit_circle_count():
-    # analyze counted each J's unit-circle roots; the measure reads that count
+def test_the_measure_counts_the_unit_circle_roots_of_each_j_once():
+    # analyze runs no count, so the measure counts each distinct J once, and a
+    # later count of the same J (the p-adic structure's) reads that memo
     from ihara_towers.polyring import _count_unit_circle_roots
 
     js = _sweep_plan_j_polys((1, 2, 3))
+    distinct = len({j.coeffs for j in js})
+    assert distinct <= _count_unit_circle_roots.cache_info().maxsize
     _mahler_archimedean.cache_clear()
-    before = _count_unit_circle_roots.cache_info()
-    assert len(js) <= before.maxsize
+    _count_unit_circle_roots.cache_clear()
     for j in js:
         assert mahler_archimedean(j).unit_circle_roots == 0
-    after = _count_unit_circle_roots.cache_info()
     # a J that repeats is answered by the measure's own memo
-    distinct = len({j.coeffs for j in js})
-    assert after.misses == before.misses and after.hits == before.hits + distinct
+    assert _count_unit_circle_roots.cache_info()[:2] == (0, distinct)
+    assert all(count_unit_circle_roots(j) == 0 for j in js)
+    assert _count_unit_circle_roots.cache_info()[:2] == (len(js), distinct)
