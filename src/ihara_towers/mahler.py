@@ -148,8 +148,9 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
     a factor of 1).  The unit-circle count, and with it the certified flag,
-    is the exact count of count_unit_circle_roots, taken before the float
-    roots and never from them; its memo answers the p-adic unit-root
+    is the exact count of count_unit_circle_roots, never read off the float
+    roots; it is taken after the root iteration, so an iteration that fails
+    spends nothing on it, and its memo answers the p-adic unit-root
     structure of the same f.  A seed that is not an int
     (a bool, a float, bytes...) raises ValueError, never coerced.  The last
     _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
@@ -171,7 +172,6 @@ _ARCH_MEMO_SIZE = 256
 @lru_cache(maxsize=_ARCH_MEMO_SIZE)
 def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
     f = IntPoly(coeffs)
-    unit_circle_roots = count_unit_circle_roots(f)
     work = _strip_trivial_roots(f)[0]
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
@@ -180,7 +180,7 @@ def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
             a = abs(z)
             if a > 1.0:
                 log_value += math.log(a)
-    return ArchMeasure(math.exp(log_value), log_value, unit_circle_roots)
+    return ArchMeasure(math.exp(log_value), log_value, count_unit_circle_roots(f))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,12 @@ Teichmueller representative from the constants of its factor; they exist
 only when the unit part of J is squarefree mod p, and they are
 differentially checked against the oracle wherever they apply.  The
 constants are valuations of powers of the lifted root, not of its distance
-to a fixed-point Teichmueller lift: with q = p**f the residue field size,
-ord(beta**(p**r) - omega(beta)**(p**r)) = ord(beta**((q - 1) * p**r) - 1).
+to a fixed-point Teichmueller lift: for any multiple M of the residue order
+of beta that is prime to p, ord(beta**(p**r) - omega(beta)**(p**r)) =
+ord(beta**(M * p**r) - 1).  M is the residue order itself, or q - 1 for
+q = p**f the residue field size when the order is unavailable.  Residue
+orders come from p**f - 1, or from p**(f/2) + 1 for a self-reciprocal
+factor, whose roots satisfy beta**(p**(f/2)) = 1/beta.
 They are computed in an unramified extension at a working precision that
 rises for each root on its own: from 2 p-adic digits, doubled with one more
 Newton step while a distance reaches it; past MAX_PRECISION,
@@ -56,7 +60,8 @@ Every product and power modulo a monic g of degree d goes through one
 Kronecker-packed kernel: the operands are packed into ints with w bits per
 coefficient, w the bit length of (2d - 1)(q - 1)**2 + q - 1 so that no slot
 carries, multiplied once, and the high slots folded back with the rows
-t**k mod g built once per (g, q).  Division serves gcds and exact quotients.
+t**k mod g built once per (g, q).  Division serves gcds, exact quotients
+and the one inverse of the lift, by extended Euclid.
 F_p factoring, integer factoring (residue orders) and primality (BPSW) are
 local, so this module never imports sympy.
 """
@@ -73,7 +78,7 @@ from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, _bit_cap, _check_bits, kappa_sequence, pierce_lehmer
-from .polyring import IntPoly, cyclotomic_polynomial, vanishes_at_root_of_unity
+from .polyring import IntPoly, _mul, cyclotomic_polynomial, vanishes_at_root_of_unity
 
 MAX_PRECISION = 512
 
@@ -111,7 +116,7 @@ def content_valuation(f: IntPoly, p: int) -> int:
 # An element of F_p[t], F_p[t]/(g) or Z/p**K[t]/(g) is a list of ints in
 # [0, q), q = p or p**K, t**0 first as in IntPoly.coeffs, with no trailing
 # zeros.  Every product and power modulo a monic g goes through the packed
-# kernel of _ModRing; _gf_divmod serves gcds and exact quotients.
+# kernel of _ModRing; _gf_divmod serves gcds, exact quotients and inverses.
 
 
 def _gf_trim(f):
@@ -216,6 +221,23 @@ class _ModRing:
                 y = self._reduce(y * x)
         return self._unpack(y)
 
+    def pows(self, a, exponents):
+        """[a**e for e in exponents], each e >= 1, all from one table of the
+        squarings a**(2**i): a power costs only its multiplications."""
+        x = self._packed(a)
+        table = [x]
+        for _ in range(max(exponents, default=1).bit_length() - 1):
+            x = self._reduce(x * x)
+            table.append(x)
+        out = []
+        for e in exponents:
+            y = None
+            for i, x in enumerate(table):
+                if e >> i & 1:
+                    y = x if y is None else self._reduce(y * x)
+            out.append(self._unpack(y))
+        return out
+
     def at(self, coeffs, a):
         """The integer polynomial with these coefficients at a, by Horner."""
         x, y = self._packed(a), 0
@@ -230,6 +252,20 @@ def _gf_gcd(f, g, p):
         f, g = g, _gf_divmod(f, g, p)[1]
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
+
+
+def _gf_inverse(a, g, p):
+    """The inverse of a modulo g over F_p, by the extended Euclidean
+    algorithm on the cofactor of a alone; VerificationMismatch unless
+    gcd(a, g) = 1, so for a = 0 too."""
+    r0, r1, s0, s1 = g, a, [], [1]
+    while len(r1) > 1:
+        quot, r = _gf_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _gf_sub(s0, _mul(quot, s1), p)
+    if not r1:
+        raise VerificationMismatch("attempted to invert a non-unit")
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
 
 
 def _gf_squarefree(f, p):
@@ -496,26 +532,36 @@ def _factor_p_power_minus_one(p: int, f: int) -> tuple:
 def multiplicative_order(g: IntPoly, p: int) -> int:
     """Order of the class of t in F_p[t]/(g), for irreducible g with g(0) != 0.
 
-    The order divides N = p**deg(g) - 1.  For each prime power ell**e
+    The order divides N = p**f - 1, f = deg(g).  When f is even and g is
+    self-reciprocal (g = g*, its monic reciprocal), a root beta has 1/beta
+    among its conjugates, so beta**(p**(f/2)) = 1/beta and the order divides
+    N = p**(f/2) + 1 (Meyn, AAECC 1 (1990)).  For each prime power ell**e
     exactly dividing N, its ell-part is the least ell**k with
-    (t**(N / ell**e))**(ell**k) = 1 (Cohen, GTM 138, Algorithm 1.4.3).  N is
+    (t**(N / ell**e))**(ell**k) = 1 (Cohen, GTM 138, Algorithm 1.4.3), and
+    every t**(N / ell**e) is taken from one table of the squarings t**(2**i).
+    The primes of N are those of the memoised factorization of p**f - 1,
     factored with a bounded effort; OrderUnavailable is raised past it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = _gf_monic(g, p)
+    f = len(g) - 1
+    parts = _factor_p_power_minus_one(p, f)
+    if f % 2 == 0 and _gf_reciprocal(g, p) == tuple(g):
+        n = p ** (f // 2) + 1
+        parts = [(ell, valuation(n, ell)) for ell, _ in parts if n % ell == 0]
+    else:
+        n = p ** f - 1
     ring = _ModRing(g, p)
-    n = p ** (len(g) - 1) - 1
     order = 1
-    for ell, e in _factor_p_power_minus_one(p, len(g) - 1):
-        y = ring.pow([0, 1], n // ell ** e)
+    for (ell, e), y in zip(parts, ring.pows([0, 1], [n // ell ** e for ell, e in parts])):
         for _ in range(e):
             if y == [1]:
                 break
             y = ring.pow(y, ell)
             order *= ell
         if y != [1]:
-            raise ValueError("t**(p**deg(g) - 1) != 1, so g is not irreducible mod p")
+            raise ValueError(f"t**{n} != 1, so g is not irreducible mod p")
     return order
 
 
@@ -658,7 +704,7 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
         raise ValueError("polynomial vanishes at a root of unity")
     factors, seen = [], {}
     for g, mult in residue:
-        mate = seen.get(_gf_reciprocal(g, p))
+        mate = seen.get(_gf_reciprocal(g.coeffs, p))
         if mate is not None:
             factor = replace(mate, poly=g, multiplicity=mult)
         else:
@@ -666,7 +712,7 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
                 order = multiplicative_order(g, p)
             except OrderUnavailable:
                 order = None
-            s, w = (None, None) if ramified else _root_constants(p, g, j1)
+            s, w = (None, None) if ramified else _root_constants(p, g, j1, order)
             factor = UnitFactor(g, mult, g.degree, order, s, w)
         factors.append(factor)
         if symmetric:
@@ -674,10 +720,11 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
     return UnitRootStructure(p, mu, lifted, tuple(factors), ramified)
 
 
-def _gf_reciprocal(g: IntPoly, p: int) -> tuple:
-    """The coefficients of the monic reciprocal t**deg(g) g(1/t) / g(0) mod p."""
-    inv = pow(g.coeffs[0], -1, p)
-    return tuple(c * inv % p for c in reversed(g.coeffs))
+def _gf_reciprocal(g, p: int) -> tuple:
+    """The coefficients of the monic reciprocal t**deg(g) g(1/t) / g(0) mod p
+    of g, given by its low-first coefficients."""
+    inv = pow(g[0], -1, p)
+    return tuple(c * inv % p for c in reversed(g))
 
 
 # ---------------------------------------------------------------------------
@@ -685,28 +732,26 @@ def _gf_reciprocal(g: IntPoly, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _root_constants(p: int, residue: IntPoly, j1: IntPoly) -> tuple:
+def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
     """(s, w) for the roots of j1 over the residue factor, in Z/p**K[t]/(g)
     for g the factor made monic (an unramified extension, so valuations are
     taken coordinatewise), read at K = 2 p-adic digits and again at twice the
-    digits while some w[r] reaches K."""
+    digits while some w[r] reaches K.  order is the residue order of the
+    factor, None when it is unavailable."""
     g = _gf_monic(residue, p)
     f = len(g) - 1
-    poly, dpoly, ring = j1.coeffs, j1.derivative().coeffs, _ModRing(g, p)
+    poly, dpoly = j1.coeffs, j1.derivative().coeffs
 
     def ord_minus_one(y, K):  # min ord_p over the coordinates of y - 1, K for 0
         return min([valuation(c, p) for c in _gf_sub(y, [1], p ** K) if c] + [K])
 
     # Coupled Newton iteration from the residue root: z follows 1/J1'(beta),
     # a unit because the unit part is squarefree mod p, so only its residue
-    # is inverted, as a**(p**f - 2) in the field F_p[t]/(g) of p**f elements.
-    # Both are exact to K // 2 digits on entry to precision K, so one step
-    # there makes beta exact to K; z is refined only to go on.
+    # is inverted, by extended Euclid in the field F_p[t]/(g).  Both are
+    # exact to K // 2 digits on entry to precision K, so one step there
+    # makes beta exact to K; z is refined only to go on.
     beta = _gf_divmod([0, 1], g, p)[1]
-    a = ring.at(dpoly, beta)
-    if not a:
-        raise VerificationMismatch("attempted to invert a non-unit")
-    z = ring.pow(a, p ** f - 2)
+    z = _gf_inverse(_ModRing(g, p).at(dpoly, beta), g, p)
     K = 2
     while True:
         q = p ** K
@@ -714,11 +759,12 @@ def _root_constants(p: int, residue: IntPoly, j1: IntPoly) -> tuple:
         beta = _gf_sub(beta, ring.mul(ring.at(poly, beta), z), q)
         if ring.at(poly, beta):
             raise VerificationMismatch("root lifting failed")
-        # beta = xi * u with xi**(p**f - 1) = 1 and u = 1 mod p.  As p**f - 1
-        # is a p-adic unit, ord(beta**(p**r) - xi**(p**r)) =
-        # ord(u**(p**r) - 1) = ord(beta**((p**f - 1) * p**r) - 1), so xi
-        # itself is never computed.
-        y = ring.pow(beta, p ** f - 1)
+        # beta = xi * u with xi the Teichmueller representative, of the
+        # residue order N of beta, and u = 1 mod p.  As N divides p**f - 1,
+        # it is a p-adic unit, so ord(beta**(p**r) - xi**(p**r)) =
+        # ord(u**(p**r) - 1) = ord(beta**(N * p**r) - 1), and xi itself is
+        # never computed; p**f - 1 serves when N is unavailable.
+        y = ring.pow(beta, order or p ** f - 1)
         w = [ord_minus_one(y, K)]
         if w[0] < 1:
             raise VerificationMismatch(

@@ -389,6 +389,30 @@ def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
     assert len(calls) == 2 and _mahler_archimedean.cache_info().currsize == 2
 
 
+def test_a_failed_root_iteration_spends_nothing_on_the_unit_circle_count(monkeypatch):
+    # the iteration runs first, so its TowerError comes before any Sturm chain
+    import ihara_towers.mahler as mahler
+    import ihara_towers.polyring as polyring
+
+    def diverge(coeffs, tol, rng):
+        raise TowerError("root iteration did not converge within the restart budget")
+
+    def no_count(*args):
+        raise AssertionError("the unit-circle count was reached")
+
+    _mahler_archimedean.cache_clear()
+    polyring._count_unit_circle_roots.cache_clear()
+    monkeypatch.setattr(mahler, "_aberth_roots", diverge)
+    monkeypatch.setattr(polyring, "_sturm_count_open", no_count)
+    for f in (LEHMER, IntPoly((-1, -3, -1)), IntPoly((3, 1, 4, 1, 5))):
+        try:
+            mahler_archimedean(f)
+            assert False, f
+        except TowerError as exc:
+            assert "did not converge" in str(exc)
+    assert polyring._count_unit_circle_roots.cache_info().currsize == 0
+
+
 def test_seed_must_be_an_int():
     ta = analyze(bouquet(1, 2))
     before = _mahler_archimedean.cache_info()

@@ -377,6 +377,16 @@ def test_multiplicative_order_rejects_zero_root():
         pass
 
 
+def test_multiplicative_order_rejects_a_reducible_self_reciprocal_g():
+    # (t - 2)(t - 4) mod 7, (t - 1)**2 mod 5 and (t - 2)(t - 3) mod 5: t**(p + 1) != 1
+    for g, p in (((1, 1, 1), 7), ((1, 3, 1), 5), ((1, 0, 1), 5)):
+        try:
+            multiplicative_order(IntPoly(g), p)
+            assert False, (g, p)
+        except ValueError as exc:
+            assert str(exc) == f"t**{p + 1} != 1, so g is not irreducible mod p"
+
+
 def _order_by_repeated_multiplication(g, p):
     """Least k >= 1 with t**k = 1 in F_p[t]/(g), for monic g with g(0) != 0."""
     one = [1] + [0] * (g.degree - 1)
@@ -411,6 +421,57 @@ def test_multiplicative_order_matches_brute_force():
                 assert structure.order_divides(unknown, n) == (n % order == 0), (g, p, n)
             checked[g.degree] += 1
     assert sum(checked.values()) > 250 and checked[3] > 10 and checked[4] > 5
+
+
+def test_self_reciprocal_orders_divide_p_half_plus_one():
+    # the factors of palindromes, against the order found by stepping t
+    rng = random.Random(103)
+    checked = Counter()
+    while checked["self-reciprocal"] < 400:
+        f = random_self_reciprocal(rng, max_half_degree=5, bound=15)
+        p = rng.choice([q for q in range(2, 32) if is_prime(q)])
+        if all(c % p == 0 for c in f.coeffs):
+            continue
+        for g, _ in factor_mod_p(f, p):
+            if g.coeffs[0] == 0 or p ** g.degree > 30_000:
+                continue
+            order = multiplicative_order(g, p)
+            assert order == _order_by_repeated_multiplication(g, p), (g, p)
+            inv = pow(g.coeffs[0], -1, p)
+            if g.degree > 1 and tuple(c * inv % p for c in reversed(g.coeffs)) == g.coeffs:
+                assert g.degree % 2 == 0 and (p ** (g.degree // 2) + 1) % order == 0, (g, p)
+                checked["self-reciprocal"] += 1
+                checked[p == 2] += 1
+            else:
+                checked["other"] += 1
+    assert checked["other"] > 400 and checked[True] > 20 and checked[False] > 300
+
+
+def test_euclid_inverse_in_residue_rings():
+    from ihara_towers.errors import VerificationMismatch
+    from ihara_towers.padic_engine import _gf_gcd, _gf_inverse
+
+    rng = random.Random(107)
+    units = Counter()
+    for _ in range(1500):
+        p = rng.choice((2, 2, 3, 5, 7, 13, 31))
+        d = rng.choice((1, 1, rng.randint(2, 10)))
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        a = _gf_trim([rng.randrange(p) for _ in range(d)])
+        if a and _gf_gcd(g, a, p) == [1]:
+            inverse = _gf_inverse(a, g, p)
+            assert _ModRing(g, p).mul(a, inverse) == [1], (a, g, p)
+            assert len(inverse) <= d and all(0 <= c < p for c in inverse)
+            units[(d == 1, p == 2)] += 1
+        else:
+            try:
+                _gf_inverse(a, g, p)
+                assert False, (a, g, p)
+            except VerificationMismatch:
+                units["zero" if not a else "non-unit"] += 1
+    # F_2[t]/(t + 1) = F_2, whose one unit is its own inverse
+    assert _gf_inverse([1], [1, 1], 2) == [1]
+    assert min(units.values()) > 40, units
 
 
 # -- unit root structure ---------------------------------------------------------
@@ -675,7 +736,8 @@ def _fixed_point_constants(j1, g, p):
         K *= 2
 
 
-def test_root_constants_match_teichmueller_fixed_point():
+def test_root_constants_match_teichmueller_fixed_point(monkeypatch):
+    import ihara_towers.padic_engine as padic_engine
     from ihara_towers.padic_engine import content_valuation
 
     rng = random.Random(79)
@@ -683,7 +745,7 @@ def test_root_constants_match_teichmueller_fixed_point():
     # distance 40 needs the precision doubled
     c = 1 + 2 ** 40
     # and at p = 3 two roots whose distances 30 and 1 need different precisions;
-    # t + 3 at p = 2 inverts J1'(beta) in F_2, with the exponent q - 2 = 0
+    # t + 3 at p = 2 inverts J1'(beta) in F_2, whose one unit is 1
     cases = [(IntPoly((c * c, c, 1)), 2), (IntPoly((-(1 + 3 ** 35), 1)), 3),
              (IntPoly((-(1 + 3 ** 30), 1)) * IntPoly((-2, 1)), 3), (IntPoly((3, 1)), 2)]
     pairs = doubled = 0
@@ -714,6 +776,45 @@ def test_root_constants_match_teichmueller_fixed_point():
         pairs += 1
     assert doubled >= 2
     assert sum(n for d, n in degrees.items() if d >= 2) > 100
+
+    # palindromic j: a self-reciprocal factor has an order that divides
+    # p**(f/2) + 1, so its roots are raised to far less than p**f - 1
+    rng = random.Random(101)
+    pairs = short = 0
+    while pairs < 120:
+        f = random_self_reciprocal(rng, max_half_degree=3, bound=12)
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        try:
+            structure = unit_root_structure(f, p)
+        except ValueError:  # a root of unity
+            continue
+        if structure.ramified or not structure.factors:
+            continue
+        j1 = IntPoly([x // p ** content_valuation(f, p) for x in f.coeffs])
+        for factor in structure.factors:
+            assert (factor.s, factor.w) == _fixed_point_constants(j1, factor.poly, p), (f, p)
+            short += factor.order < p ** factor.degree - 1 and factor.degree > 1
+        pairs += 1
+    assert short > 40
+
+    # an unavailable order: the roots are raised to p**f - 1 instead.  t**2 + t + 1
+    # at 2 has order 3 and s = 1; t**4 + 2t**3 + t**2 + 2t + 1 at 5 has order 13
+    def order_unavailable(p, f):
+        raise OrderUnavailable(f"cannot factor {p}**{f} - 1 within the effort bound")
+
+    cases = [(J_FIB, 2), (IntPoly((1, 2, 1, 2, 1)), 5)]
+    known = [unit_root_structure(f, p).factors for f, p in cases]
+    padic_engine._unit_root_structure.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(padic_engine, "_factor_p_power_minus_one", order_unavailable)
+            unknown = [unit_root_structure(f, p).factors for f, p in cases]
+    finally:
+        padic_engine._unit_root_structure.cache_clear()
+    for (f, p), with_order, without in zip(cases, known, unknown):
+        (factor,), (bare,) = with_order, without
+        assert factor.order in (3, 13) and bare.order is None
+        assert (bare.s, bare.w) == (factor.s, factor.w) == _fixed_point_constants(f, bare.poly, p)
 
 
 def _reciprocal_pairs(structure):
