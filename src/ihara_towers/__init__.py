@@ -2,7 +2,9 @@
 
 Importing the package loads none of its modules: each name below is
 imported from its module on first use (PEP 562), so a caller that needs
-the Ihara polynomial never loads the p-adic engine.
+the Ihara polynomial never loads the p-adic engine, and one that needs a
+p-adic Mahler measure loads the primality module primes but not the engine.
+Every record is a collections.namedtuple, so no module imports dataclasses.
 """
 
 from importlib import import_module as _import_module

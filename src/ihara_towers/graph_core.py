@@ -19,25 +19,22 @@ graph they are given (no vertex labels, voltages or cover structure):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 
 from .errors import VerificationMismatch
 
 
-@dataclass(frozen=True)
-class EdgePair:
+class EdgePair(namedtuple("EdgePair", "id origin terminus")):
     """One chosen orientation of an undirected edge; id is the input index."""
 
-    id: int
-    origin: int
-    terminus: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SerreGraph:
-    vertices: tuple
-    edge_pairs: tuple
+class SerreGraph(namedtuple("SerreGraph", "vertices edge_pairs")):
+    """The vertex labels and the EdgePair of each edge, in id order."""
+
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:

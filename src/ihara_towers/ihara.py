@@ -29,7 +29,7 @@ u_(n+1) = sigma**n, and the resultant is a**(n(deg f - 1)) D_n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import HypothesisViolation, ResourceLimit, VerificationMismatch
 from .graph_core import (
@@ -106,19 +106,11 @@ def _ihara_determinant(vg: VoltagedGraph) -> LaurentPoly:
     return poly_matrix_det(matrix)
 
 
-@dataclass(frozen=True)
-class TowerAnalysis:
+class TowerAnalysis(namedtuple("TowerAnalysis",
+                               "vg ihara b e i_poly j_poly delta1 kappa_base chi")):
     """Derived data of one tower: the Ihara polynomial and its decomposition."""
 
-    vg: VoltagedGraph
-    ihara: LaurentPoly
-    b: int
-    e: int
-    i_poly: IntPoly
-    j_poly: IntPoly
-    delta1: int
-    kappa_base: int
-    chi: int
+    __slots__ = ()
 
 
 def _invariant(holds: bool, message: str) -> None:
@@ -354,12 +346,11 @@ def resultant_row(ta: TowerAnalysis, n: int) -> int:
     return _check_bits(_resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n)), _bit_cap())
 
 
-@dataclass(frozen=True)
-class TowerVerification:
-    n_max: int
-    mode: str
-    kappas: tuple
-    first_mismatch: tuple  # (n, formula, oracle) or None
+class TowerVerification(namedtuple("TowerVerification", "n_max mode kappas first_mismatch")):
+    """The tree counts of layers 1..n_max and the first disagreement between
+    the formula and the oracle of mode: (n, formula, oracle), or None."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -6,9 +6,10 @@ theorem (does the polynomial vanish on the unit circle?) is decided exactly,
 by the Sturm count of polyring.count_unit_circle_roots over the integers,
 never by float proximity; it is memoised, so the measure and the p-adic
 unit-root structure of one J count once.  The p-adic
-measure is the content valuation at a prime that padic_engine.is_prime
-checks, so nothing here imports sympy.  The p-adic helpers are imported in
-the functions that use them, so the Archimedean laws never load the engine.
+measure is the content valuation at a prime that primes.is_prime checks,
+so nothing here imports sympy.  The p-adic helpers are imported in the
+functions that use them: the Archimedean laws load neither primes nor the
+p-adic engine, and the p-adic measure loads only primes.
 The Archimedean measures of the last 256 (coefficients, seed) pairs are
 memoised per process: analyze and asymptotics of one tower ask for the same J.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import TowerError
@@ -31,12 +32,10 @@ from .polyring import IntPoly, _strip_trivial_roots, count_unit_circle_roots
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadicMeasure:
+class PadicMeasure(namedtuple("PadicMeasure", "prime exponent")):
     """M_p = p**(-exponent); the exponent is the content valuation at p."""
 
-    prime: int
-    exponent: int
+    __slots__ = ()
 
     @property
     def value(self) -> float:
@@ -47,7 +46,7 @@ def mahler_padic(f: IntPoly, p: int) -> PadicMeasure:
     """Largest p-adic absolute value of the coefficients, as an exact exponent."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    from .padic_engine import content_valuation, is_prime
+    from .primes import content_valuation, is_prime
 
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -132,11 +131,10 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
     raise TowerError("root iteration did not converge within the restart budget")
 
 
-@dataclass(frozen=True)
-class ArchMeasure:
-    value: float
-    log_value: float
-    unit_circle_roots: int
+class ArchMeasure(namedtuple("ArchMeasure", "value log_value unit_circle_roots")):
+    """The Archimedean measure, its log and the exact unit-circle root count."""
+
+    __slots__ = ()
 
     @property
     def certified_no_unit_roots(self) -> bool:
@@ -164,8 +162,8 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     return _mahler_archimedean(f.coeffs, seed)
 
 
-# ArchMeasure is frozen and holds only numbers, so a memoised value that
-# every caller shares cannot change.
+# ArchMeasure is a named tuple of numbers, so a memoised value that every
+# caller shares cannot change.
 _ARCH_MEMO_SIZE = 256
 
 
@@ -196,14 +194,10 @@ def log_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
-@dataclass(frozen=True)
-class ArchAsymptotic:
+class ArchAsymptotic(namedtuple("ArchAsymptotic", "rate poly_order constant applicable")):
     """kappa(X_n) ~ n**poly_order * exp(constant) * exp(rate)**n when applicable."""
 
-    rate: float
-    poly_order: int
-    constant: float
-    applicable: bool
+    __slots__ = ()
 
     def predicted_log_kappa(self, n: int) -> float:
         return n * self.rate + self.poly_order * math.log(n) + self.constant
@@ -223,18 +217,13 @@ def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
     )
 
 
-@dataclass(frozen=True)
-class PadicAsymptotic:
+class PadicAsymptotic(namedtuple("PadicAsymptotic", "prime mu poly_order c applicable")):
     """ord_p(kappa(X_n)) = mu*n + poly_order*ord_p(n) + c when applicable."""
 
-    prime: int
-    mu: int
-    poly_order: int
-    c: int
-    applicable: bool
+    __slots__ = ()
 
     def predicted_ord(self, n: int) -> int:
-        from .padic_engine import valuation
+        from .primes import valuation
 
         return self.mu * n + self.poly_order * (valuation(n, self.prime) if n % self.prime == 0 else 0) + self.c
 
@@ -245,7 +234,8 @@ def padic_asymptotic_no_unit_roots(ta: TowerAnalysis, p: int) -> PadicAsymptotic
     The gate is the Newton polygon of J at p: no slope-zero segment means no
     root of absolute value one, decided exactly.
     """
-    from .padic_engine import is_prime, newton_polygon, valuation
+    from .padic_engine import newton_polygon
+    from .primes import is_prime, valuation
 
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -10,10 +10,10 @@ c_p = ord_p(kappa(X)) - ord_p(D_1), and nu_{p,n} a finite-image correction.
 
 All data of J at p lives in one UnitRootStructure, built by
 unit_root_structure(j, p): mu and the residue factors of the unit part, each
-one frozen UnitFactor with its order and its Teichmueller constants s and w.
+one UnitFactor with its order and its Teichmueller constants s and w.
 The last 64 structures are memoised per process, keyed on (J's
 coefficients, p), so the reports and laws of a tower build each structure
-once; structures are shared, and frozen records of ints and tuples make them
+once; structures are shared, and named tuples of ints and tuples make them
 immutable.  When J / p**mu is palindromic or anti-palindromic, a residue
 factor g and its monic reciprocal g* have the same order and constants, and
 each pair is computed once.
@@ -62,15 +62,15 @@ coefficient, w the bit length of (2d - 1)(q - 1)**2 + q - 1 so that no slot
 carries, multiplied once, and the high slots folded back with the rows
 t**k mod g built once per (g, q).  Division serves gcds, exact quotients
 and the one inverse of the lift, by extended Euclid.
-F_p factoring, integer factoring (residue orders) and primality (BPSW) are
-local, so this module never imports sympy.
+F_p factoring and integer factoring (residue orders) are local, and
+primality and valuations come from primes, so this module never imports
+sympy.
 """
 
 from __future__ import annotations
 
-import operator
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, zip_longest
@@ -79,6 +79,7 @@ from math import gcd, lcm
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, _bit_cap, _check_bits, kappa_sequence, pierce_lehmer
 from .polyring import IntPoly, _mul, cyclotomic_polynomial, vanishes_at_root_of_unity
+from .primes import _integer_root, content_valuation, is_prime, valuation
 
 MAX_PRECISION = 512
 
@@ -87,27 +88,6 @@ MAX_PRECISION = 512
 _TRIAL_LIMIT = 10_000
 _PM1_BOUND = 2000
 _RHO_STEPS = 1 << 20
-
-
-def valuation(n: int, p: int) -> int:
-    """ord_p(n) for a nonzero integer n and p >= 2."""
-    if n == 0:
-        raise ValueError("valuation of zero is infinite")
-    if p < 2:
-        raise ValueError(f"{p} is not prime")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def content_valuation(f: IntPoly, p: int) -> int:
-    """min ord_p over the nonzero coefficients."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    return min(valuation(c, p) for c in f.coeffs if c)
 
 
 # ---------------------------------------------------------------------------
@@ -343,90 +323,8 @@ def factor_mod_p(f: IntPoly, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Primes and multiplicative orders in F_p[t]/(g)
+# Integer factoring and multiplicative orders in F_p[t]/(g)
 # ---------------------------------------------------------------------------
-
-# Miller-Rabin to the 13 prime bases 2..41 has no strong pseudoprime below
-# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)).  Above it a strong
-# Lucas test is added, which makes the test BPSW: no composite is known to
-# pass it, and sympy's isprime runs the same strong BPSW test there.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def is_prime(n) -> bool:
-    """Whether the integer n is prime; ValueError if n is not an integer."""
-    if isinstance(n, bool):
-        raise ValueError(f"{n} is not an integer")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"{n} is not an integer") from None
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _MR_EXACT_BELOW or _strong_lucas_probable_prime(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for an odd n > 0, by quadratic reciprocity."""
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """The strong Lucas test of an odd n > 41 with Selfridge's parameters P = 1,
-    Q = (1 - D) / 4, D the first of 5, -7, 9, -11, ... with (D/n) = -1
-    (Baillie and Wagstaff, Math. Comp. 35 (1980)): with n + 1 = d * 2**s,
-    n passes when U_d = 0 or some V_{d * 2**r}, r < s, is 0 mod n."""
-    if _integer_root(n, 2) ** 2 == n:  # (D/n) = -1 for no D
-        return False
-    D = 5
-    while (symbol := _jacobi(D, n)) != -1:
-        if symbol == 0:  # 1 < gcd(D, n) < n
-            return False
-        D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4
-    s = ((n + 1) & -(n + 1)).bit_length() - 1
-    # (U_k, V_k, Q**k) from k = 1 along the bits of d: k -> 2k, then k -> k + 1,
-    # where U_{k+1} = (U_k + V_k) / 2 and V_{k+1} = (D U_k + V_k) / 2 mod n
-    u, v, qk = 1, 1, Q % n
-    for bit in bin((n + 1) >> s)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v = (u + v) % n, (D * u + v) % n
-            u, v, qk = (u + (u & 1) * n) // 2, (v + (v & 1) * n) // 2, qk * Q % n
-    if u == 0:
-        return True
-    for _ in range(s):
-        if v == 0:
-            return True
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-    return False
 
 
 def _rho_divisor(n: int) -> int:
@@ -458,16 +356,6 @@ def _rho_divisor(n: int) -> int:
                 g = gcd(x - ys, n)
         if g < n:
             return g
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def _perfect_power(n: int):
@@ -570,13 +458,14 @@ def multiplicative_order(g: IntPoly, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower hull of (i, ord_p(c_i)); slope-zero length counts p-adic unit roots."""
+class NewtonPolygon(namedtuple("NewtonPolygon", "prime vertices segments")):
+    """Lower hull of (i, ord_p(c_i)); slope-zero length counts p-adic unit roots.
 
-    prime: int
-    vertices: tuple  # ((i, ord_p(c_i)), ...) on the lower hull
-    segments: tuple  # ((slope: Fraction, length: int), ...)
+    vertices: ((i, ord_p(c_i)), ...) on the lower hull.
+    segments: ((slope: Fraction, length: int), ...).
+    """
+
+    __slots__ = ()
 
     @property
     def slope_zero_length(self) -> int:
@@ -611,29 +500,27 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitFactor:
+class UnitFactor(namedtuple("UnitFactor", "poly multiplicity degree order s w",
+                             defaults=(None, None))):
     """One irreducible residue factor g of the unit part of J mod p, with the
     Teichmueller constants of the roots beta over it: the saturation
     exponent s and w[r] = ord_p(beta**(p**r) - xi**(p**r)) for r = 0..s, xi
     the Teichmueller representative of beta.  s and w are None when the unit
-    part is ramified."""
+    part is ramified.  order is None when the factoring budget was
+    exceeded."""
 
-    poly: IntPoly
-    multiplicity: int
-    degree: int
-    order: int  # None when the factoring budget was exceeded
-    s: int = None
-    w: tuple = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnitRootStructure:
-    prime: int
-    mu: int  # content valuation of j at p
-    unit_poly: IntPoly  # reduction mod p of j / p**mu with the t-power stripped
-    factors: tuple
-    ramified: bool
+class UnitRootStructure(namedtuple("UnitRootStructure", "prime mu unit_poly factors ramified")):
+    """The unit roots of j at p.
+
+    mu: content valuation of j at p.
+    unit_poly: reduction mod p of j / p**mu with the t-power stripped.
+    factors: one UnitFactor per irreducible factor of unit_poly.
+    """
+
+    __slots__ = ()
 
     @property
     def unit_root_count(self) -> int:
@@ -670,8 +557,8 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     at MAX_PRECISION raises PrecisionExhausted.
 
     The last _MEMO_SIZE structures are memoised per (j's coefficients, p)
-    and shared between calls; they are frozen records of ints and tuples,
-    so nothing in them can change.  The checks and the errors come on every
+    and shared between calls; they are named tuples of ints and tuples, so
+    nothing in them can change.  The checks and the errors come on every
     call, as an exception is never memoised.
     """
     if not is_prime(p):
@@ -706,7 +593,7 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
     for g, mult in residue:
         mate = seen.get(_gf_reciprocal(g.coeffs, p))
         if mate is not None:
-            factor = replace(mate, poly=g, multiplicity=mult)
+            factor = mate._replace(poly=g, multiplicity=mult)
         else:
             try:
                 order = multiplicative_order(g, p)
@@ -866,22 +753,21 @@ def _layer_terms(structure: UnitRootStructure, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerLayer:
-    lam: int
-    nu: int
-    ord: int
-    source: str  # "structural" or "oracle"
+class PerLayer(namedtuple("PerLayer", "lam nu ord source")):
+    """(lambda, nu, ord_p(kappa(X_n))) of one layer; source is "structural"
+    or "oracle"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PadicReport:
-    prime: int
-    mu: int
-    c: int
-    structure: UnitRootStructure
-    R: int  # max s_p over unit roots; None when not structurally computable
-    per_n: dict  # n -> PerLayer
+class PadicReport(namedtuple("PadicReport", "prime mu c structure R per_n")):
+    """The decomposition of ord_p(kappa(X_n)) along a tower.
+
+    R: max s_p over unit roots; None when not structurally computable.
+    per_n: n -> PerLayer.
+    """
+
+    __slots__ = ()
 
 
 def _saturation(structure: UnitRootStructure):
@@ -1002,14 +888,14 @@ def washington_invariants(j: IntPoly, p: int, ell: int):
     return mu, nu, k0
 
 
-@dataclass(frozen=True)
-class SequenceClass:
-    """One congruence class of layers with constant (lambda, nu)."""
+class SequenceClass(namedtuple("SequenceClass", "orders r lam nu")):
+    """One congruence class of layers with constant (lambda, nu).
 
-    orders: tuple  # subset of the distinct residue orders, sorted
-    r: int  # capped ord_p(n); r == R means ord_p(n) >= R
-    lam: int
-    nu: int
+    orders: subset of the distinct residue orders, sorted.
+    r: capped ord_p(n); r == R means ord_p(n) >= R.
+    """
+
+    __slots__ = ()
 
 
 def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200, kappas=None):
@@ -1061,13 +947,14 @@ def _smooth_over(n: int, primes) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class FriedmanLaw:
-    prime: int
-    mu: int
-    lam: int  # 0 for the outside prime
-    nu: int
-    min_exponents: tuple  # per-generator exponent thresholds
+class FriedmanLaw(namedtuple("FriedmanLaw", "prime mu lam nu min_exponents")):
+    """The affine valuation law of friedman_laws at one prime.
+
+    lam: 0 for the outside prime.
+    min_exponents: per-generator exponent thresholds.
+    """
+
+    __slots__ = ()
 
 
 def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):

@@ -8,35 +8,46 @@ holds by construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import HypothesisViolation
 from .graph_core import SerreGraph, build_graph
 
 
-@dataclass(frozen=True)
-class VoltageAssignment:
-    """Map from edge-pair id to the voltage of the stored orientation."""
+class VoltageAssignment(namedtuple("VoltageAssignment", "values")):
+    """Map from edge-pair id to the voltage of the stored orientation; values
+    is a copy of the mapping it was built from."""
 
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+    def __new__(cls, values):
+        return super().__new__(cls, dict(values))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: copy the values there too
+        return cls(*iterable)
 
     def __getitem__(self, edge_id: int) -> int:
         return self.values[edge_id]
 
 
-@dataclass(frozen=True)
-class VoltagedGraph:
-    base: SerreGraph
-    voltages: VoltageAssignment
+class VoltagedGraph(namedtuple("VoltagedGraph", "base voltages")):
+    """A base graph with one voltage per edge pair; ValueError unless the
+    voltages are keyed exactly by the ids of the base's edge pairs."""
 
-    def __post_init__(self):
-        ids = {e.id for e in self.base.edge_pairs}
-        if set(self.voltages.values) != ids:
+    __slots__ = ()
+
+    def __new__(cls, base, voltages):
+        if set(voltages.values) != {e.id for e in base.edge_pairs}:
             raise ValueError("voltages must be keyed exactly by the base edge pairs")
+        return super().__new__(cls, base, voltages)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check the keys there too
+        return cls(*iterable)
 
 
 def _voltage(a) -> int:

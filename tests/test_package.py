@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import ihara_towers
@@ -85,13 +86,18 @@ def test_names_load_their_module_on_first_use():
     assert checks == dict.fromkeys(checks, True) and len(checks) == 7
 
 
+# Only what the command loads counts: a start-up hook may import a watched
+# module before towers_cli does.
 COMMAND_SCRIPT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from ihara_towers.towers_cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-watched = ("ihara_towers.mahler", "ihara_towers.padic_engine", "multiprocessing")
-print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
+watched = ("dataclasses", "ihara_towers.mahler", "ihara_towers.padic_engine",
+           "ihara_towers.primes", "multiprocessing")
+print(json.dumps({"code": code,
+                  "loaded": [m for m in watched if m in sys.modules and m not in before]}))
 """
 
 
@@ -101,10 +107,77 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     for argv, loaded in [
         (["table", path], []),
         (["verify", path, "--jobs", "1"], []),
+        (["analyze", path, "--prime", "2", "--prime", "5"],
+         ["ihara_towers.mahler", "ihara_towers.primes"]),
         (["asymptotics", path], ["ihara_towers.mahler"]),
-        (["padic", path, "--prime", "5"], ["ihara_towers.padic_engine"]),
+        (["padic", path, "--prime", "5"], ["ihara_towers.padic_engine", "ihara_towers.primes"]),
     ]:
         assert json.loads(_fresh_python(COMMAND_SCRIPT, *argv)) == {"code": 0, "loaded": loaded}, argv
+
+
+def _record_examples():
+    """One instance of every record class in src/, from a run on the
+    Fibonacci tower (J = -1 - 3t - t**2)."""
+    from ihara_towers import mahler, padic_engine
+    from ihara_towers.ihara import analyze, verify_tower
+    from ihara_towers.towers_cli import generate_family
+
+    vg = generate_family("fibonacci", [])
+    ta = analyze(vg)
+    report = padic_engine.padic_report(ta, 2, 12)
+    structure = report.structure
+    return [
+        vg.base.edge_pairs[0], vg.base, vg.voltages, vg, ta, verify_tower(vg, 4),
+        mahler.mahler_padic(ta.j_poly, 5), mahler.mahler_archimedean(ta.j_poly),
+        mahler.archimedean_asymptotic(ta), mahler.padic_asymptotic_no_unit_roots(ta, 3),
+        padic_engine.newton_polygon(ta.j_poly, 5), structure.factors[0], structure,
+        report.per_n[1], report, padic_engine.sequence_classes(ta, 2, 12)[0],
+        padic_engine.friedman_laws(ta.j_poly, 7, (2, 3), bound=500)[2],
+    ]
+
+
+def test_records_are_immutable_named_tuples():
+    import copy
+    import pickle
+
+    from ihara_towers.voltage_cover import VoltageAssignment, VoltagedGraph
+
+    modules = [importlib.import_module(f"ihara_towers.{module}")
+               for module in _src_texts() if not module.startswith("__")]
+    records = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and cls.__module__ == module.__name__}
+    examples = _record_examples()
+    assert len(records) == 17 and {type(x) for x in examples} == records
+    for x in examples:
+        name, fields = type(x).__name__, type(x)._fields
+        for attr in (fields[0], "not_a_field"):
+            try:
+                setattr(x, attr, None)
+                assert False, (name, attr)
+            except AttributeError:
+                pass
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and type(twin) is type(x), name
+        values = tuple(getattr(x, f) for f in fields)
+        assert repr(x) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+        try:
+            expected = hash(values)
+        except TypeError:  # a dict among the fields
+            continue
+        assert hash(x) == expected, name
+    base, vg = examples[1], examples[3]
+    for keys in ((0,), (0, 1, 2), (1, 2)):
+        for build in (lambda va: VoltagedGraph(base, va), lambda va: vg._replace(voltages=va)):
+            try:
+                build(VoltageAssignment(dict.fromkeys(keys, 1)))
+                assert False, keys
+            except ValueError:
+                pass
+    values = {0: 4, 1: 5}
+    copied = vg.voltages._replace(values=values)
+    values[0] = 6
+    assert copied.values == {0: 4, 1: 5} and copied[0] == 4
 
 
 SRC = Path(ihara_towers.__file__).resolve().parent
@@ -149,7 +222,11 @@ def _refs(nodes, own):
 
 def _external_members(base):
     """The attributes of a base class defined outside the scanned sources: a
-    builtin such as Exception, or module.Class such as argparse.ArgumentParser."""
+    builtin such as Exception, module.Class such as argparse.ArgumentParser,
+    or a record's namedtuple("Name", "fields") with literal arguments."""
+    if isinstance(base, ast.Call):
+        args = [ast.literal_eval(arg) for arg in base.args]
+        return set(dir(namedtuple(*args, **{k.arg: ast.literal_eval(k.value) for k in base.keywords})))
     *module, name = ast.unparse(base).split(".")
     owner = importlib.import_module(".".join(module)) if module else builtins
     return set(dir(getattr(owner, name)))
@@ -217,6 +294,20 @@ def _reached():
             | {(m, name) for m, names in ihara_towers._EXPORTS.items() for name in names})
 
 
+def test_no_module_under_src_imports_dataclasses():
+    # each record is a named tuple: a dataclass would import dataclasses,
+    # inspect and ast at start-up, in every command
+    imported = set()
+    for text in _src_texts().values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert {"collections", "functools", "math", "operator"} <= imported
+    assert "dataclasses" not in imported
+
+
 def test_every_top_level_definition_is_used_exported_or_traced():
     assert [d for d in unused_definitions(_src_texts(), _reached()) if "." not in d[1]] == []
 
@@ -237,11 +328,19 @@ class Y(X):
     def never_called(self): ...
 
 
-Y()
+class Z(namedtuple("Z", "a b", defaults=(None,))):
+    def count(self): ...
+
+    def never_called_either(self): ...
+
+
+Y(), Z(0)
 """
 
 
 def test_the_scan_flags_a_planted_unused_method():
-    # Y.never_called overrides X's, so only X's is reported
+    # Y.never_called overrides X's and Z.count overrides tuple.count, so only
+    # X.never_called and Z.never_called_either are reported
     texts = dict(_src_texts(), planted=PLANTED)
-    assert unused_definitions(texts, _reached()) == [("planted", "X.never_called")]
+    assert unused_definitions(texts, _reached()) == [("planted", "X.never_called"),
+                                                     ("planted", "Z.never_called_either")]

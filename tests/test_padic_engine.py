@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -38,7 +37,6 @@ from ihara_towers.padic_engine import (
     _gf_sub,
     _gf_trim,
     _pierce_lehmer_memo,
-    _strong_lucas_probable_prime,
     _unit_root_structure,
     factor_mod_p,
     friedman_laws,
@@ -63,6 +61,7 @@ from ihara_towers.polyring import (
     cyclotomic_polynomial,
     pseudo_rem,
 )
+from ihara_towers.primes import _strong_lucas_probable_prime
 from ihara_towers.towers_cli import build_parser
 from ihara_towers.voltage_cover import voltaged_graph
 
@@ -959,8 +958,8 @@ def test_class_keyed_rows_match_the_per_n_reference(monkeypatch):
     # a structure without one residue order keys that factor on p**deg(g) - 1
     ta = analyze(bouquet(3, 5))
     structure = unit_root_structure(ta.j_poly, 3)
-    first = dataclasses.replace(structure.factors[0], order=None)
-    unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:])
+    first = structure.factors[0]._replace(order=None)
+    unknown = structure._replace(factors=(first,) + structure.factors[1:])
     monkeypatch.setattr(ihara_towers.padic_engine, "unit_root_structure", lambda j, p: unknown)
     got = padic_report(ta, 3, 160)
     assert got.structure is unknown and got.R is not None
@@ -977,8 +976,8 @@ def test_an_unknown_order_keeps_one_layer_evaluation_per_class(monkeypatch):
     layer_terms = padic_engine._layer_terms
     for p, classes in ((3, 10), (31, 34)):
         structure = unit_root_structure(ta.j_poly, p)
-        first = dataclasses.replace(structure.factors[0], order=None)
-        unknown = dataclasses.replace(structure, factors=(first,) + structure.factors[1:])
+        first = structure.factors[0]._replace(order=None)
+        unknown = structure._replace(factors=(first,) + structure.factors[1:])
         expected = padic_report_per_n(ta, p, 300, kappas, structure=unknown)
         calls = []
         monkeypatch.setattr(padic_engine, "unit_root_structure", lambda j, q: unknown)
@@ -1294,11 +1293,11 @@ def test_memoised_structures_are_shared_read_only_and_errors_recur():
     assert unit_root_structure(IntPoly(list(J_FIB.coeffs)), 2) is structure
     before = repr(structure)
     factor = structure.factors[0]
-    for name in ("s", "w", "order"):
+    for name in ("s", "w", "order", "note"):
         try:
             setattr(factor, name, None)
             assert False, name
-        except dataclasses.FrozenInstanceError:
+        except AttributeError:
             pass
     assert type(factor.w) is tuple and (factor.order, factor.s, factor.w) == (3, 1, (1, 3))
     assert repr(structure) == before
