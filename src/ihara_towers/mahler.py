@@ -4,8 +4,9 @@ The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
 quantity found by simultaneous root iteration.  Everything that gates a
 theorem (does the polynomial vanish on the unit circle?) is decided exactly,
 by the Sturm count of polyring.count_unit_circle_roots over the integers,
-never by float proximity; it is memoised, so the measure and the p-adic
-unit-root structure of one J count once.  The p-adic
+never by float proximity.  polyring keeps no memo of that count; it is
+memoised here only as part of the measure, and the p-adic unit-root
+structure runs none unless a lift fails to settle.  The p-adic
 measure is the content valuation at a prime that primes.is_prime checks,
 so nothing here imports sympy.  The p-adic helpers are imported in the
 functions that use them: the Archimedean laws load neither primes nor the
@@ -148,8 +149,8 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     a factor of 1).  The unit-circle count, and with it the certified flag,
     is the exact count of count_unit_circle_roots, never read off the float
     roots; it is taken after the root iteration, so an iteration that fails
-    spends nothing on it, and its memo answers the p-adic unit-root
-    structure of the same f.  A seed that is not an int
+    spends nothing on it, and it is memoised only as part of the measure:
+    no other count is shared.  A seed that is not an int
     (a bool, a float, bytes...) raises ValueError, never coerced.  The last
     _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
     exception is never memoised, so a root iteration that fails fails again

@@ -33,8 +33,9 @@ orders come from p**f - 1, or from p**(f/2) + 1 for a self-reciprocal
 factor, whose roots satisfy beta**(p**(f/2)) = 1/beta.
 They are computed in an unramified extension at a working precision that
 rises for each root on its own: from 2 p-adic digits, doubled with one more
-Newton step while a distance reaches it; past MAX_PRECISION,
-PrecisionExhausted is raised.
+Newton step while a distance reaches it.  A root of unity has an infinite
+distance, so its lift never settles: past MAX_PRECISION, J is rejected
+(ValueError) if polyring finds a root of unity in it, else PrecisionExhausted.
 
 The constants are summed in one place, _layer_terms, which lambda_for_n,
 nu_structural and padic_report share.  (lambda, nu) depend on n only through
@@ -47,11 +48,10 @@ lambda from lambda_for_n and the structural nu from nu_structural at the
 least n of its subsequence, and fits nu from exact values only when the
 unit part is ramified.
 
-Besides the structures, three facts that repeat within a process are kept
-in bounded memos: the factorization of p**f - 1 per (p, f), the exact D_n of
-nu_from_oracle per (J's coefficients, n), checked against the bit cap on
-every call, and, in polyring, the unit-circle count per J's coefficients,
-which decides whether J has a root of unity.
+Besides the structures, two facts that repeat within a process are kept
+in bounded memos: the factorization of p**f - 1 per (p, f), and the exact
+D_n of nu_from_oracle per (J's coefficients, n), checked against the bit cap
+on every call.
 ord_delta_exact is never memoised, so it stays an independent recomputation.
 
 An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
@@ -551,10 +551,11 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     equals t**s times the unit part's reduction; the stripped degree must
     match the Newton polygon's slope-zero length (VerificationMismatch
     otherwise).  Each factor's s and w are None when the unit part is
-    ramified.  A root of unity among the roots would make some
-    root-to-Teichmueller distance infinite, so when there are unit roots to
-    measure that input is rejected (ValueError); a distance still ambiguous
-    at MAX_PRECISION raises PrecisionExhausted.
+    ramified.  A root of unity among the roots makes some
+    root-to-Teichmueller distance infinite, so its lift never settles: past
+    MAX_PRECISION, j is rejected (ValueError) if it vanishes at a root of
+    unity, decided exactly, else PrecisionExhausted is raised.  A ramified
+    unit part is never lifted, so it is never tested.
 
     The last _MEMO_SIZE structures are memoised per (j's coefficients, p)
     and shared between calls; they are named tuples of ints and tuples, so
@@ -587,8 +588,6 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
     symmetric = coeffs in (coeffs[::-1], tuple(-c for c in reversed(coeffs)))
     residue = factor_mod_p(lifted, p)
     ramified = any(mult > 1 for _, mult in residue)
-    if residue and not ramified and vanishes_at_root_of_unity(j):
-        raise ValueError("polynomial vanishes at a root of unity")
     factors, seen = [], {}
     for g, mult in residue:
         mate = seen.get(_gf_reciprocal(g.coeffs, p))
@@ -624,7 +623,9 @@ def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
     for g the factor made monic (an unramified extension, so valuations are
     taken coordinatewise), read at K = 2 p-adic digits and again at twice the
     digits while some w[r] reaches K.  order is the residue order of the
-    factor, None when it is unavailable."""
+    factor, None when it is unavailable.  Past MAX_PRECISION it raises
+    ValueError when j1 vanishes at a root of unity, whose distance is
+    infinite, and PrecisionExhausted otherwise."""
     g = _gf_monic(residue, p)
     f = len(g) - 1
     poly, dpoly = j1.coeffs, j1.derivative().coeffs
@@ -667,6 +668,8 @@ def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
             return s, tuple(w)
         K *= 2
         if K > MAX_PRECISION:
+            if vanishes_at_root_of_unity(j1):
+                raise ValueError("polynomial vanishes at a root of unity")
             raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
         z = ring.mul(z, _gf_sub([2], ring.mul(ring.at(dpoly, beta), z), q))
 

@@ -16,10 +16,11 @@ subresultant resultant takes out no content, since its divisions are exact.
 
 The exact count of roots on the unit circle (Sturm chains on the trace
 polynomials of the layers g, gcd(g, g'), ..., up to the first squarefree one)
-lives here, behind one bounded per-process memo by coefficients.  It gates
-the root-of-unity scan of the p-adic unit-root structure, and the Archimedean
-measure reads it, so the two share one count of J.  analyze runs no count:
-monodromy index 1 already keeps every root of unity out of J.
+lives here, with no memo: the Archimedean measure reads it behind its own
+memo, and it bounds the root-of-unity scan, which the p-adic unit-root
+structure runs only when a lift does not settle by its precision bound.
+analyze runs no count: monodromy index 1 already keeps every root of unity
+out of J.
 """
 
 from __future__ import annotations
@@ -428,9 +429,10 @@ def _resultant(a: list, b: list) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(k: int) -> IntPoly:
-    """The k-th cyclotomic polynomial, by dividing t**k - 1 by the proper divisors."""
+    """The k-th cyclotomic polynomial, by dividing t**k - 1 by the proper divisors.
+    The last 256 are memoised: a scan up to phi(k) <= 40 reads 81 of them."""
     if k < 1:
         raise ValueError("k must be positive")
     num = IntPoly((-1,) + (0,) * (k - 1) + (1,))
@@ -458,13 +460,13 @@ def vanishes_at_root_of_unity(f: IntPoly) -> bool:
     """True iff some root of f is a root of unity, decided exactly.
 
     Phi_k divides f when a primitive k-th root of unity is a root, and then
-    its phi(k) roots lie on the unit circle, so phi(k) <= c, the memoised
+    its phi(k) roots lie on the unit circle, so phi(k) <= c, the unmemoised
     count_unit_circle_roots of f.  As phi(k) >= sqrt(k / 2), every such k is
     at most 2 c**2, and the scan stops there; c = 0 skips it.
     """
     if f.degree <= 0:
         return False
-    c = _count_unit_circle_roots(f.coeffs)
+    c = count_unit_circle_roots(f)
     # cyclotomic polynomials are monic, so the pseudo-remainder is exact
     return any(euler_phi(k) <= c and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
                for k in range(1, 2 * c * c + 1))
@@ -555,19 +557,9 @@ def _unit_circle_pairs(work: IntPoly) -> int:
 def count_unit_circle_roots(f: IntPoly) -> int:
     """Number of roots of f on the complex unit circle, with multiplicity, exactly:
     the roots at +-1, split off by exact division, plus _unit_circle_pairs of the
-    rest.  The last _UNIT_CIRCLE_MEMO_SIZE counts are memoised per f's
-    coefficients; mahler_archimedean carries the same count."""
+    rest.  Nothing is memoised here; mahler_archimedean keeps the count of each
+    measure it memoises."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return _count_unit_circle_roots(f.coeffs)
-
-
-# Counts memoised per process: the Archimedean measure and the structure of
-# every prime of a tower ask about the same J.  An exception is never memoised.
-_UNIT_CIRCLE_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_UNIT_CIRCLE_MEMO_SIZE)
-def _count_unit_circle_roots(coeffs: tuple) -> int:
-    work, count = _strip_trivial_roots(IntPoly(coeffs))
+    work, count = _strip_trivial_roots(f)
     return count + _unit_circle_pairs(work)

@@ -202,7 +202,6 @@ def test_unit_circle_count_matches_the_layered_gcd_count():
     # The count leaves its layers g, gcd(g, g'), ... once the trace polynomial
     # of a layer is squarefree; the reference takes every layer's full gcd.
     from ihara_towers.polyring import (
-        _count_unit_circle_roots,
         _strip_trivial_roots,
         _sturm_count_open,
         _trace_polynomial,
@@ -233,7 +232,7 @@ def test_unit_circle_count_matches_the_layered_gcd_count():
         repeated = rng.choice(circle + [random_self_reciprocal(rng, max_half_degree=3)])
         f = f * power(repeated, rng.randint(2, 3))
         expected = layered(f)
-        assert _count_unit_circle_roots.__wrapped__(f.coeffs) == expected > 0, f
+        assert count_unit_circle_roots(f) == expected > 0, f
         checked += 1
 
 
@@ -241,8 +240,6 @@ def test_unit_circle_invariant_raises_package_error(monkeypatch):
     import ihara_towers.polyring as polyring
     from ihara_towers.errors import VerificationMismatch
 
-    # a memoised count would never reach the patched gcd; an error is not memoised
-    polyring._count_unit_circle_roots.cache_clear()
     # a gcd that is not palindromic, and one of odd degree
     for bad in (IntPoly((1, 0, 2)), IntPoly((1, 1))):
         monkeypatch.setattr(polyring, "poly_gcd", lambda f, g, bad=bad: bad)
@@ -401,7 +398,6 @@ def test_a_failed_root_iteration_spends_nothing_on_the_unit_circle_count(monkeyp
         raise AssertionError("the unit-circle count was reached")
 
     _mahler_archimedean.cache_clear()
-    polyring._count_unit_circle_roots.cache_clear()
     monkeypatch.setattr(mahler, "_aberth_roots", diverge)
     monkeypatch.setattr(polyring, "_sturm_count_open", no_count)
     for f in (LEHMER, IntPoly((-1, -3, -1)), IntPoly((3, 1, 4, 1, 5))):
@@ -410,7 +406,6 @@ def test_a_failed_root_iteration_spends_nothing_on_the_unit_circle_count(monkeyp
             assert False, f
         except TowerError as exc:
             assert "did not converge" in str(exc)
-    assert polyring._count_unit_circle_roots.cache_info().currsize == 0
 
 
 def test_seed_must_be_an_int():
@@ -435,19 +430,23 @@ def test_seed_must_be_an_int():
     assert archimedean_asymptotic(ta, seed=2**70).applicable
 
 
-def test_the_measure_counts_the_unit_circle_roots_of_each_j_once():
-    # analyze runs no count, so the measure counts each distinct J once, and a
-    # later count of the same J (the p-adic structure's) reads that memo
-    from ihara_towers.polyring import _count_unit_circle_roots
+def test_the_measure_counts_the_unit_circle_roots_of_each_j_once(monkeypatch):
+    # analyze runs no count and polyring keeps none, so the measure counts
+    # each distinct J once, and a J that repeats is answered by its own memo
+    import ihara_towers.mahler as mahler
 
     js = _sweep_plan_j_polys((1, 2, 3))
     distinct = len({j.coeffs for j in js})
-    assert distinct <= _count_unit_circle_roots.cache_info().maxsize
+    assert distinct < len(js)
+    counted = []
+
+    def count(f):
+        counted.append(f.coeffs)
+        return count_unit_circle_roots(f)
+
     _mahler_archimedean.cache_clear()
-    _count_unit_circle_roots.cache_clear()
+    monkeypatch.setattr(mahler, "count_unit_circle_roots", count)
     for j in js:
         assert mahler_archimedean(j).unit_circle_roots == 0
-    # a J that repeats is answered by the measure's own memo
-    assert _count_unit_circle_roots.cache_info()[:2] == (0, distinct)
+    assert len(counted) == len(set(counted)) == distinct
     assert all(count_unit_circle_roots(j) == 0 for j in js)
-    assert _count_unit_circle_roots.cache_info()[:2] == (len(js), distinct)

@@ -234,8 +234,9 @@ def _external_members(base):
 
 def unused_definitions(sources, reached=frozenset()):
     """The definitions in sources (module name -> source text) that nothing
-    uses: (module, name) for a top-level function or class, and (module,
-    "Class.member") for a named method or property of a class.
+    uses: (module, name) for a top-level function or class or a private
+    module-level name that an assignment binds, such as a memo size, and
+    (module, "Class.member") for a named method or property of a class.
 
     A definition is used when a statement other than its own definition names
     it, as a name or an attribute, or when its pair is in reached.  A member
@@ -246,12 +247,17 @@ def unused_definitions(sources, reached=frozenset()):
     tops, members, used, classes = [], [], set(), {}
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
-            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            if own:
-                tops.append((module, own))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owns = {stmt.name}
+            else:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                owns = {t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("_")}
+            tops += [(module, own) for own in sorted(owns)]
             if not isinstance(stmt, ast.ClassDef):
-                used.update(_refs([stmt], {own}))
+                used.update(_refs([stmt], owns))
                 continue
+            own = stmt.name
             classes[own] = stmt
             used.update(_refs(stmt.bases + stmt.keywords + stmt.decorator_list, {own}))
             for item in stmt.body:
@@ -320,6 +326,9 @@ def test_every_named_member_is_used_an_override_or_kept():
 
 
 PLANTED = """
+_UNUSED_SIZE = 1
+
+
 class X:
     def never_called(self): ...
 
@@ -340,7 +349,8 @@ Y(), Z(0)
 
 def test_the_scan_flags_a_planted_unused_method():
     # Y.never_called overrides X's and Z.count overrides tuple.count, so only
-    # X.never_called and Z.never_called_either are reported
+    # _UNUSED_SIZE, X.never_called and Z.never_called_either are reported
     texts = dict(_src_texts(), planted=PLANTED)
-    assert unused_definitions(texts, _reached()) == [("planted", "X.never_called"),
+    assert unused_definitions(texts, _reached()) == [("planted", "_UNUSED_SIZE"),
+                                                     ("planted", "X.never_called"),
                                                      ("planted", "Z.never_called_either")]

@@ -56,10 +56,10 @@ from ihara_towers.padic_engine import (
 )
 from ihara_towers.polyring import (
     IntPoly,
-    _count_unit_circle_roots,
     _mul,
     cyclotomic_polynomial,
     pseudo_rem,
+    vanishes_at_root_of_unity,
 )
 from ihara_towers.primes import _strong_lucas_probable_prime
 from ihara_towers.towers_cli import build_parser
@@ -1234,7 +1234,6 @@ def test_unit_factor_contributes_only_on_multiples():
 def test_structural_identity_random_battery():
     # structural decomposition against direct integer valuations, on random
     # polynomials with content, mixed Newton slopes, and several primes
-    from ihara_towers.polyring import vanishes_at_root_of_unity
     from ihara_towers.padic_engine import content_valuation, valuation
 
     rng = random.Random(2024)
@@ -1266,6 +1265,85 @@ def test_structural_path_rejects_roots_of_unity():
         assert False
     except ValueError:
         pass
+
+
+def test_the_structure_of_a_tower_builds_no_sturm_chain(monkeypatch):
+    # Monodromy index 1 keeps every root of unity out of J, so each lift
+    # settles and the exact test, run only past MAX_PRECISION, never comes
+    import ihara_towers.padic_engine as padic_engine
+    import ihara_towers.polyring as polyring
+
+    def refuse(*args):
+        raise AssertionError(f"unit-circle work on {args}")
+
+    padic_engine._unit_root_structure.cache_clear()  # a memoised structure runs nothing
+    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
+    monkeypatch.setattr(polyring, "count_unit_circle_roots", refuse)
+    # the degree-318 J of bouquet(1, 160) takes seconds at an odd prime, so it
+    # is lifted at 2 only
+    towers = [(bouquet(1, 160), (2,))] + [
+        (vg, (2, 3, 5, 31)) for vg in (bouquet(3, 5), dumbbell(2, 3), random_tower(random.Random(5)))]
+    lifted = 0
+    for vg, primes in towers:
+        j = analyze(vg).j_poly
+        for p in primes:
+            structure = unit_root_structure(j, p)
+            lifted += not structure.ramified and bool(structure.factors)
+    assert lifted >= 6
+
+
+def _screened_structure(j, p, monkeypatch):
+    """The structure by the rule it replaced: every squarefree unit part was
+    first screened for a root of unity, and a lift that did not settle by
+    MAX_PRECISION raised PrecisionExhausted."""
+    import ihara_towers.padic_engine as padic_engine
+
+    mu = padic_engine.content_valuation(j, p)
+    red = [c // p ** mu % p for c in j.coeffs]
+    residue = factor_mod_p(IntPoly(red[next(i for i, c in enumerate(red) if c):]), p)
+    ramified = any(mult > 1 for _, mult in residue)
+    if residue and not ramified and vanishes_at_root_of_unity(j):
+        raise ValueError("polynomial vanishes at a root of unity")
+    with monkeypatch.context() as m:
+        m.setattr(padic_engine, "vanishes_at_root_of_unity", lambda f: False)
+        return _unit_root_structure.__wrapped__(j.coeffs, p)
+
+
+def test_the_structure_matches_the_root_of_unity_screen_it_replaced(monkeypatch):
+    # j times Phi_k, products of two Phi_k (ramified when their residues
+    # meet), and Phi_2m at p = 2 for odd m, whose roots of order 2m reduce to
+    # order m, so only w[1] is infinite, as in Phi_6 (t**3 + t + 1)
+    def outcome(build, *args):
+        try:
+            return build(*args)
+        except (ValueError, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(34)
+    cases = [(cyclotomic_polynomial(6) * IntPoly((1, 1, 0, 1)), 2, "order 2m")]
+    while len(cases) < 1500:
+        f = random_int_poly(rng, max_degree=6, bound=30)
+        if f.degree < 1 or f.coeffs[0] == 0:
+            continue
+        p = rng.choice((2, 3, 5, 7, 11, 31))
+        kind = ("j", "j Phi_k", "j", "order 2m", "j", "two Phi_k")[len(cases) % 6]
+        if kind == "j Phi_k":
+            f = f * cyclotomic_polynomial(rng.randrange(1, 25))
+        elif kind == "order 2m":
+            p, f = 2, f * cyclotomic_polynomial(2 * rng.choice((1, 3, 5, 7, 9)))
+        elif kind == "two Phi_k":
+            f = f * cyclotomic_polynomial(rng.randrange(1, 13)) * cyclotomic_polynomial(rng.randrange(1, 13))
+        cases.append((f, p, kind))
+    tally = Counter()
+    for j, p, kind in cases:
+        got = outcome(unit_root_structure, j, p)
+        assert got == outcome(_screened_structure, j, p, monkeypatch), (j, p)
+        rejected = not isinstance(got, UnitRootStructure)
+        tally[kind, "rejected" if rejected else "ramified" if got.ramified else "kept"] += 1
+        if not rejected and got.ramified and vanishes_at_root_of_unity(j):
+            tally["ramified root of unity"] += 1
+    assert min(tally[kind, "rejected"] for kind in ("j Phi_k", "order 2m", "two Phi_k")) > 50, tally
+    assert min(tally["j", "kept"], tally["ramified root of unity"]) > 50, tally
 
 
 def test_unit_root_invariant_raises_package_error(monkeypatch):
@@ -1354,7 +1432,18 @@ def test_memoised_factorizations_of_p_power_minus_one():
 
 
 def test_every_memo_is_bounded():
-    for memo in (_unit_root_structure, _factor_p_power_minus_one, _pierce_lehmer_memo,
-                 _count_unit_circle_roots, _mahler_archimedean, build_parser):
+    # every lru_cache that a module of the package defines, found by its cache_info
+    import importlib
+    import pkgutil
+
+    memos = []
+    for info in pkgutil.iter_modules(ihara_towers.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"ihara_towers.{info.name}")
+            memos += [obj for obj in vars(module).values()
+                      if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+    assert {_unit_root_structure, _factor_p_power_minus_one, _pierce_lehmer_memo,
+            _mahler_archimedean, build_parser, cyclotomic_polynomial} <= set(memos)
+    for memo in memos:
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 256, memo
