@@ -56,8 +56,11 @@ MAX_BITS_ENV = "IHARA_TOWERS_MAX_BITS"
 
 
 def _bit_cap():
-    """The MAX_BITS_ENV cap in bits, read once per public call: None when the
-    variable is unset or empty, and ValueError unless it is ASCII digits."""
+    """The MAX_BITS_ENV cap in bits: None when the variable is unset or empty,
+    and ValueError unless it is ASCII digits.  It is read once per call of
+    pierce_lehmer and pierce_lehmer_range, once per value in _kappa_from_delta
+    and _resultant_from_delta, and once per value in the p-adic engine's
+    memoised Pierce-Lehmer values."""
     raw = os.environ.get(MAX_BITS_ENV)
     if not raw:
         return None
@@ -312,21 +315,20 @@ def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     q, r = divmod(value, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: Pierce-Lehmer quotient is not an integer")
-    return q
+    return _check_bits(q, _bit_cap())
 
 
 def kappa_via_formula(ta: TowerAnalysis, n: int) -> int:
     """Spanning trees of layer n from the Pierce-Lehmer quotient formula."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _check_bits(_kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n)), _bit_cap())
+    return _kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
 
 
 def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
     """[kappa(X_1), ..., kappa(X_n_max)] via one incremental sweep."""
-    cap = _bit_cap()
     deltas = pierce_lehmer_range(ta.j_poly, n_max)
-    return [_check_bits(_kappa_from_delta(ta, n, deltas[n - 1]), cap) for n in range(1, n_max + 1)]
+    return [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, n_max + 1)]
 
 
 def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
@@ -335,7 +337,7 @@ def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
     q, r = divmod(n ** ta.e * delta_n, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
-    return q
+    return _check_bits(q, _bit_cap())
 
 
 def resultant_row(ta: TowerAnalysis, n: int) -> int:
@@ -343,7 +345,7 @@ def resultant_row(ta: TowerAnalysis, n: int) -> int:
     (-1)**(b*(n-1)) * kappa(X) * value."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _check_bits(_resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n)), _bit_cap())
+    return _resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
 
 
 class TowerVerification(namedtuple("TowerVerification", "n_max mode kappas first_mismatch")):

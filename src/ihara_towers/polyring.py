@@ -14,11 +14,12 @@ The kernels _mul, _prem and _resultant take the coefficients as plain int
 lists, so a loop over many small polynomials builds no IntPoly, and the
 subresultant resultant takes out no content, since its divisions are exact.
 
-The exact count of roots on the unit circle (Sturm chains on the trace
-polynomials of the layers g, gcd(g, g'), ..., up to the first squarefree one)
-lives here, with no memo: the Archimedean measure reads it behind its own
-memo, and it bounds the root-of-unity scan, which the p-adic unit-root
-structure runs only when a lift does not settle by its precision bound.
+The exact count of roots on the unit circle (one walk of Sturm chains from
+the trace polynomial of gcd(f, f*), each chain starting from the last member
+of the one before) lives here, with no memo: the Archimedean measure reads
+it behind its own memo, and it bounds the root-of-unity scan, which the
+p-adic unit-root structure runs only when a lift does not settle by its
+precision bound.
 analyze runs no count: monodromy index 1 already keeps every root of unity
 out of J.
 """
@@ -502,14 +503,15 @@ def _trace_polynomial(c: tuple) -> list:
 
 
 def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
-    """(count, squarefree): the distinct real roots of q in the open interval
-    (a, b), where q(a), q(b) != 0, and whether q is squarefree.
+    """(count, last): the distinct real roots of q in the open interval (a, b),
+    where q(a), q(b) != 0, and the last member of the chain.
 
     The chain is built from primitive pseudo-remainders, signed so that each
     member is a positive multiple of the classical Sturm chain's member:
     prem(f, g) = lead(g)**(deg f - deg g + 1) * rem(f, g), whose scalar is
     negative exactly when lead(g) < 0 and deg f - deg g is even.  Its last
-    member is a multiple of gcd(q, q'), so q is squarefree when it is constant.
+    member is a nonzero multiple of gcd(q, q'), constant exactly when q is
+    squarefree.
     """
     chain = [q, q.derivative()]
     while chain[-1].degree > 0:
@@ -527,39 +529,31 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
 
     if q(a) == 0 or q(b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
-    return variations(a) - variations(b), chain[-1].degree == 0
-
-
-def _unit_circle_pairs(work: IntPoly) -> int:
-    """Unit-circle roots, with multiplicity, of work, which has no root at 0 or +-1.
-
-    They are shared with the reciprocal polynomial, so they live in
-    g = gcd(work, work*), palindromic of even degree 2m.  Each pair of them is
-    a root in (-2, 2) of the trace polynomial K of g, and a Sturm chain counts
-    distinct roots even if K is not squarefree.  The layers g, gcd(g, g'), ...
-    lower each multiplicity by one in turn.  As g has no root at +-1, where
-    t + 1/t has a critical point, a double root of g gives a double root of K,
-    so the layers stop, with no gcd at full degree, once K is squarefree.
-    """
-    count = 0
-    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
-    while g.degree > 0:
-        if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
-            raise VerificationMismatch("the unit-root gcd is not palindromic")
-        pairs, squarefree = _sturm_count_open(IntPoly(_trace_polynomial(g.coeffs)), -2, 2)
-        count += 2 * pairs
-        if squarefree:
-            break
-        g = poly_gcd(g, g.derivative())
-    return count
+    return variations(a) - variations(b), chain[-1]
 
 
 def count_unit_circle_roots(f: IntPoly) -> int:
-    """Number of roots of f on the complex unit circle, with multiplicity, exactly:
-    the roots at +-1, split off by exact division, plus _unit_circle_pairs of the
-    rest.  Nothing is memoised here; mahler_archimedean keeps the count of each
-    measure it memoises."""
+    """Number of roots of f on the complex unit circle, with multiplicity, exactly.
+
+    The roots at +-1 are split off by exact division.  The other unit-circle
+    roots are shared with the reciprocal polynomial, so they live in
+    g = gcd(work, work*), palindromic of even degree 2m, and each pair of them
+    is a root in (-2, 2) of the trace polynomial K of g.  As g has no root at
+    +-1, where t + 1/t has a critical point, a root pair of g of multiplicity
+    m gives a root of K of multiplicity m.  One walk counts them: a Sturm chain counts
+    the distinct roots of K, and its last member, a multiple of gcd(K, K'),
+    is the next K, with each multiplicity lowered by one, until it is
+    constant.  Nothing is memoised here; mahler_archimedean keeps the count
+    of each measure it memoises.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     work, count = _strip_trivial_roots(f)
-    return count + _unit_circle_pairs(work)
+    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
+    if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
+        raise VerificationMismatch("the unit-root gcd is not palindromic")
+    k = IntPoly(_trace_polynomial(g.coeffs))
+    while k.degree > 0:
+        pairs, k = _sturm_count_open(k, -2, 2)
+        count += 2 * pairs
+    return count

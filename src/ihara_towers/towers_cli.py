@@ -30,8 +30,6 @@ from .errors import (
     VerificationMismatch,
 )
 from .ihara import (
-    _bit_cap,
-    _check_bits,
     _kappa_from_delta,
     _resultant_from_delta,
     analyze,
@@ -233,17 +231,15 @@ def cmd_analyze(args) -> int:
 def cmd_table(args) -> int:
     vg = load_graph(args.graph)
     ta = analyze(vg)
-    cap = _bit_cap()
     deltas = pierce_lehmer_range(ta.j_poly, args.n_max)
-    kappas = [_check_bits(_kappa_from_delta(ta, n, deltas[n - 1]), cap)
-              for n in range(1, args.n_max + 1)]
+    kappas = [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, args.n_max + 1)]
     rows = []
     for n in range(1, args.n_max + 1):
         rows.append(
             {
                 "n": n,
                 "kappa": str(kappas[n - 1]),
-                "resultant": str(_check_bits(_resultant_from_delta(ta, n, deltas[n - 1]), cap)),
+                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1])),
                 "delta": str(deltas[n - 1]),
             }
         )

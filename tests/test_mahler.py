@@ -192,15 +192,19 @@ def test_sturm_count_matches_sympy():
             continue
         poly = Poly(list(reversed(q.coeffs)), x)
         expected = poly.count_roots(a, b)
-        count, squarefree = _sturm_count_open(q, a, b)
+        count, last = _sturm_count_open(q, a, b)
         assert count == expected, (q, a, b)
-        assert squarefree == (poly.gcd(poly.diff(x)).degree() == 0), q
+        # the last member is a nonzero multiple of gcd(q, q')
+        common = poly.gcd(poly.diff(x))
+        member = Poly(list(reversed(last.coeffs)), x)
+        assert member.degree() == common.degree(), q
+        assert member.rem(common).is_zero, q
         checked += 1
 
 
 def test_unit_circle_count_matches_the_layered_gcd_count():
-    # The count leaves its layers g, gcd(g, g'), ... once the trace polynomial
-    # of a layer is squarefree; the reference takes every layer's full gcd.
+    # The count walks from one Sturm chain's last member to the next chain;
+    # the reference takes each layer g, gcd(g, g'), ... by its full gcd.
     from ihara_towers.polyring import (
         _strip_trivial_roots,
         _sturm_count_open,
@@ -234,6 +238,24 @@ def test_unit_circle_count_matches_the_layered_gcd_count():
         expected = layered(f)
         assert count_unit_circle_roots(f) == expected > 0, f
         checked += 1
+
+
+def test_count_of_a_repeated_degree_250_factor_is_fast():
+    # (P Lehmer)**2 has degree 500; each chain of the walk starts from the
+    # last member of the one before, so no layer takes gcd(g, g') at full degree
+    import time
+
+    rng = random.Random(3517)
+    half = [rng.choice([c for c in range(-9, 10) if c])] + [rng.randint(-9, 9) for _ in range(120)]
+    p = IntPoly(half + half[-2::-1])
+    assert p.degree == 240 and p.coeffs == p.coeffs[::-1]
+    f = p * LEHMER
+    single = count_unit_circle_roots(f)
+    started = time.perf_counter()
+    double = count_unit_circle_roots(f * f)
+    elapsed = time.perf_counter() - started
+    assert double == 2 * single >= 16, (single, double)
+    assert elapsed < 2.0, elapsed
 
 
 def test_unit_circle_invariant_raises_package_error(monkeypatch):
