@@ -58,9 +58,9 @@ MAX_BITS_ENV = "IHARA_TOWERS_MAX_BITS"
 def _bit_cap():
     """The MAX_BITS_ENV cap in bits: None when the variable is unset or empty,
     and ValueError unless it is ASCII digits.  It is read once per call of
-    pierce_lehmer and pierce_lehmer_range, once per value in _kappa_from_delta
-    and _resultant_from_delta, and once per value in the p-adic engine's
-    memoised Pierce-Lehmer values."""
+    pierce_lehmer, pierce_lehmer_range, kappa_via_formula and resultant_row,
+    once per kappa sweep (kappa_sequence, the CLI table) and once per value
+    in the p-adic engine's memoised Pierce-Lehmer values."""
     raw = os.environ.get(MAX_BITS_ENV)
     if not raw:
         return None
@@ -308,36 +308,37 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
+def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int, cap=None) -> int:
     _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     sign = -1 if (ta.b * (n - 1)) % 2 else 1
     value = sign * ta.kappa_base * n ** (ta.e - 1) * delta_n
     q, r = divmod(value, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: Pierce-Lehmer quotient is not an integer")
-    return _check_bits(q, _bit_cap())
+    return _check_bits(q, cap)
 
 
 def kappa_via_formula(ta: TowerAnalysis, n: int) -> int:
     """Spanning trees of layer n from the Pierce-Lehmer quotient formula."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
+    return _kappa_from_delta(ta, n, pierce_lehmer(ta.j_poly, n), _bit_cap())
 
 
 def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
     """[kappa(X_1), ..., kappa(X_n_max)] via one incremental sweep."""
     deltas = pierce_lehmer_range(ta.j_poly, n_max)
-    return [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, n_max + 1)]
+    cap = _bit_cap()
+    return [_kappa_from_delta(ta, n, deltas[n - 1], cap) for n in range(1, n_max + 1)]
 
 
-def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int) -> int:
+def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int, cap=None) -> int:
     # Identical by the factorization I = (t-1)**e * J and multiplicativity.
     _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     q, r = divmod(n ** ta.e * delta_n, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")
-    return _check_bits(q, _bit_cap())
+    return _check_bits(q, cap)
 
 
 def resultant_row(ta: TowerAnalysis, n: int) -> int:
@@ -345,7 +346,7 @@ def resultant_row(ta: TowerAnalysis, n: int) -> int:
     (-1)**(b*(n-1)) * kappa(X) * value."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n))
+    return _resultant_from_delta(ta, n, pierce_lehmer(ta.j_poly, n), _bit_cap())
 
 
 class TowerVerification(namedtuple("TowerVerification", "n_max mode kappas first_mismatch")):

@@ -1,16 +1,17 @@
 """Archimedean and p-adic Mahler measures and the tower growth laws.
 
 The Archimedean measure |lead| * prod max(1, |root|) is a floating-point
-quantity found by simultaneous root iteration.  Everything that gates a
-theorem (does the polynomial vanish on the unit circle?) is decided exactly,
-by the Sturm count of polyring.count_unit_circle_roots over the integers,
-never by float proximity.  polyring keeps no memo of that count; it is
-memoised here only as part of the measure, and the p-adic unit-root
-structure runs none unless a lift fails to settle.  The p-adic
-measure is the content valuation at a prime that primes.is_prime checks,
-so nothing here imports sympy.  The p-adic helpers are imported in the
-functions that use them: the Archimedean laws load neither primes nor the
-p-adic engine, and the p-adic measure loads only primes.
+quantity found by simultaneous root iteration; it counts no unit-circle
+roots, as the J of a tower has none.  For |t| = 1 the Ihara matrix D - A(t)
+is the connection Laplacian of the voltage assignment (Forman, Topology 32
+(1993); Kenyon, Ann. Probab. 39 (2011)), singular only when t**N = 1, N the
+monodromy index of the connected base, and analyze requires N = 1 and
+J(1) != 0.  polyring.count_unit_circle_roots, exported from here too, stays
+the library's exact count of unit-circle roots.  The p-adic measure is the
+content valuation at a prime that primes.is_prime checks, so nothing here
+imports sympy.  The p-adic helpers are imported in the functions that use
+them: the Archimedean laws load neither primes nor the p-adic engine, and
+the p-adic measure loads only primes.
 The Archimedean measures of the last 256 (coefficients, seed) pairs are
 memoised per process: analyze and asymptotics of one tower ask for the same J.
 """
@@ -132,29 +133,24 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
     raise TowerError("root iteration did not converge within the restart budget")
 
 
-class ArchMeasure(namedtuple("ArchMeasure", "value log_value unit_circle_roots")):
-    """The Archimedean measure, its log and the exact unit-circle root count."""
+class ArchMeasure(namedtuple("ArchMeasure", "value log_value")):
+    """The Archimedean measure and its natural log."""
 
     __slots__ = ()
-
-    @property
-    def certified_no_unit_roots(self) -> bool:
-        return self.unit_circle_roots == 0
 
 
 def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     """|lead| * prod max(1, |root|) over the complex roots of f.
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
-    a factor of 1).  The unit-circle count, and with it the certified flag,
-    is the exact count of count_unit_circle_roots, never read off the float
-    roots; it is taken after the root iteration, so an iteration that fails
-    spends nothing on it, and it is memoised only as part of the measure:
-    no other count is shared.  A seed that is not an int
-    (a bool, a float, bytes...) raises ValueError, never coerced.  The last
-    _ARCH_MEMO_SIZE measures are memoised per (f's coefficients, seed); an
-    exception is never memoised, so a root iteration that fails fails again
-    on every call.
+    a factor of 1).  It builds no Sturm chain: the J of a tower (connected
+    base, monodromy index 1, J(1) != 0) has no unit-circle root, as D - A(t)
+    at |t| = 1 is a connection Laplacian singular only at t = 1 (Forman
+    1993; Kenyon 2011), and count_unit_circle_roots counts them for any f.
+    A seed that is not an int (a bool, a float, bytes...) raises ValueError,
+    never coerced.  The last _ARCH_MEMO_SIZE measures are memoised per (f's
+    coefficients, seed); an exception is never memoised, so a root iteration
+    that fails fails again on every call.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -179,7 +175,7 @@ def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
             a = abs(z)
             if a > 1.0:
                 log_value += math.log(a)
-    return ArchMeasure(math.exp(log_value), log_value, count_unit_circle_roots(f))
+    return ArchMeasure(math.exp(log_value), log_value)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +201,18 @@ class ArchAsymptotic(namedtuple("ArchAsymptotic", "rate poly_order constant appl
 
 
 def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
-    """Exponential growth data of the tree counts; gated by the exact
-    unit-circle root count of J (the (t-1)**e factor has measure 1).  A seed
-    that is not an int raises ValueError, as in mahler_archimedean."""
+    """Exponential growth data of the tree counts (the (t-1)**e factor has
+    measure 1).  It always applies: J has no unit-circle root, as a
+    TowerAnalysis has a connected base, monodromy index 1 and J(1) != 0
+    (Forman 1993; Kenyon 2011; see the module docstring).  A seed that is
+    not an int raises ValueError, as in mahler_archimedean."""
     measure = mahler_archimedean(ta.j_poly, seed=seed)
     constant = log_big(ta.kappa_base) - log_big(abs(ta.delta1))
     return ArchAsymptotic(
         rate=measure.log_value,
         poly_order=ta.e - 1,
         constant=constant,
-        applicable=measure.certified_no_unit_roots,
+        applicable=True,
     )
 
 

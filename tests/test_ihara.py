@@ -125,10 +125,16 @@ def test_analyze_decides_connectivity_once_and_keeps_its_errors(monkeypatch):
                 assert str(exc) == "base graph must be connected"
 
 
-def test_analyze_builds_no_sturm_chain(monkeypatch):
-    # Monodromy index 1 already rules out a root of unity in J, so analyze
-    # runs no unit-circle count: neither a Sturm chain nor any Phi_k
+def test_analyze_builds_no_sturm_chain(monkeypatch, tmp_path):
+    # Monodromy index 1 and J(1) != 0 leave J no root on the unit circle, so
+    # analyze runs no unit-circle count, neither a Sturm chain nor any Phi_k,
+    # and neither do the analyze and asymptotics commands, whose outputs keep
+    # their golden digests
+    import ihara_towers.mahler as mahler
     import ihara_towers.polyring as polyring
+    from test_golden import EXPECTED, GRAPHS, _cli
+
+    from ihara_towers.towers_cli import main
 
     def refuse(*args):
         raise AssertionError(f"unit-circle work on {args}")
@@ -137,6 +143,14 @@ def test_analyze_builds_no_sturm_chain(monkeypatch):
     monkeypatch.setattr(polyring, "cyclotomic_polynomial", refuse)
     for vg in (bouquet(1, 160), bouquet(3, 5), dumbbell(2, 3), random_tower(random.Random(5))):
         analyze(vg)
+    monkeypatch.setattr(mahler, "count_unit_circle_roots", refuse)
+    mahler._mahler_archimedean.cache_clear()
+    for name, family in GRAPHS.items():
+        path = str(tmp_path / f"{name}.json")
+        assert main(["generate", *family, "--output", path]) == 0
+        for command in (["analyze"], ["analyze", "--prime", "2", "--prime", "5"], ["asymptotics"]):
+            key = f"{name} {' '.join(command)}"
+            assert _cli([command[0], path, *command[1:]]) == EXPECTED[key], key
 
 
 def test_table_of_a_degree_1998_j_is_fast(tmp_path, capsys):
@@ -375,6 +389,33 @@ def test_bit_cap_bounds_every_pierce_lehmer_entry_point(monkeypatch):
         assert False
     except ResourceLimit as exc:
         assert str(exc) == "integer exceeds IHARA_TOWERS_MAX_BITS=0 bits"
+
+
+def test_kappa_sequence_reads_the_bit_cap_once_per_sweep(monkeypatch, tmp_path):
+    # one read in pierce_lehmer_range and one for all the kappas of the sweep,
+    # whatever n_max is; the CLI table reads it once more for kappas and rows
+    import ihara_towers.ihara as ihara
+    import ihara_towers.towers_cli as towers_cli
+
+    reads = []
+
+    def bit_cap():
+        reads.append(1)
+        return None
+
+    monkeypatch.setattr(ihara, "_bit_cap", bit_cap)
+    monkeypatch.setattr(towers_cli, "_bit_cap", bit_cap)
+    ta = analyze(bouquet(3, 5))
+    for n_max in (1, 10, 300):
+        reads.clear()
+        kappas = kappa_sequence(ta, n_max)
+        assert len(reads) == 2, n_max
+    assert tuple(kappas[:10]) == KAPPA_35
+    path = str(tmp_path / "bouquet.json")
+    towers_cli.main(["generate", "bouquet", "3", "5", "--output", path])
+    reads.clear()
+    assert towers_cli.main(["table", path, "--n-max", "40"]) == 0
+    assert len(reads) == 2
 
 
 def test_kappa_from_delta_rejects_non_integral_quotient():

@@ -4,7 +4,14 @@ import random
 import sys
 from pathlib import Path
 
-from corpus import bouquet, dumbbell, random_int_poly, random_self_reciprocal
+from corpus import (
+    bouquet,
+    dumbbell,
+    random_connected_voltaged_graph,
+    random_int_poly,
+    random_self_reciprocal,
+    random_tower,
+)
 
 from ihara_towers.errors import TowerError
 from ihara_towers.ihara import analyze, pierce_lehmer
@@ -62,7 +69,7 @@ def test_mahler_archimedean_examples():
     # a (t-1)**e factor changes nothing
     shifted = IntPoly((1, 3, 1)) * IntPoly((-1, 1)) * IntPoly((-1, 1))
     assert abs(mahler_archimedean(shifted).value - GOLDEN_SQ) < 1e-10
-    assert not mahler_archimedean(shifted).certified_no_unit_roots
+    assert count_unit_circle_roots(shifted) == 2
 
 
 def test_mahler_archimedean_multiplicativity():
@@ -104,35 +111,40 @@ def test_count_unit_circle_roots_with_pm_one_and_multiplicity():
     assert count_unit_circle_roots(lehmer) == 8
     assert count_unit_circle_roots(lehmer * lehmer) == 16
     assert count_unit_circle_roots(lehmer * lehmer * IntPoly((1, 1, 1, 1, 1))) == 20
-
-
-def test_measure_carries_the_unit_circle_count():
-    # the measure takes its count from the same exact division as
-    # count_unit_circle_roots, and certifies exactly when it is zero
-    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    # (t - 1)**2 (t + 1)**2 (t**2 + 1)**2: the roots at +-1 count with multiplicity
     pm_one = IntPoly((-1, 1)) * IntPoly((1, 1)) * IntPoly((1, 0, 1)) * IntPoly((1, 0, 1))
-    inputs = [
-        IntPoly((-1, -3, -1)),  # J of the Fibonacci tower
-        IntPoly((1, 0, 1)),
-        pm_one,
-        pm_one * IntPoly((-1, 1)) * IntPoly((1, 1)),
-        IntPoly((0, 0, 1)),
-        IntPoly((-8, 3, -6, -7, -6, 3, -8)),
-        lehmer,
-        lehmer * lehmer,
-        lehmer * lehmer * IntPoly((1, 1, 1, 1, 1)),
-        analyze(dumbbell(1, 2)).j_poly,
-        IntPoly((1, 3, 1)) * IntPoly((-1, 1)) * IntPoly((-1, 1)),
-    ]
-    rng = random.Random(2102)
-    inputs += [random_self_reciprocal(rng) for _ in range(40)]
-    for f in inputs:
-        count = count_unit_circle_roots(f)
-        m = mahler_archimedean(f)
-        assert m.unit_circle_roots == count, f
-        assert m.certified_no_unit_roots == (count == 0), f
-    assert mahler_archimedean(lehmer).unit_circle_roots == 8
-    assert mahler_archimedean(lehmer * lehmer).unit_circle_roots == 16
+    assert count_unit_circle_roots(pm_one * IntPoly((-1, 1)) * IntPoly((1, 1))) == 8
+
+
+def test_a_tower_j_has_no_unit_circle_root():
+    # For |t| = 1, D - A(t) is the connection Laplacian of the voltages: it is
+    # singular only when t**N = 1, N the monodromy index of the connected base
+    # (Forman 1993; Kenyon 2011).  So analyze, which requires N = 1 and
+    # J(1) != 0, yields a J with no root on the unit circle.
+    from ihara_towers.ihara import ihara_polynomial
+    from ihara_towers.polyring import cyclotomic_polynomial, divide_exact, pseudo_rem
+    from ihara_towers.voltage_cover import monodromy_index
+
+    rng = random.Random(3601)
+    for _ in range(2000):
+        vg = random_tower(rng)
+        assert count_unit_circle_roots(analyze(vg).j_poly) == 0, vg
+    assert all(count_unit_circle_roots(j) == 0 for j in _sweep_plan_j_polys((1, 2, 3)))
+    # for N > 1 the unit-circle roots are those of Phi_d, d | N, alone
+    rng = random.Random(3602)
+    checked = 0
+    while checked < 200:
+        vg = random_connected_voltaged_graph(rng)
+        n = monodromy_index(vg)
+        if n < 2:
+            continue
+        f = ihara_polynomial(vg).body
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            phi = cyclotomic_polynomial(d)
+            while pseudo_rem(f, phi).is_zero():
+                f = divide_exact(f, phi)
+        assert count_unit_circle_roots(f) == 0, vg
+        checked += 1
 
 
 def test_count_unit_circle_roots_against_numeric():
@@ -238,6 +250,11 @@ def test_unit_circle_count_matches_the_layered_gcd_count():
         expected = layered(f)
         assert count_unit_circle_roots(f) == expected > 0, f
         checked += 1
+    # palindromes that may have no unit-circle root at all
+    rng = random.Random(2102)
+    for _ in range(40):
+        f = random_self_reciprocal(rng)
+        assert count_unit_circle_roots(f) == layered(f), f
 
 
 def test_count_of_a_repeated_degree_250_factor_is_fast():
@@ -373,9 +390,7 @@ def test_memoised_measure_equals_the_uncached_body():
         fresh = _mahler_archimedean.__wrapped__(f.coeffs, seed)
         for _ in range(2):  # a miss, then a hit
             m = mahler_archimedean(f, seed=seed)
-            assert (m.value, m.log_value, m.unit_circle_roots) == (
-                fresh.value, fresh.log_value, fresh.unit_circle_roots), (f, seed)
-    assert mahler_archimedean(LEHMER).unit_circle_roots == 8
+            assert (m.value, m.log_value) == (fresh.value, fresh.log_value), (f, seed)
 
 
 def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
@@ -408,26 +423,26 @@ def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
     assert len(calls) == 2 and _mahler_archimedean.cache_info().currsize == 2
 
 
-def test_a_failed_root_iteration_spends_nothing_on_the_unit_circle_count(monkeypatch):
-    # the iteration runs first, so its TowerError comes before any Sturm chain
+def test_the_measure_builds_no_sturm_chain(monkeypatch):
+    # the J of a tower has no unit-circle root, so the measure counts none
     import ihara_towers.mahler as mahler
     import ihara_towers.polyring as polyring
 
-    def diverge(coeffs, tol, rng):
-        raise TowerError("root iteration did not converge within the restart budget")
+    js = _sweep_plan_j_polys((1,)) + [LEHMER, LEHMER * LEHMER, IntPoly((3, 1, 4, 1, 5))]
+    towers = [analyze(vg) for vg in (bouquet(3, 5), dumbbell(2, 3), bouquet(1, 2))]
+    _mahler_archimedean.cache_clear()
+    expected = ([mahler_archimedean(j) for j in js],
+                [archimedean_asymptotic(ta) for ta in towers])
 
-    def no_count(*args):
-        raise AssertionError("the unit-circle count was reached")
+    def refuse(*args):
+        raise AssertionError(f"unit-circle work on {args}")
 
     _mahler_archimedean.cache_clear()
-    monkeypatch.setattr(mahler, "_aberth_roots", diverge)
-    monkeypatch.setattr(polyring, "_sturm_count_open", no_count)
-    for f in (LEHMER, IntPoly((-1, -3, -1)), IntPoly((3, 1, 4, 1, 5))):
-        try:
-            mahler_archimedean(f)
-            assert False, f
-        except TowerError as exc:
-            assert "did not converge" in str(exc)
+    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
+    monkeypatch.setattr(mahler, "count_unit_circle_roots", refuse)
+    assert ([mahler_archimedean(j) for j in js],
+            [archimedean_asymptotic(ta) for ta in towers]) == expected
+    assert all(law.applicable for law in expected[1])
 
 
 def test_seed_must_be_an_int():
@@ -450,25 +465,3 @@ def test_seed_must_be_an_int():
     except ValueError as exc:
         assert "zero polynomial" in str(exc)
     assert archimedean_asymptotic(ta, seed=2**70).applicable
-
-
-def test_the_measure_counts_the_unit_circle_roots_of_each_j_once(monkeypatch):
-    # analyze runs no count and polyring keeps none, so the measure counts
-    # each distinct J once, and a J that repeats is answered by its own memo
-    import ihara_towers.mahler as mahler
-
-    js = _sweep_plan_j_polys((1, 2, 3))
-    distinct = len({j.coeffs for j in js})
-    assert distinct < len(js)
-    counted = []
-
-    def count(f):
-        counted.append(f.coeffs)
-        return count_unit_circle_roots(f)
-
-    _mahler_archimedean.cache_clear()
-    monkeypatch.setattr(mahler, "count_unit_circle_roots", count)
-    for j in js:
-        assert mahler_archimedean(j).unit_circle_roots == 0
-    assert len(counted) == len(set(counted)) == distinct
-    assert all(count_unit_circle_roots(j) == 0 for j in js)
