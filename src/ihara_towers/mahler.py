@@ -68,8 +68,23 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
     """All complex roots of sum coeffs[i] * t**i by Aberth-Ehrlich iteration.
 
     Initial points sit on a circle of radius the Cauchy bound with a random
-    angular perturbation; on stagnation the circle is rescaled and the
-    iteration restarts.
+    angular perturbation.  Each sweep moves every root in turn by its Aberth
+    correction; the sweeps stop after 400, or once the largest step relative
+    to max(1, |root|) falls below 1e-15.  Then every root must meet the
+    relative residual test; if one misses it, the iteration restarts from a
+    circle 1.5, 2, 2.5... times as wide, with fresh random angles, and
+    after _MAX_RESTARTS starts it raises TowerError.
+
+    p and p' are evaluated in one Horner pass over pairs of coefficients
+    built as complex numbers, so each step is one complex product and one
+    complex sum: the operations of a float coefficient on CPython 3.10-3.13,
+    where complex + float adds 0.0 to the imaginary part.  The Aberth sum
+    runs over the other roots with no index test; a zero difference, the one
+    case in which complex division raises ZeroDivisionError, counts as
+    1e-12.  The largest step is kept by comparisons that skip a NaN step, as
+    max() does.  tests/corpus.py keeps a straightforward form of this loop
+    as a reference, and a test requires both to return the same root lists
+    bit for bit, which pins every float operation and its order.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
@@ -77,6 +92,9 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
     radius = 1.0 + max(abs(c) for c in monic[:-1]) if d > 0 else 1.0
     deriv = [i * c for i, c in enumerate(monic)][1:]
     scale_terms = [abs(c) for c in monic]
+    top = complex(monic[-1])
+    # (monic[j], deriv[j]) for j = d - 1 down to 0: a Horner step of p and of p'
+    pairs = [(complex(monic[j]), complex(deriv[j])) for j in reversed(range(d))]
 
     def residual_ok(z):
         val = 0j
@@ -100,12 +118,11 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
             moved = 0.0
             for i in range(d):
                 z = zs[i]
-                pv = 0j
-                for c in reversed(monic):
-                    pv = pv * z + c
+                pv = 0j * z + top
                 dv = 0j
-                for c in reversed(deriv):
-                    dv = dv * z + c
+                for c, e in pairs:
+                    pv = pv * z + c
+                    dv = dv * z + e
                 if pv == 0:
                     continue
                 if dv == 0:
@@ -114,18 +131,20 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
                     continue
                 w = pv / dv
                 s = 0j
-                for k in range(d):
-                    if k != i:
-                        diff = z - zs[k]
-                        if diff == 0:
-                            diff = 1e-12
-                        s += 1.0 / diff
+                for zk in zs[:i] + zs[i + 1:]:
+                    try:
+                        s += 1.0 / (z - zk)
+                    except ZeroDivisionError:  # two coincident roots
+                        s += 1.0 / 1e-12
                 denom = 1.0 - w * s
                 if denom == 0:
                     continue
                 step = w / denom
                 zs[i] = z - step
-                moved = max(moved, abs(step) / max(1.0, abs(z)))
+                az = abs(z)
+                rel = abs(step) / (az if az > 1.0 else 1.0)
+                if rel > moved:
+                    moved = rel
             if moved < 1e-15:
                 break
         if all(residual_ok(z) for z in zs):

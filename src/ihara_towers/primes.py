@@ -6,12 +6,15 @@ import operator
 
 
 def valuation(n: int, p: int) -> int:
-    """ord_p(n) for a nonzero integer n and p >= 2."""
+    """ord_p(n) for a nonzero integer n and p >= 2; at p = 2 it is the
+    number of trailing zero bits."""
     if n == 0:
         raise ValueError("valuation of zero is infinite")
     if p < 2:
         raise ValueError(f"{p} is not prime")
     n = abs(n)
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

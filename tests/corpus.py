@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ihara_towers import analyze, monodromy_index, voltaged_graph
-from ihara_towers.errors import VerificationMismatch
+from ihara_towers.errors import TowerError, VerificationMismatch
 from ihara_towers.ihara import kappa_sequence
+from ihara_towers.mahler import _MAX_RESTARTS
 from ihara_towers.padic_engine import (
     PadicReport,
     PerLayer,
@@ -225,3 +228,70 @@ def padic_report_per_n(ta, p: int, n_max: int, kappas=None, structure=None):
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
         per_n[n] = PerLayer(lam, nu, ord_kappa, source)
     return PadicReport(p, mu, c, structure, _saturation(structure), per_n)
+
+
+def reference_aberth_roots(coeffs, tol: float, rng: random.Random):
+    """mahler._aberth_roots in a straightforward form, the reference that
+    pins its float operations: separate Horner passes for p and p' over float
+    coefficients, an Aberth sum that skips its own index and tests each
+    difference for zero, and max() for the largest relative step."""
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    monic = [c / lead for c in coeffs]
+    radius = 1.0 + max(abs(c) for c in monic[:-1]) if d > 0 else 1.0
+    deriv = [i * c for i, c in enumerate(monic)][1:]
+    scale_terms = [abs(c) for c in monic]
+
+    def residual_ok(z):
+        val = 0j
+        for c in reversed(monic):
+            val = val * z + c
+        bound = 0.0
+        zi = 1.0
+        az = abs(z)
+        for a in scale_terms:
+            bound += a * zi
+            zi *= az
+        return abs(val) <= tol * max(bound, 1e-300)
+
+    for restart in range(_MAX_RESTARTS):
+        r = radius * (1.0 + 0.5 * restart)
+        zs = [
+            r * cmath.exp(2j * math.pi * (k + rng.random() * 0.5) / d)
+            for k in range(d)
+        ]
+        for _ in range(400):
+            moved = 0.0
+            for i in range(d):
+                z = zs[i]
+                pv = 0j
+                for c in reversed(monic):
+                    pv = pv * z + c
+                dv = 0j
+                for c in reversed(deriv):
+                    dv = dv * z + c
+                if pv == 0:
+                    continue
+                if dv == 0:
+                    zs[i] = z + (0.1 + 0.1j)
+                    moved = math.inf
+                    continue
+                w = pv / dv
+                s = 0j
+                for k in range(d):
+                    if k != i:
+                        diff = z - zs[k]
+                        if diff == 0:
+                            diff = 1e-12
+                        s += 1.0 / diff
+                denom = 1.0 - w * s
+                if denom == 0:
+                    continue
+                step = w / denom
+                zs[i] = z - step
+                moved = max(moved, abs(step) / max(1.0, abs(z)))
+            if moved < 1e-15:
+                break
+        if all(residual_ok(z) for z in zs):
+            return zs
+    raise TowerError("root iteration did not converge within the restart budget")

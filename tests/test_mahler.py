@@ -11,11 +11,13 @@ from corpus import (
     random_int_poly,
     random_self_reciprocal,
     random_tower,
+    reference_aberth_roots,
 )
 
 from ihara_towers.errors import TowerError
 from ihara_towers.ihara import analyze, pierce_lehmer
 from ihara_towers.mahler import (
+    _ROOT_TOL,
     _aberth_roots,
     _mahler_archimedean,
     archimedean_asymptotic,
@@ -25,8 +27,8 @@ from ihara_towers.mahler import (
     mahler_padic,
     padic_asymptotic_no_unit_roots,
 )
-from ihara_towers.polyring import IntPoly
-from ihara_towers.towers_cli import graph_from_json
+from ihara_towers.polyring import IntPoly, _strip_trivial_roots, cyclotomic_polynomial
+from ihara_towers.towers_cli import generate_family, graph_from_json
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
@@ -465,3 +467,105 @@ def test_seed_must_be_an_int():
     except ValueError as exc:
         assert "zero polynomial" in str(exc)
     assert archimedean_asymptotic(ta, seed=2**70).applicable
+
+
+class _GivenDraws:
+    """An rng whose draws are given, then 0.25: draws 2.0 and 0.0 put the
+    first two start points on one angle, so they coincide."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws, 0.25)
+
+
+def _measured_coeffs(f):
+    """The coefficients that mahler_archimedean hands to the root iteration."""
+    return [float(c) for c in _strip_trivial_roots(f)[0].coeffs]
+
+
+def _aberth_cases():
+    """(coefficients, tol) pairs: tower J of degree 12-28, polynomials that are
+    not palindromic, palindromes, Lehmer's polynomial and products with
+    cyclotomic polynomials, at _ROOT_TOL; and at tol 1e-16, inputs of degree
+    4-6 on which the iteration uses up every restart."""
+    rng = random.Random(3701)
+    cases = []
+    while len(cases) < 20:
+        if rng.random() < 0.7:
+            vmax = rng.randint(7, 15)  # deg J = 2 vmax - 2 for a bouquet
+            vg = bouquet(rng.choice((-vmax, vmax)),
+                         *(rng.randint(-vmax, vmax) for _ in range(rng.randint(1, 2))))
+        else:
+            vg = dumbbell(rng.randint(-8, 8), rng.randint(-8, 8))
+        try:
+            j = analyze(vg).j_poly
+        except TowerError:  # monodromy index above 1
+            continue
+        if 12 <= j.degree <= 28:
+            cases.append((_measured_coeffs(j), _ROOT_TOL))
+    while len(cases) < 590:
+        # degrees weighted to the low end, which keeps the test short
+        f = random_int_poly(rng, max_degree=30 if rng.random() < 0.15 else rng.randint(1, 20))
+        if f.degree >= 1 and f.coeffs != f.coeffs[::-1]:
+            cases.append(([float(c) for c in f.coeffs], _ROOT_TOL))
+    for _ in range(300):
+        f = random_self_reciprocal(rng, max_half_degree=rng.randint(1, 8))
+        cases.append(([float(c) for c in f.coeffs], _ROOT_TOL))
+    cases.append(([float(c) for c in LEHMER.coeffs], _ROOT_TOL))
+    while len(cases) < 1000:
+        # roots of unity, +-1 (Phi_1, Phi_2) among them, left in: a repeated
+        # root slows the iteration to the full 400 sweeps
+        f = rng.choice((LEHMER, random_int_poly(rng, max_degree=4), random_self_reciprocal(rng, 2)))
+        for _ in range(rng.randint(1, 2)):
+            f = f * cyclotomic_polynomial(rng.randint(1, 12))
+        if 1 <= f.degree <= 12:
+            cases.append(([float(c) for c in f.coeffs], _ROOT_TOL))
+    exhausting = 0
+    while exhausting < 10:
+        coeffs = [float(c) for c in random_int_poly(rng, max_degree=6).coeffs]
+        if len(coeffs) >= 5:
+            try:
+                reference_aberth_roots(coeffs, 1e-16, random.Random(0))
+            except TowerError:
+                cases.append((coeffs, 1e-16))
+                exhausting += 1
+    return cases
+
+
+def _aberth_outcome(roots_fn, coeffs, tol, rng):
+    """The roots bit for bit, or the exception's type and message."""
+    try:
+        roots = roots_fn(list(coeffs), tol, rng)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def test_aberth_roots_equal_the_reference_bit_for_bit():
+    # the golden digests round floats to 10 digits: this is the full-precision guard
+    cases = _aberth_cases()
+    assert len(cases) >= 1000
+    for coeffs, tol in cases:
+        for seed in (0, 5):
+            rngs = random.Random(seed), random.Random(seed)
+            outcomes = [_aberth_outcome(fn, coeffs, tol, r)
+                        for fn, r in zip((_aberth_roots, reference_aberth_roots), rngs)]
+            assert outcomes[0] == outcomes[1], (coeffs, tol, seed)
+            assert rngs[0].getstate() == rngs[1].getstate(), (coeffs, tol, seed)
+
+    # two start points on one angle: the Aberth sum meets a zero difference
+    for coeffs in ([1.0, 2.0, -3.0, 1.0], [float(c) for c in LEHMER.coeffs]):
+        outcomes = [_aberth_outcome(fn, coeffs, _ROOT_TOL, _GivenDraws([2.0, 0.0]))
+                    for fn in (_aberth_roots, reference_aberth_roots)]
+        assert outcomes[0] == outcomes[1] and isinstance(outcomes[0], list), coeffs
+
+    # coefficients whose powers overflow; bouquet 1 160 (deg J 318) overflows
+    # in the iteration, and both fail with the same error
+    b160 = analyze(generate_family("bouquet", [1, 160])).j_poly
+    for coeffs in ([1e300, 1.0, 1e-300], [1.0, 0.0, 0.0, 0.0, 1e-300], _measured_coeffs(b160)):
+        outcomes = [_aberth_outcome(fn, coeffs, _ROOT_TOL, random.Random(0))
+                    for fn in (_aberth_roots, reference_aberth_roots)]
+        assert outcomes[0] == outcomes[1], coeffs
+    assert outcomes[0] == (TowerError, "root iteration did not converge within the restart budget")

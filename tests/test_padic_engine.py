@@ -260,6 +260,30 @@ def test_is_prime_bpsw_matches_sympy():
     assert not is_prime(r * r)
 
 
+def test_valuation_at_two_counts_trailing_zero_bits():
+    # at p = 2 the valuation reads the lowest set bit; ord_p is the division loop
+    rng = random.Random(3703)
+    values = [1, 2, 3, 2**2000, 3 * 2**1999]
+    values += [rng.getrandbits(rng.randint(1, 2000)) or 1 for _ in range(400)]
+    values += [(rng.getrandbits(rng.randint(1, 64)) | 1) << rng.randint(0, 2000) for _ in range(200)]
+    for n in values:
+        for m in (n, -n):
+            assert valuation(m, 2) == ord_p(m, 2), m
+            assert valuation(m, 3) == ord_p(m, 3), m
+    for p in (2, 3):
+        try:
+            valuation(0, p)
+            assert False, p
+        except ValueError as exc:
+            assert str(exc) == "valuation of zero is infinite"
+    for p in (1, 0, -2):
+        try:
+            valuation(8, p)
+            assert False, p
+        except ValueError as exc:
+            assert str(exc) == f"{p} is not prime"
+
+
 def test_strong_lucas_test_matches_sympy():
     # below psi_13 Miller-Rabin decides alone, so the Lucas half is checked
     # directly, on odd n with no prime factor up to 41 as is_prime hands it
