@@ -309,7 +309,8 @@ def pierce_lehmer_range(f: IntPoly, n_max: int) -> list:
 
 
 def _kappa_from_delta(ta: TowerAnalysis, n: int, delta_n: int, cap=None) -> int:
-    _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
+    if not delta_n:
+        raise VerificationMismatch(f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     sign = -1 if (ta.b * (n - 1)) % 2 else 1
     value = sign * ta.kappa_base * n ** (ta.e - 1) * delta_n
     q, r = divmod(value, ta.delta1)
@@ -334,7 +335,8 @@ def kappa_sequence(ta: TowerAnalysis, n_max: int) -> list:
 
 def _resultant_from_delta(ta: TowerAnalysis, n: int, delta_n: int, cap=None) -> int:
     # Identical by the factorization I = (t-1)**e * J and multiplicativity.
-    _invariant(delta_n != 0, f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
+    if not delta_n:
+        raise VerificationMismatch(f"layer {n}: D_n = 0, but a connected layer has a spanning tree")
     q, r = divmod(n ** ta.e * delta_n, ta.delta1)
     if r:
         raise VerificationMismatch(f"layer {n}: resultant row is not divisible by D_1")

@@ -78,13 +78,16 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
     p and p' are evaluated in one Horner pass over pairs of coefficients
     built as complex numbers, so each step is one complex product and one
     complex sum: the operations of a float coefficient on CPython 3.10-3.13,
-    where complex + float adds 0.0 to the imaginary part.  The Aberth sum
-    runs over the other roots with no index test; a zero difference, the one
-    case in which complex division raises ZeroDivisionError, counts as
-    1e-12.  The largest step is kept by comparisons that skip a NaN step, as
-    max() does.  tests/corpus.py keeps a straightforward form of this loop
-    as a reference, and a test requires both to return the same root lists
-    bit for bit, which pins every float operation and its order.
+    where complex + float adds 0.0 to the imaginary part.  The pass for p
+    starts at its lead 1 + 0j, which is 0j * z + 1.0 exactly for a finite z;
+    at a non-finite z, p' holds a NaN, so the step is NaN either way.  The
+    Aberth sum runs over the other roots with no index test; a zero
+    difference, the one case in which complex division raises
+    ZeroDivisionError, counts as 1e-12.  The largest step is kept by
+    comparisons that skip a NaN step, as max() does.  tests/corpus.py keeps
+    a straightforward form of this loop as a reference, and a test requires
+    both to return the same root lists bit for bit, which pins every float
+    operation and its order.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
@@ -118,7 +121,7 @@ def _aberth_roots(coeffs, tol: float, rng: random.Random):
             moved = 0.0
             for i in range(d):
                 z = zs[i]
-                pv = 0j * z + top
+                pv = top
                 dv = 0j
                 for c, e in pairs:
                     pv = pv * z + c

@@ -13,6 +13,9 @@ and the pseudo-remainder sequences of gcds and resultants simple.
 The kernels _mul, _prem and _resultant take the coefficients as plain int
 lists, so a loop over many small polynomials builds no IntPoly, and the
 subresultant resultant takes out no content, since its divisions are exact.
+It makes each step that lowers the degree by one, nearly every step of a
+Pierce-Lehmer value, in one pass that forms the pseudo-remainder and divides
+it; other steps run _prem.
 
 The exact count of roots on the unit circle (one walk of Sturm chains from
 the trace polynomial of gcd(f, f*), each chain starting from the last member
@@ -391,7 +394,18 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
 def _resultant(a: list, b: list) -> int:
     """Res(a, b) of trimmed nonzero low-first int lists, left unchanged, by
     Collins' subresultant PRS in the form of Cohen, Algorithm 3.3.7.  Every
-    division in it is exact for any inputs, so no content is taken out."""
+    division in it is exact for any inputs, so no content is taken out.
+
+    A step that lowers the degree by delta = 1, nearly every step of a
+    Pierce-Lehmer value, is one pass: with lb = lead(b), q1 = lb lead(a) and
+    q0 = lb a[da - 1] - lead(a) b[db - 1], prem(a, b) = lb**2 a - (q1 t + q0) b,
+    the two quotient steps of _prem written out, and each coefficient is
+    divided by g h**delta as it is made.  That division is exact because the
+    quotient is the next subresultant, an integer polynomial, and it acts on
+    each coefficient alone, so dividing before the trim changes nothing.  A
+    step with delta = 0 or delta >= 2 runs _prem and divides in a second
+    pass.  tests/corpus.py keeps the kernel with _prem on every step as a
+    reference, and a test requires both to return the same value."""
     m, n = len(a) - 1, len(b) - 1
     if m == 0:
         return a[0] ** n
@@ -408,13 +422,25 @@ def _resultant(a: list, b: list) -> int:
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = _prem(a[:], b)
+        den = g * h ** delta
+        if delta == 1:
+            # prem(a, b) = lb**2 a - (q1 t + q0) b, made and divided in one pass
+            lb, la = b[-1], a[-1]
+            q1, q0, lb2 = lb * la, lb * a[-2] - la * b[-2], lb * lb
+            terms = zip(a, [0] + b, b[:-1])
+            if den == 1:
+                r = [lb2 * x - q1 * y - q0 * z for x, y, z in terms]
+            else:
+                r = [(lb2 * x - q1 * y - q0 * z) // den for x, y, z in terms]
+        else:
+            r = _prem(a[:], b)
+            if den != 1:
+                r = [x // den for x in r]
         while r and not r[-1]:
             r.pop()
         if not r:
             return 0
-        den = g * h ** delta
-        a, b = b, ([x // den for x in r] if den != 1 else r)
+        a, b = b, r
         g = a[-1]
         if delta == 1:
             h = g

@@ -20,7 +20,7 @@ from ihara_towers.padic_engine import (
     unit_root_structure,
     valuation,
 )
-from ihara_towers.polyring import IntPoly
+from ihara_towers.polyring import IntPoly, _prem
 
 
 def bouquet(*voltages):
@@ -295,3 +295,40 @@ def reference_aberth_roots(coeffs, tol: float, rng: random.Random):
         if all(residual_ok(z) for z in zs):
             return zs
     raise TowerError("root iteration did not converge within the restart budget")
+
+
+def reference_resultant(a: list, b: list) -> int:
+    """polyring._resultant before its degree-one steps were fused into one
+    pass: every step runs _prem, trims the pseudo-remainder and divides it
+    by g * h**delta in a separate pass.  The reference that pins the fused
+    kernel to the same value on every input."""
+    m, n = len(a) - 1, len(b) - 1
+    if m == 0:
+        return a[0] ** n
+    if n == 0:
+        return b[0] ** m
+    sign = 1
+    if m < n:
+        a, b = b, a
+        if m % 2 and n % 2:
+            sign = -sign
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _prem(a[:], b)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        den = g * h ** delta
+        a, b = b, ([x // den for x in r] if den != 1 else r)
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta:
+            h = g ** delta // h ** (delta - 1)
+        if len(b) == 1:
+            return sign * b[0] ** db // h ** (db - 1)

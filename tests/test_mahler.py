@@ -569,3 +569,12 @@ def test_aberth_roots_equal_the_reference_bit_for_bit():
                     for fn in (_aberth_roots, reference_aberth_roots)]
         assert outcomes[0] == outcomes[1], coeffs
     assert outcomes[0] == (TowerError, "root iteration did not converge within the restart budget")
+
+    # t**3 - 1e102 t**2 - 1 starts on a finite circle, and at both seeds a root
+    # overflows to NaN while an earlier one still moves, so the next sweep
+    # evaluates p at a non-finite point: the one case where starting Horner at
+    # lead(p) = 1 and at 0j * z + 1 differ, and both give a NaN step
+    for seed in (0, 5):
+        outcomes = [_aberth_outcome(fn, [-1.0, 0.0, -1e102, 1.0], _ROOT_TOL, random.Random(seed))
+                    for fn in (_aberth_roots, reference_aberth_roots)]
+        assert outcomes[0] == outcomes[1], seed

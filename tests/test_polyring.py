@@ -7,12 +7,17 @@ from corpus import (
     laurent_neg,
     random_int_poly,
     random_self_reciprocal,
+    random_tower,
+    reference_resultant,
     sylvester_matrix,
 )
 
+from ihara_towers import ihara
+from ihara_towers.ihara import analyze, pierce_lehmer, pierce_lehmer_range
 from ihara_towers.polyring import (
     IntPoly,
     _divide_out,
+    _resultant,
     LaurentPoly,
     count_unit_circle_roots,
     cyclotomic_polynomial,
@@ -172,6 +177,73 @@ def test_resultant_with_a_constant_argument():
             q = IntPoly((c,))
             assert resultant(p, q) == _oracle(p, q) == c ** p.degree
             assert resultant(q, p) == _oracle(q, p) == c ** p.degree
+
+
+def _reference_kernel_pairs():
+    """Low-first int list pairs, each in both orders: random pairs of degree
+    0-24 with leads +-1, +-2, 3 and 7 and coefficients up to 10**40, odd by
+    odd degrees, pairs whose b has no second-highest coefficient, pairs
+    a = q b + r with deg q = 1 and deg r <= deg b - 2, whose second step
+    drops the degree by 2 or more, pairs with a common factor, and
+    constants."""
+    rng = random.Random(3907)
+
+    def poly(degree, limit):
+        return [rng.randint(-limit, limit) for _ in range(degree)] + [
+            rng.choice((1, -1, 2, -2, 3, 7))]
+
+    def bound():
+        return rng.choice((1, 9, 9, 10 ** 6, 10 ** 40))
+
+    def times(x, y):
+        return list((IntPoly(x) * IntPoly(y)).coeffs)
+
+    pairs = []
+    for _ in range(700):  # degrees weighted to the low end, which keeps the test short
+        top = rng.choice((8, 12, 24))
+        pairs.append((poly(rng.randint(0, top), bound()), poly(rng.randint(0, top), bound())))
+    for _ in range(150):
+        pairs.append((poly(rng.randrange(1, 16, 2), bound()),
+                      poly(rng.randrange(1, 16, 2), bound())))
+    for _ in range(150):
+        db = rng.randint(2, 14)
+        a, b = poly(db + rng.randint(0, 2), bound()), poly(db, bound())
+        b[-2] = 0
+        if rng.random() < 0.5:
+            a[-2] = 0
+        pairs.append((a, b))
+    for _ in range(300):
+        db = rng.randint(2, 16)
+        b = poly(db, bound())
+        r = poly(rng.randint(0, db - 2), bound())
+        a = times(poly(1, bound()), b)
+        pairs.append(([x + y for x, y in zip(a, r + [0] * len(a))], b))
+    for _ in range(150):
+        c = poly(rng.randint(1, 4), 9)
+        pairs.append((times(poly(rng.randint(0, 8), bound()), c),
+                      times(poly(rng.randint(0, 8), bound()), c)))
+    for _ in range(50):
+        pairs.append(([rng.choice((1, -1, 2, -2, 3, 7)) * rng.randint(1, 10 ** 40)],
+                      poly(rng.randint(0, 24), bound())))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_resultant_equals_the_reference_kernel(monkeypatch):
+    pairs = _reference_kernel_pairs()
+    assert len(pairs) >= 3000
+    zeros = 0
+    for a, b in pairs:
+        value = _resultant(a, b)
+        assert value == reference_resultant(a, b), (a, b)
+        zeros += value == 0
+    assert zeros >= 300  # every common-factor pair, in both orders
+    # every Pierce-Lehmer value through the reference kernel
+    rng = random.Random(3911)
+    js = [analyze(random_tower(rng)).j_poly for _ in range(4)]
+    ns = (1, 2, 3, 150, 299, 300)
+    fused = [(pierce_lehmer_range(j, 300), [pierce_lehmer(j, n) for n in ns]) for j in js]
+    monkeypatch.setattr(ihara, "_resultant", reference_resultant)
+    assert fused == [(pierce_lehmer_range(j, 300), [pierce_lehmer(j, n) for n in ns]) for j in js]
 
 
 # -- determinants ------------------------------------------------------------
