@@ -58,13 +58,14 @@ An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
 Z/p**K[t]/(g) is one kind of value, a low-first list of ints, q = p or p**K.
 Every product and power modulo a monic g of degree d goes through one
 Kronecker-packed kernel: the operands are packed into ints with w bits per
-coefficient, w the bit length of (2d - 1)(q - 1)**2 + q - 1 so that no slot
-carries, multiplied once, and the high slots folded back with the rows
-t**k mod g built once per (g, q).  Division serves gcds, exact quotients
-and the one inverse of the lift, by extended Euclid.
-F_p factoring and integer factoring (residue orders) are local, and
-primality and valuations come from primes, so this module never imports
-sympy.
+coefficient, multiplied once, and reduced by a polynomial Barrett step whose
+slots are all reduced mod q by one multiply-shift, a fixed number of integer
+operations whatever d is.  Division serves gcds, exact quotients and the
+one inverse of the lift, by extended Euclid.
+F_p factoring and integer factoring (residue orders) are local; a
+palindromic unit part is factored at half its degree, through its trace
+polynomial.  Primality and valuations come from primes, so this module never
+imports sympy.
 """
 
 from __future__ import annotations
@@ -78,7 +79,13 @@ from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, _bit_cap, _check_bits, kappa_sequence, pierce_lehmer
-from .polyring import IntPoly, _mul, cyclotomic_polynomial, vanishes_at_root_of_unity
+from .polyring import (
+    IntPoly,
+    _mul,
+    _trace_polynomial,
+    cyclotomic_polynomial,
+    vanishes_at_root_of_unity,
+)
 from .primes import _integer_root, content_valuation, is_prime, valuation
 
 MAX_PRECISION = 512
@@ -140,27 +147,44 @@ class _ModRing:
     substitution (Harvey, J. Symb. Comput. 44 (2009)).
 
     An element is packed into one int, w bits per coefficient, so a product
-    is one integer product.  Its slots of t**d .. t**(2d - 2) are reduced mod
-    q and folded back onto the low d slots with the rows t**k mod g, packed
-    once here; then each slot is reduced mod q.  A low slot then holds at
-    most d products of two residues plus d - 1 row terms, and slot 0 also an
-    added constant below q, so w is the bit length of
-    (2d - 1)(q - 1)**2 + q - 1 and no slot carries into the next."""
+    is one integer product, of degree at most 2d - 2.  Its residue takes a
+    fixed number of integer operations, whatever d is, in three steps of
+    polynomial Barrett reduction, each ending with every slot reduced mod q:
+    the high slots H = z // t**d, the quotient Q = (H mu) // t**(d - 2) with
+    mu = t**(2d - 2) // g over Z/qZ, packed once here, and z mod t**d less
+    (Q (g - t**d)) mod t**d.  Q is z // g exactly: z // g depends only on
+    H, and with t**(2d - 2) = mu g + r, deg r < d, (H t**(2d - 2)) // g =
+    H mu + (H r) // g, whose second term has degree below d - 2, so the
+    division by t**(d - 2) drops it.  For d = 1 both mu and H are 0.
 
-    __slots__ = ("g", "q", "w", "mask", "split", "low", "shifts", "rows")
+    A slot x is reduced mod q by one multiply-shift, x - q ((x m) >> k),
+    with k = n + bits(q) and m = ceil(2**k / q), done on all slots at once
+    by masking each quotient to its w - k bits.  As m q - 2**k < q <=
+    2**(k - n), the quotient is floor(x / q) for every x < 2**n (Granlund
+    and Montgomery, PLDI 1994).  A slot of a product, and the constant that
+    Horner adds to slot 0, stay below B = (2d - 1)(q - 1)**2 + q; the last
+    step adds to each low slot the offset O = q (floor(d (q - 1)**2 / q) +
+    1), a multiple of q above any slot it subtracts, so no slot goes
+    negative.  n is the bit length of B + O, and w = n + bits(m) + 1 leaves
+    room for x m, so no slot carries or borrows into the next."""
+
+    __slots__ = ("g", "q", "w", "mask", "split", "low", "shifts", "mu", "glow", "top",
+                 "m", "k", "qmask", "offset")
 
     def __init__(self, g, q):
         d = len(g) - 1
         self.g, self.q = g, q
-        self.w = w = ((2 * d - 1) * (q - 1) ** 2 + q - 1).bit_length()
+        offset = q * (d * (q - 1) ** 2 // q + 1)
+        n = ((2 * d - 1) * (q - 1) ** 2 + q + offset).bit_length()
+        self.k = k = n + q.bit_length()
+        self.m = m = -(-(1 << k) // q)
+        self.w = w = n + m.bit_length() + 1
         self.mask, self.split, self.low = (1 << w) - 1, d * w, (1 << d * w) - 1
         self.shifts = range(0, d * w, w)
-        rows, row = [], [-c % q for c in g[:-1]]  # t**d mod g
-        for _ in range(d - 1):
-            rows.append(self._pack(row))
-            top = row[-1]  # t * row, less top * g
-            row = [(a - top * c) % q for a, c in zip([0] + row[:-1], g)]
-        self.rows = rows
+        ones = self.low // self.mask
+        self.qmask, self.offset = ((1 << w - k) - 1) * ones, offset * ones
+        self.mu = self._pack(_gf_divmod([0] * (2 * d - 2) + [1], g, q)[0])
+        self.glow, self.top = self._pack(g[:-1]), max(d - 2, 0) * w
 
     def _pack(self, a):
         x, w = 0, self.w
@@ -169,15 +193,15 @@ class _ModRing:
         return x
 
     def _reduce(self, z):
-        """The packed residue of a packed z whose slots obey the bound."""
-        q, mask = self.q, self.mask
-        high = z >> self.split
-        z = (z & self.low) + sum([(high >> s & mask) % q * row
-                                  for s, row in zip(self.shifts, self.rows)])
-        x, w = 0, self.w
-        for s in reversed(self.shifts):
-            x = x << w | (z >> s & mask) % q
-        return x
+        """The packed residue of a packed z of degree at most 2d - 2 whose
+        slots are below B."""
+        q, m, k, qmask, low = self.q, self.m, self.k, self.qmask, self.low
+        x = z >> self.split  # H
+        x -= q * (x * m >> k & qmask)
+        x = x * self.mu >> self.top  # Q
+        x -= q * (x * m >> k & qmask)
+        x = (z & low) + self.offset - (x * self.glow & low)
+        return x - q * (x * m >> k & qmask)
 
     def _unpack(self, x):
         return _gf_trim([x >> s & self.mask for s in self.shifts])
@@ -302,12 +326,54 @@ def _gf_split(f, k, p, rng):
             return _gf_split(g, k, p, rng) + _gf_split(_gf_divmod(f, g, p)[0], k, p, rng)
 
 
+def _gf_trace_factors(f, p, rng):
+    """[(g, mult)] with f = prod g**mult, the g irreducible, for a monic
+    palindromic f of even degree 2m, from the irreducible factors h of its
+    trace polynomial K, f = t**m K(t + 1/t), each of degree d and
+    multiplicity e in K.
+
+    h = s -+ 2 gives t**2 -+ 2t + 1, so t -+ 1 with multiplicity 2e.  Any
+    other h gives H = t**d h(t + 1/t), squarefree of degree 2d, whose roots
+    are the roots of X**2 - sigma X + 1, sigma a root of h.  H is irreducible
+    iff that quadratic is irreducible over F_p(sigma) = F_(p**d); otherwise H
+    = g g* with g != g* of degree d, split by _gf_split.  For odd p the
+    quadratic is irreducible iff (sigma**2 - 4)**((p**d - 1)/2) = -1, which
+    is the quadratic character of its norm, (h(2) h(-2))**((p - 1)/2).  For
+    p = 2, X = sigma Y gives Y**2 + Y = 1/sigma**2, irreducible iff
+    Tr(1/sigma**2) = Tr(1/sigma) = 1 (Artin-Schreier), and the trace of
+    1/sigma, the sum of the reciprocal roots of h, is -h[1] / h[0] = h[1]."""
+    out = []
+    for g, e in _gf_squarefree(_gf_trim([c % p for c in _trace_polynomial(f)]), p):
+        for h in _gf_irreducible_factors(g, p, rng):
+            d = len(h) - 1
+            if d == 1 and h[0] in (2 % p, p - 2):  # s + 2 or s - 2
+                out.append(([p - 1 if h[0] == p - 2 else 1, 1], 2 * e))
+                continue
+            big_h = [1]  # t**i times the top i + 1 terms of h(s), by Horner
+            for i, c in enumerate(reversed(h[:-1]), start=1):
+                big_h = [(a + b) % p for a, b in zip_longest([0, 0] + big_h, big_h, fillvalue=0)]
+                big_h[i] = (big_h[i] + c) % p
+            if p == 2:
+                irreducible = h[1] == 1
+            else:
+                poly = IntPoly(h)
+                irreducible = pow(poly(2) * poly(-2), (p - 1) // 2, p) == p - 1
+            out.extend((u, e) for u in ([big_h] if irreducible else _gf_split(big_h, d, p, rng)))
+    return out
+
+
 def factor_mod_p(f: IntPoly, p: int):
     """Complete factorization of f mod p into monic irreducibles.
 
     Returns [(IntPoly lift with coeffs in [0, p), multiplicity)] sorted by
     degree, then coefficients.  p must be prime (ValueError otherwise).  The
     random splits are seeded, so the result is deterministic.
+
+    f mod p, made monic, is split into squarefree parts, and each part into
+    irreducibles by distinct and equal degree.  When f mod p is palindromic
+    of even degree 2m, as the unit part of every tower's J is, that work is
+    done on its trace polynomial, of degree m, and each of its factors gives
+    one or two factors of f (_gf_trace_factors).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -315,9 +381,12 @@ def factor_mod_p(f: IntPoly, p: int):
     if not fp:
         raise ValueError("polynomial vanishes mod p")
     inv = pow(fp[-1], -1, p)
-    out, rng = [], random.Random(0)
-    for g, mult in _gf_squarefree([c * inv % p for c in fp], p):
-        out.extend((IntPoly(u), mult) for u in _gf_irreducible_factors(g, p, rng))
+    fp, rng = [c * inv % p for c in fp], random.Random(0)
+    if len(fp) % 2 and len(fp) > 1 and fp == fp[::-1]:
+        out = [(IntPoly(u), mult) for u, mult in _gf_trace_factors(fp, p, rng)]
+    else:
+        out = [(IntPoly(u), mult) for g, mult in _gf_squarefree(fp, p)
+               for u in _gf_irreducible_factors(g, p, rng)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -516,7 +516,8 @@ def _trace_polynomial(c: tuple) -> list:
     of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
     t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s, V_k = s V_(k-1) -
     V_(k-2).  ihara._lehmer_modulus rescales it for the Pierce-Lehmer values,
-    and count_unit_circle_roots counts its real roots in (-2, 2)."""
+    count_unit_circle_roots counts its real roots in (-2, 2), and
+    padic_engine.factor_mod_p factors it mod p."""
     m = (len(c) - 1) // 2
     k = [c[m]] + [0] * m
     v_prev, v = [2], [0, 1]

@@ -15,8 +15,12 @@ from ihara_towers.mahler import _MAX_RESTARTS
 from ihara_towers.padic_engine import (
     PadicReport,
     PerLayer,
+    _gf_irreducible_factors,
+    _gf_squarefree,
+    _gf_trim,
     _layer_terms,
     _saturation,
+    is_prime,
     unit_root_structure,
     valuation,
 )
@@ -228,6 +232,24 @@ def padic_report_per_n(ta, p: int, n_max: int, kappas=None, structure=None):
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
         per_n[n] = PerLayer(lam, nu, ord_kappa, source)
     return PadicReport(p, mu, c, structure, _saturation(structure), per_n)
+
+
+def reference_factor_mod_p(f: IntPoly, p: int):
+    """padic_engine.factor_mod_p before palindromes went through their trace
+    polynomial: the squarefree parts of the whole of f mod p, each split by
+    distinct and equal degree.  The reference that pins the half-degree
+    route to the same factors, multiplicities and order."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    fp = _gf_trim([c % p for c in f.coeffs])
+    if not fp:
+        raise ValueError("polynomial vanishes mod p")
+    inv = pow(fp[-1], -1, p)
+    out, rng = [], random.Random(0)
+    for g, mult in _gf_squarefree([c * inv % p for c in fp], p):
+        out.extend((IntPoly(u), mult) for u in _gf_irreducible_factors(g, p, rng))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
 
 
 def reference_aberth_roots(coeffs, tol: float, rng: random.Random):

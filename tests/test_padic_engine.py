@@ -19,10 +19,11 @@ from corpus import (
     random_int_poly,
     random_self_reciprocal,
     random_tower,
+    reference_factor_mod_p,
 )
 
 import ihara_towers
-from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, ResourceLimit
+from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, ResourceLimit, TowerError
 from ihara_towers.ihara import MAX_BITS_ENV, analyze, kappa_sequence, pierce_lehmer
 from ihara_towers.mahler import _mahler_archimedean, mahler_padic
 from ihara_towers.padic_engine import (
@@ -34,6 +35,7 @@ from ihara_towers.padic_engine import (
     _factor_integer,
     _factor_p_power_minus_one,
     _gf_divmod,
+    _gf_reciprocal,
     _gf_sub,
     _gf_trim,
     _pierce_lehmer_memo,
@@ -219,6 +221,31 @@ def test_factor_mod_p_matches_sympy():
         kinds["f' = 0 mod p"] += all(i * c % p == 0 for i, c in enumerate(f.coeffs))
     assert sum(kinds[k] for k in ("plain", "square", "pth power")) >= 1000
     assert min(kinds.values()) > 100, kinds
+
+    # palindromes of even degree, factored through their trace polynomial:
+    # a factor t -+ 1 comes from s -+ 2 (ramified), a factor g other than
+    # its monic reciprocal g* from a reducible H = g g*, and a self-reciprocal
+    # g of degree > 1 from an irreducible H
+    kinds = Counter()
+    while kinds["palindromes"] < 400:
+        p = rng.choice((2, 2, 2, 3, 3, 5, 7, 11, 13, 31))
+        f = random_self_reciprocal(rng, max_half_degree=7, bound=30)
+        if rng.random() < 0.3:
+            f = f * IntPoly(rng.choice(((1, -2, 1), (1, 2, 1))))
+        if f.lead % p == 0:  # f mod p would not be palindromic
+            continue
+        _, factors = gf_factor(gf_from_int_poly(f.coeffs[::-1], p), p, ZZ)
+        expected = sorted(((IntPoly(g[::-1]), m) for g, m in factors),
+                          key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        assert factor_mod_p(f, p) == expected, (f, p)
+        mates = [_gf_reciprocal(g.coeffs, p) == g.coeffs for g, _ in expected]
+        kinds["palindromes"] += 1
+        kinds["p = 2"] += p == 2
+        kinds["ramified (s -+ 2)"] += any(g.coeffs in ((1, 1), (p - 1, 1)) for g, _ in expected)
+        kinds["reducible H"] += not all(mates)
+        kinds["irreducible H"] += any(
+            mate and g.degree > 1 for mate, (g, _) in zip(mates, expected))
+    assert min(kinds.values()) > 50, kinds
 
 
 # -- primes ----------------------------------------------------------------------
@@ -525,6 +552,47 @@ def test_unit_root_structure_full_degree_when_squarefree():
     assert found
 
 
+def test_structures_equal_those_from_full_degree_factoring(monkeypatch):
+    # the structure (factors, multiplicities, orders, s and w), or the error,
+    # with factor_mod_p and with the reference that factors the whole unit
+    # part, on tower J and on palindromes with content, with p | lead after
+    # the content is divided out, and with (t -+ 1)**2 (ramified at s -+ 2)
+    import ihara_towers.padic_engine as padic_engine
+    from ihara_towers.padic_engine import content_valuation
+
+    def outcome(j, p):
+        try:
+            return _unit_root_structure.__wrapped__(j.coeffs, p)
+        except (ValueError, TowerError) as exc:
+            return type(exc), str(exc)
+
+    primes = (2, 2, 3, 3, 5, 7, 11, 13, 31)
+    rng = random.Random(101)
+    pairs = [(ta.j_poly, p) for _, ta in acceptance_towers().values() for p in set(primes)]
+    while len(pairs) < 2100:
+        p = rng.choice(primes)
+        j = random_self_reciprocal(rng, max_half_degree=7, bound=40)
+        if rng.random() < 0.25:
+            j = j * IntPoly(rng.choice(((1, -2, 1), (1, 2, 1))))
+        elif vanishes_at_root_of_unity(j):  # an unramified one lifts to MAX_PRECISION
+            continue
+        pairs.append((j * p ** rng.choice((0, 0, 1, 2)), p))
+    kinds = Counter()
+    for j, p in pairs:
+        structure = outcome(j, p)
+        with monkeypatch.context() as m:
+            m.setattr(padic_engine, "factor_mod_p", reference_factor_mod_p)
+            assert outcome(j, p) == structure, (j, p)
+        mu = content_valuation(j, p)
+        kinds["mu > 0"] += mu > 0
+        kinds["p | lead"] += j.lead // p ** mu % p == 0
+        kinds["p = 2"] += p == 2
+        kinds["ramified"] += isinstance(structure, UnitRootStructure) and structure.ramified
+        kinds["unramified, degree > 1"] += isinstance(structure, UnitRootStructure) and any(
+            f.degree > 1 and f.s is not None for f in structure.factors)
+    assert len(pairs) >= 2000 and min(kinds.values()) > 100, kinds
+
+
 # -- lambda / nu paths -------------------------------------------------------------
 
 
@@ -666,14 +734,19 @@ def _list_powmod(a, e, g, q):
 
 
 def test_packed_kernel_matches_list_product_and_division():
-    # the slot width is tightest for full-length operands with every
-    # coefficient q - 1, so a quarter of the cases are made of those
+    # a product's slots are largest for full-length operands with every
+    # coefficient q - 1, so a quarter of the cases are made of those; each
+    # case also reduces a packed integer of degree 2d - 2 whose slots lie
+    # just below the bound B = (2d - 1)(q - 1)**2 + q of the reduction, at
+    # residues q - 1 and 0 mod q; the last cases reach d = 80, the degrees
+    # of the residue factors of a deg-318 J, and q goes past 2**64
     rng = random.Random(89)
-    cases, longer, widths = 0, 0, Counter()
-    for _ in range(2400):
+    cases, longer, widths, kinds = 0, 0, Counter(), Counter()
+    for case in range(2060):
         p = rng.choice((2, 3, 5, 7, 11, 13, 29, 31))
-        K = 1 if rng.random() < 0.4 else rng.randint(2, 16)
-        q, d = p ** K, rng.randint(1, 12)
+        K = 1 if rng.random() < 0.4 else rng.randint(2, 64 if p >= 29 else 16)
+        wide = case >= 2000
+        q, d = p ** K, rng.randint(13, 80) if wide else rng.randint(1, 12)
         g = [rng.randrange(q) for _ in range(d)] + [1]
         extreme = rng.random() < 0.25
 
@@ -684,19 +757,33 @@ def test_packed_kernel_matches_list_product_and_division():
         if rng.random() < 0.2:  # longer than g, so reduced before it is packed
             a = element(rng.randint(d + 1, 2 * d + 3))
             longer += 1
-        e = rng.choice((0, 1, 2, rng.randint(3, 400), rng.getrandbits(rng.randint(9, 40))))
-        coeffs = [rng.randint(-3 * q, 3 * q) for _ in range(rng.randint(0, 6))]
+        if wide:
+            e, exponents = rng.randint(0, 8), [rng.randint(1, 8) for _ in range(2)]
+        else:
+            e = rng.choice((0, 1, 2, rng.randint(3, 400), rng.getrandbits(rng.randint(9, 40))))
+            exponents = [rng.randint(1, 64) for _ in range(rng.randint(1, 2))]
+        coeffs = [rng.randint(-3 * q, 3 * q) for _ in range(rng.randint(0, 3 if wide else 6))]
         ring = _ModRing(g, q)
+        assert (ring.mu == 0) == (d == 1)  # t**0 // g: no quotient for d = 1
         assert ring.mul(a, b) == _list_mulmod(a, b, g, q)
         assert ring.pow(a, e) == _list_powmod(a, e, g, q)
+        assert ring.pows(a, exponents) == [_list_powmod(a, x, g, q) for x in exponents]
         value = []
         for c in reversed(coeffs):
             value = _gf_sub(_list_mulmod(value, a, g, q), [-c], q)
         assert ring.at(coeffs, a) == value
+        bound = (2 * d - 1) * (q - 1) ** 2 + q
+        slots = [rng.choice((bound - 1, bound - 1 - bound % q, bound - 1 - (bound - 1) % q,
+                             rng.randrange(bound))) for _ in range(2 * d - 1)]
+        assert ring._unpack(ring._reduce(ring._pack(slots))) == _gf_divmod(slots, g, q)[1]
         cases += 1
         widths[(K > 1, d > 6)] += 1
+        kinds["d = 1"] += d == 1
+        kinds["q > 2**64"] += q > 2 ** 64
+        kinds["d > 40"] += d > 40
     assert _ModRing([3, 0, 1], 7).pow([5, 1], 0) == [1]
     assert cases >= 2000 and longer > 300 and min(widths.values()) > 300
+    assert kinds["d = 1"] > 100 and kinds["q > 2**64"] > 100 and kinds["d > 40"] > 20, kinds
 
 
 def _horner(poly, a, g, q):
@@ -1303,9 +1390,10 @@ def test_the_structure_of_a_tower_builds_no_sturm_chain(monkeypatch):
     padic_engine._unit_root_structure.cache_clear()  # a memoised structure runs nothing
     monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
     monkeypatch.setattr(polyring, "count_unit_circle_roots", refuse)
-    # the degree-318 J of bouquet(1, 160) takes seconds at an odd prime, so it
-    # is lifted at 2 only
-    towers = [(bouquet(1, 160), (2,))] + [
+    # the degree-318 J of bouquet(1, 160) is lifted at 2 and 3 only: at 5 and
+    # 31 its structure takes longer, much of it in factoring p**f - 1 for the
+    # residue orders
+    towers = [(bouquet(1, 160), (2, 3))] + [
         (vg, (2, 3, 5, 31)) for vg in (bouquet(3, 5), dumbbell(2, 3), random_tower(random.Random(5)))]
     lifted = 0
     for vg, primes in towers:
