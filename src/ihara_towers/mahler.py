@@ -6,10 +6,10 @@ roots, as the J of a tower has none.  For |t| = 1 the Ihara matrix D - A(t)
 is the connection Laplacian of the voltage assignment (Forman, Topology 32
 (1993); Kenyon, Ann. Probab. 39 (2011)), singular only when t**N = 1, N the
 monodromy index of the connected base, and analyze requires N = 1 and
-J(1) != 0.  polyring.count_unit_circle_roots, exported from here too, stays
-the library's exact count of unit-circle roots.  The p-adic measure is the
-content valuation at a prime that primes.is_prime checks, so nothing here
-imports sympy.  The p-adic helpers are imported in the functions that use
+J(1) != 0.  count_unit_circle_roots stays the library's exact count of
+unit-circle roots of any polynomial, the package's one user of Sturm chains.
+The p-adic measure is the content valuation at a prime that primes.is_prime
+checks, so nothing here imports sympy.  The p-adic helpers are imported in the functions that use
 them: the Archimedean laws load neither primes nor the p-adic engine, and
 the p-adic measure loads only primes.
 The Archimedean measures of the last 256 (coefficients, seed) pairs are
@@ -24,9 +24,10 @@ import random
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import TowerError
+from .errors import TowerError, VerificationMismatch
 from .ihara import TowerAnalysis
-from .polyring import IntPoly, _strip_trivial_roots, count_unit_circle_roots
+from .polyring import (IntPoly, _strip_trivial_roots, _sturm_count_open, _trace_polynomial,
+                       poly_gcd)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,29 @@ def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
             if a > 1.0:
                 log_value += math.log(a)
     return ArchMeasure(math.exp(log_value), log_value)
+
+
+def count_unit_circle_roots(f: IntPoly) -> int:
+    """Number of roots of f on the complex unit circle, with multiplicity, exactly.
+
+    The roots at +-1 are split off by exact division.  The others pair as
+    beta, 1/beta, so they live in g = gcd(work, work*), palindromic of degree
+    2m, and each pair is a root in (-2, 2) of its trace polynomial K, of the
+    same multiplicity, as g has no root at +-1.  One walk counts them: a Sturm
+    chain counts the distinct roots of K, and its last member, a multiple of
+    gcd(K, K'), is the next K, until it is constant.  Nothing is memoised.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    work, count = _strip_trivial_roots(f)
+    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
+    if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
+        raise VerificationMismatch("the unit-root gcd is not palindromic")
+    k = IntPoly(_trace_polynomial(g.coeffs))
+    while k.degree > 0:
+        pairs, k = _sturm_count_open(k, -2, 2)
+        count += 2 * pairs
+    return count
 
 
 # ---------------------------------------------------------------------------

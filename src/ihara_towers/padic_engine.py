@@ -34,8 +34,10 @@ factor, whose roots satisfy beta**(p**(f/2)) = 1/beta.
 They are computed in an unramified extension at a working precision that
 rises for each root on its own: from 2 p-adic digits, doubled with one more
 Newton step while a distance reaches it.  A root of unity has an infinite
-distance, so its lift never settles: past MAX_PRECISION, J is rejected
-(ValueError) if polyring finds a root of unity in it, else PrecisionExhausted.
+distance, so its lift never settles.  Where a lift first fails to settle, at
+2 digits, J is rejected (ValueError) if Phi_k divides it for a k whose
+prime-to-p part is a residue order, so no ring above p**2 is built for it
+and no unit-circle root is counted; past MAX_PRECISION, PrecisionExhausted.
 
 The constants are summed in one place, _layer_terms, which lambda_for_n,
 nu_structural and padic_report share.  (lambda, nu) depend on n only through
@@ -48,10 +50,10 @@ lambda from lambda_for_n and the structural nu from nu_structural at the
 least n of its subsequence, and fits nu from exact values only when the
 unit part is ramified.
 
-Besides the structures, two facts that repeat within a process are kept
-in bounded memos: the factorization of p**f - 1 per (p, f), and the exact
-D_n of nu_from_oracle per (J's coefficients, n), checked against the bit cap
-on every call.
+Besides the structures, facts that repeat within a process are kept in
+bounded memos: the factorization of p**f - 1 per (p, f), the last
+root-of-unity test, and the exact D_n of nu_from_oracle per (J's
+coefficients, n), checked against the bit cap on every call.
 ord_delta_exact is never memoised, so it stays an independent recomputation.
 
 An element of F_p[t], of a residue field F_p[t]/(g) or of its lift
@@ -79,13 +81,7 @@ from math import gcd, lcm
 
 from .errors import OrderUnavailable, PrecisionExhausted, VerificationMismatch
 from .ihara import TowerAnalysis, _bit_cap, _check_bits, kappa_sequence, pierce_lehmer
-from .polyring import (
-    IntPoly,
-    _mul,
-    _trace_polynomial,
-    cyclotomic_polynomial,
-    vanishes_at_root_of_unity,
-)
+from .polyring import IntPoly, _mul, _trace_polynomial, cyclotomic_polynomial, euler_phi, pseudo_rem
 from .primes import _integer_root, content_valuation, is_prime, valuation
 
 MAX_PRECISION = 512
@@ -621,10 +617,11 @@ def unit_root_structure(j: IntPoly, p: int) -> UnitRootStructure:
     match the Newton polygon's slope-zero length (VerificationMismatch
     otherwise).  Each factor's s and w are None when the unit part is
     ramified.  A root of unity among the roots makes some
-    root-to-Teichmueller distance infinite, so its lift never settles: past
-    MAX_PRECISION, j is rejected (ValueError) if it vanishes at a root of
-    unity, decided exactly, else PrecisionExhausted is raised.  A ramified
-    unit part is never lifted, so it is never tested.
+    root-to-Teichmueller distance infinite, so its lift never settles: where
+    a lift first fails to settle, at 2 digits, j is rejected (ValueError) if
+    it vanishes at a root of unity, decided exactly; a lift that passes
+    MAX_PRECISION raises PrecisionExhausted.  A ramified unit part is never
+    lifted, so it is never tested.
 
     The last _MEMO_SIZE structures are memoised per (j's coefficients, p)
     and shared between calls; they are named tuples of ints and tuples, so
@@ -657,21 +654,27 @@ def _unit_root_structure(coeffs: tuple, p: int) -> UnitRootStructure:
     symmetric = coeffs in (coeffs[::-1], tuple(-c for c in reversed(coeffs)))
     residue = factor_mod_p(lifted, p)
     ramified = any(mult > 1 for _, mult in residue)
+    # each residue factor's order (None when unavailable) and earlier mate
+    orders, mates = {}, {}
+    for g, _ in residue:
+        mate = _gf_reciprocal(g.coeffs, p) if symmetric else None
+        if mate in orders:
+            orders[g.coeffs], mates[g.coeffs] = orders[mate], mate
+            continue
+        try:
+            orders[g.coeffs] = multiplicative_order(g, p)
+        except OrderUnavailable:
+            orders[g.coeffs] = None
     factors, seen = [], {}
     for g, mult in residue:
-        mate = seen.get(_gf_reciprocal(g.coeffs, p))
+        mate = seen.get(mates.get(g.coeffs))
         if mate is not None:
             factor = mate._replace(poly=g, multiplicity=mult)
         else:
-            try:
-                order = multiplicative_order(g, p)
-            except OrderUnavailable:
-                order = None
-            s, w = (None, None) if ramified else _root_constants(p, g, j1, order)
-            factor = UnitFactor(g, mult, g.degree, order, s, w)
+            s, w = (None, None) if ramified else _root_constants(p, g, j1, orders)
+            factor = UnitFactor(g, mult, g.degree, orders[g.coeffs], s, w)
         factors.append(factor)
-        if symmetric:
-            seen[g.coeffs] = factor
+        seen[g.coeffs] = factor
     return UnitRootStructure(p, mu, lifted, tuple(factors), ramified)
 
 
@@ -687,14 +690,14 @@ def _gf_reciprocal(g, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
+def _root_constants(p: int, residue: IntPoly, j1: IntPoly, orders: dict) -> tuple:
     """(s, w) for the roots of j1 over the residue factor, in Z/p**K[t]/(g)
     for g the factor made monic (an unramified extension, so valuations are
     taken coordinatewise), read at K = 2 p-adic digits and again at twice the
-    digits while some w[r] reaches K.  order is the residue order of the
-    factor, None when it is unavailable.  Past MAX_PRECISION it raises
-    ValueError when j1 vanishes at a root of unity, whose distance is
-    infinite, and PrecisionExhausted otherwise."""
+    digits while some w[r] reaches K.  orders maps each residue factor to its
+    order, None when unavailable.  A root of unity has an infinite distance,
+    so a lift that does not settle at K = 2 raises ValueError if j1 vanishes
+    at one, over any factor; past MAX_PRECISION, PrecisionExhausted."""
     g = _gf_monic(residue, p)
     f = len(g) - 1
     poly, dpoly = j1.coeffs, j1.derivative().coeffs
@@ -721,7 +724,7 @@ def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
         # it is a p-adic unit, so ord(beta**(p**r) - xi**(p**r)) =
         # ord(u**(p**r) - 1) = ord(beta**(N * p**r) - 1), and xi itself is
         # never computed; p**f - 1 serves when N is unavailable.
-        y = ring.pow(beta, order or p ** f - 1)
+        y = ring.pow(beta, orders[residue.coeffs] or p ** f - 1)
         w = [ord_minus_one(y, K)]
         if w[0] < 1:
             raise VerificationMismatch(
@@ -735,12 +738,30 @@ def _root_constants(p: int, residue: IntPoly, j1: IntPoly, order) -> tuple:
             w.append(ord_minus_one(y, K))
         if max(w) < K:
             return s, tuple(w)
+        if K == 2 and _has_root_of_unity(j1, p, tuple(orders.items())):
+            raise ValueError("polynomial vanishes at a root of unity")
         K *= 2
         if K > MAX_PRECISION:
-            if vanishes_at_root_of_unity(j1):
-                raise ValueError("polynomial vanishes at a root of unity")
             raise PrecisionExhausted(f"p-adic precision exceeded {MAX_PRECISION} digits")
         z = ring.mul(z, _gf_sub([2], ring.mul(ring.at(dpoly, beta), z), q))
+
+
+@lru_cache(maxsize=1)  # every lift of one structure that does not settle asks the same
+def _has_root_of_unity(j1: IntPoly, p: int, orders: tuple) -> bool:
+    """Whether j1, with a squarefree unit part mod p whose factors g have the
+    residue orders N in orders, pairs (g, N) with None where unavailable,
+    vanishes at a root of unity.  Its order is k = N p**e, as its prime-to-p
+    part reduces injectively onto a root of g, and phi(p**e) = 1, as Phi_k =
+    Phi_N**phi(p**e) mod p: k = N, or 2N when p = 2.  Phi_k | j1 needs phi(k)
+    <= deg j1, so N <= 2 deg(j1)**2, which bounds the known N tried and the
+    d | p**deg(g) - 1 an unavailable N may be; Phi_k is monic."""
+    deg = j1.degree
+    bound = 2 * deg * deg
+    candidates = {order for _, order in orders if order and order <= bound}
+    for m in {p ** (len(g) - 1) - 1 for g, order in orders if order is None}:
+        candidates.update(d for d in range(1, bound + 1) if m % d == 0)
+    return any(euler_phi(d) <= deg and pseudo_rem(j1, cyclotomic_polynomial(k)).is_zero()
+               for d in sorted(candidates) for k in ((d, 2 * d) if p == 2 else (d,)))
 
 
 # ---------------------------------------------------------------------------

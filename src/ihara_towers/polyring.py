@@ -17,13 +17,9 @@ It makes each step that lowers the degree by one, nearly every step of a
 Pierce-Lehmer value, in one pass that forms the pseudo-remainder and divides
 it; other steps run _prem.
 
-The exact count of roots on the unit circle (one walk of Sturm chains from
-the trace polynomial of gcd(f, f*), each chain starting from the last member
-of the one before) lives here, with no memo.  It bounds the root-of-unity
-scan, which the p-adic unit-root structure runs only when a lift does not
-settle by its precision bound.  Neither analyze nor the Archimedean measure
-runs it: monodromy index 1 and J(1) != 0 keep every unit-circle root out of
-J (see mahler).
+Nothing here counts or tests roots on the unit circle: mahler counts them
+from the trace polynomial and Sturm chains kept here, and padic_engine tests
+a lift that does not settle for a root of unity with Phi_k and Euler's phi.
 """
 
 from __future__ import annotations
@@ -31,8 +27,6 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from math import gcd
-
-from .errors import VerificationMismatch
 
 
 def _mul(a, b) -> list:
@@ -458,7 +452,8 @@ def _resultant(a: list, b: list) -> int:
 @lru_cache(maxsize=256)
 def cyclotomic_polynomial(k: int) -> IntPoly:
     """The k-th cyclotomic polynomial, by dividing t**k - 1 by the proper divisors.
-    The last 256 are memoised: a scan up to phi(k) <= 40 reads 81 of them."""
+    The last 256 are memoised: the p-adic root-of-unity test reads the same
+    few k for every residue factor of one order."""
     if k < 1:
         raise ValueError("k must be positive")
     num = IntPoly((-1,) + (0,) * (k - 1) + (1,))
@@ -482,24 +477,8 @@ def euler_phi(k: int) -> int:
     return result
 
 
-def vanishes_at_root_of_unity(f: IntPoly) -> bool:
-    """True iff some root of f is a root of unity, decided exactly.
-
-    Phi_k divides f when a primitive k-th root of unity is a root, and then
-    its phi(k) roots lie on the unit circle, so phi(k) <= c, the unmemoised
-    count_unit_circle_roots of f.  As phi(k) >= sqrt(k / 2), every such k is
-    at most 2 c**2, and the scan stops there; c = 0 skips it.
-    """
-    if f.degree <= 0:
-        return False
-    c = count_unit_circle_roots(f)
-    # cyclotomic polynomials are monic, so the pseudo-remainder is exact
-    return any(euler_phi(k) <= c and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
-               for k in range(1, 2 * c * c + 1))
-
-
 # ---------------------------------------------------------------------------
-# Exact unit-circle root counting
+# Trivial roots, trace polynomials, Sturm chains
 # ---------------------------------------------------------------------------
 
 
@@ -516,7 +495,7 @@ def _trace_polynomial(c: tuple) -> list:
     of degree 2m: K(s) = c[m] + sum_k c[m+k] V_k(s), where V_k(t + 1/t) =
     t**k + t**-k is the Lucas sequence V_0 = 2, V_1 = s, V_k = s V_(k-1) -
     V_(k-2).  ihara._lehmer_modulus rescales it for the Pierce-Lehmer values,
-    count_unit_circle_roots counts its real roots in (-2, 2), and
+    mahler.count_unit_circle_roots counts its real roots in (-2, 2), and
     padic_engine.factor_mod_p factors it mod p."""
     m = (len(c) - 1) // 2
     k = [c[m]] + [0] * m
@@ -556,29 +535,3 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
     if q(a) == 0 or q(b) == 0:
         raise ValueError("Sturm endpoints must not be roots")
     return variations(a) - variations(b), chain[-1]
-
-
-def count_unit_circle_roots(f: IntPoly) -> int:
-    """Number of roots of f on the complex unit circle, with multiplicity, exactly.
-
-    The roots at +-1 are split off by exact division.  The other unit-circle
-    roots are shared with the reciprocal polynomial, so they live in
-    g = gcd(work, work*), palindromic of even degree 2m, and each pair of them
-    is a root in (-2, 2) of the trace polynomial K of g.  As g has no root at
-    +-1, where t + 1/t has a critical point, a root pair of g of multiplicity
-    m gives a root of K of multiplicity m.  One walk counts them: a Sturm
-    chain counts the distinct roots of K, and its last member, a multiple of
-    gcd(K, K'), is the next K, with each multiplicity lowered by one, until
-    it is constant.  Nothing is memoised.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    work, count = _strip_trivial_roots(f)
-    g = poly_gcd(work, IntPoly(work.coeffs[::-1]))
-    if g.degree % 2 or g.coeffs != g.coeffs[::-1]:
-        raise VerificationMismatch("the unit-root gcd is not palindromic")
-    k = IntPoly(_trace_polynomial(g.coeffs))
-    while k.degree > 0:
-        pairs, k = _sturm_count_open(k, -2, 2)
-        count += 2 * pairs
-    return count

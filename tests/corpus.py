@@ -11,7 +11,7 @@ from functools import lru_cache
 from ihara_towers import analyze, monodromy_index, voltaged_graph
 from ihara_towers.errors import TowerError, VerificationMismatch
 from ihara_towers.ihara import kappa_sequence
-from ihara_towers.mahler import _MAX_RESTARTS
+from ihara_towers.mahler import _MAX_RESTARTS, count_unit_circle_roots
 from ihara_towers.padic_engine import (
     PadicReport,
     PerLayer,
@@ -24,7 +24,7 @@ from ihara_towers.padic_engine import (
     unit_root_structure,
     valuation,
 )
-from ihara_towers.polyring import IntPoly, _prem
+from ihara_towers.polyring import IntPoly, _prem, cyclotomic_polynomial, euler_phi, pseudo_rem
 
 
 def bouquet(*voltages):
@@ -165,6 +165,24 @@ def random_self_reciprocal(rng: random.Random, max_half_degree=6, bound=9):
     f = IntPoly(coeffs)
     assert f.coeffs == tuple(reversed(f.coeffs)) and f.degree == 2 * m
     return f
+
+
+# The whole-polynomial root-of-unity screen that polyring kept until the p-adic
+# lift came to decide roots of unity itself: the tests compare against it.
+def vanishes_at_root_of_unity(f: IntPoly) -> bool:
+    """True iff some root of f is a root of unity, decided exactly.
+
+    Phi_k divides f when a primitive k-th root of unity is a root, and then
+    its phi(k) roots lie on the unit circle, so phi(k) <= c, the unmemoised
+    count_unit_circle_roots of f.  As phi(k) >= sqrt(k / 2), every such k is
+    at most 2 c**2, and the scan stops there; c = 0 skips it.
+    """
+    if f.degree <= 0:
+        return False
+    c = count_unit_circle_roots(f)
+    # cyclotomic polynomials are monic, so the pseudo-remainder is exact
+    return any(euler_phi(k) <= c and pseudo_rem(f, cyclotomic_polynomial(k)).is_zero()
+               for k in range(1, 2 * c * c + 1))
 
 
 def sylvester_matrix(p: IntPoly, q: IntPoly):

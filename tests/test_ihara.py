@@ -139,7 +139,7 @@ def test_analyze_builds_no_sturm_chain(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError(f"unit-circle work on {args}")
 
-    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
+    monkeypatch.setattr(mahler, "_sturm_count_open", refuse)
     monkeypatch.setattr(polyring, "cyclotomic_polynomial", refuse)
     for vg in (bouquet(1, 160), bouquet(3, 5), dumbbell(2, 3), random_tower(random.Random(5))):
         analyze(vg)

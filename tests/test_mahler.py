@@ -278,12 +278,12 @@ def test_count_of_a_repeated_degree_250_factor_is_fast():
 
 
 def test_unit_circle_invariant_raises_package_error(monkeypatch):
-    import ihara_towers.polyring as polyring
+    import ihara_towers.mahler as mahler
     from ihara_towers.errors import VerificationMismatch
 
     # a gcd that is not palindromic, and one of odd degree
     for bad in (IntPoly((1, 0, 2)), IntPoly((1, 1))):
-        monkeypatch.setattr(polyring, "poly_gcd", lambda f, g, bad=bad: bad)
+        monkeypatch.setattr(mahler, "poly_gcd", lambda f, g, bad=bad: bad)
         try:
             count_unit_circle_roots(IntPoly((1, 0, 1)))
             assert False
@@ -428,7 +428,6 @@ def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
 def test_the_measure_builds_no_sturm_chain(monkeypatch):
     # the J of a tower has no unit-circle root, so the measure counts none
     import ihara_towers.mahler as mahler
-    import ihara_towers.polyring as polyring
 
     js = _sweep_plan_j_polys((1,)) + [LEHMER, LEHMER * LEHMER, IntPoly((3, 1, 4, 1, 5))]
     towers = [analyze(vg) for vg in (bouquet(3, 5), dumbbell(2, 3), bouquet(1, 2))]
@@ -440,7 +439,7 @@ def test_the_measure_builds_no_sturm_chain(monkeypatch):
         raise AssertionError(f"unit-circle work on {args}")
 
     _mahler_archimedean.cache_clear()
-    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
+    monkeypatch.setattr(mahler, "_sturm_count_open", refuse)
     monkeypatch.setattr(mahler, "count_unit_circle_roots", refuse)
     assert ([mahler_archimedean(j) for j in js],
             [archimedean_asymptotic(ta) for ta in towers]) == expected

@@ -20,6 +20,7 @@ from corpus import (
     random_self_reciprocal,
     random_tower,
     reference_factor_mod_p,
+    vanishes_at_root_of_unity,
 )
 
 import ihara_towers
@@ -60,8 +61,8 @@ from ihara_towers.polyring import (
     IntPoly,
     _mul,
     cyclotomic_polynomial,
+    euler_phi,
     pseudo_rem,
-    vanishes_at_root_of_unity,
 )
 from ihara_towers.primes import _strong_lucas_probable_prime
 from ihara_towers.towers_cli import build_parser
@@ -574,7 +575,7 @@ def test_structures_equal_those_from_full_degree_factoring(monkeypatch):
         j = random_self_reciprocal(rng, max_half_degree=7, bound=40)
         if rng.random() < 0.25:
             j = j * IntPoly(rng.choice(((1, -2, 1), (1, 2, 1))))
-        elif vanishes_at_root_of_unity(j):  # an unramified one lifts to MAX_PRECISION
+        elif vanishes_at_root_of_unity(j):  # an unramified one is rejected
             continue
         pairs.append((j * p ** rng.choice((0, 0, 1, 2)), p))
     kinds = Counter()
@@ -1380,16 +1381,19 @@ def test_structural_path_rejects_roots_of_unity():
 
 def test_the_structure_of_a_tower_builds_no_sturm_chain(monkeypatch):
     # Monodromy index 1 keeps every root of unity out of J, so each lift
-    # settles and the exact test, run only past MAX_PRECISION, never comes
+    # settles; one that does not settle at 2 digits runs the cyclotomic test,
+    # which counts no unit-circle roots
+    import ihara_towers.mahler as mahler
     import ihara_towers.padic_engine as padic_engine
-    import ihara_towers.polyring as polyring
 
     def refuse(*args):
         raise AssertionError(f"unit-circle work on {args}")
 
+    # the engine binds no unit-circle count of its own to reach
+    assert not {"count_unit_circle_roots", "vanishes_at_root_of_unity"} & set(vars(padic_engine))
     padic_engine._unit_root_structure.cache_clear()  # a memoised structure runs nothing
-    monkeypatch.setattr(polyring, "_sturm_count_open", refuse)
-    monkeypatch.setattr(polyring, "count_unit_circle_roots", refuse)
+    monkeypatch.setattr(mahler, "_sturm_count_open", refuse)
+    monkeypatch.setattr(mahler, "count_unit_circle_roots", refuse)
     # the degree-318 J of bouquet(1, 160) is lifted at 2 and 3 only: at 5 and
     # 31 its structure takes longer, much of it in factoring p**f - 1 for the
     # residue orders
@@ -1407,7 +1411,8 @@ def test_the_structure_of_a_tower_builds_no_sturm_chain(monkeypatch):
 def _screened_structure(j, p, monkeypatch):
     """The structure by the rule it replaced: every squarefree unit part was
     first screened for a root of unity, and a lift that did not settle by
-    MAX_PRECISION raised PrecisionExhausted."""
+    MAX_PRECISION raised PrecisionExhausted.  The lift's own test is switched
+    off, so only the screen rejects."""
     import ihara_towers.padic_engine as padic_engine
 
     mu = padic_engine.content_valuation(j, p)
@@ -1417,23 +1422,18 @@ def _screened_structure(j, p, monkeypatch):
     if residue and not ramified and vanishes_at_root_of_unity(j):
         raise ValueError("polynomial vanishes at a root of unity")
     with monkeypatch.context() as m:
-        m.setattr(padic_engine, "vanishes_at_root_of_unity", lambda f: False)
+        m.setattr(padic_engine, "_has_root_of_unity", lambda j1, p, orders: False)
         return _unit_root_structure.__wrapped__(j.coeffs, p)
 
 
-def test_the_structure_matches_the_root_of_unity_screen_it_replaced(monkeypatch):
-    # j times Phi_k, products of two Phi_k (ramified when their residues
-    # meet), and Phi_2m at p = 2 for odd m, whose roots of order 2m reduce to
-    # order m, so only w[1] is infinite, as in Phi_6 (t**3 + t + 1)
-    def outcome(build, *args):
-        try:
-            return build(*args)
-        except (ValueError, PrecisionExhausted) as exc:
-            return type(exc), str(exc)
-
-    rng = random.Random(34)
+def _root_of_unity_cases(seed, count):
+    """count seeded (j, p, kind): plain j, j times Phi_k, products of two Phi_k
+    (ramified when their residues meet), and Phi_2m at p = 2 for odd m, whose
+    roots of order 2m reduce to order m, so only w[1] is infinite, as in
+    Phi_6 (t**3 + t + 1), which comes first."""
+    rng = random.Random(seed)
     cases = [(cyclotomic_polynomial(6) * IntPoly((1, 1, 0, 1)), 2, "order 2m")]
-    while len(cases) < 1500:
+    while len(cases) < count:
         f = random_int_poly(rng, max_degree=6, bound=30)
         if f.degree < 1 or f.coeffs[0] == 0:
             continue
@@ -1446,16 +1446,117 @@ def test_the_structure_matches_the_root_of_unity_screen_it_replaced(monkeypatch)
         elif kind == "two Phi_k":
             f = f * cyclotomic_polynomial(rng.randrange(1, 13)) * cyclotomic_polynomial(rng.randrange(1, 13))
         cases.append((f, p, kind))
+    return cases
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_structure_matches_the_root_of_unity_screen_it_replaced(monkeypatch):
     tally = Counter()
-    for j, p, kind in cases:
-        got = outcome(unit_root_structure, j, p)
-        assert got == outcome(_screened_structure, j, p, monkeypatch), (j, p)
+    for j, p, kind in _root_of_unity_cases(34, 1500):
+        got = _outcome(unit_root_structure, j, p)
+        assert got == _outcome(_screened_structure, j, p, monkeypatch), (j, p)
         rejected = not isinstance(got, UnitRootStructure)
         tally[kind, "rejected" if rejected else "ramified" if got.ramified else "kept"] += 1
         if not rejected and got.ramified and vanishes_at_root_of_unity(j):
             tally["ramified root of unity"] += 1
     assert min(tally[kind, "rejected"] for kind in ("j Phi_k", "order 2m", "two Phi_k")) > 50, tally
     assert min(tally["j", "kept"], tally["ramified root of unity"]) > 50, tally
+
+
+def test_a_root_of_unity_is_rejected_before_any_ring_above_p_squared(monkeypatch):
+    # the lift that first fails to settle, at 2 digits, runs the cyclotomic
+    # test over every residue order, so no ring mod p**4 or above is built
+    moduli = []
+    build = _ModRing.__init__
+
+    def spy(self, g, q):
+        moduli.append(q)
+        build(self, g, q)
+
+    monkeypatch.setattr(_ModRing, "__init__", spy)
+    named = [(J_FIB * cyclotomic_polynomial(5), 3, "J_FIB Phi_5"),
+             (cyclotomic_polynomial(6) * IntPoly((1, 1, 0, 1)), 2, "order 2m")]
+    tally = Counter()
+    for j, p, kind in named + _root_of_unity_cases(41, 900):
+        moduli.clear()
+        got = _outcome(unit_root_structure, j, p)  # a rejection is never memoised
+        if isinstance(got, UnitRootStructure):
+            continue
+        assert got == (ValueError, "polynomial vanishes at a root of unity"), (j, p, got)
+        assert max(moduli) == p * p, (j, p, moduli)
+        tally[kind] += 1
+    assert tally["J_FIB Phi_5"] == 1 and sum(tally.values()) >= 200, tally
+
+
+def test_a_residue_factor_of_prime_order_is_not_tried(monkeypatch):
+    # at p = 2, t**89 + t**38 + 1 and t**61 + t**5 + t**2 + t + 1 are
+    # irreducible of order 2**89 - 1 and 2**61 - 1, both prime; beside Phi_3 or
+    # t**2 + t + 5, whose lifts do not settle at 2 digits, those orders are
+    # far above 2 deg(J)**2, so no Phi_k of them is tried and no phi of them
+    # is taken (trial division to 2**44 would not end)
+    import ihara_towers.padic_engine as padic_engine
+
+    def bounded_phi(k):
+        assert k <= 2 * 91 * 91, k
+        return euler_phi(k)
+
+    monkeypatch.setattr(padic_engine, "euler_phi", bounded_phi)
+    calls = []
+    test = padic_engine._has_root_of_unity.__wrapped__
+
+    def spy(j1, p, orders):
+        calls.append(max(order for _, order in orders))
+        return test(j1, p, orders)
+
+    monkeypatch.setattr(padic_engine, "_has_root_of_unity", spy)
+    h89 = IntPoly((1,) + (0,) * 37 + (1,) + (0,) * 50 + (1,))
+    h61 = IntPoly((1, 1, 1, 0, 0, 1) + (0,) * 55 + (1,))
+    for h, n in ((h89, 89), (h61, 61)):
+        calls.clear()
+        got = _outcome(_unit_root_structure.__wrapped__, (cyclotomic_polynomial(3) * h).coeffs, 2)
+        assert got == (ValueError, "polynomial vanishes at a root of unity")
+        assert calls == [2 ** n - 1]
+        calls.clear()
+        kept = _unit_root_structure.__wrapped__((IntPoly((5, 1, 1)) * h).coeffs, 2)
+        assert calls and set(calls) == {2 ** n - 1}
+        assert sorted(f.order for f in kept.factors) == [3, 2 ** n - 1]
+        assert kept == _screened_structure(IntPoly((5, 1, 1)) * h, 2, monkeypatch)
+
+
+def test_unknown_residue_orders_give_the_same_outcomes(monkeypatch):
+    # with p**f - 1 unfactorable every order is None: a root of unity is still
+    # rejected, and every other structure has the same constants
+    import ihara_towers.padic_engine as padic_engine
+
+    def refuse(m):
+        raise OrderUnavailable(f"cannot factor {m}")
+
+    cases = [(j, p) for j, p, _ in _root_of_unity_cases(43, 400)]
+    cases += [(J_FIB * cyclotomic_polynomial(5), 3), (J_FIB, 2), (J_FIB, 5)]
+    known = [_outcome(_unit_root_structure.__wrapped__, j.coeffs, p) for j, p in cases]
+    _factor_p_power_minus_one.cache_clear()
+    monkeypatch.setattr(padic_engine, "_factor_integer", refuse)
+    try:
+        tally = Counter()
+        for (j, p), expected in zip(cases, known):
+            got = _outcome(_unit_root_structure.__wrapped__, j.coeffs, p)
+            if isinstance(expected, UnitRootStructure):
+                assert all(f.order is None for f in got.factors), (j, p)
+                expected = expected._replace(factors=tuple(
+                    f._replace(order=None) for f in expected.factors))
+                tally["kept", expected.ramified] += 1
+            else:
+                tally[expected] += 1
+            assert got == expected, (j, p)
+    finally:
+        _factor_p_power_minus_one.cache_clear()
+    assert min(tally.values()) > 50 and len(tally) == 3, tally
 
 
 def test_unit_root_invariant_raises_package_error(monkeypatch):

@@ -10,16 +10,17 @@ from corpus import (
     random_tower,
     reference_resultant,
     sylvester_matrix,
+    vanishes_at_root_of_unity,
 )
 
 from ihara_towers import ihara
 from ihara_towers.ihara import analyze, pierce_lehmer, pierce_lehmer_range
+from ihara_towers.mahler import count_unit_circle_roots
 from ihara_towers.polyring import (
     IntPoly,
     _divide_out,
     _resultant,
     LaurentPoly,
-    count_unit_circle_roots,
     cyclotomic_polynomial,
     divide_exact,
     euler_phi,
@@ -29,7 +30,6 @@ from ihara_towers.polyring import (
     poly_matrix_det,
     pseudo_rem,
     resultant,
-    vanishes_at_root_of_unity,
 )
 
 T_MINUS_1 = IntPoly((-1, 1))
