@@ -43,8 +43,8 @@ _EXPORTS = {
         "poly_matrix_det", "resultant",
     ),
     "voltage_cover": (
-        "VoltageAssignment", "VoltagedGraph", "derived_graph",
-        "fundamental_cycle_voltages", "monodromy_index", "voltaged_graph",
+        "VoltagedGraph", "derived_graph", "fundamental_cycle_voltages",
+        "monodromy_index", "voltaged_graph",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

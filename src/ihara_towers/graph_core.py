@@ -25,14 +25,15 @@ from heapq import heapify, heappop, heappush
 from .errors import VerificationMismatch
 
 
-class EdgePair(namedtuple("EdgePair", "id origin terminus")):
-    """One chosen orientation of an undirected edge; id is the input index."""
+class EdgePair(namedtuple("EdgePair", "origin terminus")):
+    """One chosen orientation of an undirected edge; its index in the graph's
+    edge_pairs names it."""
 
     __slots__ = ()
 
 
 class SerreGraph(namedtuple("SerreGraph", "vertices edge_pairs")):
-    """The vertex labels and the EdgePair of each edge, in id order."""
+    """The vertex labels and the EdgePair of each edge, in edge order."""
 
     __slots__ = ()
 
@@ -51,7 +52,7 @@ class SerreGraph(namedtuple("SerreGraph", "vertices edge_pairs")):
 
 
 def build_graph(vertex_count: int, undirected_edges, labels=None) -> SerreGraph:
-    """Build a graph from a list of (u, v) endpoint pairs, ids in input order."""
+    """Build a graph from a list of (u, v) endpoint pairs, in input order."""
     if vertex_count < 0:
         raise ValueError("vertex_count must be nonnegative")
     if labels is None:
@@ -61,10 +62,10 @@ def build_graph(vertex_count: int, undirected_edges, labels=None) -> SerreGraph:
         if len(labels) != vertex_count:
             raise ValueError("label count mismatch")
     pairs = []
-    for i, (u, v) in enumerate(undirected_edges):
+    for u, v in undirected_edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise IndexError(f"edge ({u}, {v}) references a missing vertex")
-        pairs.append(EdgePair(i, u, v))
+        pairs.append(EdgePair(u, v))
     return SerreGraph(labels, tuple(pairs))
 
 

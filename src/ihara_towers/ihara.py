@@ -97,8 +97,7 @@ def _ihara_determinant(vg: VoltagedGraph) -> LaurentPoly:
     g = vg.base
     n = g.vertex_count
     entries = [[{} for _ in range(n)] for _ in range(n)]
-    for e in g.edge_pairs:
-        a = vg.voltages[e.id]
+    for e, a in zip(g.edge_pairs, vg.voltages):
         row = entries[e.origin][e.terminus]
         row[a] = row.get(a, 0) - 1
         row = entries[e.terminus][e.origin]

@@ -237,8 +237,8 @@ def log_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
-class ArchAsymptotic(namedtuple("ArchAsymptotic", "rate poly_order constant applicable")):
-    """kappa(X_n) ~ n**poly_order * exp(constant) * exp(rate)**n when applicable."""
+class ArchAsymptotic(namedtuple("ArchAsymptotic", "rate poly_order constant")):
+    """kappa(X_n) ~ n**poly_order * exp(constant) * exp(rate)**n."""
 
     __slots__ = ()
 
@@ -254,12 +254,7 @@ def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
     not an int raises ValueError, as in mahler_archimedean."""
     measure = mahler_archimedean(ta.j_poly, seed=seed)
     constant = log_big(ta.kappa_base) - log_big(abs(ta.delta1))
-    return ArchAsymptotic(
-        rate=measure.log_value,
-        poly_order=ta.e - 1,
-        constant=constant,
-        applicable=True,
-    )
+    return ArchAsymptotic(rate=measure.log_value, poly_order=ta.e - 1, constant=constant)
 
 
 class PadicAsymptotic(namedtuple("PadicAsymptotic", "prime mu poly_order c applicable")):

@@ -202,6 +202,9 @@ class LaurentPoly:
             return NotImplemented
         return self.low == other.low and self.body == other.body
 
+    def __hash__(self):
+        return hash((self.low, self.body.coeffs))
+
     def __repr__(self):
         return f"LaurentPoly({self.low}, {list(self.body.coeffs)!r})"
 

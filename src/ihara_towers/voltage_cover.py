@@ -9,44 +9,32 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from math import gcd
 
 from .errors import HypothesisViolation
 from .graph_core import SerreGraph, build_graph
 
 
-class VoltageAssignment(namedtuple("VoltageAssignment", "values")):
-    """Map from edge-pair id to the voltage of the stored orientation; values
-    is a copy of the mapping it was built from."""
-
-    __slots__ = ()
-
-    def __new__(cls, values):
-        return super().__new__(cls, dict(values))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: copy the values there too
-        return cls(*iterable)
-
-    def __getitem__(self, edge_id: int) -> int:
-        return self.values[edge_id]
-
-
 class VoltagedGraph(namedtuple("VoltagedGraph", "base voltages")):
-    """A base graph with one voltage per edge pair; ValueError unless the
-    voltages are keyed exactly by the ids of the base's edge pairs."""
+    """A base graph and its voltages: voltages[i], an int, is the voltage of
+    base.edge_pairs[i].  Built from any sequence of one integer per edge
+    pair; a mapping or other non-sequence, or a value that is not an integer
+    (see _voltage), raises TypeError, and a wrong length raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, base, voltages):
-        if set(voltages.values) != {e.id for e in base.edge_pairs}:
-            raise ValueError("voltages must be keyed exactly by the base edge pairs")
+        if not isinstance(voltages, Sequence):
+            raise TypeError(f"voltages must be a sequence, not {type(voltages).__name__}")
+        voltages = tuple(map(_voltage, voltages))
+        if len(voltages) != len(base.edge_pairs):
+            raise ValueError("voltages must give exactly one value per base edge pair")
         return super().__new__(cls, base, voltages)
 
     @classmethod
     def _make(cls, iterable):
-        # _replace builds through _make: check the keys there too
+        # _replace builds through _make: validate there too
         return cls(*iterable)
 
 
@@ -61,55 +49,44 @@ def voltaged_graph(vertex_count: int, edges_with_voltages, labels=None) -> Volta
     """Convenience constructor from (u, v, voltage) triples."""
     edges = [(u, v) for u, v, _ in edges_with_voltages]
     g = build_graph(vertex_count, edges, labels=labels)
-    values = {i: _voltage(a) for i, (_, _, a) in enumerate(edges_with_voltages)}
-    return VoltagedGraph(g, VoltageAssignment(values))
+    return VoltagedGraph(g, [a for _, _, a in edges_with_voltages])
 
 
 def _bfs_tree_potentials(vg: VoltagedGraph):
-    """Spanning tree from vertex 0 (edges scanned in id order), with the
+    """Spanning tree from vertex 0 (edges scanned in edge order), with the
     voltage-sum potential of each vertex along its tree path.
 
-    Returns (potentials, tree_edge_ids).
+    Returns (potentials, the set of the tree's edge-pair indices).
     """
     g = vg.base
     n = g.vertex_count
     if n == 0:
         raise HypothesisViolation("base graph must be connected")
     incident = [[] for _ in range(n)]
-    for e in g.edge_pairs:
-        incident[e.origin].append((e, +1))
+    for i, (e, a) in enumerate(zip(g.edge_pairs, vg.voltages)):
+        incident[e.origin].append((i, e.terminus, a))
         if e.terminus != e.origin:
-            incident[e.terminus].append((e, -1))
-    for lst in incident:
-        lst.sort(key=lambda pair: pair[0].id)
+            incident[e.terminus].append((i, e.origin, -a))
     potential = [None] * n
     potential[0] = 0
-    tree_ids = set()
+    tree = set()
     queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for e, direction in incident[v]:
-            w = e.terminus if direction == 1 else e.origin
+    for v in queue:
+        for i, w, a in incident[v]:
             if potential[w] is None:
-                potential[w] = potential[v] + direction * vg.voltages[e.id]
-                tree_ids.add(e.id)
+                potential[w] = potential[v] + a
+                tree.add(i)
                 queue.append(w)
     if len(queue) < n:
         raise HypothesisViolation("base graph must be connected")
-    return potential, tree_ids
+    return potential, tree
 
 
 def fundamental_cycle_voltages(vg: VoltagedGraph) -> list:
-    """Voltage of the fundamental cycle of each non-tree edge pair, in id order."""
-    potential, tree_ids = _bfs_tree_potentials(vg)
-    out = []
-    for e in vg.base.edge_pairs:
-        if e.id in tree_ids:
-            continue
-        out.append(potential[e.origin] + vg.voltages[e.id] - potential[e.terminus])
-    return out
+    """Voltage of the fundamental cycle of each non-tree edge pair, in edge order."""
+    potential, tree = _bfs_tree_potentials(vg)
+    return [potential[e.origin] + a - potential[e.terminus]
+            for i, (e, a) in enumerate(zip(vg.base.edge_pairs, vg.voltages)) if i not in tree]
 
 
 def monodromy_index(vg: VoltagedGraph) -> int:
@@ -135,8 +112,7 @@ def derived_graph(vg: VoltagedGraph, n: int) -> SerreGraph:
     g = vg.base
     labels = tuple((g.vertices[v], s) for v in range(g.vertex_count) for s in range(n))
     edges = []
-    for e in g.edge_pairs:
-        a = vg.voltages[e.id]
+    for e, a in zip(g.edge_pairs, vg.voltages):
         for s in range(n):
             edges.append((e.origin * n + s, e.terminus * n + (s + a) % n))
     return build_graph(g.vertex_count * n, edges, labels=labels)

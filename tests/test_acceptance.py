@@ -36,6 +36,7 @@ from ihara_towers.mahler import (
     archimedean_asymptotic,
     count_unit_circle_roots,
     log_big,
+    mahler_archimedean,
     mahler_padic,
 )
 from ihara_towers.padic_engine import (
@@ -185,7 +186,7 @@ def test_criterion_7_archimedean_asymptotics():
         ta = analyze(vg)
         assert abs(ta.delta1) == delta_sq  # sum of squared voltages
         law = archimedean_asymptotic(ta)
-        assert law.applicable
+        assert law.rate == mahler_archimedean(ta.j_poly).log_value  # the law's rate is log M(J)
         actual = log_big(kappa_via_formula(ta, 300))
         predicted = law.predicted_log_kappa(300)
         assert abs(actual - predicted) < 1e-6, abs(actual - predicted)

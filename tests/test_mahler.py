@@ -294,13 +294,13 @@ def test_unit_circle_invariant_raises_package_error(monkeypatch):
 def test_archimedean_asymptotic_records():
     ta = analyze(bouquet(1, 2))
     law = archimedean_asymptotic(ta)
-    assert law.applicable and law.poly_order == 1
+    assert law.rate == mahler_archimedean(ta.j_poly).log_value and law.poly_order == 1
     assert abs(law.rate - math.log(GOLDEN_SQ)) < 1e-10
     assert abs(law.constant - math.log(1 / 5)) < 1e-12
 
     ta = analyze(dumbbell(1, 2))
     law = archimedean_asymptotic(ta)
-    assert law.applicable
+    assert law.rate == mahler_archimedean(ta.j_poly).log_value
     assert abs(law.constant - math.log(1 / 5)) < 1e-12
 
 
@@ -443,7 +443,8 @@ def test_the_measure_builds_no_sturm_chain(monkeypatch):
     monkeypatch.setattr(mahler, "count_unit_circle_roots", refuse)
     assert ([mahler_archimedean(j) for j in js],
             [archimedean_asymptotic(ta) for ta in towers]) == expected
-    assert all(law.applicable for law in expected[1])
+    assert [law.rate for law in expected[1]] == [
+        mahler_archimedean(ta.j_poly).log_value for ta in towers]
 
 
 def test_seed_must_be_an_int():
@@ -465,7 +466,8 @@ def test_seed_must_be_an_int():
         assert False
     except ValueError as exc:
         assert "zero polynomial" in str(exc)
-    assert archimedean_asymptotic(ta, seed=2**70).applicable
+    assert (archimedean_asymptotic(ta, seed=2**70).rate
+            == mahler_archimedean(ta.j_poly, seed=2**70).log_value)
 
 
 class _GivenDraws:

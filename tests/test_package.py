@@ -33,8 +33,8 @@ EXPORTED = {
                      "unit_root_structure", "washington_invariants"],
     "polyring": ["IntPoly", "LaurentPoly", "divide_exact", "is_self_reciprocal",
                  "poly_matrix_det", "resultant"],
-    "voltage_cover": ["VoltageAssignment", "VoltagedGraph", "derived_graph",
-                      "fundamental_cycle_voltages", "monodromy_index", "voltaged_graph"],
+    "voltage_cover": ["VoltagedGraph", "derived_graph", "fundamental_cycle_voltages",
+                      "monodromy_index", "voltaged_graph"],
 }
 
 
@@ -127,7 +127,7 @@ def _record_examples():
     report = padic_engine.padic_report(ta, 2, 12)
     structure = report.structure
     return [
-        vg.base.edge_pairs[0], vg.base, vg.voltages, vg, ta, verify_tower(vg, 4),
+        vg.base.edge_pairs[0], vg.base, vg, ta, verify_tower(vg, 4),
         mahler.mahler_padic(ta.j_poly, 5), mahler.mahler_archimedean(ta.j_poly),
         mahler.archimedean_asymptotic(ta), mahler.padic_asymptotic_no_unit_roots(ta, 3),
         padic_engine.newton_polygon(ta.j_poly, 5), structure.factors[0], structure,
@@ -140,15 +140,13 @@ def test_records_are_immutable_named_tuples():
     import copy
     import pickle
 
-    from ihara_towers.voltage_cover import VoltageAssignment, VoltagedGraph
-
     modules = [importlib.import_module(f"ihara_towers.{module}")
                for module in _src_texts() if not module.startswith("__")]
     records = {cls for module in modules for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, tuple)
                and cls.__module__ == module.__name__}
     examples = _record_examples()
-    assert len(records) == 17 and {type(x) for x in examples} == records
+    assert len(records) == 16 and {type(x) for x in examples} == records
     for x in examples:
         name, fields = type(x).__name__, type(x)._fields
         for attr in (fields[0], "not_a_field"):
@@ -161,23 +159,10 @@ def test_records_are_immutable_named_tuples():
             assert twin == x and type(twin) is type(x), name
         values = tuple(getattr(x, f) for f in fields)
         assert repr(x) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
-        try:
-            expected = hash(values)
-        except TypeError:  # a dict among the fields
+        if name == "PadicReport":
+            # per_n is a dict, which perfbench/selftest.py changes in place
             continue
-        assert hash(x) == expected, name
-    base, vg = examples[1], examples[3]
-    for keys in ((0,), (0, 1, 2), (1, 2)):
-        for build in (lambda va: VoltagedGraph(base, va), lambda va: vg._replace(voltages=va)):
-            try:
-                build(VoltageAssignment(dict.fromkeys(keys, 1)))
-                assert False, keys
-            except ValueError:
-                pass
-    values = {0: 4, 1: 5}
-    copied = vg.voltages._replace(values=values)
-    values[0] = 6
-    assert copied.values == {0: 4, 1: 5} and copied[0] == 4
+        assert hash(x) == hash(values), name
 
 
 SRC = Path(ihara_towers.__file__).resolve().parent

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd
 
@@ -5,13 +6,14 @@ from corpus import bouquet, degree_and_adjacency, dumbbell, random_connected_vol
 
 from ihara_towers.errors import HypothesisViolation
 from ihara_towers.graph_core import (
+    EdgePair,
     build_graph,
     euler_characteristic,
     is_connected,
     spanning_tree_count,
 )
+from ihara_towers.towers_cli import generate_family, graph_from_json, graph_to_json
 from ihara_towers.voltage_cover import (
-    VoltageAssignment,
     VoltagedGraph,
     derived_graph,
     fundamental_cycle_voltages,
@@ -21,12 +23,52 @@ from ihara_towers.voltage_cover import (
 
 
 def test_voltage_keys_validated():
-    g = build_graph(1, [(0, 0)])
-    try:
-        VoltagedGraph(g, VoltageAssignment({0: 1, 1: 2}))
-        assert False
-    except ValueError:
-        pass
+    # one int per edge pair, in edge order, through the constructor and _replace
+    vg = voltaged_graph(1, [(0, 0, 1), (0, 0, 2)])
+    assert vg.voltages == (1, 2) and type(vg.voltages) is tuple
+    assert vg.base.edge_pairs == (EdgePair(0, 0), EdgePair(0, 0))
+    assert EdgePair._fields == ("origin", "terminus")
+    # a mapping iterates its keys, which must not be read as voltages
+    bad = [({0: 1, 1: 2}, TypeError), ({0, 1}, TypeError), (iter((1, 2)), TypeError),
+           ([1], ValueError), ([1, 2, 3], ValueError), ((), ValueError),
+           ([1, True], TypeError), ((1, 2.0), TypeError), ([1, "2"], TypeError)]
+    for build in (lambda vs: VoltagedGraph(vg.base, vs), lambda vs: vg._replace(voltages=vs)):
+        assert build([5, -7]).voltages == (5, -7)
+        for voltages, error in bad:
+            try:
+                build(voltages)
+                assert False, voltages
+            except error:
+                pass
+    assert vg.voltages == (1, 2)
+
+
+def _mutable_parts(x):
+    """The values inside x, a record or one of its fields, that are neither a
+    tuple nor an immutable scalar."""
+    if isinstance(x, tuple):
+        for item in x:
+            yield from _mutable_parts(item)
+    elif not isinstance(x, (int, str)):
+        yield x
+
+
+def test_graphs_hold_no_mutable_container():
+    rng = random.Random(42)
+    graphs = [bouquet(3, 5), dumbbell(2, 3), voltaged_graph(0, [])]
+    graphs += [random_connected_voltaged_graph(rng) for _ in range(20)]
+    for vg in graphs:
+        for record in (vg, vg.base, *vg.base.edge_pairs, derived_graph(vg, 3)):
+            assert list(_mutable_parts(record)) == [], record
+
+
+def test_a_voltaged_graph_hashes_as_its_value():
+    fib = voltaged_graph(1, [(0, 0, 1), (0, 0, 2)], labels=("v0",))
+    assert generate_family("fibonacci", []) == fib
+    assert hash(generate_family("fibonacci", [])) == hash(fib)
+    for vg in (fib, voltaged_graph(2, [(0, 0, 1), (0, 1, 0), (1, 1, -2)], labels=("a", "b"))):
+        for twin in (graph_from_json(graph_to_json(vg)), pickle.loads(pickle.dumps(vg))):
+            assert twin == vg and hash(twin) == hash(vg)
 
 
 def test_monodromy_examples():
@@ -144,7 +186,7 @@ def test_derived_graph_rejects_bad_layer():
 
 
 def test_voltaged_graph_rejects_non_integer_voltages():
-    assert voltaged_graph(1, [(0, 0, 3)]).voltages[0] == 3
+    assert voltaged_graph(1, [(0, 0, 3)]).voltages == (3,)
     for voltage in (1.7, True, "3"):
         try:
             voltaged_graph(1, [(0, 0, voltage)])
