@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, zip_longest
 from math import gcd, lcm
@@ -527,14 +526,15 @@ class NewtonPolygon(namedtuple("NewtonPolygon", "prime vertices segments")):
     """Lower hull of (i, ord_p(c_i)); slope-zero length counts p-adic unit roots.
 
     vertices: ((i, ord_p(c_i)), ...) on the lower hull.
-    segments: ((slope: Fraction, length: int), ...).
+    segments: ((rise, length), ...) of ints, one per hull edge, whose slope
+    is rise / length.
     """
 
     __slots__ = ()
 
     @property
     def slope_zero_length(self) -> int:
-        return sum(length for slope, length in self.segments if slope == 0)
+        return sum(length for rise, length in self.segments if rise == 0)
 
 
 def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
@@ -554,10 +554,8 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-    return NewtonPolygon(p, tuple(hull), tuple(segments))
+    segments = tuple((y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    return NewtonPolygon(p, tuple(hull), segments)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ The dense representation keeps coeffs[i] as the coefficient of t**i.
 That is a deliberate trade-off: the polynomials handled here have small
 degree (a few hundred at most), and density keeps Bareiss elimination
 and the pseudo-remainder sequences of gcds and resultants simple.
+IntPoly and LaurentPoly are records like every other: immutable named
+tuples, equal to and hashed as the tuple of their fields, so a polynomial
+is never equal to an int.
 
 The kernels _mul, _prem and _resultant take the coefficients as plain int
 lists, so a loop over many small polynomials builds no IntPoly, and the
@@ -25,6 +28,7 @@ a lift that does not settle for a root of unity with Phi_k and Euler's phi.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -39,21 +43,30 @@ def _mul(a, b) -> list:
     return out
 
 
-class IntPoly:
-    """Dense polynomial over the integers.
+class IntPoly(namedtuple("IntPoly", "coeffs")):
+    """Dense polynomial over the integers, a record like the others.
 
     The zero polynomial is the empty coefficient tuple and reports
     degree -1 (the distinguished sentinel); otherwise the leading
-    coefficient is nonzero.
+    coefficient is nonzero.  Equal to and hashed as the tuple (coeffs,),
+    so never equal to an int; bool is overridden, as a 1-tuple is true.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __new__(cls, coeffs=()):
+        cs = tuple(coeffs)
+        if cs and cs[-1] == 0:
+            n = len(cs) - 1
+            while n and cs[n - 1] == 0:
+                n -= 1
+            cs = cs[:n]
+        return tuple.__new__(cls, (cs,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: trim there too
+        return cls(*iterable)
 
     # -- basic queries ----------------------------------------------------
 
@@ -72,19 +85,6 @@ class IntPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (IntPoly((other,)).coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)!r})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -105,9 +105,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
@@ -120,8 +118,6 @@ class IntPoly:
         """Multiply by t**k (k >= 0)."""
         if k < 0:
             raise ValueError("negative shift on IntPoly")
-        if not self.coeffs:
-            return self
         return IntPoly((0,) * k + self.coeffs)
 
     def __call__(self, x):
@@ -136,10 +132,7 @@ class IntPoly:
 
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPoly":
         g = self.content()
@@ -153,30 +146,32 @@ class IntPoly:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """Laurent polynomial t**low * body with body(0) != 0 unless zero.
+class LaurentPoly(namedtuple("LaurentPoly", "low body")):
+    """Laurent polynomial t**low * body with body(0) != 0 unless zero, a
+    record like the others.
 
     The zero Laurent polynomial is stored as low == 0 with a zero body.  It
-    holds the Ihara determinant, so it supports construction, from_dict,
-    is_zero, high, equality, reciprocal_substitution and repr, and no
-    arithmetic: poly_matrix_det clears each row to IntPoly entries.  The
-    tests carry their own Laurent arithmetic.
+    holds the Ihara determinant, so it supports construction, from_dict and
+    is_zero, and no arithmetic: poly_matrix_det clears each row to IntPoly
+    entries.  The tests carry their own Laurent arithmetic.
     """
 
-    __slots__ = ("low", "body")
+    __slots__ = ()
 
-    def __init__(self, low: int, body: IntPoly):
+    def __new__(cls, low: int, body: IntPoly):
         if body.is_zero():
-            self.low = 0
-            self.body = body
-            return
+            return tuple.__new__(cls, (0, body))
         k = 0
         while body.coeffs[k] == 0:
             k += 1
         if k:
             body = IntPoly(body.coeffs[k:])
-        self.low = low + k
-        self.body = body
+        return tuple.__new__(cls, (low + k, body))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: strip the power of t there too
+        return cls(*iterable)
 
     @classmethod
     def from_dict(cls, terms: dict) -> "LaurentPoly":
@@ -193,33 +188,14 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
-    @property
-    def high(self) -> int:
-        return self.low + self.body.degree
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.low == other.low and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.low, self.body.coeffs))
-
-    def __repr__(self):
-        return f"LaurentPoly({self.low}, {list(self.body.coeffs)!r})"
-
-    def reciprocal_substitution(self) -> "LaurentPoly":
-        """Return f(1/t) as a Laurent polynomial."""
-        return LaurentPoly(-self.high, IntPoly(tuple(reversed(self.body.coeffs))))
-
 
 def is_self_reciprocal(f) -> bool:
-    """True iff f(1/t) == f(t).  Accepts LaurentPoly or IntPoly."""
+    """True iff f(1/t) == f(t): f is zero, or its body is a palindrome and
+    2 low + deg(body) == 0.  Accepts LaurentPoly or IntPoly."""
     if isinstance(f, IntPoly):
         f = LaurentPoly(0, f)
-    if f.is_zero():
-        return True
-    return f.reciprocal_substitution() == f
+    c = f.body.coeffs
+    return not c or (c == c[::-1] and 2 * f.low + len(c) - 1 == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,28 @@ def test_analyze_b2_35():
     assert ta.kappa_base == 1 and ta.chi == -1
 
 
+def _plain(x):
+    """x with every record, at any depth, turned into a plain tuple."""
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+def test_an_analyzed_tower_hashes_as_its_value():
+    import pickle
+
+    ta = analyze(bouquet(3, 5))
+    before = hash(ta)
+    assert before == hash(analyze(bouquet(3, 5))) == hash(pickle.loads(pickle.dumps(ta)))
+    assert before == hash(_plain(ta)) and ta == _plain(ta)
+    for record, field in ((ta.j_poly, "coeffs"), (ta.i_poly, "coeffs"),
+                          (ta.ihara, "low"), (ta.ihara, "body")):
+        try:
+            setattr(record, field, (7,))
+            assert False, field
+        except AttributeError:
+            pass
+    assert hash(ta) == before and ta.j_poly == J_35 and len({ta, analyze(bouquet(3, 5))}) == 1
+
+
 def test_analyze_b2_12():
     ta = analyze(bouquet(1, 2))
     assert (ta.b, ta.e) == (2, 2)

@@ -94,7 +94,7 @@ before = set(sys.modules)
 from ihara_towers.towers_cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-watched = ("dataclasses", "ihara_towers.mahler", "ihara_towers.padic_engine",
+watched = ("dataclasses", "fractions", "ihara_towers.mahler", "ihara_towers.padic_engine",
            "ihara_towers.primes", "multiprocessing")
 print(json.dumps({"code": code,
                   "loaded": [m for m in watched if m in sys.modules and m not in before]}))
@@ -127,7 +127,7 @@ def _record_examples():
     report = padic_engine.padic_report(ta, 2, 12)
     structure = report.structure
     return [
-        vg.base.edge_pairs[0], vg.base, vg, ta, verify_tower(vg, 4),
+        vg.base.edge_pairs[0], vg.base, vg, ta, ta.ihara, ta.j_poly, verify_tower(vg, 4),
         mahler.mahler_padic(ta.j_poly, 5), mahler.mahler_archimedean(ta.j_poly),
         mahler.archimedean_asymptotic(ta), mahler.padic_asymptotic_no_unit_roots(ta, 3),
         padic_engine.newton_polygon(ta.j_poly, 5), structure.factors[0], structure,
@@ -146,7 +146,7 @@ def test_records_are_immutable_named_tuples():
                if isinstance(cls, type) and issubclass(cls, tuple)
                and cls.__module__ == module.__name__}
     examples = _record_examples()
-    assert len(records) == 16 and {type(x) for x in examples} == records
+    assert len(records) == 18 and {type(x) for x in examples} == records
     for x in examples:
         name, fields = type(x).__name__, type(x)._fields
         for attr in (fields[0], "not_a_field"):
@@ -162,7 +162,18 @@ def test_records_are_immutable_named_tuples():
         if name == "PadicReport":
             # per_n is a dict, which perfbench/selftest.py changes in place
             continue
+        assert list(_mutable_parts(x, name)) == [], name
         assert hash(x) == hash(values), name
+
+
+def _mutable_parts(x, path):
+    """The paths below x to a value that could change: anything but an int,
+    float, str, None or a tuple of such values with no __dict__."""
+    if isinstance(x, tuple) and not hasattr(x, "__dict__"):
+        for i, value in enumerate(x):
+            yield from _mutable_parts(value, f"{path}[{i}]")
+    elif type(x) not in (int, float, str, bool, type(None)):
+        yield path, type(x).__name__
 
 
 SRC = Path(ihara_towers.__file__).resolve().parent

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -75,19 +74,24 @@ J_FIB = IntPoly((-1, -3, -1))
 
 
 def test_newton_polygon_examples():
+    # each segment is (rise, length) of ints, its slope rise / length
     np1 = newton_polygon(IntPoly((1, 3, 1)), 5)
-    assert np1.segments == ((Fraction(0), 2),)
+    assert np1.segments == ((0, 2),) and np1.slope_zero_length == 2
     np2 = newton_polygon(IntPoly((5, 1, 5)), 5)
-    assert [s for s, _ in np2.segments] == [Fraction(-1), Fraction(1)]
+    assert np2.segments == ((-1, 1), (1, 1))
     assert np2.slope_zero_length == 0
     np3 = newton_polygon(IntPoly((0, 0, 0, 1)), 3)
     assert np3.segments == () and np3.slope_zero_length == 0
+    # a segment over two points is not reduced: (-2, 2), slope -1
+    np4 = newton_polygon(IntPoly((4, 0, 1, 2)), 2)
+    assert np4.vertices == ((0, 2), (2, 0), (3, 1)) and np4.segments == ((-2, 2), (1, 1))
+    assert all(type(x) is int for segment in np4.segments for x in segment)
 
 
 def test_newton_polygon_slope_minus_one_for_halving_root():
     # 2t - 1 has the single root 1/2, valuation -1 at p = 2
     np1 = newton_polygon(IntPoly((-1, 2)), 2)
-    assert np1.segments == ((Fraction(1), 1),)
+    assert np1.segments == ((1, 1),)
     assert np1.slope_zero_length == 0
 
 
@@ -1567,7 +1571,7 @@ def test_unit_root_invariant_raises_package_error(monkeypatch):
     # a memoised structure would never reach the patched Newton polygon
     padic_engine._unit_root_structure.cache_clear()
     monkeypatch.setattr(
-        padic_engine, "newton_polygon", lambda f, p: NewtonPolygon(p, (), ((Fraction(0), 1),))
+        padic_engine, "newton_polygon", lambda f, p: NewtonPolygon(p, (), ((0, 1),))
     )
     try:
         unit_root_structure(J_FIB, 2)

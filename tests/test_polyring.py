@@ -361,6 +361,52 @@ def test_is_self_reciprocal():
     assert is_self_reciprocal(L({0: 4, 3: -1, -3: -1, 5: -1, -5: -1}))
     assert not is_self_reciprocal(L({1: 1}))
     assert is_self_reciprocal(L({0: 7}))
+    assert is_self_reciprocal(L({})) and is_self_reciprocal(IntPoly((5,)))
+    assert not is_self_reciprocal(IntPoly((1, 3, 1)))
+    # against f(1/t) from the terms, on palindromes at every offset and on
+    # bodies that are palindromes only up to sign or a middle term
+    rng = random.Random(43)
+    for _ in range(400):
+        half = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+        body = half + [rng.randint(-3, 3)] * rng.randint(0, 1) + half[::-1]
+        if rng.random() < 0.3 and body:
+            body[rng.randrange(len(body))] += rng.choice((-1, 1))
+        terms = {rng.randint(-4, 1) + i: c for i, c in enumerate(body)}
+        f = L(terms)
+        assert is_self_reciprocal(f) == (L({-e: c for e, c in terms.items()}) == f), terms
+
+
+def test_polynomials_are_immutable():
+    f, g = IntPoly((1, 2)), L({-1: 1, 1: 1})
+    for record, field in ((f, "coeffs"), (g, "low"), (g, "body"), (f, "not_a_field")):
+        try:
+            setattr(record, field, (7,))
+            assert False, field
+        except AttributeError:
+            pass
+    assert f == IntPoly((1, 2)) and g == L({-1: 1, 1: 1})
+
+
+def test_polynomials_equal_only_polynomials_and_hash_as_they_compare():
+    assert IntPoly((3,)) != 3 and IntPoly() != 0 and len({IntPoly((3,)), 3}) == 2
+    assert IntPoly((3,)) == ((3,),) and L({1: 2}) == (1, IntPoly((2,)))
+    assert repr(IntPoly((1, 0, 2, 0))) == "IntPoly(coeffs=(1, 0, 2))"
+    assert repr(L({-1: 1, 1: 1})) == "LaurentPoly(low=-1, body=IntPoly(coeffs=(1, 0, 1)))"
+    assert not IntPoly() and IntPoly((0, 0)) == IntPoly() and L({}) == LaurentPoly(5, IntPoly())
+    # _replace builds through the constructor, so it trims and strips too
+    assert IntPoly((1,))._replace(coeffs=(1, 2, 0)) == IntPoly((1, 2))
+    assert L({0: 1})._replace(body=IntPoly((0, 0, 3))) == L({2: 3})
+    rng = random.Random(4343)
+    values = [rng.randint(-2, 2) for _ in range(5)]
+    for _ in range(300):
+        coeffs = [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]
+        f = IntPoly(coeffs + [0] * rng.randint(0, 2))
+        values += [f, IntPoly(coeffs), LaurentPoly(rng.randint(-2, 2), f), tuple(coeffs)]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                assert not (isinstance(a, int) and isinstance(b, IntPoly)), (a, b)
 
 
 # -- gcd utilities -----------------------------------------------------------
