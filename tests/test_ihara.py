@@ -203,8 +203,13 @@ def test_pierce_lehmer_table_row():
 
 def test_pierce_lehmer_simple_values():
     assert pierce_lehmer(IntPoly((-2, 1)), 1) == 1  # Res(t - 2, t - 1)
+    # D_n = -5 F_n**2 on the Lengyel tower (lead -1, half-degree 1), and
+    # D_n = -(2**n - 1)**2 for (2t - 1)(t - 2), on the rescaled path (lead 2)
     j_fib = IntPoly((-1, -3, -1))
     assert pierce_lehmer(j_fib, 12) == -5 * fib(12) ** 2
+    assert pierce_lehmer_range(j_fib, 300) == [-5 * fib(n) ** 2 for n in range(1, 301)]
+    assert pierce_lehmer(j_fib, 10 ** 4) == -5 * fib(10 ** 4) ** 2
+    assert pierce_lehmer_range(IntPoly((2, -5, 2)), 300) == [-(2 ** n - 1) ** 2 for n in range(1, 301)]
 
 
 def test_pierce_lehmer_fast_path_matches_sylvester():
@@ -306,11 +311,15 @@ def test_pierce_lehmer_takes_half_size_resultants(monkeypatch):
 def test_pierce_lehmer_square_factors_at_every_lead_and_root_of_unity():
     rng = random.Random(41)
     ns = (1, 2, 3, 64, 99, 100, 255, 256)
+    lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    assert (lehmer(1), lehmer(-1)) == (-1, 1)
     # |lead| 2 and 3 (q = 4 and 9), half-degree m = 1, and (t + 1)**2, where
-    # J(-1) = 0 and so every even D_n vanishes
+    # J(-1) = 0 and so every even D_n vanishes; Lehmer's polynomial and the
+    # J of three towers
     fs = [IntPoly((2, 1, 2)), IntPoly((-3, 7, -3)), IntPoly((3, -1, 4, -1, 3)),
           IntPoly((2, 1, -3, 1, 2)), IntPoly((1, 2, 1)) * IntPoly((1, 3, 1)),
-          IntPoly((1, 2, 1)) * IntPoly((-2, 1, 5, 1, -2))]
+          IntPoly((1, 2, 1)) * IntPoly((-2, 1, 5, 1, -2)), lehmer]
+    fs += [analyze(vg).j_poly for vg in (bouquet(1, 2), bouquet(3, 5), dumbbell(2, 3))]
     fs += [random_self_reciprocal(rng, max_half_degree=4, bound=6) for _ in range(12)]
     for f in fs:
         values = pierce_lehmer_range(f, 300)
@@ -319,8 +328,7 @@ def test_pierce_lehmer_square_factors_at_every_lead_and_root_of_unity():
         for n in ns:
             assert pierce_lehmer(f, n) == values[n - 1]
     # a factor Phi_d, d >= 3: D_n = 0 exactly when d | n
-    base = [IntPoly((1, -3, 1)), IntPoly((-2, 1, 3, 1, -2)),
-            IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))]  # Lehmer's polynomial
+    base = [IntPoly((1, -3, 1)), IntPoly((-2, 1, 3, 1, -2)), lehmer]
     for d in (3, 4, 5, 7, 12):
         for g in base:
             f = g * cyclotomic_polynomial(d)

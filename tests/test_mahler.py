@@ -4,6 +4,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 from corpus import (
     bouquet,
     dumbbell,
@@ -112,7 +114,11 @@ def test_count_unit_circle_roots_with_pm_one_and_multiplicity():
     lehmer = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
     assert count_unit_circle_roots(lehmer) == 8
     assert count_unit_circle_roots(lehmer * lehmer) == 16
-    assert count_unit_circle_roots(lehmer * lehmer * IntPoly((1, 1, 1, 1, 1))) == 20
+    phi_5 = IntPoly((1, 1, 1, 1, 1))
+    assert count_unit_circle_roots(lehmer * lehmer * phi_5) == 20
+    # three Sturm chains, each from the last member of the one before, count
+    # the 12 roots, the 12 of multiplicity 2 or more and the 4 of multiplicity 3
+    assert count_unit_circle_roots(lehmer * lehmer * phi_5 * phi_5 * phi_5) == 28
     # (t - 1)**2 (t + 1)**2 (t**2 + 1)**2: the roots at +-1 count with multiplicity
     pm_one = IntPoly((-1, 1)) * IntPoly((1, 1)) * IntPoly((1, 0, 1)) * IntPoly((1, 0, 1))
     assert count_unit_circle_roots(pm_one * IntPoly((-1, 1)) * IntPoly((1, 1))) == 8
@@ -187,6 +193,7 @@ def test_count_unit_circle_roots_ignores_sign():
         assert count == cyc.degree + count_unit_circle_roots(g)
 
 
+@pytest.mark.sympy
 def test_sturm_count_matches_sympy():
     # Sparse coefficients make remainders skip degrees, where the sign of a
     # pseudo-remainder depends on the parity of the degree drop.

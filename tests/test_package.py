@@ -310,6 +310,17 @@ def test_no_module_under_src_imports_dataclasses():
     assert "dataclasses" not in imported
 
 
+def test_no_module_under_src_asserts_or_reads_debug():
+    # an invariant raises a package error: python -O deletes every assert
+    # and every `if __debug__:` block, so with neither in src/ the package
+    # runs the same code under -O
+    found = [(module, node.lineno) for module, text in _src_texts().items()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Name) and node.id == "__debug__")]
+    assert found == []
+
+
 def test_every_top_level_definition_is_used_exported_or_traced():
     assert [d for d in unused_definitions(_src_texts(), _reached()) if "." not in d[1]] == []
 

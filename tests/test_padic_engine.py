@@ -8,6 +8,8 @@ from collections import Counter
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 from corpus import (
     acceptance_towers,
     bouquet,
@@ -68,6 +70,7 @@ from ihara_towers.towers_cli import build_parser
 from ihara_towers.voltage_cover import voltaged_graph
 
 J_FIB = IntPoly((-1, -3, -1))
+LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
 
 # -- Newton polygons ---------------------------------------------------------
@@ -145,19 +148,19 @@ def _fp_divides(g, f, p):
 
 
 def _factor_by_trial_division(f, p):
-    """Monic irreducible factors of f mod p, for deg f <= 6.
+    """Monic irreducible factors of f mod p.
 
-    Trial division by every monic polynomial of degree 1, 2, 3 in turn: a
-    divisor met at degree d has no factor of lower degree, so it is
-    irreducible, and a cofactor of degree <= 6 left without a factor of
-    degree <= 3 is irreducible too."""
+    Trial division by every monic polynomial of degree 1, 2, ..., deg f // 2
+    in turn: a divisor met at degree d has no factor of lower degree, so it
+    is irreducible, and a cofactor left without a factor of degree up to
+    deg f // 2 is irreducible too."""
     fp = [c % p for c in f.coeffs]
     while fp[-1] == 0:
         fp.pop()
     inv = pow(fp[-1], p - 2, p)
     fp = [c * inv % p for c in fp]
     factors = Counter()
-    for d in (1, 2, 3):
+    for d in range(1, (len(fp) - 1) // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
             while len(fp) - 1 >= d:
@@ -175,6 +178,13 @@ def _factor_by_trial_division(f, p):
 
 
 def test_factor_mod_p_matches_trial_division():
+    # palindromes, which factor_mod_p takes through their trace polynomial:
+    # Lehmer's at p = 2, and J_FIB (t - 1)**2 at p = 3, whose factor t - 1
+    # comes from s - 2
+    ramified = J_FIB * IntPoly((1, -2, 1))
+    assert factor_mod_p(LEHMER, 2) == _factor_by_trial_division(LEHMER, 2)
+    assert factor_mod_p(ramified, 3) == _factor_by_trial_division(ramified, 3)
+    assert (IntPoly((2, 1)), 2) in factor_mod_p(ramified, 3)
     rng = random.Random(67)
     checked = repeated = 0
     while checked < 300:
@@ -194,6 +204,7 @@ def test_factor_mod_p_matches_trial_division():
     assert repeated > 30
 
 
+@pytest.mark.sympy
 def test_factor_mod_p_matches_sympy():
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_factor, gf_from_int_poly
@@ -256,6 +267,7 @@ def test_factor_mod_p_matches_sympy():
 # -- primes ----------------------------------------------------------------------
 
 
+@pytest.mark.sympy
 def test_is_prime_matches_sympy():
     from sympy import isprime
 
@@ -276,6 +288,7 @@ def test_is_prime_strong_pseudoprimes_and_mersenne_primes():
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
 
 
+@pytest.mark.sympy
 def test_is_prime_bpsw_matches_sympy():
     # above psi_13 both run strong BPSW; is_prime adds Miller-Rabin bases 3..41
     from sympy import isprime, nextprime
@@ -316,6 +329,7 @@ def test_valuation_at_two_counts_trailing_zero_bits():
             assert str(exc) == f"{p} is not prime"
 
 
+@pytest.mark.sympy
 def test_strong_lucas_test_matches_sympy():
     # below psi_13 Miller-Rabin decides alone, so the Lucas half is checked
     # directly, on odd n with no prime factor up to 41 as is_prime hands it
@@ -349,6 +363,7 @@ def test_is_prime_never_imports_sympy():
 SAFE_PRIMES_80 = (779104616247001073777123, 688395332917637777539343)
 
 
+@pytest.mark.sympy
 def test_factor_integer_matches_sympy():
     from sympy import factorint
 
@@ -365,6 +380,7 @@ def test_factor_integer_matches_sympy():
         assert _factor_integer(m) == factorint(m), m
 
 
+@pytest.mark.sympy
 def test_factor_integer_splits_perfect_powers():
     from sympy import factorint
 
@@ -378,6 +394,7 @@ def test_factor_integer_splits_perfect_powers():
         assert _factor_integer(m) == factorint(m), m
 
 
+@pytest.mark.sympy
 def test_factor_integer_on_cyclotomic_values():
     # Phi_d(p) for the prime p <= 31 and d <= 24: only two of the 251 values
     # keep two prime factors above 2**36 after trial division, and they may
@@ -422,6 +439,11 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(IntPoly((1, 1, 1)), 2) == 3
     assert multiplicative_order(IntPoly((-1, 1)), 5) == 1
     assert multiplicative_order(IntPoly((-2, 1)), 7) == 3
+    # self-reciprocal factors, whose order divides p**(f/2) + 1: Phi_5 and
+    # Phi_11 are irreducible mod 2 (11 divides 2**5 + 1), t**2 + 1 mod 3
+    assert multiplicative_order(cyclotomic_polynomial(5), 2) == 5
+    assert multiplicative_order(cyclotomic_polynomial(11), 2) == 11
+    assert multiplicative_order(IntPoly((1, 0, 1)), 3) == 4
 
 
 def test_multiplicative_order_rejects_zero_root():
@@ -538,11 +560,13 @@ def test_unit_root_structure_fibonacci():
     assert len(s2.factors) == 1
     f = s2.factors[0]
     assert f.poly == IntPoly((1, 1, 1)) and f.degree == 2 and f.order == 3
+    assert (f.s, f.w) == (1, (1, 3))
 
     s5 = unit_root_structure(J_FIB, 5)
     assert s5.ramified
     f = s5.factors[0]
     assert f.poly == IntPoly((4, 1)) and f.multiplicity == 2 and f.order == 1
+    assert (f.s, f.w) == (None, None)
 
 
 def test_unit_root_structure_full_degree_when_squarefree():
@@ -555,6 +579,10 @@ def test_unit_root_structure_full_degree_when_squarefree():
             found = True
             assert sum(f.degree for f in s.factors) == 8
     assert found
+    # Lehmer's polynomial, whose unit-circle roots are not roots of unity
+    for p in (2, 5):
+        s = unit_root_structure(LEHMER, p)
+        assert not s.ramified and sum(f.degree for f in s.factors) == 10, p
 
 
 def test_structures_equal_those_from_full_degree_factoring(monkeypatch):
@@ -1169,6 +1197,7 @@ def test_sequence_classes_cover_and_predict():
 
 def test_friedman_laws_fibonacci():
     laws = friedman_laws(J_FIB, 7, (2, 3), bound=5000)
+    assert sorted(laws) == [2, 3, 7]
     for ell in (2, 3):
         law = laws[ell]
         for n, exps in _semigroup(2, 3, 5000):
@@ -1484,8 +1513,12 @@ def test_a_root_of_unity_is_rejected_before_any_ring_above_p_squared(monkeypatch
         build(self, g, q)
 
     monkeypatch.setattr(_ModRing, "__init__", spy)
-    named = [(J_FIB * cyclotomic_polynomial(5), 3, "J_FIB Phi_5"),
-             (cyclotomic_polynomial(6) * IntPoly((1, 1, 0, 1)), 2, "order 2m")]
+    # J_FIB Phi_5 and Lehmer Phi_12 at primes where their unit parts are
+    # squarefree, and Phi_6 (t**3 + t + 1) at p = 2, whose roots of order 6
+    # reduce to order 3, so only w[1] is infinite
+    named = [(J_FIB * cyclotomic_polynomial(5), p, "named") for p in (2, 3, 7)]
+    named += [(LEHMER * cyclotomic_polynomial(12), 5, "named"),
+              (cyclotomic_polynomial(6) * IntPoly((1, 1, 0, 1)), 2, "named")]
     tally = Counter()
     for j, p, kind in named + _root_of_unity_cases(41, 900):
         moduli.clear()
@@ -1495,7 +1528,7 @@ def test_a_root_of_unity_is_rejected_before_any_ring_above_p_squared(monkeypatch
         assert got == (ValueError, "polynomial vanishes at a root of unity"), (j, p, got)
         assert max(moduli) == p * p, (j, p, moduli)
         tally[kind] += 1
-    assert tally["J_FIB Phi_5"] == 1 and sum(tally.values()) >= 200, tally
+    assert tally["named"] == len(named) and sum(tally.values()) >= 200, tally
 
 
 def test_a_residue_factor_of_prime_order_is_not_tried(monkeypatch):
