@@ -12,8 +12,10 @@ The p-adic measure is the content valuation at a prime that primes.is_prime
 checks, so nothing here imports sympy.  The p-adic helpers are imported in the functions that use
 them: the Archimedean laws load neither primes nor the p-adic engine, and
 the p-adic measure loads only primes.
-The Archimedean measures of the last 256 (coefficients, seed) pairs are
-memoised per process: analyze and asymptotics of one tower ask for the same J.
+The Archimedean measure is a function of J alone: the root iteration draws
+its start points from random.Random(0), and the last 256 measures are
+memoised per process by J's coefficients, as analyze and asymptotics of one
+tower ask for the same J.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class ArchMeasure(namedtuple("ArchMeasure", "value log_value")):
     __slots__ = ()
 
 
-def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
+def mahler_archimedean(f: IntPoly) -> ArchMeasure:
     """|lead| * prod max(1, |root|) over the complex roots of f.
 
     Roots at 0 and +-1 are removed by exact division first (they contribute
@@ -170,16 +172,14 @@ def mahler_archimedean(f: IntPoly, seed: int = 0) -> ArchMeasure:
     base, monodromy index 1, J(1) != 0) has no unit-circle root, as D - A(t)
     at |t| = 1 is a connection Laplacian singular only at t = 1 (Forman
     1993; Kenyon 2011), and count_unit_circle_roots counts them for any f.
-    A seed that is not an int (a bool, a float, bytes...) raises ValueError,
-    never coerced.  The last _ARCH_MEMO_SIZE measures are memoised per (f's
-    coefficients, seed); an exception is never memoised, so a root iteration
-    that fails fails again on every call.
+    The iteration draws from random.Random(0), so the measure depends on f
+    alone.  The last _ARCH_MEMO_SIZE measures are memoised per f's
+    coefficients; an exception is never memoised, so a root iteration that
+    fails fails again on every call.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed {seed!r} is not an integer")
-    return _mahler_archimedean(f.coeffs, seed)
+    return _mahler_archimedean(f.coeffs)
 
 
 # ArchMeasure is a named tuple of numbers, so a memoised value that every
@@ -188,12 +188,12 @@ _ARCH_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_ARCH_MEMO_SIZE)
-def _mahler_archimedean(coeffs: tuple, seed: int) -> ArchMeasure:
+def _mahler_archimedean(coeffs: tuple) -> ArchMeasure:
     f = IntPoly(coeffs)
     work = _strip_trivial_roots(f)[0]
     log_value = math.log(abs(work.lead))
     if work.degree > 0:
-        roots = _aberth_roots([float(c) for c in work.coeffs], _ROOT_TOL, random.Random(seed))
+        roots = _aberth_roots([float(c) for c in work.coeffs], _ROOT_TOL, random.Random(0))
         for z in roots:
             a = abs(z)
             if a > 1.0:
@@ -246,13 +246,12 @@ class ArchAsymptotic(namedtuple("ArchAsymptotic", "rate poly_order constant")):
         return n * self.rate + self.poly_order * math.log(n) + self.constant
 
 
-def archimedean_asymptotic(ta: TowerAnalysis, seed: int = 0) -> ArchAsymptotic:
+def archimedean_asymptotic(ta: TowerAnalysis) -> ArchAsymptotic:
     """Exponential growth data of the tree counts (the (t-1)**e factor has
     measure 1).  It always applies: J has no unit-circle root, as a
     TowerAnalysis has a connected base, monodromy index 1 and J(1) != 0
-    (Forman 1993; Kenyon 2011; see the module docstring).  A seed that is
-    not an int raises ValueError, as in mahler_archimedean."""
-    measure = mahler_archimedean(ta.j_poly, seed=seed)
+    (Forman 1993; Kenyon 2011; see the module docstring)."""
+    measure = mahler_archimedean(ta.j_poly)
     constant = log_big(ta.kappa_base) - log_big(abs(ta.delta1))
     return ArchAsymptotic(rate=measure.log_value, poly_order=ta.e - 1, constant=constant)
 

@@ -767,16 +767,10 @@ def _has_root_of_unity(j1: IntPoly, p: int, orders: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lambda_for_n(structure: UnitRootStructure, n: int, e: int = None) -> int:
-    """Number of unit roots whose residue order divides n (with multiplicity).
-
-    With e given, adds the tower shift e - 1; without it, this is the
-    polynomial-level count.
-    """
-    count = _layer_terms(structure, n)[0]
-    if e is None:
-        return count
-    return count + e - 1
+def lambda_for_n(structure: UnitRootStructure, n: int) -> int:
+    """Number of unit roots whose residue order divides n (with multiplicity):
+    the polynomial-level count, to which a tower adds its shift e - 1."""
+    return _layer_terms(structure, n)[0]
 
 
 def ord_delta_exact(j: IntPoly, p: int, n: int) -> int:

@@ -151,42 +151,37 @@ def generate_family(family: str, params) -> VoltagedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
-def _laurent_doc(lp) -> dict:
-    return {"low": lp.low, "coeffs": [str(c) for c in lp.body.coeffs]}
+def _emit(args, doc: dict, rows=None) -> int:
+    """Write a command's result, the one way every command does.
 
+    doc is written as indented JSON; a command that passes rows (a list of
+    dicts whose keys make the header) writes them as CSV instead when
+    --format csv is set, or when --format is not given and the --output path
+    ends in .csv.  An --output file gets the text as it is; stdout gets it
+    with a final newline.
+    """
+    inferred = "csv" if (args.output or "").endswith(".csv") else "json"
+    if rows is not None and (args.format or inferred) == "csv":
+        import csv
+        import io
 
-def _write_output(text: str, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    else:
+        text = json.dumps(doc, indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _rows_to_csv(fieldnames, rows) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def _format_for(args) -> str:
-    if getattr(args, "format", None):
-        return args.format
-    if getattr(args, "output", None) and str(args.output).endswith(".csv"):
-        return "csv"
-    return "json"
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +190,19 @@ def _format_for(args) -> str:
 
 
 def cmd_generate(args) -> int:
-    vg = generate_family(args.family, args.params)
-    _write_output(json.dumps(graph_to_json(vg), indent=2), args.output)
-    return EXIT_OK
+    return _emit(args, graph_to_json(generate_family(args.family, args.params)))
 
 
 def cmd_analyze(args) -> int:
     from .mahler import mahler_archimedean, mahler_padic
 
-    vg = load_graph(args.graph)
-    ta = analyze(vg)
-    arch = mahler_archimedean(ta.j_poly, seed=args.seed)
+    ta = analyze(load_graph(args.graph))
+    arch = mahler_archimedean(ta.j_poly)
     doc = {
         "chi": ta.chi,
         "kappa": str(ta.kappa_base),
         "monodromy_index": 1,  # analyze raises HypothesisViolation for any other index
-        "ihara": _laurent_doc(ta.ihara),
+        "ihara": {"low": ta.ihara.low, "coeffs": [str(c) for c in ta.ihara.body.coeffs]},
         "b": ta.b,
         "e": ta.e,
         "j_poly": [str(c) for c in ta.j_poly.coeffs],
@@ -221,32 +213,24 @@ def cmd_analyze(args) -> int:
         "mahler_archimedean": arch.value,
         "unit_circle_roots": 0,  # index 1 and J(1) != 0 leave J none (see mahler)
     }
-    _write_output(json.dumps(doc, indent=2), args.output)
-    return EXIT_OK
+    return _emit(args, doc)
 
 
 def cmd_table(args) -> int:
-    vg = load_graph(args.graph)
-    ta = analyze(vg)
+    ta = analyze(load_graph(args.graph))
     deltas = pierce_lehmer_range(ta.j_poly, args.n_max)
     cap = _bit_cap()
     kappas = [_kappa_from_delta(ta, n, deltas[n - 1], cap) for n in range(1, args.n_max + 1)]
-    rows = []
-    for n in range(1, args.n_max + 1):
-        rows.append(
-            {
-                "n": n,
-                "kappa": str(kappas[n - 1]),
-                "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1], cap)),
-                "delta": str(deltas[n - 1]),
-            }
-        )
-    if _format_for(args) == "csv":
-        text = _rows_to_csv(["n", "kappa", "resultant", "delta"], rows)
-    else:
-        text = json.dumps({"rows": rows}, indent=2)
-    _write_output(text, args.output)
-    return EXIT_OK
+    rows = [
+        {
+            "n": n,
+            "kappa": str(kappas[n - 1]),
+            "resultant": str(_resultant_from_delta(ta, n, deltas[n - 1], cap)),
+            "delta": str(deltas[n - 1]),
+        }
+        for n in range(1, args.n_max + 1)
+    ]
+    return _emit(args, {"rows": rows}, rows)
 
 
 def cmd_verify(args) -> int:
@@ -255,65 +239,46 @@ def cmd_verify(args) -> int:
     if report.first_mismatch:
         n, formula, oracle = report.first_mismatch
         mismatch = {"n": n, "formula": str(formula), "oracle": str(oracle)}
-    doc = {
-        "n_max": args.n_max,
-        "mode": args.mode,
-        "ok": report.ok,
-        "first_mismatch": mismatch,
-    }
-    _write_output(json.dumps(doc, indent=2), args.output)
-    if mismatch:
-        print(
-            f"mismatch at n={mismatch['n']}: formula {mismatch['formula']} "
-            f"!= oracle {mismatch['oracle']}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
-    return EXIT_OK
+    _emit(args, {"n_max": args.n_max, "mode": args.mode, "ok": report.ok,
+                 "first_mismatch": mismatch})
+    if not mismatch:
+        return EXIT_OK
+    print(f"mismatch at n={n}: formula {formula} != oracle {oracle}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def cmd_padic(args) -> int:
     from .padic_engine import padic_report
 
-    vg = load_graph(args.graph)
-    ta = analyze(vg)
-    report = padic_report(ta, args.prime, args.n_max)
-    rows = []
-    for n in range(1, args.n_max + 1):
-        row = report.per_n[n]
-        rows.append(
-            {
-                "n": n,
-                "ord": str(row.ord),
-                "mu_term": str(report.mu * n),
-                "lambda": str(row.lam),
-                "nu": str(row.nu),
-                "c": str(report.c),
-                "source": row.source,
-            }
-        )
-    if _format_for(args) == "csv":
-        text = _rows_to_csv(["n", "ord", "mu_term", "lambda", "nu", "c", "source"], rows)
-    else:
-        doc = {
-            "prime": report.prime,
-            "mu": str(report.mu),
+    report = padic_report(analyze(load_graph(args.graph)), args.prime, args.n_max)
+    rows = [
+        {
+            "n": n,
+            "ord": str(row.ord),
+            "mu_term": str(report.mu * n),
+            "lambda": str(row.lam),
+            "nu": str(row.nu),
             "c": str(report.c),
-            "R": report.R,
-            "ramified": report.structure.ramified,
-            "rows": rows,
+            "source": row.source,
         }
-        text = json.dumps(doc, indent=2)
-    _write_output(text, args.output)
-    return EXIT_OK
+        for n, row in report.per_n.items()  # layers 1..n_max, in order
+    ]
+    doc = {
+        "prime": report.prime,
+        "mu": str(report.mu),
+        "c": str(report.c),
+        "R": report.R,
+        "ramified": report.structure.ramified,
+        "rows": rows,
+    }
+    return _emit(args, doc, rows)
 
 
 def cmd_asymptotics(args) -> int:
     from .mahler import archimedean_asymptotic, log_big
 
-    vg = load_graph(args.graph)
-    ta = analyze(vg)
-    law = archimedean_asymptotic(ta, seed=args.seed)
+    ta = analyze(load_graph(args.graph))
+    law = archimedean_asymptotic(ta)
     n = args.n_probe
     actual = log_big(kappa_via_formula(ta, n))
     predicted = law.predicted_log_kappa(n)
@@ -325,8 +290,7 @@ def cmd_asymptotics(args) -> int:
         "actual_log_kappa": actual,
         "gap": abs(actual - predicted),
     }
-    _write_output(json.dumps(doc, indent=2), args.output)
-    return EXIT_OK
+    return _emit(args, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="summary of one voltaged graph")
     ana.add_argument("graph")
     ana.add_argument("--prime", dest="primes", action="append", type=_int_argument, default=[])
-    ana.add_argument("--seed", type=_int_argument, default=0)
     ana.add_argument("--output")
     ana.set_defaults(func=cmd_analyze)
 
@@ -399,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     asy = sub.add_parser("asymptotics", help="exponential growth law check")
     asy.add_argument("graph")
     asy.add_argument("--n-probe", type=_int_argument, default=100)
-    asy.add_argument("--seed", type=_int_argument, default=0)
     asy.add_argument("--output")
     asy.set_defaults(func=cmd_asymptotics)
 

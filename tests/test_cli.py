@@ -12,6 +12,7 @@ import pytest
 
 import ihara_towers
 from ihara_towers import towers_cli
+from ihara_towers.errors import VerificationMismatch
 from ihara_towers.towers_cli import (
     build_parser,
     generate_family,
@@ -77,11 +78,18 @@ def test_generate_families():
     assert [gp.voltages[i] for i in range(3)] == [1, 0, 2]
     ig = generate_family("igraph", [2, 3])
     assert [ig.voltages[i] for i in range(3)] == [2, 0, 3]
-    try:
-        generate_family("dumbbell", [1])
-        assert False
-    except ValueError:
-        pass
+    for family, params, message in (
+            ("dumbbell", [1], "dumbbell needs exactly two loop voltages"),
+            ("bouquet", [], "bouquet needs at least one loop voltage"),
+            ("petersen", [], "petersen needs one parameter"),
+            ("petersen", [2, 3], "petersen needs one parameter"),
+            ("fibonacci", [1], "fibonacci takes no parameters"),
+            ("hypercube", [1], "unknown family 'hypercube'")):
+        try:
+            generate_family(family, params)
+            assert False, family
+        except ValueError as exc:
+            assert str(exc) == message
 
 
 def test_generate_family_rejects_non_integer_parameters():
@@ -172,6 +180,28 @@ def test_table_csv_and_json(tmp_path, capsys):
     assert doc["rows"] == [{"n": 1, "kappa": "1", "resultant": "1", "delta": "-34"}]
 
 
+def test_output_files_hold_the_text_as_is(tmp_path, capsys):
+    # a path ending in .csv selects CSV as --format csv does, and a file gets
+    # the text with no newline added
+    path = tmp_path / "g.json"
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
+    out_csv, out_json = tmp_path / "x.csv", tmp_path / "x.json"
+    for args, header in ((["table", str(path), "--n-max", "6"], "n,kappa,resultant,delta"),
+                         (["padic", str(path), "--prime", "5", "--n-max", "6"],
+                          "n,ord,mu_term,lambda,nu,c,source")):
+        code, text, _ = run(args + ["--format", "csv"], capsys)
+        assert code == 0 and text.startswith(header + "\r\n") and text.endswith("\r\n")
+        assert run(args + ["--output", str(out_csv)], capsys) == (0, "", "")
+        assert out_csv.read_bytes().decode("utf-8") == text
+        code, text, _ = run(args, capsys)
+        assert code == 0 and text.endswith("}\n")
+        assert run(args + ["--output", str(out_json)], capsys) == (0, "", "")
+        assert out_json.read_bytes().decode("utf-8") == text[:-1]
+        # a --format given wins over the path
+        assert run(args + ["--format", "json", "--output", str(out_csv)], capsys) == (0, "", "")
+        assert out_csv.read_bytes().decode("utf-8") == text[:-1]
+
+
 def test_verify_command_and_mismatch(tmp_path, capsys):
     path = tmp_path / "g.json"
     run(["generate", "fibonacci", "--output", str(path)], capsys)
@@ -205,6 +235,14 @@ def test_verify_detects_corruption(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["first_mismatch"]["n"] == 4
     assert "mismatch" in err
+
+    # a package check that fails inside a command exits 3 as well
+    def failing_check(*args, **kwargs):
+        raise VerificationMismatch("the unit-root gcd is not palindromic")
+
+    monkeypatch.setattr(towers_cli, "verify_tower", failing_check)
+    code, out, err = run(["verify", str(path), "--n-max", "6"], capsys)
+    assert (code, out, err) == (3, "", "verification mismatch: the unit-root gcd is not palindromic\n")
 
 
 def test_a_key_error_inside_a_command_propagates(tmp_path, capsys, monkeypatch):
@@ -278,12 +316,23 @@ def test_max_bits_cap(tmp_path, capsys, monkeypatch):
     assert code == 4 and "IHARA_TOWERS_MAX_BITS=0 bits" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     try:
         code = main(["generate", "nosuchfamily"])
     except SystemExit as exc:
         code = exc.code
     assert code == 1
+    # the Archimedean measure is a function of J alone, so no command takes a seed
+    path = tmp_path / "g.json"
+    run(["generate", "fibonacci", "--output", str(path)], capsys)
+    for command in ("analyze", "asymptotics"):
+        try:
+            main([command, str(path), "--seed", "1"])
+            assert False, command
+        except SystemExit as exc:
+            assert exc.code == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err, command
 
 
 
@@ -295,11 +344,11 @@ def test_integer_arguments_are_not_coerced(tmp_path, capsys):
     g = str(path)
     for bad in (" 3", "3 ", "1_0", "+3", "\u0663", "1.5", "0x3", "abc", ""):
         commands = (["generate", "bouquet", bad], ["generate", "bouquet", "3", bad],
-                    ["analyze", g, "--prime", bad], ["analyze", g, "--seed", bad],
+                    ["analyze", g, "--prime", bad],
                     ["table", g, "--n-max", bad], ["verify", g, "--n-max", bad],
                     ["verify", g, "--jobs", bad], ["padic", g, "--prime", bad],
                     ["padic", g, "--prime", "2", "--n-max", bad],
-                    ["asymptotics", g, "--n-probe", bad], ["asymptotics", g, "--seed", bad])
+                    ["asymptotics", g, "--n-probe", bad])
         for args in commands:
             try:
                 main(args)
@@ -347,7 +396,7 @@ def test_shared_parser_output_equals_a_fresh_parser(tmp_path, capsys, monkeypatc
     commands = (["generate", "bouquet", "1", "3", "7"], ["analyze", g, "--prime", "5"],
                 ["analyze", g], ["table", g, "--n-max", "12", "--format", "csv"], ["table", g],
                 ["verify", g, "--n-max", "6"], ["padic", g, "--prime", "3", "--n-max", "20"],
-                ["asymptotics", g, "--n-probe", "50", "--seed", "1"], ["asymptotics", g])
+                ["asymptotics", g, "--n-probe", "50"], ["asymptotics", g])
     shared = [run(args, capsys) for args in commands]
     monkeypatch.setattr(towers_cli, "build_parser", build_parser.__wrapped__)
     fresh = [run(args, capsys) for args in commands]

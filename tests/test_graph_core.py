@@ -96,6 +96,13 @@ def test_build_graph_rejects_bad_indices():
         assert False
     except IndexError:
         pass
+    for count, labels, message in ((-1, None, "vertex_count must be nonnegative"),
+                                   (2, ("a",), "label count mismatch")):
+        try:
+            build_graph(count, [], labels=labels)
+            assert False, count
+        except ValueError as exc:
+            assert str(exc) == message
 
 
 def test_euler_characteristic():
@@ -204,6 +211,13 @@ def test_bruteforce_guard():
         assert False
     except ValueError:
         pass
+    # neither counter takes the empty graph
+    for count in (spanning_tree_count, spanning_tree_count_bruteforce):
+        try:
+            count(build_graph(0, []))
+            assert False, count
+        except ValueError as exc:
+            assert str(exc) == "spanning trees of the empty graph are undefined"
 
 
 def test_is_connected():

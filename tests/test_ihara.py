@@ -413,6 +413,19 @@ def test_bit_cap_bounds_every_pierce_lehmer_entry_point(monkeypatch):
             except ValueError as exc:
                 assert str(exc) == ("IHARA_TOWERS_MAX_BITS must be a non-negative integer, "
                                     f"got {setting!r}")
+    # a zero polynomial or an n below 1 is refused before the cap is read
+    zero = IntPoly(())
+    for call, message in ((lambda: pierce_lehmer(zero, 3), "zero polynomial"),
+                          (lambda: pierce_lehmer_range(zero, 3), "zero polynomial"),
+                          (lambda: pierce_lehmer(ta.j_poly, 0), "n must be positive"),
+                          (lambda: pierce_lehmer_range(ta.j_poly, 0), "n_max must be positive"),
+                          (lambda: kappa_via_formula(ta, 0), "n must be positive"),
+                          (lambda: resultant_row(ta, -1), "n must be positive")):
+        try:
+            call()
+            assert False, message
+        except ValueError as exc:
+            assert str(exc) == message
     monkeypatch.setenv("IHARA_TOWERS_MAX_BITS", "0")
     try:
         pierce_lehmer(ta.j_poly, 1)
@@ -590,6 +603,11 @@ def test_verify_tower_refuses_a_large_bruteforce_tower_before_any_layer(monkeypa
             assert False
         except ValueError as exc:
             assert str(exc) == "graph too large for brute-force enumeration"
+    try:  # and so is an unknown mode
+        verify_tower(dumbbell(2, 3), 2, mode="exhaustive")
+        assert False
+    except ValueError as exc:
+        assert str(exc) == "unknown verification mode 'exhaustive'"
     monkeypatch.undo()
     monkeypatch.setattr(ihara, "spanning_tree_count_bruteforce", ihara.spanning_tree_count)
     assert verify_tower(dumbbell(2, 3), 8, mode="bruteforce-small").ok

@@ -52,6 +52,18 @@ def test_mahler_padic_rejects_composite():
         assert False
     except ValueError:
         pass
+    # the zero polynomial, a log of zero and a composite prime of the law
+    ta = analyze(bouquet(1, 2))
+    for call, message in ((lambda: mahler_padic(IntPoly(()), 2), "zero polynomial"),
+                          (lambda: mahler_archimedean(IntPoly(())), "zero polynomial"),
+                          (lambda: count_unit_circle_roots(IntPoly(())), "zero polynomial"),
+                          (lambda: log_big(0), "log of a nonpositive integer"),
+                          (lambda: padic_asymptotic_no_unit_roots(ta, 6), "6 is not prime")):
+        try:
+            call()
+            assert False, message
+        except ValueError as exc:
+            assert str(exc) == message
 
 
 def test_mahler_padic_multiplicativity():
@@ -369,50 +381,53 @@ def _sweep_plan_j_polys(seeds):
 
 
 def _memo_cases():
-    """(f, seed) pairs: sweep J, Lehmer's polynomial and its square, palindromes
-    with unit-circle roots, roots at 0 and +-1, and polynomials that are not
+    """Sweep J, Lehmer's polynomial and its square, palindromes with
+    unit-circle roots, roots at 0 and +-1, and polynomials that are not
     palindromic."""
     rng = random.Random(2401)
-    cases = [(j, 0) for j in _sweep_plan_j_polys((1, 2, 3))]
-    cases += [(LEHMER, 0), (LEHMER * LEHMER, 1)]
+    cases = _sweep_plan_j_polys((1, 2, 3)) + [LEHMER, LEHMER * LEHMER]
     # t**2 - c t + 1 with |c| < 2 has both roots on the unit circle
     circle = [IntPoly((1, c, 1)) for c in (-1, 0, 1)]
-    cases += [(random_self_reciprocal(rng, max_half_degree=5) * rng.choice(circle), rng.randrange(3))
-              for _ in range(40)]
+    cases += [random_self_reciprocal(rng, max_half_degree=5) * rng.choice(circle) for _ in range(40)]
     trivial = [IntPoly((0, 1)), IntPoly((-1, 1)), IntPoly((1, 1))]
     for _ in range(30):
         f = random_int_poly(rng, max_degree=5)
         for _ in range(rng.randint(1, 4)):
             f = f * rng.choice(trivial)
-        cases.append((f, rng.randrange(3)))
+        cases.append(f)
     while len(cases) < 215:
         f = random_int_poly(rng, max_degree=8)
         if f.coeffs != f.coeffs[::-1]:
-            cases.append((f, rng.randrange(3)))
+            cases.append(f)
     return cases
 
 
 def test_memoised_measure_equals_the_uncached_body():
     cases = _memo_cases()
     assert len(cases) >= 200
-    for f, seed in cases:
-        fresh = _mahler_archimedean.__wrapped__(f.coeffs, seed)
+    for f in cases:
+        fresh = _mahler_archimedean.__wrapped__(f.coeffs)
         for _ in range(2):  # a miss, then a hit
-            m = mahler_archimedean(f, seed=seed)
-            assert (m.value, m.log_value) == (fresh.value, fresh.log_value), (f, seed)
+            m = mahler_archimedean(f)
+            assert (m.value, m.log_value) == (fresh.value, fresh.log_value), f
 
 
-def test_measure_memo_keys_on_the_seed_and_keeps_no_error(monkeypatch):
+def test_measure_memo_keys_on_the_coefficients_and_keeps_no_error(monkeypatch):
     import ihara_towers.mahler as mahler
 
     assert _mahler_archimedean.cache_info().maxsize == 256
     _mahler_archimedean.cache_clear()
     f = IntPoly((2, -3, 5, 1))
-    first = mahler_archimedean(f, seed=0)
-    assert mahler_archimedean(f, seed=0) is first
-    mahler_archimedean(f, seed=1)
+    first = mahler_archimedean(f)
+    assert mahler_archimedean(f) is first
+    mahler_archimedean(IntPoly((2, -3, 5, 2)))
     info = _mahler_archimedean.cache_info()
     assert (info.currsize, info.hits, info.misses) == (2, 1, 2)
+    # the measure is a function of f alone: it takes no seed
+    ta = analyze(bouquet(1, 2))
+    for call in (lambda: mahler_archimedean(f, seed=0), lambda: archimedean_asymptotic(ta, seed=0)):
+        with pytest.raises(TypeError):
+            call()
 
     # a failed root iteration is not memoised, so it fails on every call
     calls = []
@@ -452,29 +467,6 @@ def test_the_measure_builds_no_sturm_chain(monkeypatch):
             [archimedean_asymptotic(ta) for ta in towers]) == expected
     assert [law.rate for law in expected[1]] == [
         mahler_archimedean(ta.j_poly).log_value for ta in towers]
-
-
-def test_seed_must_be_an_int():
-    ta = analyze(bouquet(1, 2))
-    before = _mahler_archimedean.cache_info()
-    for seed in (True, False, 1.0, 0.5, "1", b"1", bytearray(b"1"), None, [0]):
-        for call in (lambda: mahler_archimedean(ta.j_poly, seed=seed),
-                     lambda: archimedean_asymptotic(ta, seed=seed)):
-            try:
-                call()
-                assert False, seed
-            except ValueError as exc:
-                assert "is not an integer" in str(exc), seed
-    after = _mahler_archimedean.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
-    # the zero check still comes first
-    try:
-        mahler_archimedean(IntPoly(()), seed=True)
-        assert False
-    except ValueError as exc:
-        assert "zero polynomial" in str(exc)
-    assert (archimedean_asymptotic(ta, seed=2**70).rate
-            == mahler_archimedean(ta.j_poly, seed=2**70).log_value)
 
 
 class _GivenDraws:

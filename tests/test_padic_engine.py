@@ -65,7 +65,7 @@ from ihara_towers.polyring import (
     euler_phi,
     pseudo_rem,
 )
-from ihara_towers.primes import _strong_lucas_probable_prime
+from ihara_towers.primes import _strong_lucas_probable_prime, content_valuation
 from ihara_towers.towers_cli import build_parser
 from ihara_towers.voltage_cover import voltaged_graph
 
@@ -452,6 +452,11 @@ def test_multiplicative_order_rejects_zero_root():
         assert False
     except ValueError:
         pass
+    try:  # a residue factor that is constant mod p
+        multiplicative_order(IntPoly((1, 3)), 3)
+        assert False
+    except ValueError as exc:
+        assert str(exc) == "g must have positive degree modulo p"
 
 
 def test_multiplicative_order_rejects_a_reducible_self_reciprocal_g():
@@ -638,10 +643,10 @@ def test_ord_delta_exact_examples():
 
 def test_lambda_for_n():
     s = unit_root_structure(J_FIB, 2)
-    assert lambda_for_n(s, 6, e=2) == 3
-    assert lambda_for_n(s, 4, e=2) == 1
+    assert lambda_for_n(s, 6) + 1 == 3
+    assert lambda_for_n(s, 4) + 1 == 1
     assert lambda_for_n(s, 3) == 2
-    assert lambda_for_n(s, 3 * 7, e=2) == s.unit_root_count + 1
+    assert lambda_for_n(s, 3 * 7) + 1 == s.unit_root_count + 1
     # n = 0 and n = -1, at the ramified Fibonacci prime 5 too
     for s in (s, unit_root_structure(J_FIB, 5)):
         for call in (lambda_for_n, nu_structural):
@@ -714,6 +719,17 @@ def test_unit_root_structure_rejects_composite_prime():
             assert False, p
         except ValueError:
             pass
+    # a polynomial that is zero, or zero mod p, at a prime p
+    zero = IntPoly(())
+    for call, message in ((lambda: unit_root_structure(zero, 2), "zero polynomial"),
+                          (lambda: newton_polygon(zero, 2), "zero polynomial"),
+                          (lambda: content_valuation(zero, 2), "zero polynomial"),
+                          (lambda: factor_mod_p(IntPoly((3, 6, 9)), 3), "polynomial vanishes mod p")):
+        try:
+            call()
+            assert False, message
+        except ValueError as exc:
+            assert str(exc) == message
 
 
 def test_gf_kernel_matches_int_poly_arithmetic_mod_p_power():
@@ -1169,6 +1185,17 @@ def test_washington_invariants_reject_a_non_prime_ell():
             assert False, primes
         except ValueError as exc:
             assert str(exc) == f"{primes[1]} is not prime"
+    # two primes that must be distinct and are not
+    for call, message in (
+            (lambda: washington_invariants(J_FIB, 3, 3), "the two primes must be distinct"),
+            (lambda: friedman_laws(J_FIB, 7, (2, 2), bound=300), "generator primes must be distinct"),
+            (lambda: friedman_laws(J_FIB, 7, (2, 7), bound=300),
+             "the outside prime must not be a generator")):
+        try:
+            call()
+            assert False, message
+        except ValueError as exc:
+            assert str(exc) == message
 
 
 def test_sequence_classes_fibonacci_p2():
@@ -1410,6 +1437,13 @@ def test_structural_path_rejects_roots_of_unity():
         assert False
     except ValueError:
         pass
+    # so do the exact paths, whose D_n vanishes at n = 1
+    for call in (lambda: ord_delta_exact(f, 3, 1), lambda: nu_from_oracle(f, 3, 1, 0, 0)):
+        try:
+            call()
+            assert False
+        except ValueError as exc:
+            assert str(exc) == "Pierce-Lehmer value vanishes; j has a root of unity"
 
 
 def test_the_structure_of_a_tower_builds_no_sturm_chain(monkeypatch):

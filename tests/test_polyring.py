@@ -20,6 +20,7 @@ from ihara_towers.polyring import (
     IntPoly,
     _divide_out,
     _resultant,
+    _sturm_count_open,
     LaurentPoly,
     cyclotomic_polynomial,
     divide_exact,
@@ -62,6 +63,23 @@ def test_resultant_zero_input_rejected():
         assert False
     except ValueError:
         pass
+    # and the other inputs that polyring refuses
+    f, zero, one = IntPoly((1, 2, 1)), IntPoly(()), L({0: 1})
+    for call, kind, message in (
+            (lambda: zero.lead, ValueError, "zero polynomial has no leading coefficient"),
+            (lambda: f.shift(-1), ValueError, "negative shift on IntPoly"),
+            (lambda: divide_exact(f, zero), ZeroDivisionError, "polynomial division by zero"),
+            (lambda: pseudo_rem(f, zero), ZeroDivisionError, "pseudo-division by zero"),
+            (lambda: int_matrix_det([[1, 2]]), ValueError, "matrix is not square"),
+            (lambda: poly_matrix_det([[one], [one]]), ValueError, "matrix is not square"),
+            (lambda: cyclotomic_polynomial(0), ValueError, "k must be positive"),
+            (lambda: _sturm_count_open(IntPoly((-2, 1)), -2, 2), ValueError,
+             "Sturm endpoints must not be roots")):
+        try:
+            call()
+            assert False, message
+        except kind as exc:
+            assert str(exc) == message
 
 
 def test_resultant_antisymmetry_and_multiplicativity():
