@@ -9,8 +9,9 @@ repository treats them as ground truth.  Both read only the adjacency of the
 graph they are given (no vertex labels, voltages or cover structure):
 
 - the reduced-Laplacian determinant, by fraction-free symmetric Bareiss
-  elimination on sparse rows in minimum-degree order (exact, no floating
-  point);
+  elimination on sparse rows in minimum-degree order, where each entry keeps
+  the step it was written at and is rescaled only when it is read (exact, no
+  floating point);
 - a brute-force count of the trees themselves, which never uses a
   determinant: a frontier dynamic program over the edge pairs in
   breadth-first order from vertex 0, whose states are the partitions of the
@@ -108,17 +109,22 @@ def _min_degree_det(rows) -> int:
     whose row has the fewest entries, ties by index, popped from a heap.  A
     row's least entry there never exceeds its length: a row that shrinks is
     pushed again, and an entry that pops below its row's length (the row grew
-    by fill-in) is pushed back at that length.  After pivots p_1..p_k, entry
+    by fill-in) is pushed back at that length.  After pivots p_1..p_t, entry
     (i, j) is the minor on the pivot rows and row i against the pivot columns
-    and column j, and the update is a_ij <- (p_k a_ij - a_ik a_kj) / p_{k-1},
-    computed once for both (i, j) and (j, i).  A row the pivot does not reach
-    only scales by p_k / p_{k-1}, so it is not rewritten: each row keeps the
-    step s of its last update and is scaled by p_{k-1} / p_s when it is next
-    read, exact because both values are minors.  Every pivot is positive for a
-    positive-definite matrix; one that is not raises VerificationMismatch.
+    and column j, and pivot k updates it to (p_k a_ij - a_ik a_kj) / p_{k-1}.
+    Off the pivot's own pattern (a_ik or a_kj zero) that is a_ij p_k / p_{k-1},
+    a rescaling, so a pivot writes only the pairs (i, j) of its pattern, each
+    once for both (i, j) and (j, i), and leaves the rest of every row alone.
+    Each entry is stored as (value, s), s the number of pivots when it was
+    written, and a read after t pivots takes value p_t / p_s, exact because
+    both values are minors (Sylvester's identity).  Every pivot is positive
+    for a positive-definite matrix; one that is not raises
+    VerificationMismatch.
     """
     pivots = [1]
-    stamp = dict.fromkeys(rows, 0)
+    for row in rows.values():
+        for j, a in row.items():
+            row[j] = (a, 0)
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
     while heap:
@@ -130,37 +136,30 @@ def _min_degree_det(rows) -> int:
             heappush(heap, (len(pivot_row), k))
             continue
         del rows[k]
-        prev = pivots[-1]
-        ps = pivots[stamp[k]]
-        if ps != prev:
-            pivot_row = {j: a * prev // ps for j, a in pivot_row.items()}
-        pk = pivot_row.pop(k)
+        now = len(pivots) - 1
+        prev = pivots[now]
+        a, s = pivot_row.pop(k)
+        pk = a if s == now else a * prev // pivots[s]
         if pk <= 0:
             raise VerificationMismatch(
-                f"pivot {len(pivots)} of a reduced Laplacian is {pk}, not positive"
+                f"pivot {now + 1} of a reduced Laplacian is {pk}, not positive"
             )
-        reached = list(pivot_row.items())
-        old, new = [], []
-        for i in pivot_row:
+        reached = []
+        for i, (a, s) in pivot_row.items():
             row = rows[i]
-            before = len(row)
+            reached.append((i, a if s == now else a * prev // pivots[s], row, len(row)))
             del row[k]
-            ps = pivots[stamp[i]]
-            # entries outside the pivot row go from step s to this step at once
-            updated = {j: a * pk // ps for j, a in row.items() if j not in pivot_row}
-            if ps != prev:
-                row = {j: a * prev // ps for j, a in row.items() if j in pivot_row}
-            old.append(row.get)
-            new.append(updated)
-            rows[i] = updated
-            stamp[i] = len(pivots)
-            after = len(updated) + len(pivot_row)
-            if after < before:
-                heappush(heap, (after, i))
-        for t, (i, aik) in enumerate(reached):
-            get, row_i = old[t], new[t]
-            for (j, akj), row_j in zip(reached[t:], new[t:]):
-                row_i[j] = row_j[i] = (pk * get(j, 0) - aik * akj) // prev
+        absent = (0, now)
+        for m, (i, aik, row_i, _) in enumerate(reached):
+            get = row_i.get
+            for j, akj, row_j, _ in reached[m:]:
+                # (i, j) is read once, before it is written
+                a, s = get(j, absent)
+                a = a if s == now else a * prev // pivots[s]
+                row_i[j] = row_j[i] = ((pk * a - aik * akj) // prev, now + 1)
+        for i, _, row, before in reached:
+            if len(row) < before:
+                heappush(heap, (len(row), i))
         pivots.append(pk)
     return pivots[-1]
 

@@ -497,6 +497,8 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
     member is a nonzero multiple of gcd(q, q'), constant exactly when q is
     squarefree.
     """
+    if q(a) == 0 or q(b) == 0:
+        raise ValueError("Sturm endpoints must not be roots")
     chain = [q, q.derivative()]
     while chain[-1].degree > 0:
         f, g = chain[-2], chain[-1]
@@ -511,6 +513,4 @@ def _sturm_count_open(q: IntPoly, a: int, b: int) -> tuple:
         signs = [v > 0 for v in (poly(x) for poly in chain) if v]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
-    if q(a) == 0 or q(b) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
     return variations(a) - variations(b), chain[-1]

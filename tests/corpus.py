@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from ihara_towers import analyze, monodromy_index, voltaged_graph
 from ihara_towers.errors import TowerError, VerificationMismatch
@@ -372,3 +373,58 @@ def reference_resultant(a: list, b: list) -> int:
             h = g ** delta // h ** (delta - 1)
         if len(b) == 1:
             return sign * b[0] ** db // h ** (db - 1)
+
+
+def reference_min_degree_det(rows) -> int:
+    """graph_core._min_degree_det before its entries carried their own step:
+    each row keeps the step s of its last update, and a pivot rebuilds every
+    row it reaches, entries outside its pattern rescaled by p_k / p_s at once
+    and entries inside by p_{k-1} / p_s before the update.  Same pivots in the
+    same order, same VerificationMismatch.  The reference that pins the
+    per-entry kernel to the same value on every input."""
+    pivots = [1]
+    stamp = dict.fromkeys(rows, 0)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    while heap:
+        size, k = heappop(heap)
+        pivot_row = rows.get(k)
+        if pivot_row is None:
+            continue
+        if len(pivot_row) != size:
+            heappush(heap, (len(pivot_row), k))
+            continue
+        del rows[k]
+        prev = pivots[-1]
+        ps = pivots[stamp[k]]
+        if ps != prev:
+            pivot_row = {j: a * prev // ps for j, a in pivot_row.items()}
+        pk = pivot_row.pop(k)
+        if pk <= 0:
+            raise VerificationMismatch(
+                f"pivot {len(pivots)} of a reduced Laplacian is {pk}, not positive"
+            )
+        reached = list(pivot_row.items())
+        old, new = [], []
+        for i in pivot_row:
+            row = rows[i]
+            before = len(row)
+            del row[k]
+            ps = pivots[stamp[i]]
+            # entries outside the pivot row go from step s to this step at once
+            updated = {j: a * pk // ps for j, a in row.items() if j not in pivot_row}
+            if ps != prev:
+                row = {j: a * prev // ps for j, a in row.items() if j in pivot_row}
+            old.append(row.get)
+            new.append(updated)
+            rows[i] = updated
+            stamp[i] = len(pivots)
+            after = len(updated) + len(pivot_row)
+            if after < before:
+                heappush(heap, (after, i))
+        for t, (i, aik) in enumerate(reached):
+            get, row_i = old[t], new[t]
+            for (j, akj), row_j in zip(reached[t:], new[t:]):
+                row_i[j] = row_j[i] = (pk * get(j, 0) - aik * akj) // prev
+        pivots.append(pk)
+    return pivots[-1]

@@ -1,7 +1,13 @@
 import random
 from itertools import combinations
 
-from corpus import degree_and_adjacency, named_towers, random_connected_voltaged_graph, random_tower
+from corpus import (
+    degree_and_adjacency,
+    named_towers,
+    random_connected_voltaged_graph,
+    random_tower,
+    reference_min_degree_det,
+)
 
 from ihara_towers import voltaged_graph
 from ihara_towers.errors import VerificationMismatch
@@ -251,6 +257,76 @@ def test_symmetric_elimination_matches_general_bareiss():
     assert any(g.vertex_count == 1 for g in graphs)
     for g in graphs:
         assert spanning_tree_count(g) == dense_matrix_tree(g)
+
+
+def reduced_laplacian_rows(g):
+    """Sparse rows of the reduced Laplacian (vertex 0 dropped) with no
+    connectivity check: a disconnected graph gives a singular matrix."""
+    rows = {v: {v: 0} for v in range(1, g.vertex_count)}
+    for e in g.edge_pairs:
+        u, v = e.origin, e.terminus
+        if u != v:
+            for a, b in ((u, v), (v, u)):
+                if a:
+                    rows[a][a] += 1
+                    if b:
+                        rows[a][b] = rows[a].get(b, 0) - 1
+    return rows
+
+
+class PivotLog(dict):
+    """Rows that record the order in which the kernel deletes them."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.pivots = []
+
+    def __delitem__(self, k):
+        self.pivots.append(k)
+        super().__delitem__(k)
+
+
+def test_per_entry_steps_match_the_row_stamp_kernel():
+    # derived layers of 4-vertex, 6-pair bases (the first three bases up to
+    # n = 200, the next twelve up to n = 50) and the random multigraphs of
+    # test_symmetric_elimination_matches_general_bareiss; a disconnected one
+    # has a zero pivot, and a lowered diagonal entry gives negative ones; both
+    # kernels pick the same pivots in the same order
+    rng = random.Random(79)
+    graphs, bases = [], 0
+    while bases < 90:
+        vg = random_tower(rng)
+        if vg.base.vertex_count == 4 and len(vg.base.edge_pairs) == 6:
+            ns = (2, 11, 29, 50, 100, 200)[:6 if bases < 3 else 4 if bases < 15 else 3]
+            graphs += [derived_graph(vg, n) for n in ns]
+            bases += 1
+    layers = len(graphs)
+    assert max(g.vertex_count for g in graphs) == 800
+    rng = random.Random(77)
+    graphs += [random_multigraph(rng) for _ in range(300)]
+    graphs += [random_multigraph(rng, max_vertices=2, max_pairs=5) for _ in range(40)]
+    inputs = [reduced_laplacian_rows(g) for g in graphs]
+    assert len(inputs) >= 600
+    for rows in inputs[-340:]:
+        if 1 in rows:
+            lowered = {i: dict(row) for i, row in rows.items()}
+            lowered[1][1] -= 2
+            inputs.append(lowered)
+    outcomes = []
+    for rows in inputs:
+        results = []
+        for kernel in (_min_degree_det, reference_min_degree_det):
+            consumed = PivotLog((i, dict(row)) for i, row in rows.items())
+            try:
+                results.append((kernel(consumed), consumed.pivots))
+            except VerificationMismatch as exc:
+                results.append((str(exc), consumed.pivots))
+        assert results[0] == results[1], rows
+        outcomes.append(results[0][0])
+    assert all(isinstance(r, int) for r in outcomes[:layers])
+    messages = [r for r in outcomes if isinstance(r, str)]
+    assert any(r.endswith(" is 0, not positive") for r in messages)
+    assert any(" is -" in r for r in messages)
 
 
 def test_banded_count_matches_dense_on_layers():

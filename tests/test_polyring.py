@@ -74,6 +74,10 @@ def test_resultant_zero_input_rejected():
             (lambda: poly_matrix_det([[one], [one]]), ValueError, "matrix is not square"),
             (lambda: cyclotomic_polynomial(0), ValueError, "k must be positive"),
             (lambda: _sturm_count_open(IntPoly((-2, 1)), -2, 2), ValueError,
+             "Sturm endpoints must not be roots"),
+            # degree 121 with q(2) = 0: refused before its Sturm chain is built
+            (lambda: _sturm_count_open(IntPoly((-2, 1)) * IntPoly(
+                tuple(i * 7 % 19 - 9 for i in range(121))), -2, 2), ValueError,
              "Sturm endpoints must not be roots")):
         try:
             call()
