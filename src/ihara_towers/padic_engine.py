@@ -47,8 +47,9 @@ exponent, so padic_report calls _layer_terms once per class and checks
 every row exactly.  The Iwasawa, Washington and Friedman laws are the
 decomposition along p-power, ell-power and smooth subsequences: each reads
 lambda from lambda_for_n and the structural nu from nu_structural at the
-least n of its subsequence, and fits nu from exact values only when the
-unit part is ramified.
+least n of its subsequence, and all three check nu against exact values
+through one routine, _checked_nu, which also fits it, from the first layer
+checked, when the unit part is ramified and nu_structural has no value.
 
 Besides the structures, facts that repeat within a process are kept in
 bounded memos: the factorization of p**f - 1 per (p, f), the last
@@ -916,14 +917,28 @@ def padic_report(ta: TowerAnalysis, p: int, n_max: int, kappas=None) -> PadicRep
 # ---------------------------------------------------------------------------
 
 
+def _checked_nu(j: IntPoly, p: int, mu: int, lam: int, nu, layers, failure) -> int:
+    """nu checked against nu_from_oracle at every n of layers, in order; a nu
+    of None (a ramified unit part) is the exact value at the first layer.
+    Raises failure(n) at the first layer that disagrees."""
+    for n in layers:
+        value = nu_from_oracle(j, p, n, mu, lam)
+        if nu is None:
+            nu = value
+        elif value != nu:
+            raise failure(n)
+    return nu
+
+
 def iwasawa_invariants(j: IntPoly, p: int):
     """(mu, lambda, nu, k0) with ord_p(D_{p**k}) = mu*p**k + lambda*k + nu for k >= k0.
 
     Residue orders are prime to p, so lambda = lambda_for_n(structure, 1)
     counts the unit roots congruent to 1 mod the maximal ideal.  When the unit
     part is unramified, k0 is the saturation exponent and nu is
-    nu_structural at p**k0; otherwise both come from an exact fit on the
-    p-power subsequence.
+    nu_structural at p**k0.  Otherwise nu is the exact value at k = s_max,
+    checked by _checked_nu on the window k = s_max..s_max + 4, and k0 the
+    least k from which the exact values stay equal to it.
     """
     structure = unit_root_structure(j, p)
     mu = structure.mu
@@ -938,12 +953,10 @@ def iwasawa_invariants(j: IntPoly, p: int):
     s_max = 0
     while p ** s_max * (p - 1) <= max(j.degree, 1):
         s_max += 1
-    residues = [nu_from_oracle(j, p, p ** k, mu, lam) for k in range(s_max + 5)]
-    nu = residues[s_max]
-    if any(v != nu for v in residues[s_max:]):
-        raise PrecisionExhausted("Iwasawa residues did not stabilize in the window")
+    nu = _checked_nu(j, p, mu, lam, None, [p ** k for k in range(s_max, s_max + 5)],
+                     lambda n: PrecisionExhausted("Iwasawa residues did not stabilize in the window"))
     k0 = s_max
-    while k0 > 0 and residues[k0 - 1] == nu:
+    while k0 > 0 and nu_from_oracle(j, p, p ** (k0 - 1), mu, lam) == nu:
         k0 -= 1
     return mu, lam, nu, k0
 
@@ -951,8 +964,9 @@ def iwasawa_invariants(j: IntPoly, p: int):
 def washington_invariants(j: IntPoly, p: int, ell: int):
     """(mu, nu, k0) with ord_p(D_{ell**k}) = mu*ell**k + nu for k >= k0, ell a prime != p.
 
-    k0 is the largest ord_ell of a residue order; nu is nu_structural at ell**k0
-    (ramified: the exact value there), checked exactly at k0, k0 + 1 and k0 + 2.
+    k0 is the largest ord_ell of a residue order; nu is nu_structural at
+    ell**k0 (ramified: the exact value there), checked by _checked_nu at k0,
+    k0 + 1 and k0 + 2.
     """
     if p == ell:
         raise ValueError("the two primes must be distinct")
@@ -963,13 +977,9 @@ def washington_invariants(j: IntPoly, p: int, ell: int):
     if any(f.order is None for f in structure.factors):
         raise OrderUnavailable("a residue order is unavailable")
     k0 = max((valuation(f.order, ell) for f in structure.factors), default=0)
-    nu = nu_structural(structure, ell ** k0)
-    # exact verification (and the oracle value in the ramified case)
-    checks = [nu_from_oracle(j, p, ell ** k, mu, 0) for k in (k0, k0 + 1, k0 + 2)]
-    if nu is None:
-        nu = checks[0]
-    if any(v != nu for v in checks):
-        raise VerificationMismatch("Washington law failed its exact verification")
+    nu = _checked_nu(j, p, mu, 0, nu_structural(structure, ell ** k0),
+                     [ell ** k for k in range(k0, k0 + 3)],
+                     lambda n: VerificationMismatch("Washington law failed its exact verification"))
     return mu, nu, k0
 
 
@@ -988,41 +998,31 @@ def sequence_classes(ta: TowerAnalysis, p: int, n_max: int = 200, kappas=None):
 
     The reported nu absorbs c_p, so within each class
     ord_p(kappa(X_n)) = mu*n + lam*ord_p(n) + nu holds exactly; this is
-    checked on every n <= n_max.
+    checked on every n <= n_max.  The layers are grouped once, by (the
+    orders dividing n, ord_p(n)), and each group must be constant.  The
+    groups of one set of orders run over ord_p(n) = 0..top, so R is 1 + the
+    largest ord_p(n) whose group differs from the group at top (0 when none
+    does): the least cap under which every class is constant.
     """
     report = padic_report(ta, p, n_max, kappas=kappas)
     structure = report.structure
     if any(f.order is None for f in structure.factors):
         raise OrderUnavailable("sequence classes need every residue order")
     order_set = sorted({f.order for f in structure.factors})
-    cap = 0
-    while p ** (cap + 1) <= n_max:
-        cap += 1
-    for R in range(cap + 1):
-        classes = {}
-        consistent = True
-        for n in range(1, n_max + 1):
-            subset = tuple(N for N in order_set if n % N == 0)
-            ordn = valuation(n, p) if n % p == 0 else 0
-            r = min(ordn, R)
-            row = report.per_n[n]
-            nu_class = row.ord - report.mu * n - row.lam * ordn
-            key = (subset, r)
-            if key not in classes:
-                classes[key] = (row.lam, nu_class)
-            elif classes[key] != (row.lam, nu_class):
-                consistent = False
-                break
-        if consistent:
-            if report.R is not None and R > report.R:
-                raise VerificationMismatch(
-                    "the structural saturation bound does not explain the data"
-                )
-            return [
-                SequenceClass(subset, r, lam, nu)
-                for (subset, r), (lam, nu) in sorted(classes.items())
-            ]
-    raise VerificationMismatch("no saturation exponent explains the data")
+    groups = {}
+    for n in range(1, n_max + 1):
+        ordn = valuation(n, p) if n % p == 0 else 0
+        row = report.per_n[n]
+        terms = (row.lam, row.ord - report.mu * n - row.lam * ordn)
+        if groups.setdefault((tuple(N for N in order_set if n % N == 0), ordn), terms) != terms:
+            raise VerificationMismatch("no saturation exponent explains the data")
+    top = dict(sorted(groups))  # set of orders -> its largest ord_p(n), which sorts last
+    R = 1 + max((r for (subset, r), terms in groups.items() if terms != groups[subset, top[subset]]),
+                default=-1)
+    if report.R is not None and R > report.R:
+        raise VerificationMismatch("the structural saturation bound does not explain the data")
+    classes = {(subset, min(r, R)): terms for (subset, r), terms in groups.items()}
+    return [SequenceClass(subset, r, lam, nu) for (subset, r), (lam, nu) in sorted(classes.items())]
 
 
 def _smooth_over(n: int, primes) -> bool:
@@ -1048,9 +1048,10 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
     For n = prod ell_i**k_i with every k_i past its threshold,
     ord_{ell_j}(D_n) = mu_{ell_j} * n + lam_j * k_j + nu_j, and for the
     outside prime p the lam term is absent.  At the least qualifying n0, lam is
-    lambda_for_n and nu is nu_structural (ramified: a fit).  Each law is
-    verified exactly on all qualifying semigroup elements up to the bound;
-    ValueError when there is none.
+    lambda_for_n and nu is nu_structural (ramified: the exact value at the
+    least qualifying element up to the bound).  _checked_nu checks each law
+    on all qualifying semigroup elements up to the bound; ValueError when
+    there is none.
     """
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
@@ -1076,20 +1077,11 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
             n0 *= observer ** max((f.s for f in chosen), default=0)
         thresholds = tuple(valuation(n0, ell) for ell in primes)
         lam = lambda_for_n(structure, n0) if with_lambda else 0
-        nu = nu_structural(structure, n0)
-        # run over the qualifying semigroup elements and verify (or fit) nu
-        verified = False
-        for n, exps in elements:
-            if any(k < t for k, t in zip(exps, thresholds)):
-                continue
-            value = nu_from_oracle(j, observer, n, mu, lam)
-            if nu is None:
-                nu = value
-            if value != nu:
-                raise AssertionError(f"Friedman law failed at n={n} for prime {observer}")
-            verified = True
-        if not verified:
+        layers = [n for n, exps in elements if all(k >= t for k, t in zip(exps, thresholds))]
+        if not layers:
             raise ValueError(f"no qualifying semigroup element below the bound {bound}")
+        nu = _checked_nu(j, observer, mu, lam, nu_structural(structure, n0), layers,
+                         lambda n: AssertionError(f"Friedman law failed at n={n} for prime {observer}"))
         return FriedmanLaw(observer, mu, lam, nu, thresholds)
 
     laws = {ell: law_for(ell, True) for ell in primes}
@@ -1099,17 +1091,9 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
 
 def _semigroup_elements(primes, bound):
     """All (n, exponent vector) with n <= bound in the generated semigroup."""
-    out = [(1, (0,) * len(primes))]
-    for i, ell in enumerate(primes):
-        extended = []
-        for n, exps in out:
-            k = 0
-            value = n
-            while value <= bound:
-                vec = list(exps)
-                vec[i] = k
-                extended.append((value, tuple(vec)))
-                k += 1
-                value *= ell
-        out = extended
+    out = [(1, ())]
+    for ell in primes:
+        # ell**k <= bound // n needs k < (bound // n).bit_length()
+        out = [(n * ell ** k, exps + (k,)) for n, exps in out
+               for k in range((bound // n).bit_length()) if n * ell ** k <= bound]
     return sorted(out)

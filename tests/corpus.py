@@ -10,18 +10,20 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from ihara_towers import analyze, monodromy_index, voltaged_graph
-from ihara_towers.errors import TowerError, VerificationMismatch
+from ihara_towers.errors import OrderUnavailable, TowerError, VerificationMismatch
 from ihara_towers.ihara import kappa_sequence
 from ihara_towers.mahler import _MAX_RESTARTS, count_unit_circle_roots
 from ihara_towers.padic_engine import (
     PadicReport,
     PerLayer,
+    SequenceClass,
     _gf_irreducible_factors,
     _gf_squarefree,
     _gf_trim,
     _layer_terms,
     _saturation,
     is_prime,
+    padic_report,
     unit_root_structure,
     valuation,
 )
@@ -251,6 +253,48 @@ def padic_report_per_n(ta, p: int, n_max: int, kappas=None, structure=None):
             raise VerificationMismatch(f"decomposition failed at n={n}: {total} != {ord_kappa}")
         per_n[n] = PerLayer(lam, nu, ord_kappa, source)
     return PadicReport(p, mu, c, structure, _saturation(structure), per_n)
+
+
+def reference_sequence_classes(ta, p: int, n_max: int = 200, kappas=None):
+    """padic_engine.sequence_classes before it grouped the layers once: for
+    each candidate saturation exponent R = 0..floor(log_p n_max) in turn it
+    partitions n <= n_max by (the orders dividing n, min(ord_p(n), R)) and
+    returns the classes of the first R under which every class is constant.
+    Same checks, same errors.  The reference that pins the one-pass reading
+    of R to the same classes on every input."""
+    report = padic_report(ta, p, n_max, kappas=kappas)
+    structure = report.structure
+    if any(f.order is None for f in structure.factors):
+        raise OrderUnavailable("sequence classes need every residue order")
+    order_set = sorted({f.order for f in structure.factors})
+    cap = 0
+    while p ** (cap + 1) <= n_max:
+        cap += 1
+    for R in range(cap + 1):
+        classes = {}
+        consistent = True
+        for n in range(1, n_max + 1):
+            subset = tuple(N for N in order_set if n % N == 0)
+            ordn = valuation(n, p) if n % p == 0 else 0
+            r = min(ordn, R)
+            row = report.per_n[n]
+            nu_class = row.ord - report.mu * n - row.lam * ordn
+            key = (subset, r)
+            if key not in classes:
+                classes[key] = (row.lam, nu_class)
+            elif classes[key] != (row.lam, nu_class):
+                consistent = False
+                break
+        if consistent:
+            if report.R is not None and R > report.R:
+                raise VerificationMismatch(
+                    "the structural saturation bound does not explain the data"
+                )
+            return [
+                SequenceClass(subset, r, lam, nu)
+                for (subset, r), (lam, nu) in sorted(classes.items())
+            ]
+    raise VerificationMismatch("no saturation exponent explains the data")
 
 
 def reference_factor_mod_p(f: IntPoly, p: int):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -15,17 +15,25 @@ from corpus import (
     bouquet,
     dumbbell,
     fib,
+    named_towers,
     ord_p,
     padic_report_per_n,
     random_int_poly,
     random_self_reciprocal,
     random_tower,
     reference_factor_mod_p,
+    reference_sequence_classes,
     vanishes_at_root_of_unity,
 )
 
 import ihara_towers
-from ihara_towers.errors import OrderUnavailable, PrecisionExhausted, ResourceLimit, TowerError
+from ihara_towers.errors import (
+    OrderUnavailable,
+    PrecisionExhausted,
+    ResourceLimit,
+    TowerError,
+    VerificationMismatch,
+)
 from ihara_towers.ihara import MAX_BITS_ENV, analyze, kappa_sequence, pierce_lehmer
 from ihara_towers.mahler import _mahler_archimedean, mahler_padic
 from ihara_towers.padic_engine import (
@@ -41,6 +49,7 @@ from ihara_towers.padic_engine import (
     _gf_sub,
     _gf_trim,
     _pierce_lehmer_memo,
+    _semigroup_elements,
     _unit_root_structure,
     factor_mod_p,
     friedman_laws,
@@ -1222,6 +1231,67 @@ def test_sequence_classes_cover_and_predict():
             assert rp.per_n[n].ord == rp.mu * n + lam * ordn + nu
 
 
+
+def _classes_outcome(classes, *args):
+    try:
+        return classes(*args)
+    except TowerError as exc:
+        return type(exc), str(exc)
+
+
+def test_sequence_classes_match_the_reference():
+    # seeded (tower, p, n_max): the named towers and random ones, p <= 13,
+    # n_max from 1 to 160; ramified and unramified structures, n_max < p, and
+    # n_max >= 128 at p = 2 all occur, and the kappas of a tower are computed
+    # once for all of its cases
+    rng = random.Random(4807)
+    towers = list(named_towers().values()) + [random_tower(rng) for _ in range(25)]
+    tally = Counter()
+    for vg in towers:
+        ta = analyze(vg)
+        kappas = kappa_sequence(ta, 160)
+        for p in rng.sample((2, 3, 5, 7, 11, 13), 4) + [2]:
+            n_maxes = [rng.randint(1, 128)]
+            n_maxes.append(rng.randint(128, 160) if p == 2 else rng.randint(1, p - 1))
+            for n_max in n_maxes:
+                got = _classes_outcome(sequence_classes, ta, p, n_max, kappas)
+                assert got == _classes_outcome(reference_sequence_classes, ta, p, n_max, kappas), (
+                    vg, p, n_max)
+                tally["case"] += 1
+                tally["ramified" if unit_root_structure(ta.j_poly, p).ramified else "unramified"] += 1
+                tally["n_max < p"] += n_max < p
+                tally["p = 2, n_max >= 128"] += p == 2 and n_max >= 128
+                tally["r > 0"] += isinstance(got, list) and any(c.r for c in got)
+    assert tally["case"] >= 300, tally
+    for kind in ("ramified", "unramified", "n_max < p", "p = 2, n_max >= 128", "r > 0"):
+        assert tally[kind] >= 20, tally
+
+
+def test_sequence_classes_raise_when_the_rows_contradict(monkeypatch):
+    import ihara_towers.padic_engine as padic_engine
+
+    ta = analyze(bouquet(1, 2))
+    report = padic_report(ta, 2, 120)
+    assert report.R == 1 and max(c.r for c in sequence_classes(ta, 2, 120)) == 1
+
+    def raised(changed):
+        with monkeypatch.context() as m:
+            m.setattr(padic_engine, "padic_report", lambda *args, **kwargs: changed)
+            with pytest.raises(VerificationMismatch) as info:
+                sequence_classes(ta, 2, 120)
+        return str(info.value)
+
+    def with_ord_moved(n):
+        row = report.per_n[n]
+        return report._replace(per_n={**report.per_n, n: row._replace(ord=row.ord + 1)})
+
+    # n = 5 shares its orders and ord_2(n) with n = 1
+    assert raised(with_ord_moved(5)) == "no saturation exponent explains the data"
+    # n = 64 is alone in its class, so the data need R = 6 > report.R
+    assert raised(with_ord_moved(64)) == "the structural saturation bound does not explain the data"
+    # the data need R = 1
+    assert raised(report._replace(R=0)) == "the structural saturation bound does not explain the data"
+
 def test_friedman_laws_fibonacci():
     laws = friedman_laws(J_FIB, 7, (2, 3), bound=5000)
     assert sorted(laws) == [2, 3, 7]
@@ -1254,6 +1324,66 @@ def test_friedman_degenerate_single_prime_is_washington():
     assert law.mu == mu_w and law.lam == 0 and law.nu == nu_w
     assert law.min_exponents[0] >= k0
 
+
+
+def _off_by_one_at(monkeypatch, prime, layer):
+    """nu_from_oracle, with 1 added to its value at (prime, layer) only."""
+    import ihara_towers.padic_engine as padic_engine
+
+    exact = padic_engine.nu_from_oracle
+    monkeypatch.setattr(padic_engine, "nu_from_oracle",
+                        lambda j, p, n, mu, lam: exact(j, p, n, mu, lam) + ((p, n) == (prime, layer)))
+
+
+def test_each_law_raises_its_error_when_an_exact_value_disagrees(monkeypatch):
+    def raised(kind, call, *args):
+        with pytest.raises(kind) as info:
+            call(*args)
+        assert type(info.value) is kind
+        return str(info.value)
+
+    washington = "Washington law failed its exact verification"
+    iwasawa = "Iwasawa residues did not stabilize in the window"
+    # Washington checks k0, k0 + 1 and k0 + 2: unramified J_FIB at p = 2 with
+    # ell = 3 (k0 = 1), and ramified J_FIB at p = 5 with ell = 2 (k0 = 0,
+    # nu from the first layer)
+    for p, ell, layers in ((2, 3, (3, 9, 27)), (5, 2, (1, 2, 4))):
+        for layer in layers:
+            with monkeypatch.context() as m:
+                _off_by_one_at(m, p, layer)
+                assert raised(VerificationMismatch, washington_invariants, J_FIB, p, ell) == washington
+    # Iwasawa on a ramified unit part checks the window k = s_max..s_max + 4:
+    # J_FIB at p = 5 (s_max = 0) and t**2 + 3 at p = 2 (s_max = 2)
+    for j, p, s_max in ((J_FIB, 5, 0), (IntPoly((3, 0, 1)), 2, 2)):
+        assert unit_root_structure(j, p).ramified
+        for k in range(s_max, s_max + 5):
+            with monkeypatch.context() as m:
+                _off_by_one_at(m, p, p ** k)
+                assert raised(PrecisionExhausted, iwasawa_invariants, j, p) == iwasawa
+    # Friedman checks every qualifying element, and names the first that fails
+    laws = friedman_laws(J_FIB, 7, (2, 3), bound=5000)
+    for prime, law in laws.items():
+        qualifying = [n for n, exps in _semigroup(2, 3, 5000)
+                      if all(k >= t for k, t in zip(exps, law.min_exponents))]
+        for layer in (qualifying[0], qualifying[1], qualifying[-1]):
+            with monkeypatch.context() as m:
+                _off_by_one_at(m, prime, layer)
+                assert raised(AssertionError, friedman_laws, J_FIB, 7, (2, 3), 5000) == (
+                    f"Friedman law failed at n={layer} for prime {prime}")
+
+
+def test_semigroup_elements_match_a_brute_force_filter():
+    for generators in ((), (2,), (7,), (3, 2), (2, 3, 5), (13, 2, 7)):
+        for bound in (0, 1, 30, 300, 10 ** 4):
+            # ell**k <= bound needs k < bound.bit_length() for every prime ell
+            expected = sorted(
+                (n, exps)
+                for exps in itertools.product(range(max(bound, 1).bit_length()), repeat=len(generators))
+                if (n := prod(ell ** k for ell, k in zip(generators, exps))) <= bound
+            )
+            if not generators:  # the empty product 1 is listed at every bound
+                expected = [(1, ())]
+            assert _semigroup_elements(generators, bound) == expected, (generators, bound)
 
 def _semigroup(a, b, bound):
     out = []
