@@ -9,9 +9,12 @@ repository treats them as ground truth.  Both read only the adjacency of the
 graph they are given (no vertex labels, voltages or cover structure):
 
 - the reduced-Laplacian determinant, by fraction-free symmetric Bareiss
-  elimination on sparse rows in minimum-degree order, where each entry keeps
-  the step it was written at and is rescaled only when it is read (exact, no
-  floating point);
+  elimination on sparse rows in minimum-degree order (exact, no floating
+  point).  spanning_tree_count builds the rows once, straight from the edge
+  pairs, in the form the elimination consumes: each symmetric pair of
+  entries is one [value, step] cell shared by both rows, updated in place,
+  where step is the pivot count when it was written, and a read rescales it
+  to the current step;
 - a brute-force count of the trees themselves, which never uses a
   determinant: a frontier dynamic program over the edge pairs in
   breadth-first order from vertex 0, whose states are the partitions of the
@@ -103,28 +106,27 @@ def _reaches_all(neighbors, n: int) -> bool:
 def _min_degree_det(rows) -> int:
     """Determinant of a symmetric positive-definite integer matrix, consumed.
 
-    rows maps each index i to a dict {j: entry (i, j)} of the nonzero entries
-    of row i, diagonal included.  Fraction-free symmetric Bareiss in minimum-
-    degree order (Tinney-Walker; George-Liu): the next pivot k is a live index
-    whose row has the fewest entries, ties by index, popped from a heap.  A
-    row's least entry there never exceeds its length: a row that shrinks is
-    pushed again, and an entry that pops below its row's length (the row grew
-    by fill-in) is pushed back at that length.  After pivots p_1..p_t, entry
-    (i, j) is the minor on the pivot rows and row i against the pivot columns
-    and column j, and pivot k updates it to (p_k a_ij - a_ik a_kj) / p_{k-1}.
-    Off the pivot's own pattern (a_ik or a_kj zero) that is a_ij p_k / p_{k-1},
-    a rescaling, so a pivot writes only the pairs (i, j) of its pattern, each
-    once for both (i, j) and (j, i), and leaves the rest of every row alone.
-    Each entry is stored as (value, s), s the number of pivots when it was
-    written, and a read after t pivots takes value p_t / p_s, exact because
-    both values are minors (Sylvester's identity).  Every pivot is positive
-    for a positive-definite matrix; one that is not raises
-    VerificationMismatch.
+    rows maps each index i to a dict {j: cell} of the nonzero entries of row
+    i, diagonal included, and each cell is a list [value, s]: the entry and
+    the number of pivots when it was written (0 for the input matrix).  The
+    two entries (i, j) and (j, i) are one shared cell, so a pivot writes
+    each symmetric pair once, in place, and only a fill-in allocates.
+    Fraction-free symmetric Bareiss in minimum-degree order (Tinney-Walker;
+    George-Liu): the next pivot k is a live index whose row has the fewest
+    entries, ties by index, popped from a heap.  A row's least entry there
+    never exceeds its length: a row that shrinks is pushed again, and an
+    entry that pops below its row's length (the row grew by fill-in) is
+    pushed back at that length.  After pivots p_1..p_t, entry (i, j) is the
+    minor on the pivot rows and row i against the pivot columns and column
+    j, and pivot k updates it to (p_k a_ij - a_ik a_kj) / p_{k-1}.  Off the
+    pivot's own pattern (a_ik or a_kj zero) that is a_ij p_k / p_{k-1}, a
+    rescaling, so a pivot writes only the pairs (i, j) of its pattern and
+    leaves the rest of every row alone.  A read after t pivots of a cell
+    written at step s takes value p_t / p_s, exact because both values are
+    minors (Sylvester's identity).  Every pivot is positive for a
+    positive-definite matrix; one that is not raises VerificationMismatch.
     """
     pivots = [1]
-    for row in rows.values():
-        for j, a in row.items():
-            row[j] = (a, 0)
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
     while heap:
@@ -144,22 +146,31 @@ def _min_degree_det(rows) -> int:
             raise VerificationMismatch(
                 f"pivot {now + 1} of a reduced Laplacian is {pk}, not positive"
             )
+        step = now + 1
         reached = []
         for i, (a, s) in pivot_row.items():
             row = rows[i]
             reached.append((i, a if s == now else a * prev // pivots[s], row, len(row)))
             del row[k]
-        absent = (0, now)
-        for m, (i, aik, row_i, _) in enumerate(reached):
+        while reached:
+            # row i meets itself and the rows still in reached; each pair is
+            # read once, before it is written
+            i, aik, row_i, before = reached.pop()
+            cell = row_i[i]
+            a, s = cell
+            cell[0] = (pk * (a if s == now else a * prev // pivots[s]) - aik * aik) // prev
+            cell[1] = step
             get = row_i.get
-            for j, akj, row_j, _ in reached[m:]:
-                # (i, j) is read once, before it is written
-                a, s = get(j, absent)
-                a = a if s == now else a * prev // pivots[s]
-                row_i[j] = row_j[i] = ((pk * a - aik * akj) // prev, now + 1)
-        for i, _, row, before in reached:
-            if len(row) < before:
-                heappush(heap, (len(row), i))
+            for j, akj, row_j, _ in reached:
+                cell = get(j)
+                if cell is None:
+                    row_i[j] = row_j[i] = [-aik * akj // prev, step]
+                else:
+                    a, s = cell
+                    cell[0] = (pk * (a if s == now else a * prev // pivots[s]) - aik * akj) // prev
+                    cell[1] = step
+            if len(row_i) < before:
+                heappush(heap, (len(row_i), i))
         pivots.append(pk)
     return pivots[-1]
 
@@ -167,30 +178,35 @@ def _min_degree_det(rows) -> int:
 def spanning_tree_count(g: SerreGraph) -> int:
     """Number of spanning trees via the reduced Laplacian determinant.
 
-    The reduced Laplacian drops vertex 0 and is kept as sparse dict rows,
-    built from the adjacency alone (no labels); _min_degree_det eliminates it
-    in minimum-degree order.  Loops cancel in the Laplacian.  A single-vertex
-    graph has one spanning tree, the empty one.  A disconnected graph, found by
-    a breadth-first search over the rows, returns 0 before any elimination.
+    The Laplacian is built once, from the adjacency alone (no labels), as
+    the sparse rows _min_degree_det eliminates: one dict per vertex, whose
+    keys are the vertex and its neighbours, and one [value, 0] cell per
+    symmetric pair, shared by (u, v) and (v, u).  Loops cancel in the
+    Laplacian.  A single-vertex graph has one spanning tree, the empty one.
+    A disconnected graph, found by a breadth-first search over the rows,
+    returns 0 before any elimination; otherwise vertex 0 is dropped and the
+    rest is eliminated in minimum-degree order.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    rows = {v: {v: 0} for v in range(n)}
-    for e in g.edge_pairs:
-        u, v = e.origin, e.terminus
+    rows = [{v: [0, 0]} for v in range(n)]
+    for u, v in g.edge_pairs:
         if u != v:
-            rows[u][u] += 1
-            rows[v][v] += 1
-            rows[u][v] = rows[u].get(v, 0) - 1
-            rows[v][u] = rows[v].get(u, 0) - 1
-    # the keys of row v are v and its neighbours
+            row_u, row_v = rows[u], rows[v]
+            row_u[u][0] += 1
+            row_v[v][0] += 1
+            cell = row_u.get(v)
+            if cell is None:
+                row_u[v] = row_v[u] = [-1, 0]
+            else:
+                cell[0] -= 1
     if not _reaches_all(rows, n):
         return 0
-    for v in rows.pop(0):
+    for v in rows[0]:
         if v:
             del rows[v][0]
-    return _min_degree_det(rows)
+    return _min_degree_det(dict(zip(range(1, n), rows[1:])))
 
 
 BRUTE_FORCE_PAIR_LIMIT = 24

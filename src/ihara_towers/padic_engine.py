@@ -1090,8 +1090,9 @@ def friedman_laws(j: IntPoly, p: int, primes, bound: int = 10_000):
 
 
 def _semigroup_elements(primes, bound):
-    """All (n, exponent vector) with n <= bound in the generated semigroup."""
-    out = [(1, ())]
+    """All (n, exponent vector) with n <= bound in the generated semigroup;
+    none below 1, where not even the empty product lies."""
+    out = [(1, ())] if bound >= 1 else []
     for ell in primes:
         # ell**k <= bound // n needs k < (bound // n).bit_length()
         out = [(n * ell ** k, exps + (k,)) for n, exps in out

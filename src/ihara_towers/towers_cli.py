@@ -1,18 +1,12 @@
 """Command-line front end: graph files, generators, analysis and reports.
 
-Graph files are JSON documents
-
-    {"vertices": ["v0", ...],
-     "edges": [{"from": "v0", "to": "v1", "voltage": 3}, ...]}
-
-with one entry per edge pair (the stored orientation).  Vertex names must be
-strings and voltages JSON integers; other values are rejected, not coerced.
-Exact integers are serialized as decimal strings so reports re-parse
-losslessly.
-
-Exit codes are a stable contract for scripting: 0 success, 2 hypothesis
-violation (vanishing Euler characteristic or disconnected tower), 3
-verification mismatch, 4 resource or precision exhaustion.
+The --help description, which states the graph-file format and the exit
+codes, is _DESCRIPTION.  Every command writes its result through
+_emit(args, doc, rows), the one place that encodes and writes one: doc as
+indented JSON, or rows as CSV (table and padic) when --format csv is set, or
+when --format is not given and the --output path ends in .csv.  An --output
+file gets the text as it is; stdout gets it with a final newline.  Errors,
+usage and a verify mismatch go to stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +33,23 @@ from .ihara import (
     verify_tower,
 )
 from .voltage_cover import VoltagedGraph, voltaged_graph
+
+_DESCRIPTION = """Command-line front end: graph files, generators, analysis and reports.
+
+Graph files are JSON documents
+
+    {"vertices": ["v0", ...],
+     "edges": [{"from": "v0", "to": "v1", "voltage": 3}, ...]}
+
+with one entry per edge pair (the stored orientation).  Vertex names must be
+strings and voltages JSON integers; other values are rejected, not coerced.
+Exact integers are serialized as decimal strings so reports re-parse
+losslessly.
+
+Exit codes are a stable contract for scripting: 0 success, 2 hypothesis
+violation (vanishing Euler characteristic or disconnected tower), 3
+verification mismatch, 4 resource or precision exhaustion.
+"""
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     call, the append action of --prime copies its default list before it
     appends, and error() looks up sys.stderr when it runs.  Callers must not
     change the parser it returns."""
-    parser = _Parser(prog="ihara-towers", description=__doc__)
+    parser = _Parser(prog="ihara-towers", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a base graph for a named family")

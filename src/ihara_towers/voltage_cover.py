@@ -10,10 +10,11 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain, product, repeat
 from math import gcd
 
 from .errors import HypothesisViolation
-from .graph_core import SerreGraph, build_graph
+from .graph_core import EdgePair, SerreGraph, build_graph
 
 
 class VoltagedGraph(namedtuple("VoltagedGraph", "base voltages")):
@@ -104,15 +105,21 @@ def monodromy_index(vg: VoltagedGraph) -> int:
 def derived_graph(vg: VoltagedGraph, n: int) -> SerreGraph:
     """The n-layer cover: vertices (v, s) for s mod n, edges twisted by voltages.
 
-    Vertex order is lexicographic in (base vertex, residue).  The graph is
+    Vertex order is lexicographic in (base vertex, residue), so (v, s) has
+    index v * n + s, and base edge pair (u, v) with voltage a lifts, in
+    residue order, to the pairs (u * n + s, v * n + (s + a) % n).  The graph
+    is built directly, equal to and of the same types as build_graph's on
+    these edges: every index is in range by construction, and each EdgePair
+    is made by tuple.__new__, with no Python frame per edge.  The graph is
     materialized explicitly, so memory grows with vertex_count * n.
     """
     if n < 1:
         raise ValueError("layer index must be positive")
     g = vg.base
-    labels = tuple((g.vertices[v], s) for v in range(g.vertex_count) for s in range(n))
-    edges = []
-    for e, a in zip(g.edge_pairs, vg.voltages):
-        for s in range(n):
-            edges.append((e.origin * n + s, e.terminus * n + (s + a) % n))
-    return build_graph(g.vertex_count * n, edges, labels=labels)
+    pairs = []
+    for (u, v), a in zip(g.edge_pairs, vg.voltages):
+        u, v, a = u * n, v * n, a % n
+        # the termini v * n + (s + a) % n are the residues rotated by a
+        termini = chain(range(v + a, v + n), range(v, v + a))
+        pairs += map(tuple.__new__, repeat(EdgePair), zip(range(u, u + n), termini))
+    return SerreGraph(tuple(product(g.vertices, range(n))), tuple(pairs))

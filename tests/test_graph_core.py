@@ -274,6 +274,14 @@ def reduced_laplacian_rows(g):
     return rows
 
 
+def shared_cells(rows):
+    """The kernel's form of symmetric integer rows: each entry a [value, 0]
+    cell, one cell shared by (i, j) and (j, i)."""
+    cells = {}
+    return {i: {j: cells.setdefault(frozenset((i, j)), [a, 0]) for j, a in row.items()}
+            for i, row in rows.items()}
+
+
 class PivotLog(dict):
     """Rows that record the order in which the kernel deletes them."""
 
@@ -291,7 +299,8 @@ def test_per_entry_steps_match_the_row_stamp_kernel():
     # n = 200, the next twelve up to n = 50) and the random multigraphs of
     # test_symmetric_elimination_matches_general_bareiss; a disconnected one
     # has a zero pivot, and a lowered diagonal entry gives negative ones; both
-    # kernels pick the same pivots in the same order
+    # kernels pick the same pivots in the same order; the per-entry kernel
+    # takes its rows as shared cells
     rng = random.Random(79)
     graphs, bases = [], 0
     while bases < 90:
@@ -315,8 +324,9 @@ def test_per_entry_steps_match_the_row_stamp_kernel():
     outcomes = []
     for rows in inputs:
         results = []
-        for kernel in (_min_degree_det, reference_min_degree_det):
-            consumed = PivotLog((i, dict(row)) for i, row in rows.items())
+        for kernel, form in ((_min_degree_det, shared_cells),
+                             (reference_min_degree_det, lambda rows: rows)):
+            consumed = PivotLog((i, dict(row)) for i, row in form(rows).items())
             try:
                 results.append((kernel(consumed), consumed.pivots))
             except VerificationMismatch as exc:
@@ -346,11 +356,14 @@ def test_banded_count_matches_dense_on_layers():
 
 def test_min_degree_elimination_rejects_non_positive_pivot():
     # the unreduced Laplacian of the path 0 - 1 - 2 is singular
-    try:
-        _min_degree_det({0: {0: 1, 1: -1}, 1: {0: -1, 1: 2, 2: -1}, 2: {1: -1, 2: 1}})
-        assert False
-    except VerificationMismatch:
-        pass
+    rows = {0: {0: 1, 1: -1}, 1: {0: -1, 1: 2, 2: -1}, 2: {1: -1, 2: 1}}
+    for kernel, form in ((_min_degree_det, shared_cells),
+                         (reference_min_degree_det, lambda rows: rows)):
+        try:
+            kernel(form({i: dict(row) for i, row in rows.items()}))
+            assert False
+        except VerificationMismatch as exc:
+            assert str(exc) == "pivot 3 of a reduced Laplacian is 0, not positive"
 
 
 def test_disconnected_layer_counts_zero():

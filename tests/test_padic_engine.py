@@ -1308,11 +1308,12 @@ def test_friedman_laws_fibonacci():
         if exps[0] < outside.min_exponents[0] or exps[1] < outside.min_exponents[1]:
             continue
         assert ord_p(pierce_lehmer(J_FIB, n), 7) == outside.mu * n + outside.nu
-    # a bound below every qualifying element is an input error
-    for bound in (0, -1):
+    # a bound below every qualifying element is an input error, with
+    # generators or without (no element, not even n = 1, lies below 1)
+    for p, primes, bound in ((5, (2,), 0), (5, (2,), -1), (7, (), 0), (7, (), -1)):
         try:
-            friedman_laws(J_FIB, 5, (2,), bound=bound)
-            assert False, bound
+            friedman_laws(J_FIB, p, primes, bound=bound)
+            assert False, (p, primes, bound)
         except ValueError as exc:
             assert str(exc) == f"no qualifying semigroup element below the bound {bound}"
 
@@ -1381,8 +1382,6 @@ def test_semigroup_elements_match_a_brute_force_filter():
                 for exps in itertools.product(range(max(bound, 1).bit_length()), repeat=len(generators))
                 if (n := prod(ell ** k for ell, k in zip(generators, exps))) <= bound
             )
-            if not generators:  # the empty product 1 is listed at every bound
-                expected = [(1, ())]
             assert _semigroup_elements(generators, bound) == expected, (generators, bound)
 
 def _semigroup(a, b, bound):

@@ -7,6 +7,7 @@ from corpus import bouquet, degree_and_adjacency, dumbbell, random_connected_vol
 from ihara_towers.errors import HypothesisViolation
 from ihara_towers.graph_core import (
     EdgePair,
+    SerreGraph,
     build_graph,
     euler_characteristic,
     is_connected,
@@ -124,12 +125,31 @@ def test_derived_bouquet_is_circulant():
             assert a.rows[i][j] == expected
 
 
+def _layer_through_build_graph(vg, n):
+    """The n-layer built edge by edge through build_graph (reference)."""
+    g = vg.base
+    labels = [(g.vertices[v], s) for v in range(g.vertex_count) for s in range(n)]
+    edges = [(e.origin * n + s, e.terminus * n + (s + a) % n)
+             for e, a in zip(g.edge_pairs, vg.voltages) for s in range(n)]
+    return build_graph(g.vertex_count * n, edges, labels=labels)
+
+
 def test_chi_scales_with_layer():
+    # each layer also equals build_graph's on the same edges, with the same
+    # types, over loops, negative voltages, voltages past n and n = 1
     rng = random.Random(4)
+    loops = negative = 0
     for _ in range(20):
         vg = random_connected_voltaged_graph(rng)
+        loops += any(e.origin == e.terminus for e in vg.base.edge_pairs)
+        negative += any(a < 0 for a in vg.voltages)
         for n in (1, 2, 3, 5, 8):
-            assert euler_characteristic(derived_graph(vg, n)) == n * euler_characteristic(vg.base)
+            layer = derived_graph(vg, n)
+            assert euler_characteristic(layer) == n * euler_characteristic(vg.base)
+            assert layer == _layer_through_build_graph(vg, n), (vg, n)
+            assert type(layer) is SerreGraph and type(layer.edge_pairs) is tuple
+            assert all(type(e) is EdgePair for e in layer.edge_pairs)
+    assert loops and negative
 
 
 def test_layer_connected_iff_gcd_one():
